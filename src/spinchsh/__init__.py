@@ -10,8 +10,10 @@ from .bell import (
     MeasurementScenario,
     bell_operator,
     canonical_operator,
+    correlation_matrices,
     correlation_matrix,
     coupling_operator,
+    coupling_tensor,
 )
 from .errors import (
     CertificationError,
@@ -37,6 +39,7 @@ from .search import (
     maximize_violation,
     monte_carlo_certify,
     random_density_matrix,
+    random_directions,
     random_pure_state,
     random_scenario,
     random_unit_vector,
@@ -67,8 +70,10 @@ __all__ = [
     "MeasurementScenario",
     "bell_operator",
     "canonical_operator",
+    "correlation_matrices",
     "correlation_matrix",
     "coupling_operator",
+    "coupling_tensor",
     "CertificationError",
     "HermiticityError",
     "MonotonicityError",
@@ -93,6 +98,7 @@ __all__ = [
     "maximize_violation",
     "monte_carlo_certify",
     "random_density_matrix",
+    "random_directions",
     "random_pure_state",
     "random_scenario",
     "random_unit_vector",

@@ -3,18 +3,30 @@
 A measurement scenario is four unit directions (a, a', b, b'). Its Bell
 operator is the four-term CHSH combination of spin observables on the
 9-dimensional product space; equivalently it is the coupling operator of
-the 3x3 correlation matrix M = a (b + b')^T + a' (b - b')^T.
+the 3x3 correlation matrix M = a (b + b')^T + a' (b - b')^T. The four-term
+``bell_operator`` is kept as the independent reference; every other build
+is the coupling operator, one matrix product of M against a precomputed
+tensor of generator products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin import check_unit_vector, spin_along, spin_generators
 
-_GENERATORS = np.stack(spin_generators())
+
+def coupling_tensor(generators) -> np.ndarray:
+    """The (9, d^4) matrix whose row 3i + j is G_i (x) G_j flattened, for d x d generators."""
+    generators = np.asarray(generators)
+    d = generators.shape[-1]
+    return np.einsum("iab,jcd->ijacbd", generators, generators).reshape(9, d**4)
+
+
+_SPIN1_TENSOR = coupling_tensor(spin_generators())
 
 
 @dataclass(frozen=True)
@@ -34,26 +46,39 @@ class MeasurementScenario:
         return self.a, self.a_prime, self.b, self.b_prime
 
 
+def correlation_matrices(directions) -> np.ndarray:
+    """M = a (b + b')^T + a' (b - b')^T for each quadruple in an (..., 4, 3) stack."""
+    d = np.asarray(directions, dtype=float)
+    a, a_prime, b, b_prime = d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :]
+    return (
+        a[..., :, None] * (b + b_prime)[..., None, :]
+        + a_prime[..., :, None] * (b - b_prime)[..., None, :]
+    )
+
+
 def correlation_matrix(sc: MeasurementScenario) -> np.ndarray:
     """The 3x3 matrix a (b + b')^T + a' (b - b')^T coupling the parties' generators.
 
     A sum of two rank-one terms, so rank at most 2; its squared Frobenius
     norm is 4 for any scenario because b + b' and b - b' are orthogonal.
     """
-    return np.outer(sc.a, sc.b + sc.b_prime) + np.outer(sc.a_prime, sc.b - sc.b_prime)
+    return correlation_matrices(sc.directions())
 
 
-def coupling_operator(M) -> np.ndarray:
-    """sum_ij M_ij S_i (x) S_j on the two-qutrit space, for any real 3x3 M.
+def coupling_operator(M, tensor: np.ndarray = _SPIN1_TENSOR) -> np.ndarray:
+    """sum_ij M_ij G_i (x) G_j for a real 3x3 M or an (..., 3, 3) stack of them.
 
-    The Kronecker factors are ordered with party A first, so the composite
-    basis index is 3*m + n for A level m and B level n.
+    ``tensor`` is the ``coupling_tensor`` of the generators G, the spin-1
+    matrices by default. The Kronecker factors are ordered with party A
+    first, so the composite basis index is d*m + n for A level m and B
+    level n.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
+    if M.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
-    K = np.einsum("ij,iab,jcd->acbd", M, _GENERATORS, _GENERATORS)
-    return np.ascontiguousarray(K.reshape(9, 9))
+    batch = M.shape[:-2]
+    side = math.isqrt(tensor.shape[1])
+    return (M.reshape(batch + (9,)) @ tensor).reshape(batch + (side, side))
 
 
 def bell_operator(sc: MeasurementScenario) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Command-line front end: verify, spectrum, reduce, and search workflows.
+"""Command-line front end: verify, spectrum, reduce, search, and certify workflows.
 
 All structured output is JSON on stdout (floats carry 17 significant digits
 so identical runs are byte-identical); sweeps can additionally stream CSV.
@@ -9,25 +9,28 @@ Exit codes: 0 success, 1 usage or input error, 2 certification-band failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .bell import MeasurementScenario, bell_operator, canonical_operator, correlation_matrix
-from .errors import RankDeficiencyError, SpinChshError
+from .errors import CertificationError, RankDeficiencyError, SpinChshError
 from .reduction import canonical_reduction
 from .search import (
+    PAULI_FAMILY,
+    SPIN1_FAMILY,
+    ObservableFamily,
     QuantumState,
     SearchConfig,
     expectation,
     family_by_name,
     maximize_violation,
+    monte_carlo_certify,
+    random_directions,
 )
-from .serialize import complex_pairs, json_dumps, parse_complex_pairs
+from .serialize import DIRECTION_COLUMNS, complex_pairs, json_dumps, parse_complex_pairs, write_csv
 from .spectrum import closed_form_spectrum, eig_hermitian
 from .tolerances import TOL
 
@@ -37,9 +40,6 @@ EXIT_BAND = 2
 EXIT_RANK = 3
 
 SEED_ENV_VAR = "SPINCHSH_SEED"
-
-TSIRELSON = 2.0 * np.sqrt(2.0)
-_EXPECTED_SEARCH_VALUE = {"qutrit-spin1": 2.0, "qubit-pauli": float(TSIRELSON)}
 
 
 class UsageError(Exception):
@@ -152,11 +152,9 @@ def _verify_row(index: int, sc: MeasurementScenario, state: QuantumState | None)
     return row
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
 
 
 def cmd_verify(args) -> int:
@@ -164,6 +162,7 @@ def cmd_verify(args) -> int:
         raise UsageError("verify needs a scenario file or --random N")
     if args.scenario is not None and args.random is not None:
         raise UsageError("give either a scenario file or --random, not both")
+    _check_jobs(args)
 
     report = {"command": "verify", "band_halfwidth": TOL.norm_band}
     if args.random is not None:
@@ -171,17 +170,12 @@ def cmd_verify(args) -> int:
             raise UsageError("--random needs at least one sample")
         seed = _resolve_seed(args)
         report["seed"] = seed
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for i in range(args.random):
-            vs = rng.standard_normal((4, 3))
-            vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-            pairs.append((i, MeasurementScenario(*vs), None))
+        directions = random_directions(np.random.default_rng(seed), (args.random, 4))
+        rows = [_verify_row(i, MeasurementScenario(*quad), None) for i, quad in enumerate(directions)]
     else:
         sc, state = load_scenario_file(args.scenario)
-        pairs = [(0, sc, state)]
+        rows = [_verify_row(0, sc, state)]
 
-    rows = _parallel_map(lambda p: _verify_row(*p), pairs, args.jobs)
     report["count"] = len(rows)
     report["scenarios"] = rows
     deviations = [row["band_deviation"] for row in rows]
@@ -190,26 +184,17 @@ def cmd_verify(args) -> int:
     report["all_within_band"] = within
 
     if args.csv is not None:
-        _write_sweep_csv(args.csv, rows)
+        write_csv(
+            args.csv,
+            ["index", *DIRECTION_COLUMNS, "s", "t", "norm"],
+            (
+                [row["index"], *row["a"], *row["a_prime"], *row["b"], *row["b_prime"],
+                 row["s"], row["t"], row["operator_norm"]]
+                for row in rows
+            ),
+        )
     print(json_dumps(report))
     return EXIT_OK if within else EXIT_BAND
-
-
-def _write_sweep_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["index", "ax", "ay", "az", "apx", "apy", "apz",
-             "bx", "by", "bz", "bpx", "bpy", "bpz", "s", "t", "norm"]
-        )
-        for row in rows:
-            flat = [row["index"]]
-            for key in ("a", "a_prime", "b", "b_prime"):
-                flat.extend(format(x, ".17g") for x in row[key])
-            flat.extend(
-                format(row[key], ".17g") for key in ("s", "t", "operator_norm")
-            )
-            writer.writerow(flat)
 
 
 def cmd_spectrum(args) -> int:
@@ -250,21 +235,14 @@ def cmd_spectrum(args) -> int:
 
 def _spectrum_grid(args) -> int:
     values = np.linspace(0.0, 2.0, args.grid)
-    handle = open(args.csv, "w", newline="") if args.csv is not None else sys.stdout
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["s", "t"] + [f"eig{k}" for k in range(1, 10)] + ["norm"])
+
+    def rows():
         for s in values:
             for t in values:
                 numeric = eig_hermitian(canonical_operator(s, t))
-                writer.writerow(
-                    [format(s, ".17g"), format(t, ".17g")]
-                    + [format(x, ".17g") for x in numeric.eigenvalues]
-                    + [format(numeric.operator_norm, ".17g")]
-                )
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+                yield [s, t, *numeric.eigenvalues, numeric.operator_norm]
+
+    write_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"], rows())
     return EXIT_OK
 
 
@@ -289,32 +267,16 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    try:
-        family = family_by_name(args.family)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.restarts < 1:
-        raise UsageError("--restarts must be at least 1")
-    if args.iterations < 1:
-        raise UsageError("--iterations must be at least 1")
-    seed = _resolve_seed(args)
-    config = SearchConfig(
-        family=family.name,
-        restarts=args.restarts,
-        max_iterations=args.iterations,
-        seed=seed,
-        jobs=args.jobs,
-    )
-    report = maximize_violation(config)
-    expected = _EXPECTED_SEARCH_VALUE[family.name]
-    within = abs(report.best_value - expected) <= TOL.search_target
-    payload = {
+def _search_payload(family: ObservableFamily, seed: int, **config) -> dict:
+    """Run the seesaw on ``family`` and report it against the family's known maximum."""
+    report = maximize_violation(SearchConfig(family=family.name, seed=seed, **config))
+    within = abs(report.best_value - family.known_maximum) <= TOL.search_target
+    return {
         "command": "search",
         "family": family.name,
         "seed": seed,
         "restarts": report.restarts,
-        "expected_value": expected,
+        "expected_value": family.known_maximum,
         "tolerance": TOL.search_target,
         "best_value": report.best_value,
         "within_tolerance": within,
@@ -327,8 +289,58 @@ def cmd_search(args) -> int:
         },
         "history": list(report.history),
     }
+
+
+def cmd_search(args) -> int:
+    try:
+        family = family_by_name(args.family)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.restarts < 1:
+        raise UsageError("--restarts must be at least 1")
+    if args.iterations < 1:
+        raise UsageError("--iterations must be at least 1")
+    _check_jobs(args)
+    payload = _search_payload(
+        family, _resolve_seed(args), restarts=args.restarts, max_iterations=args.iterations
+    )
     print(json_dumps(payload))
-    return EXIT_OK if within else EXIT_BAND
+    return EXIT_OK if payload["within_tolerance"] else EXIT_BAND
+
+
+def cmd_certify(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if args.restarts < 1:
+        raise UsageError("--restarts must be at least 1")
+    seed = _resolve_seed(args)
+    monte_carlo = {"samples": args.samples, "band_halfwidth": TOL.norm_band}
+    try:
+        monte_carlo["max_norm"] = monte_carlo_certify(
+            args.samples, seed=seed, band_tol=TOL.norm_band, csv_path=args.csv
+        )
+        monte_carlo["within_band"] = True
+    except CertificationError as exc:
+        monte_carlo["offending_norm"] = exc.norm
+        monte_carlo["offending_scenario"] = json.loads(exc.scenario_json)
+        monte_carlo["within_band"] = False
+    searches = [
+        _search_payload(family, seed, restarts=args.restarts)
+        for family in (SPIN1_FAMILY, PAULI_FAMILY)
+    ]
+    passed = monte_carlo["within_band"] and all(p["within_tolerance"] for p in searches)
+    report = {
+        "command": "certify",
+        "seed": seed,
+        "monte_carlo": monte_carlo,
+        "search": searches,
+        "passed": passed,
+    }
+    print(json_dumps(report))
+    return EXIT_OK if passed else EXIT_BAND
+
+
+_JOBS_HELP = "accepted for compatibility; must be at least 1, and work always runs serially"
 
 
 def build_parser() -> _Parser:
@@ -347,7 +359,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("scenario", nargs="?", help="scenario JSON file")
     p_verify.add_argument("--random", type=int, metavar="N", help="sample N random scenarios")
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p_verify.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_verify.add_argument("--csv", metavar="PATH", help="also write sweep rows as CSV")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -375,8 +387,17 @@ def build_parser() -> _Parser:
     p_search.add_argument("--restarts", type=int, default=200)
     p_search.add_argument("--iterations", type=int, default=500, help="seesaw iteration cap")
     p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--jobs", type=int, default=1, help="concurrent restarts")
+    p_search.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_search.set_defaults(handler=cmd_search)
+
+    p_certify = sub.add_parser(
+        "certify", help="Monte Carlo norm sweep plus the seesaw search on both families"
+    )
+    p_certify.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
+    p_certify.add_argument("--restarts", type=int, default=200, help="seesaw restarts per family")
+    p_certify.add_argument("--seed", type=int, default=0)
+    p_certify.add_argument("--csv", metavar="PATH", help="also write the Monte Carlo norms as CSV")
+    p_certify.set_defaults(handler=cmd_certify)
 
     return parser
 

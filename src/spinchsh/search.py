@@ -13,15 +13,20 @@ serves as a positive control because its known maximum 2*sqrt(2) exceeds 2.
 
 from __future__ import annotations
 
-import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import MeasurementScenario
+from .bell import (
+    MeasurementScenario,
+    correlation_matrices,
+    correlation_matrix,
+    coupling_operator,
+    coupling_tensor,
+)
 from .errors import CertificationError, HermiticityError, MonotonicityError, StateError
+from .serialize import DIRECTION_COLUMNS, write_csv
 from .spin import check_unit_vector, spin_generators
 from .tolerances import TOL
 
@@ -36,10 +41,19 @@ _PAULI = np.stack(
 
 @dataclass(frozen=True)
 class ObservableFamily:
-    """Three Hermitian generators defining the observable u . generators."""
+    """Three Hermitian generators defining the observable u . generators.
+
+    ``known_maximum`` is the largest CHSH expectation the family can reach,
+    the target a search must hit; ``tensor`` is the family's coupling tensor.
+    """
 
     name: str
     generators: np.ndarray
+    known_maximum: float
+    tensor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tensor", coupling_tensor(self.generators))
 
     @property
     def dim(self) -> int:
@@ -50,13 +64,12 @@ class ObservableFamily:
         return np.einsum("i,iab->ab", u, self.generators)
 
     def bell_operator(self, sc: MeasurementScenario) -> np.ndarray:
-        sa, sap = self.observable(sc.a), self.observable(sc.a_prime)
-        sb, sbp = self.observable(sc.b), self.observable(sc.b_prime)
-        return np.kron(sa, sb + sbp) + np.kron(sap, sb - sbp)
+        return coupling_operator(correlation_matrix(sc), self.tensor)
 
 
-SPIN1_FAMILY = ObservableFamily("qutrit-spin1", np.stack(spin_generators()))
-PAULI_FAMILY = ObservableFamily("qubit-pauli", _PAULI)
+# spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's
+SPIN1_FAMILY = ObservableFamily("qutrit-spin1", np.stack(spin_generators()), 2.0)
+PAULI_FAMILY = ObservableFamily("qubit-pauli", _PAULI, float(2.0 * np.sqrt(2.0)))
 
 _FAMILIES = {f.name: f for f in (SPIN1_FAMILY, PAULI_FAMILY)}
 
@@ -139,16 +152,27 @@ def best_state_value(B) -> tuple[float, QuantumState]:
 # random sampling
 
 
+def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform random unit 3-vectors, shape ``shape + (3,)``.
+
+    Gaussian draws normalised along the last axis; a draw too short to
+    normalise is replaced by a fresh one.
+    """
+    v = rng.standard_normal(tuple(shape) + (3,))
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    while np.any(norms < 1e-12):
+        short = norms[..., 0] < 1e-12
+        v[short] = rng.standard_normal((int(short.sum()), 3))
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / norms
+
+
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
+    return random_directions(rng, ())
 
 
 def random_scenario(rng: np.random.Generator) -> MeasurementScenario:
-    return MeasurementScenario(*(random_unit_vector(rng) for _ in range(4)))
+    return MeasurementScenario(*random_directions(rng, (4,)))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> QuantumState:
@@ -174,7 +198,6 @@ class SearchConfig:
     max_iterations: int = 500
     tol: float = TOL.seesaw_improvement
     seed: int = 0
-    jobs: int = 1
     initial_scenario: MeasurementScenario | None = None
     initial_state: QuantumState | None = None
 
@@ -207,14 +230,12 @@ def _seesaw_restart(
     initial_scenario: MeasurementScenario | None,
     initial_state: QuantumState | None,
 ) -> _RestartOutcome:
-    rng = np.random.default_rng(seed_seq)
     if initial_scenario is not None:
-        dirs = [np.array(v) for v in initial_scenario.directions()]
+        scenario = initial_scenario
     else:
-        dirs = [random_unit_vector(rng) for _ in range(4)]
+        scenario = random_scenario(np.random.default_rng(seed_seq))
 
     gens = family.generators
-    scenario = MeasurementScenario(*dirs)
     previous = -np.inf
     if initial_state is not None:
         previous = expectation(initial_state, family.bell_operator(scenario))
@@ -314,22 +335,16 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
         )
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-
-    def run(index: int) -> _RestartOutcome:
-        first = index == 0
-        return _seesaw_restart(
+    outcomes = [
+        _seesaw_restart(
             family,
-            seeds[index],
+            seed_seq,
             config,
-            config.initial_scenario if first else None,
-            config.initial_state if first else None,
+            config.initial_scenario if index == 0 else None,
+            config.initial_state if index == 0 else None,
         )
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(run, range(config.restarts)))
-    else:
-        outcomes = [run(i) for i in range(config.restarts)]
+        for index, seed_seq in enumerate(seeds)
+    ]
 
     best = outcomes[0]
     for outcome in outcomes[1:]:
@@ -350,17 +365,6 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
 
 # --------------------------------------------------------------------------
 # Monte Carlo certification
-
-
-def _batch_bell_operators(directions: np.ndarray) -> np.ndarray:
-    """Bell operators for an (n, 4, 3) stack of direction quadruples."""
-    gens = SPIN1_FAMILY.generators
-    sa = np.einsum("ni,iab->nab", directions[:, 0], gens)
-    sap = np.einsum("ni,iab->nab", directions[:, 1], gens)
-    sb = np.einsum("ni,iab->nab", directions[:, 2], gens)
-    sbp = np.einsum("ni,iab->nab", directions[:, 3], gens)
-    B = np.einsum("nab,ncd->nacbd", sa, sb + sbp) + np.einsum("nab,ncd->nacbd", sap, sb - sbp)
-    return B.reshape(-1, 9, 9)
 
 
 def _scenario_json(directions: np.ndarray) -> str:
@@ -385,48 +389,22 @@ def monte_carlo_certify(
     """
     if n < 1:
         raise ValueError("empty sample: n must be at least 1")
-    rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((n, 4, 3))
-    norms = np.linalg.norm(directions, axis=2, keepdims=True)
-    while np.any(norms < 1e-12):
-        bad = (norms < 1e-12)[:, :, 0]
-        directions[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(directions, axis=2, keepdims=True)
-    directions /= norms
+    directions = random_directions(np.random.default_rng(seed), (n, 4))
     for i, sc in enumerate(inject[:n]):
         directions[i] = np.stack(sc.directions())
 
-    writer = None
-    handle = None
+    norms = np.empty(n)
+    for start in range(0, n, chunk):
+        B = coupling_operator(correlation_matrices(directions[start : start + chunk]))
+        norms[start : start + chunk] = np.max(np.abs(np.linalg.eigvalsh(B)), axis=1)
     if csv_path is not None:
-        handle = open(csv_path, "w", newline="")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["index", "ax", "ay", "az", "apx", "apy", "apz",
-             "bx", "by", "bz", "bpx", "bpy", "bpz", "norm"]
+        write_csv(
+            csv_path,
+            ["index", *DIRECTION_COLUMNS, "norm"],
+            ([i, *quad.reshape(-1), norm] for i, (quad, norm) in enumerate(zip(directions, norms))),
         )
-    try:
-        worst = 0.0
-        for start in range(0, n, chunk):
-            block = directions[start : start + chunk]
-            eigenvalues = np.linalg.eigvalsh(_batch_bell_operators(block))
-            block_norms = np.max(np.abs(eigenvalues), axis=1)
-            if writer is not None:
-                for offset, norm in enumerate(block_norms):
-                    row = block[offset].reshape(-1)
-                    writer.writerow(
-                        [start + offset]
-                        + [format(x, ".17g") for x in row]
-                        + [format(norm, ".17g")]
-                    )
-            off_band = np.abs(block_norms - 2.0) > band_tol
-            if np.any(off_band):
-                k = int(np.argmax(off_band))
-                raise CertificationError(
-                    float(block_norms[k]), _scenario_json(block[k])
-                )
-            worst = max(worst, float(np.max(block_norms)))
-        return worst
-    finally:
-        if handle is not None:
-            handle.close()
+    off_band = np.abs(norms - 2.0) > band_tol
+    if np.any(off_band):
+        k = int(np.argmax(off_band))
+        raise CertificationError(float(norms[k]), _scenario_json(directions[k]))
+    return float(np.max(norms))

@@ -1,4 +1,4 @@
-"""Deterministic JSON emission: 17-significant-digit floats, [re, im] complex pairs.
+"""Deterministic JSON and CSV emission: 17-significant-digit floats, [re, im] complex pairs.
 
 Identical inputs must produce byte-identical text, so floats are formatted
 explicitly instead of relying on repr, and key order is the insertion order
@@ -7,10 +7,17 @@ of the dictionaries we build.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import sys
 
 import numpy as np
+
+# the four scenario directions, flattened, as CSV columns
+DIRECTION_COLUMNS = (
+    "ax", "ay", "az", "apx", "apy", "apz", "bx", "by", "bz", "bpx", "bpy", "bpz",
+)
 
 
 def _format_float(x: float) -> str:
@@ -74,3 +81,21 @@ def parse_complex_pairs(data) -> np.ndarray:
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("expected nested [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def write_csv(path: str | None, header, rows) -> None:
+    """Write ``header``, then one line per row of numbers, to ``path`` (stdout if None).
+
+    Ints are written as-is and floats at 17 significant digits. ``rows`` may
+    be a generator; it is consumed as the lines are written.
+    """
+    handle = sys.stdout if path is None else open(path, "w", newline="")
+    try:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [x if isinstance(x, int) else format(x, ".17g") for x in row] for row in rows
+        )
+    finally:
+        if handle is not sys.stdout:
+            handle.close()

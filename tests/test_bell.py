@@ -6,15 +6,16 @@ from conftest import gaussian_scenario, qr_rotation, scenarios, unit_vectors
 from spinchsh import (
     MeasurementScenario,
     NormalizationError,
+    SPIN1_FAMILY,
     bell_operator,
     canonical_operator,
+    correlation_matrices,
     correlation_matrix,
     coupling_operator,
     spin_along,
     spin_generators,
     spin_representation,
 )
-from spinchsh.search import _batch_bell_operators
 
 
 def brute_force_coupling(M):
@@ -82,6 +83,17 @@ class TestCouplingOperator:
         with pytest.raises(ValueError):
             coupling_operator(np.eye(2))
 
+    def test_correlation_stack_matches_scalar(self):
+        rng = np.random.default_rng(29)
+        dirs = rng.standard_normal((2, 5, 4, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        stack = correlation_matrices(dirs)
+        assert stack.shape == (2, 5, 3, 3)
+        for i in range(2):
+            for k in range(5):
+                sc = MeasurementScenario(*dirs[i, k])
+                assert np.array_equal(stack[i, k], correlation_matrix(sc))
+
 
 class TestBellOperator:
     def test_tight_scenario(self, tight_scenario):
@@ -119,27 +131,36 @@ class TestBellOperator:
         assert np.linalg.norm(diff) < 1e-12
 
     def test_two_paths_agree_bulk(self):
-        # 10^5 scenarios, vectorized on both sides
+        # 10^5 scenarios: the four-term sum built here, K(M) by the library's batched kernel
         rng = np.random.default_rng(17)
-        n = 100_000
+        n, block = 100_000, 10_000
         dirs = rng.standard_normal((n, 4, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        four_term = _batch_bell_operators(dirs)
         S = np.stack(spin_generators())
-        M = np.einsum("ni,nj->nij", dirs[:, 0], dirs[:, 2] + dirs[:, 3]) + np.einsum(
-            "ni,nj->nij", dirs[:, 1], dirs[:, 2] - dirs[:, 3]
-        )
-        coupled = np.einsum("nij,iab,jcd->nacbd", M, S, S).reshape(n, 9, 9)
-        worst = np.max(np.linalg.norm((four_term - coupled).reshape(n, -1), axis=1))
+        worst = 0.0
+        for start in range(0, n, block):
+            d = dirs[start : start + block]
+            sa, sap, sb, sbp = (np.einsum("ni,iab->nab", d[:, k], S) for k in range(4))
+            four_term = (
+                np.einsum("nab,ncd->nacbd", sa, sb)
+                + np.einsum("nab,ncd->nacbd", sa, sbp)
+                + np.einsum("nab,ncd->nacbd", sap, sb)
+                - np.einsum("nab,ncd->nacbd", sap, sbp)
+            ).reshape(-1, 9, 9)
+            coupled = coupling_operator(correlation_matrices(d))
+            diff = (four_term - coupled).reshape(len(d), -1)
+            worst = max(worst, np.max(np.linalg.norm(diff, axis=1)))
         assert worst < 1e-12
 
     def test_batch_matches_scalar_path(self):
         rng = np.random.default_rng(23)
         dirs = rng.standard_normal((20, 4, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        batch = _batch_bell_operators(dirs)
+        batch = coupling_operator(correlation_matrices(dirs))
         for k in range(20):
-            assert np.linalg.norm(batch[k] - bell_operator(MeasurementScenario(*dirs[k]))) < 1e-13
+            sc = MeasurementScenario(*dirs[k])
+            assert np.linalg.norm(batch[k] - bell_operator(sc)) < 1e-13
+            assert np.linalg.norm(batch[k] - SPIN1_FAMILY.bell_operator(sc)) < 1e-13
 
     @given(scenarios())
     def test_hermitian_traceless(self, sc):

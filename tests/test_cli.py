@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from spinchsh import (
+    TOL,
     MeasurementScenario,
     bell_operator,
     canonical_reduction,
@@ -12,6 +14,7 @@ from spinchsh import (
     correlation_matrix,
     eig_hermitian,
 )
+from spinchsh import cli
 from spinchsh.cli import main
 
 TIGHT = {
@@ -63,6 +66,14 @@ class TestVerify:
         _, serial, _ = run(capsys, "verify", "--random", "30", "--seed", "3")
         _, threaded, _ = run(capsys, "verify", "--random", "30", "--seed", "3", "--jobs", "4")
         assert serial == threaded
+
+    @pytest.mark.parametrize("command", [["verify", "--random", "3"], ["search", "--restarts", "1"]])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_rejected(self, capsys, command, jobs):
+        code, out, err = run(capsys, *command, "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--jobs" in err
 
     def test_round_trip_fidelity(self, capsys):
         # everything the report serializes must recompute to the same values
@@ -272,6 +283,44 @@ class TestSearch:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+class TestCertify:
+    ARGS = ("certify", "--samples", "300", "--restarts", "20", "--seed", "1")
+
+    def test_passes(self, capsys):
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert abs(report["monte_carlo"]["max_norm"] - 2.0) <= 1e-9
+        targets = {s["family"]: s["best_value"] for s in report["search"]}
+        assert abs(targets["qutrit-spin1"] - 2.0) < 1e-6
+        assert abs(targets["qubit-pauli"] - 2.0 * np.sqrt(2.0)) < 1e-6
+
+    def test_impossible_band_exits_2_with_scenario(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TOL", dataclasses.replace(TOL, norm_band=1e-17))
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 2
+        report = json.loads(out)
+        assert report["passed"] is False
+        monte_carlo = report["monte_carlo"]
+        assert monte_carlo["within_band"] is False
+        assert set(monte_carlo["offending_scenario"]) == {"a", "a_prime", "b", "b_prime"}
+        assert abs(monte_carlo["offending_norm"] - 2.0) < 1e-9
+
+    def test_csv_row_count(self, capsys, tmp_path):
+        path = tmp_path / "norms.csv"
+        code, _, _ = run(capsys, *self.ARGS, "--csv", str(path))
+        assert code == 0
+        with open(path) as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0][0] == "index" and rows[0][-1] == "norm"
+        assert len(rows) == 301
+
+    @pytest.mark.parametrize("flag", ["--samples", "--restarts"])
+    def test_rejects_zero_counts(self, capsys, flag):
+        assert run(capsys, "certify", flag, "0")[0] == 1
 
 
 class TestSeedEnvironment:

@@ -21,6 +21,7 @@ from spinchsh import (
     maximize_violation,
     monte_carlo_certify,
     random_density_matrix,
+    random_directions,
     random_pure_state,
     random_scenario,
     random_unit_vector,
@@ -183,6 +184,23 @@ class TestFamilies:
         for G, S in zip(SPIN1_FAMILY.generators, spin_generators()):
             assert np.array_equal(G, S)
 
+    def test_pauli_family_matches_four_term_kron(self):
+        rng = np.random.default_rng(10)
+        pauli = [
+            np.array([[0, 1], [1, 0]], dtype=complex),
+            np.array([[0, -1j], [1j, 0]], dtype=complex),
+            np.array([[1, 0], [0, -1]], dtype=complex),
+        ]
+        for _ in range(20):
+            sc = gaussian_scenario(rng)
+            sa, sap, sb, sbp = (sum(u[i] * pauli[i] for i in range(3)) for u in sc.directions())
+            direct = np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
+            assert np.linalg.norm(PAULI_FAMILY.bell_operator(sc) - direct) < 1e-13
+
+    def test_known_maxima(self):
+        assert SPIN1_FAMILY.known_maximum == 2.0
+        assert abs(PAULI_FAMILY.known_maximum - TSIRELSON) < 1e-15
+
 
 class TestSeesaw:
     def test_qubit_control_reaches_tsirelson(self):
@@ -226,11 +244,9 @@ class TestSeesaw:
         config = SearchConfig(family="qubit-pauli", restarts=12, seed=9)
         first = maximize_violation(config)
         second = maximize_violation(config)
-        threaded = maximize_violation(
-            SearchConfig(family="qubit-pauli", restarts=12, seed=9, jobs=4)
-        )
-        assert first.best_value == second.best_value == threaded.best_value
-        assert np.array_equal(first.best_scenario.a, threaded.best_scenario.a)
+        assert first.best_value == second.best_value
+        for u, v in zip(first.best_scenario.directions(), second.best_scenario.directions()):
+            assert np.array_equal(u, v)
 
     def test_report_value_recomputed_independently(self):
         report = maximize_violation(SearchConfig(restarts=5, seed=7))
@@ -286,6 +302,39 @@ class TestMonteCarlo:
         assert len(rows) == 26
         for row in rows[1:]:
             assert abs(float(row[-1]) - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 7, 301])
+def test_random_directions_match_per_scenario_draws(seed):
+    # the reference draws each scenario as its own (4, 3) block, normalised per row
+    n = 200
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(n):
+        vs = rng.standard_normal((4, 3))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        expected.append(vs)
+    assert np.array_equal(random_directions(np.random.default_rng(seed), (n, 4)), np.stack(expected))
+
+
+def test_random_directions_shapes():
+    rng = np.random.default_rng(3)
+    assert random_directions(rng, ()).shape == (3,)
+    v = random_directions(rng, (2, 5, 4))
+    assert v.shape == (2, 5, 4, 3)
+    assert np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0)) < 1e-15
+
+
+def test_random_directions_redraws_zero_draws():
+    class ZeroFirst:
+        calls = 0
+
+        def standard_normal(self, shape):
+            self.calls += 1
+            return np.zeros(shape) if self.calls == 1 else np.ones(shape)
+
+    v = random_directions(ZeroFirst(), (2,))
+    assert np.allclose(v, np.ones((2, 3)) / np.sqrt(3.0), atol=1e-15)
 
 
 def test_random_scenario_is_normalized():
