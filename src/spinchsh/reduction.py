@@ -23,6 +23,8 @@ from .tolerances import TOL
 _J = np.diag([1.0, 1.0, -1.0])
 # proper rotation with P diag(s, t, 0) P^T = diag(s, 0, t)
 _P = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+# relative size below which a second singular value is indistinguishable from zero
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,19 @@ def canonical_reduction(M, rank_tol: float = TOL.rank) -> CanonicalReduction:
 
     Raises RankDeficiencyError when the third singular value exceeds
     ``rank_tol``: a genuinely rank-3 matrix cannot absorb the determinant
-    fix.
+    fix. A second singular value at most machine epsilon times the first
+    is returned as t = 0.
     """
     M = np.asarray(M, dtype=float)
     O1, O2, sigma = svd3(M)
     if sigma[2] >= rank_tol:
         raise RankDeficiencyError(float(sigma[2]))
     s, t = float(sigma[0]), float(sigma[1])
+    if t <= _EPS * s:
+        # below the SVD's backward error, so numerically zero; left in place,
+        # tiny values (around 1e-150) derail LAPACK's Hermitian eigensolver
+        # on the canonical operator
+        t = 0.0
     if np.linalg.det(O1) < 0.0:
         O1 = _J @ O1
     if np.linalg.det(O2) < 0.0:

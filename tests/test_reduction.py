@@ -152,6 +152,20 @@ class TestReducedBell:
             np.linalg.eigvalsh(H), np.linalg.eigvalsh(bell_operator(sc)), atol=1e-9
         )
 
+    def test_rank_one_with_rounding_noise(self):
+        # a 4e-144 component leaves sigma_2 ~ 6e-160, which LAPACK's Hermitian
+        # eigensolver mishandles on the canonical operator; it must come back as 0
+        from spinchsh import MeasurementScenario
+
+        a = (0.0, 4.0937112932801327e-144, 1.0)
+        b = (0.8944271909999159, 0.4472135954999579, 0.0)
+        sc = MeasurementScenario(a, a, b, (1.0, 0.0, 0.0))
+        s, t, H = reduced_bell(sc)
+        assert t == 0.0
+        assert np.allclose(
+            np.linalg.eigvalsh(H), np.linalg.eigvalsh(bell_operator(sc)), atol=1e-9
+        )
+
     @given(scenarios())
     def test_spectra_agree(self, sc):
         _, _, H = reduced_bell(sc)
