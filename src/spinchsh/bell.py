@@ -81,13 +81,30 @@ def coupling_operator(M, tensor: np.ndarray = _SPIN1_TENSOR) -> np.ndarray:
     return (M.reshape(batch + (9,)) @ tensor).reshape(batch + (side, side))
 
 
-def bell_operator(sc: MeasurementScenario) -> np.ndarray:
-    """The CHSH Bell operator S(a)S(b) + S(a)S(b') + S(a')S(b) - S(a')S(b')."""
-    sa, sap = spin_along(sc.a), spin_along(sc.a_prime)
-    sb, sbp = spin_along(sc.b), spin_along(sc.b_prime)
-    return (
-        np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
-    )
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of the trailing 3x3 matrices of two stacks, broadcast over the leading axes."""
+    product = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (9, 9))
+
+
+def bell_operator(sc) -> np.ndarray:
+    """The CHSH Bell operator S(a)S(b) + S(a)S(b') + S(a')S(b) - S(a')S(b').
+
+    ``sc`` is a MeasurementScenario, giving one 9x9 operator, or an
+    (..., 4, 3) stack of direction quadruples (a, a', b, b'), giving the
+    (..., 9, 9) stack of their operators; every direction is checked for
+    unit norm.
+    """
+    if isinstance(sc, MeasurementScenario):
+        sa, sap, sb, sbp = (spin_along(u) for u in sc.directions())
+    else:
+        directions = np.asarray(sc, dtype=float)
+        if directions.shape[-2:] != (4, 3):
+            raise ValueError(
+                f"expected an (..., 4, 3) direction stack, got shape {directions.shape}"
+            )
+        sa, sap, sb, sbp = spin_along(np.moveaxis(directions, -2, 0))
+    return _kron(sa, sb) + _kron(sa, sbp) + _kron(sap, sb) - _kron(sap, sbp)
 
 
 def canonical_operator(s: float, t: float) -> np.ndarray:

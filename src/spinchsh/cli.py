@@ -15,7 +15,13 @@ import sys
 
 import numpy as np
 
-from .bell import MeasurementScenario, bell_operator, canonical_operator, correlation_matrix
+from .bell import (
+    MeasurementScenario,
+    bell_operator,
+    canonical_operator,
+    correlation_matrices,
+    correlation_matrix,
+)
 from .errors import CertificationError, RankDeficiencyError, SpinChshError
 from .reduction import canonical_reduction
 from .search import (
@@ -41,6 +47,10 @@ EXIT_RANK = 3
 
 SEED_ENV_VAR = "SPINCHSH_SEED"
 
+# scenarios per batched build in verify: bounds the (block, 9, 9) complex
+# temporaries a large --random sweep holds at once
+VERIFY_BLOCK = 4096
+
 
 class UsageError(Exception):
     pass
@@ -62,11 +72,13 @@ def _scenario_vector(raw, name: str) -> np.ndarray:
         raise UsageError(f"field {name!r} must have exactly 3 components")
     norm = float(np.linalg.norm(v))
     deviation = abs(norm - 1.0)
-    if deviation > 1e-6:
+    # written so that a NaN deviation is rejected too
+    if not deviation <= TOL.unit_norm_input:
         raise UsageError(
-            f"field {name!r} has norm {norm!r}, further than 1e-6 from unit length"
+            f"field {name!r} has norm {norm!r}, further than "
+            f"{TOL.unit_norm_input:g} from unit length"
         )
-    if deviation > 1e-9:
+    if deviation > TOL.unit_norm_reject:
         print(
             f"warning: normalizing {name} (norm deviated from 1 by {deviation:.3e})",
             file=sys.stderr,
@@ -132,24 +144,35 @@ def _scenario_dict(sc: MeasurementScenario) -> dict:
     }
 
 
-def _verify_row(index: int, sc: MeasurementScenario, state: QuantumState | None) -> dict:
-    B = bell_operator(sc)
-    norm = eig_hermitian(B).operator_norm
-    reduction = canonical_reduction(correlation_matrix(sc))
-    row = {"index": index}
-    row.update(_scenario_dict(sc))
-    row.update(
-        {
-            "operator_norm": norm,
-            "s": reduction.s,
-            "t": reduction.t,
-            "sum_sq_residual": abs(reduction.s**2 + reduction.t**2 - 4.0),
-            "band_deviation": abs(norm - 2.0),
-        }
-    )
-    if state is not None:
-        row["expectation"] = expectation(state, B)
-    return row
+def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
+    """One report row per quadruple of an (N, 4, 3) stack, and the last block's operators.
+
+    Each block of VERIFY_BLOCK scenarios is one four-term Bell build, one
+    Hermitian eigensolve and one SVD reduction.
+    """
+    rows = []
+    for start in range(0, len(directions), VERIFY_BLOCK):
+        block = directions[start : start + VERIFY_BLOCK]
+        B = bell_operator(block)
+        norms = eig_hermitian(B).operator_norm
+        reduction = canonical_reduction(correlation_matrices(block))
+        columns = zip(block.tolist(), norms.tolist(), reduction.s.tolist(), reduction.t.tolist())
+        for index, ((a, a_prime, b, b_prime), norm, s, t) in enumerate(columns, start):
+            rows.append(
+                {
+                    "index": index,
+                    "a": a,
+                    "a_prime": a_prime,
+                    "b": b,
+                    "b_prime": b_prime,
+                    "operator_norm": norm,
+                    "s": s,
+                    "t": t,
+                    "sum_sq_residual": abs(s**2 + t**2 - 4.0),
+                    "band_deviation": abs(norm - 2.0),
+                }
+            )
+    return rows, B
 
 
 def _check_jobs(args) -> None:
@@ -171,10 +194,12 @@ def cmd_verify(args) -> int:
         seed = _resolve_seed(args)
         report["seed"] = seed
         directions = random_directions(np.random.default_rng(seed), (args.random, 4))
-        rows = [_verify_row(i, MeasurementScenario(*quad), None) for i, quad in enumerate(directions)]
+        rows, _ = _verify_rows(directions)
     else:
         sc, state = load_scenario_file(args.scenario)
-        rows = [_verify_row(0, sc, state)]
+        rows, B = _verify_rows(np.stack(sc.directions())[None])
+        if state is not None:
+            rows[0]["expectation"] = expectation(state, B[0])
 
     report["count"] = len(rows)
     report["scenarios"] = rows
@@ -210,6 +235,8 @@ def cmd_spectrum(args) -> int:
         source = "scenario-file"
     elif args.s is not None and args.t is not None:
         s, t = args.s, args.t
+        if not (np.isfinite(s) and np.isfinite(t)):
+            raise UsageError("--s and --t must be finite")
         if s < 0.0 or t < 0.0:
             raise UsageError("--s and --t must be nonnegative")
         source = "parameters"
@@ -218,6 +245,7 @@ def cmd_spectrum(args) -> int:
 
     closed = closed_form_spectrum(s, t)
     numeric = eig_hermitian(canonical_operator(s, t))
+    discrepancy = float(np.max(np.abs(closed.eigenvalues - numeric.eigenvalues)))
     report = {
         "command": "spectrum",
         "source": source,
@@ -225,12 +253,12 @@ def cmd_spectrum(args) -> int:
         "t": float(t),
         "closed_form": closed.eigenvalues,
         "numerical": numeric.eigenvalues,
-        "max_discrepancy": float(np.max(np.abs(closed.eigenvalues - numeric.eigenvalues))),
+        "max_discrepancy": discrepancy,
         "operator_norm_closed_form": closed.operator_norm,
         "operator_norm_numerical": numeric.operator_norm,
     }
     print(json_dumps(report))
-    return EXIT_OK
+    return EXIT_OK if discrepancy <= TOL.spectrum else EXIT_BAND
 
 
 def _spectrum_grid(args) -> int:
@@ -256,6 +284,8 @@ def cmd_reduce(args) -> int:
             raise UsageError("--matrix must be a JSON 3x3 array of numbers") from None
         if M.shape != (3, 3):
             raise UsageError(f"--matrix must be 3x3, got shape {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise UsageError("--matrix entries must be finite")
     else:
         sc, _ = load_scenario_file(args.scenario)
         M = correlation_matrix(sc)
@@ -413,7 +443,7 @@ def main(argv=None) -> int:
     except RankDeficiencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANK
-    except SpinChshError as exc:
+    except (SpinChshError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

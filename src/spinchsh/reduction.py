@@ -29,7 +29,12 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class CanonicalReduction:
-    """Certificate that R M Q^T = diag(s, 0, t) with det R = det Q = 1 and s >= t >= 0."""
+    """Certificate that R M Q^T = diag(s, 0, t) with det R = det Q = 1 and s >= t >= 0.
+
+    The reduction of an (..., 3, 3) stack holds (..., 3, 3) rotations and
+    (...) arrays of s and t; ``diagonal_form`` and ``certificate`` are for a
+    single matrix.
+    """
 
     R: np.ndarray
     Q: np.ndarray
@@ -64,42 +69,42 @@ def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (O1, O2, sigma) with sigma sorted descending and O1, O2 orthogonal
     (determinants not fixed). Signs are made deterministic by pointing the
     largest-magnitude entry of each left singular vector in the positive
-    direction.
+    direction. An (..., 3, 3) stack is decomposed matrix by matrix in one
+    call, with the results stacked the same way.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
+    if M.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
     U, sigma, Vt = np.linalg.svd(M)
-    for k in range(3):
-        lead = int(np.argmax(np.abs(U[:, k])))
-        if U[lead, k] < 0.0:
-            U[:, k] = -U[:, k]
-            Vt[k, :] = -Vt[k, :]
-    return U.T, Vt, sigma
+    # row of the largest-magnitude entry in each column of U (first one on ties)
+    lead = np.argmax(np.abs(U), axis=-2)
+    flip = np.take_along_axis(U, lead[..., None, :], axis=-2)[..., 0, :] < 0.0
+    sign = np.where(flip, -1.0, 1.0)
+    return np.swapaxes(U * sign[..., None, :], -1, -2), Vt * sign[..., :, None], sigma
 
 
 def canonical_reduction(M, rank_tol: float = TOL.rank) -> CanonicalReduction:
-    """Reduce a rank <= 2 matrix to diag(s, 0, t) by proper rotations.
+    """Reduce a rank <= 2 matrix, or each of an (..., 3, 3) stack, to diag(s, 0, t).
 
-    Raises RankDeficiencyError when the third singular value exceeds
-    ``rank_tol``: a genuinely rank-3 matrix cannot absorb the determinant
-    fix. A second singular value at most machine epsilon times the first
-    is returned as t = 0.
+    Raises RankDeficiencyError, naming the first offending matrix's value,
+    when a third singular value exceeds ``rank_tol``: a genuinely rank-3
+    matrix cannot absorb the determinant fix. A second singular value at
+    most machine epsilon times the first is returned as t = 0.
     """
     M = np.asarray(M, dtype=float)
     O1, O2, sigma = svd3(M)
-    if sigma[2] >= rank_tol:
-        raise RankDeficiencyError(float(sigma[2]))
-    s, t = float(sigma[0]), float(sigma[1])
-    if t <= _EPS * s:
-        # below the SVD's backward error, so numerically zero; left in place,
-        # tiny values (around 1e-150) derail LAPACK's Hermitian eigensolver
-        # on the canonical operator
-        t = 0.0
-    if np.linalg.det(O1) < 0.0:
-        O1 = _J @ O1
-    if np.linalg.det(O2) < 0.0:
-        O2 = _J @ O2
+    rank3 = sigma[..., 2] >= rank_tol
+    if np.any(rank3):
+        raise RankDeficiencyError(float(sigma[..., 2][rank3][0]))
+    s, t = sigma[..., 0], sigma[..., 1]
+    # below the SVD's backward error, so numerically zero; left in place,
+    # tiny values (around 1e-150) derail LAPACK's Hermitian eigensolver
+    # on the canonical operator
+    t = np.where(t <= _EPS * s, 0.0, t)
+    O1 = np.where(np.linalg.det(O1)[..., None, None] < 0.0, _J @ O1, O1)
+    O2 = np.where(np.linalg.det(O2)[..., None, None] < 0.0, _J @ O2, O2)
+    if M.ndim == 2:
+        s, t = float(s), float(t)
     return CanonicalReduction(R=_P @ O1, Q=_P @ O2, s=s, t=t)
 
 

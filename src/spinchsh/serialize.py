@@ -20,6 +20,10 @@ DIRECTION_COLUMNS = (
 )
 
 
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
 def _format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
@@ -34,7 +38,7 @@ def _render(obj, indent: int, level: int) -> str:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, _INTEGERS):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
@@ -55,10 +59,13 @@ def _render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        rendered = [_render(v, indent, level + 1) for v in obj]
-        if all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) for v in obj):
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(pad + r for r in rendered) + "\n" + closing + "]"
+        if all(isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in obj):
+            # a flat list of numbers goes on one line
+            return "[" + ", ".join(
+                str(int(v)) if isinstance(v, _INTEGERS) else _format_float(v) for v in obj
+            ) + "]"
+        rendered = (pad + _render(v, indent, level + 1) for v in obj)
+        return "[\n" + ",\n".join(rendered) + "\n" + closing + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -27,7 +27,11 @@ V5_INDICES = (0, 2, 4, 6, 8)
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues sorted ascending, the operator norm, and (optionally) eigenvectors."""
+    """Eigenvalues sorted ascending, the operator norm, and (optionally) eigenvectors.
+
+    For a stack of matrices each field carries the stack's leading axes, and
+    ``operator_norm`` is an array of norms instead of a float.
+    """
 
     eigenvalues: np.ndarray
     operator_norm: float
@@ -50,17 +54,23 @@ class SubspaceBlocks:
 
 
 def eig_hermitian(A, hermiticity_tol: float = TOL.hermiticity) -> SpectrumResult:
-    """Eigendecomposition of a Hermitian matrix, with the Hermiticity checked."""
+    """Eigendecomposition of a Hermitian matrix, or of an (..., n, n) stack of them.
+
+    The Hermiticity gate is the Frobenius norm of A - A^dagger over the whole
+    input. It bounds each matrix's own asymmetry, so a stack passes only if
+    every matrix in it would pass alone.
+    """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    asymmetry = float(np.linalg.norm(A - A.conj().T))
+    asymmetry = float(np.linalg.norm(A - A.swapaxes(-1, -2).conj()))
     if asymmetry > hermiticity_tol:
         raise HermiticityError(asymmetry)
     eigenvalues, eigenvectors = np.linalg.eigh(A)
+    norms = np.abs(eigenvalues).max(axis=-1)
     return SpectrumResult(
         eigenvalues=eigenvalues,
-        operator_norm=float(np.max(np.abs(eigenvalues))),
+        operator_norm=norms if norms.ndim else float(norms),
         eigenvectors=eigenvectors,
     )
 

@@ -32,21 +32,40 @@ def check_unit_vector(u, tol: float = TOL.unit_norm_reject) -> np.ndarray:
     if u.shape != (3,):
         raise NormalizationError(f"expected a 3-vector, got shape {u.shape}")
     deviation = abs(np.linalg.norm(u) - 1.0)
-    if deviation > tol:
+    # written so that a NaN deviation fails too
+    if not deviation <= tol:
         raise NormalizationError(
             f"direction norm deviates from 1 by {deviation:.3e} (tolerance {tol:.1e})"
         )
     return u
 
 
+def check_unit_vectors(directions, tol: float = TOL.unit_norm_reject) -> np.ndarray:
+    """``check_unit_vector`` for every 3-vector along the last axis of a stack."""
+    directions = np.asarray(directions, dtype=float)
+    if directions.shape[-1:] != (3,):
+        raise NormalizationError(f"expected a stack of 3-vectors, got shape {directions.shape}")
+    deviation = np.abs(np.linalg.norm(directions, axis=-1) - 1.0)
+    bad = ~(deviation <= tol)
+    if np.any(bad):
+        raise NormalizationError(
+            f"direction norm deviates from 1 by {deviation[bad][0]:.3e} "
+            f"(tolerance {tol:.1e})"
+        )
+    return directions
+
+
 def spin_along(u) -> np.ndarray:
     """Observable measuring spin along the unit direction ``u``.
 
     Hermitian, traceless, spectrum {-1, 0, 1}. Rejects inputs whose norm
-    deviates from 1 beyond the rejection tolerance.
+    deviates from 1 beyond the rejection tolerance. An (..., 3) stack of
+    directions gives the (..., 3, 3) stack of their observables.
     """
-    u = check_unit_vector(u)
-    return u[0] * _S_X + u[1] * _S_Y + u[2] * _S_Z
+    u = np.asarray(u, dtype=float)
+    u = check_unit_vector(u) if u.ndim <= 1 else check_unit_vectors(u)
+    x, y, z = u[..., 0, None, None], u[..., 1, None, None], u[..., 2, None, None]
+    return x * _S_X + y * _S_Y + z * _S_Z
 
 
 def check_rotation(R, tol: float = TOL.rotation) -> np.ndarray:

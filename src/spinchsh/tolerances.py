@@ -13,6 +13,7 @@ class Tolerances:
 
     # direction vectors
     unit_norm_reject: float = 1e-9    # inputs further than this from unit norm are rejected
+    unit_norm_input: float = 1e-6     # scenario-file directions further than this are rejected
     unit_norm: float = 1e-12          # unit-norm residual of constructed vectors
 
     # rotations

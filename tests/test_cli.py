@@ -143,6 +143,36 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--random", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_direction_rejected(self, capsys, tmp_path, bad):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(TIGHT).replace("0.0", bad, 1))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "field 'a'" in err
+
+    def test_input_tolerances_come_from_tol(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({**TIGHT, "a": [0.0, 0.0, 1.001]}))
+        assert run(capsys, "verify", str(path))[0] == 1
+        monkeypatch.setattr(cli, "TOL", dataclasses.replace(TOL, unit_norm_input=1e-2))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 0 and "normalizing" in err
+        monkeypatch.setattr(
+            cli, "TOL", dataclasses.replace(TOL, unit_norm_input=1e-2, unit_norm_reject=1e-2)
+        )
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 0 and err == ""
+
+    def test_unwritable_csv_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "verify", "--random", "3", "--csv", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_state_expectation_reported(self, capsys, tmp_path):
         state = {"kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 8}
         path = tmp_path / "with_state.json"
@@ -169,6 +199,30 @@ class TestSpectrum:
     def test_negative_rejected(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--s", "-1", "--t", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("s, t", [("nan", "1"), ("1", "nan"), ("inf", "0"), ("0", "-inf")])
+    def test_non_finite_rejected(self, capsys, s, t):
+        code, out, err = run(capsys, "spectrum", f"--s={s}", f"--t={t}")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+    def test_discrepancy_gate_exits_2(self, capsys, monkeypatch):
+        # a tolerance no discrepancy can meet: the report is still printed
+        monkeypatch.setattr(cli, "TOL", dataclasses.replace(TOL, spectrum=-1.0))
+        code, out, _ = run(capsys, "spectrum", "--s", "1.3", "--t", "0.7")
+        assert code == 2
+        assert json.loads(out)["max_discrepancy"] >= 0.0
+        monkeypatch.setattr(cli, "TOL", TOL)
+        assert run(capsys, "spectrum", "--s", "1.3", "--t", "0.7")[0] == 0
+
+    def test_unwritable_grid_csv_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "spectrum", "--grid", "2", "--csv", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_scenario_file(self, capsys, tight_file):
         code, out, _ = run(capsys, "spectrum", tight_file)
@@ -243,6 +297,13 @@ class TestReduce:
         assert code == 1
         code, _, _ = run(capsys, "reduce", "--matrix", "not json")
         assert code == 1
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_matrix_rejected(self, capsys, bad):
+        code, out, err = run(capsys, "reduce", "--matrix", f"[[{bad},0,0],[0,1,0],[0,0,0]]")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
 
     def test_needs_exactly_one_input(self, capsys, tight_file):
         code, _, _ = run(capsys, "reduce")

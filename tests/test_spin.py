@@ -13,6 +13,7 @@ from spinchsh import (
     spin_generators,
     spin_representation,
 )
+from spinchsh.spin import check_unit_vector, check_unit_vectors
 
 SQRT2 = np.sqrt(2.0)
 
@@ -68,6 +69,27 @@ class TestSpinAlong:
 
     def test_accepts_tiny_deviation(self):
         spin_along((0.0, 0.0, 1.0 + 1e-10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN deviation compares false against the tolerance; it must still fail
+        with pytest.raises(NormalizationError):
+            check_unit_vector((bad, 0.0, 1.0))
+        stack = np.tile([0.0, 0.0, 1.0], (5, 4, 1))
+        stack[3, 1, 0] = bad
+        with pytest.raises(NormalizationError):
+            check_unit_vectors(stack)
+
+    def test_stack_matches_per_direction(self):
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((6, 2, 3))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        assert np.array_equal(check_unit_vectors(u), u)
+        stack = spin_along(u)
+        assert stack.shape == (6, 2, 3, 3)
+        for i in range(6):
+            for j in range(2):
+                assert np.array_equal(stack[i, j], spin_along(u[i, j]))
 
     @given(unit_vectors())
     def test_hermitian_traceless_spectrum(self, u):
