@@ -21,13 +21,12 @@ import numpy as np
 from .bell import (
     MeasurementScenario,
     correlation_matrices,
-    correlation_matrix,
     coupling_operator,
     coupling_tensor,
 )
 from .errors import CertificationError, HermiticityError, MonotonicityError, StateError
 from .serialize import DIRECTION_COLUMNS, write_csv
-from .spin import check_unit_vector, spin_generators
+from .spin import check_unit_vector, check_unit_vectors, spin_generators
 from .tolerances import TOL
 
 _PAULI = np.stack(
@@ -60,11 +59,22 @@ class ObservableFamily:
         return self.generators.shape[1]
 
     def observable(self, u) -> np.ndarray:
-        u = check_unit_vector(u)
-        return np.einsum("i,iab->ab", u, self.generators)
+        """u . generators for a unit 3-vector, or the (..., d, d) stack for an (..., 3) stack."""
+        u = np.asarray(u, dtype=float)
+        u = check_unit_vector(u) if u.ndim <= 1 else check_unit_vectors(u)
+        return np.einsum("...i,iab->...ab", u, self.generators)
 
-    def bell_operator(self, sc: MeasurementScenario) -> np.ndarray:
-        return coupling_operator(correlation_matrix(sc), self.tensor)
+    def bell_operator(self, sc) -> np.ndarray:
+        """The Bell operator of a MeasurementScenario, or of each quadruple of a (..., 4, 3) stack.
+
+        Each operator of a stack is built bit for bit as it would be alone,
+        so a seesaw restart follows the same path in any batch.
+        """
+        if isinstance(sc, MeasurementScenario):
+            sc = sc.directions()
+        M = correlation_matrices(sc)
+        # the unit axis makes every build one vector-matrix product, as for a single M
+        return coupling_operator(M[..., None, :, :], self.tensor)[..., 0, :, :]
 
 
 # spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's
@@ -92,9 +102,7 @@ class QuantumState:
     @classmethod
     def pure(cls, vector) -> "QuantumState":
         vector = np.asarray(vector, dtype=complex).reshape(-1)
-        deviation = abs(np.linalg.norm(vector) - 1.0)
-        if deviation > TOL.state_norm:
-            raise StateError(f"pure state norm deviates from 1 by {deviation:.3e}")
+        _check_state_norms(vector)
         return cls(kind="pure", data=vector)
 
     @classmethod
@@ -102,14 +110,17 @@ class QuantumState:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise StateError(f"density matrix must be square, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise StateError("density matrix has non-finite entries")
+        # every comparison below is written so that NaN fails it
         asymmetry = np.linalg.norm(matrix - matrix.conj().T)
-        if asymmetry > TOL.state_norm:
+        if not asymmetry <= TOL.state_norm:
             raise StateError(f"density matrix is not Hermitian: asymmetry {asymmetry:.3e}")
         trace_error = abs(np.trace(matrix) - 1.0)
-        if trace_error > TOL.state_norm:
+        if not trace_error <= TOL.state_norm:
             raise StateError(f"density matrix trace deviates from 1 by {trace_error:.3e}")
         smallest = float(np.min(np.linalg.eigvalsh(matrix)))
-        if smallest < TOL.psd_floor:
+        if not smallest >= TOL.psd_floor:
             raise StateError(f"density matrix has negative eigenvalue {smallest:.3e}")
         return cls(kind="mixed", data=matrix)
 
@@ -123,18 +134,45 @@ class QuantumState:
         return self.data
 
 
+def _check_state_norms(vectors: np.ndarray) -> None:
+    """Reject state vectors (along the last axis) whose norm is off 1 by more than TOL.state_norm.
+
+    Written so that a NaN norm fails; the first offending vector is named.
+    """
+    # an infinite entry gives a NaN norm, which is rejected without a warning
+    with np.errstate(invalid="ignore"):
+        norms = np.linalg.norm(vectors.reshape(-1, vectors.shape[-1]), axis=-1)
+    deviation = np.abs(norms - 1.0)
+    bad = ~(deviation <= TOL.state_norm)
+    if np.any(bad):
+        raise StateError(f"pure state norm deviates from 1 by {deviation[bad][0]:.3e}")
+
+
+def _checked_real(value: np.ndarray) -> np.ndarray:
+    """The real part of expectation values; a large imaginary part means corrupt inputs."""
+    bad = ~(np.abs(value.imag) <= TOL.trace_imag)
+    if np.any(bad):
+        first = value.imag[bad][0]
+        raise HermiticityError(float(abs(first)), f"expectation has imaginary part {first:.3e}")
+    return value.real
+
+
+def _real_expectations(vectors: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<v|B|v> for each pure state of an (R, n) stack against its (R, n, n) operator.
+
+    Evaluated per state in the same order as ``expectation``.
+    """
+    return _checked_real((vectors.conj()[:, None, :] @ B @ vectors[:, :, None])[:, 0, 0])
+
+
 def expectation(state: QuantumState, B) -> float:
     """tr(rho B), guaranteed real; a large imaginary part means corrupt inputs."""
     B = np.asarray(B, dtype=complex)
     if state.kind == "pure":
-        value = complex(state.data.conj() @ B @ state.data)
+        value = state.data.conj() @ B @ state.data
     else:
-        value = complex(np.trace(state.data @ B))
-    if abs(value.imag) > TOL.trace_imag:
-        raise HermiticityError(
-            abs(value.imag), f"expectation has imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
+        value = np.trace(state.data @ B)
+    return float(_checked_real(np.asarray(value)))
 
 
 def best_state_value(B) -> tuple[float, QuantumState]:
@@ -213,113 +251,141 @@ class SearchReport:
     history: tuple[float, ...] = field(default=(), repr=False)
 
 
+# restarts per batched seesaw: bounds the (block, d^2, d^2) operator and
+# eigenvector stacks a large --restarts run holds at once
+SEESAW_BLOCK = 1024
+
+
 @dataclass(frozen=True)
-class _RestartOutcome:
-    value: float
-    scenario: MeasurementScenario
-    state: QuantumState
-    iterations: int
-    converged: bool
-    history: tuple[float, ...]
+class _SeesawBatch:
+    """Per-restart outcome of one batched seesaw run, indexed by restart."""
+
+    values: np.ndarray  # (R,) final objective
+    directions: np.ndarray  # (R, 4, 3) final a, a', b, b'
+    states: np.ndarray  # (R, d^2) final top eigenvectors
+    iterations: np.ndarray  # (R,) iterations run
+    converged: np.ndarray  # (R,) whether the improvement fell below tol
+    history: np.ndarray  # (iterations, R) objective per iteration, NaN once a restart stopped
+
+    def restart_history(self, k: int) -> tuple[float, ...]:
+        return tuple(self.history[: self.iterations[k], k].tolist())
 
 
-def _seesaw_restart(
-    family: ObservableFamily,
-    seed_seq: np.random.SeedSequence,
-    config: SearchConfig,
-    initial_scenario: MeasurementScenario | None,
-    initial_state: QuantumState | None,
-) -> _RestartOutcome:
+def _start_directions(
+    seeds: list[np.random.SeedSequence], initial_scenario: MeasurementScenario | None = None
+) -> np.ndarray:
+    """The (R, 4, 3) stack of start directions; restart k draws from its own stream."""
+    starts = [random_directions(np.random.default_rng(seed), (4,)) for seed in seeds]
     if initial_scenario is not None:
-        scenario = initial_scenario
-    else:
-        scenario = random_scenario(np.random.default_rng(seed_seq))
+        starts[0] = np.stack(initial_scenario.directions())
+    return check_unit_vectors(np.stack(starts))
 
-    gens = family.generators
-    previous = -np.inf
-    if initial_state is not None:
-        previous = expectation(initial_state, family.bell_operator(scenario))
 
-    history: list[float] = []
-    state = initial_state
-    value = previous
-    converged = False
-    iterations = 0
+def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
+    """Raise for the first restart whose objective fell by more than rounding."""
+    lowered = after < before - 1e-12 * np.maximum(1.0, np.abs(before))
+    if np.any(lowered):
+        k = int(np.argmax(lowered))
+        raise MonotonicityError(
+            f"{step} lowered the objective: {float(before[k])!r} -> {float(after[k])!r}"
+        )
+
+
+def _sum_and_difference(pair: np.ndarray) -> np.ndarray:
+    """(X + Y, X - Y) stacked on axis 1 for the (R, 2, d, d) pair (X, Y)."""
+    return np.stack((pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]), axis=1)
+
+
+def _seesaw(
+    family: ObservableFamily, directions: np.ndarray, previous: np.ndarray, config: SearchConfig
+) -> _SeesawBatch:
+    """Run the seesaw on every restart of an (R, 4, 3) start stack at once.
+
+    ``previous`` holds each restart's objective before the first iteration
+    (-inf without an initial state). Each iteration is one Bell build, one
+    eigensolve and one direction update over the restarts still active; a
+    restart leaves the active set once its improvement falls below tol.
+    """
+    count, d = len(directions), family.dim
+    directions = directions.copy()
+    previous = previous.copy()
+    values = np.empty(count)
+    states = np.empty((count, d * d), dtype=complex)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    history = []
+    active = np.arange(count)
     for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
-        B = family.bell_operator(scenario)
-        eigenvalues, eigenvectors = np.linalg.eigh(B)
-        top = float(eigenvalues[-1])
-        slack = 1e-12 * max(1.0, abs(previous))
-        if top < previous - slack:
-            raise MonotonicityError(
-                f"state step lowered the objective: {previous!r} -> {top!r}"
-            )
-        v = eigenvectors[:, -1]
-        state = QuantumState.pure(v)
+        iterations[active] = iteration
+        current, before = directions[active], previous[active]
+        eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(current))
+        top = eigenvalues[:, -1]
+        _check_monotone(before, top, "state step")
+        v = eigenvectors[:, :, -1]
+        _check_state_norms(v)
 
         # each direction enters the expectation linearly, so its exact
         # optimum is the normalized gradient; zero gradient keeps the old one
-        W = v.reshape(family.dim, family.dim)
-        a, a_prime, b, b_prime = scenario.directions()
-        plus = family.observable(b) + family.observable(b_prime)
-        minus = family.observable(b) - family.observable(b_prime)
-        a = _renormalized(_party_a_gradient(W, gens, plus), a)
-        a_prime = _renormalized(_party_a_gradient(W, gens, minus), a_prime)
-        sum_a = family.observable(a) + family.observable(a_prime)
-        diff_a = family.observable(a) - family.observable(a_prime)
-        b = _renormalized(_party_b_gradient(W, gens, sum_a), b)
-        b_prime = _renormalized(_party_b_gradient(W, gens, diff_a), b_prime)
-        scenario = MeasurementScenario(a, a_prime, b, b_prime)
+        W = v.reshape(-1, 1, d, d)
+        right = _sum_and_difference(family.observable(current[:, 2:]))
+        a_pair = _renormalized(_party_a_gradient(W, family.generators, right), current[:, :2])
+        left = _sum_and_difference(family.observable(a_pair))
+        b_pair = _renormalized(_party_b_gradient(W, family.generators, left), current[:, 2:])
+        updated = check_unit_vectors(np.concatenate((a_pair, b_pair), axis=1))
 
-        value = expectation(state, family.bell_operator(scenario))
-        if value < top - 1e-12 * max(1.0, abs(top)):
-            raise MonotonicityError(
-                f"direction step lowered the objective: {top!r} -> {value!r}"
-            )
-        history.append(value)
-        if value - previous < config.tol:
-            converged = True
+        value = _real_expectations(v, family.bell_operator(updated))
+        _check_monotone(top, value, "direction step")
+        directions[active], states[active], values[active] = updated, v, value
+        row = np.full(count, np.nan)
+        row[active] = value
+        history.append(row)
+        done = value - before < config.tol
+        converged[active[done]] = True
+        previous[active] = value
+        active = active[~done]
+        if not active.size:
             break
-        previous = value
-
-    assert state is not None
-    return _RestartOutcome(
-        value=value,
-        scenario=scenario,
-        state=state,
-        iterations=iterations,
-        converged=converged,
-        history=tuple(history),
-    )
+    return _SeesawBatch(values, directions, states, iterations, converged, np.stack(history))
 
 
 def _party_a_gradient(W: np.ndarray, gens: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """d/du of Re <v| u.gens (x) right |v> at each component, W = v reshaped (d, d)."""
-    # <v| (A (x) C) |v> = tr(W^H A W C^T)
-    WC = W @ right.T
-    return np.real(np.einsum("iab,ba->i", gens, WC @ W.conj().T))
+    """d/du of Re <v| u.gens (x) right |v> at each component, W = v reshaped (..., d, d)."""
+    # <v| (A (x) C) |v> = tr(W^H A W C^T) = sum_ab A_ab (W C^T W^H)_ba
+    X = W @ right.swapaxes(-1, -2) @ W.conj().swapaxes(-1, -2)
+    return _paired_with(gens, X.swapaxes(-1, -2))
 
 
 def _party_b_gradient(W: np.ndarray, gens: np.ndarray, left: np.ndarray) -> np.ndarray:
     """d/du of Re <v| left (x) u.gens |v> at each component."""
     # coefficient of u_j is tr(W^H left W G_j^T): elementwise against G_j, not tr(G_j Y)
-    AW = left @ W
-    return np.real(np.einsum("jcd,cd->j", gens, W.conj().T @ AW))
+    return _paired_with(gens, W.conj().swapaxes(-1, -2) @ (left @ W))
+
+
+def _paired_with(gens: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re sum_mn G_mn Y_mn for each generator G and each d x d matrix of the stack Y.
+
+    One vector-matrix product per matrix, so a stack gives each matrix's
+    result bit for bit as it would be alone.
+    """
+    d2 = gens.shape[-1] ** 2
+    paired = Y.reshape(Y.shape[:-2] + (1, d2)) @ gens.reshape(3, d2).T
+    return np.ascontiguousarray(paired[..., 0, :].real)
 
 
 def _renormalized(gradient: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(gradient)
-    if norm < 1e-14:
-        return fallback
-    return gradient / norm
+    """Each 3-vector along the last axis scaled to unit norm; a zero one gives its fallback."""
+    # one dot product per vector, the sum np.linalg.norm forms for a single vector
+    norm = np.sqrt(gradient[..., None, :] @ gradient[..., :, None])[..., 0]
+    zero = norm < 1e-14
+    return np.where(zero, fallback, gradient / np.where(zero, 1.0, norm))
 
 
 def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     """Run the multi-restart seesaw and report the best expectation found.
 
-    Deterministic for a fixed seed: every restart draws from its own spawned
-    stream, and ties between restarts resolve to the lowest restart index.
+    Restarts run as one batch per block of SEESAW_BLOCK. Deterministic for a
+    fixed seed: every restart draws from its own spawned stream, and ties
+    between restarts resolve to the lowest restart index.
     """
     if config.restarts < 1:
         raise ValueError("need at least one restart")
@@ -334,32 +400,31 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
             f"the family's product dimension {family.dim ** 2}"
         )
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    outcomes = [
-        _seesaw_restart(
-            family,
-            seed_seq,
-            config,
-            config.initial_scenario if index == 0 else None,
-            config.initial_state if index == 0 else None,
-        )
-        for index, seed_seq in enumerate(seeds)
-    ]
+    root = np.random.SeedSequence(config.seed)
+    best, best_index = None, 0
+    for start in range(0, config.restarts, SEESAW_BLOCK):
+        # spawning block by block yields the same children as one spawn
+        seeds = root.spawn(min(SEESAW_BLOCK, config.restarts - start))
+        first = start == 0
+        directions = _start_directions(seeds, config.initial_scenario if first else None)
+        previous = np.full(len(seeds), -np.inf)
+        if first and config.initial_state is not None:
+            previous[0] = expectation(config.initial_state, family.bell_operator(directions[0]))
+        batch = _seesaw(family, directions, previous, config)
+        k = int(np.argmax(batch.values))
+        if best is None or batch.values[k] > best.values[best_index]:
+            best, best_index = batch, k
 
-    best = outcomes[0]
-    for outcome in outcomes[1:]:
-        if outcome.value > best.value:
-            best = outcome
-
-    final_value = expectation(best.state, family.bell_operator(best.scenario))
+    best_scenario = MeasurementScenario(*best.directions[best_index])
+    best_state = QuantumState.pure(best.states[best_index])
     return SearchReport(
-        best_value=final_value,
-        best_scenario=best.scenario,
-        best_state=best.state,
-        iterations=best.iterations,
+        best_value=expectation(best_state, family.bell_operator(best_scenario)),
+        best_scenario=best_scenario,
+        best_state=best_state,
+        iterations=int(best.iterations[best_index]),
         restarts=config.restarts,
-        converged=best.converged,
-        history=best.history,
+        converged=bool(best.converged[best_index]),
+        history=best.restart_history(best_index),
     )
 
 

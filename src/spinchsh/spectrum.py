@@ -58,13 +58,14 @@ def eig_hermitian(A, hermiticity_tol: float = TOL.hermiticity) -> SpectrumResult
 
     The Hermiticity gate is the Frobenius norm of A - A^dagger over the whole
     input. It bounds each matrix's own asymmetry, so a stack passes only if
-    every matrix in it would pass alone.
+    every matrix in it would pass alone. A NaN or infinite entry makes the
+    norm NaN, which fails the gate too.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     asymmetry = float(np.linalg.norm(A - A.swapaxes(-1, -2).conj()))
-    if asymmetry > hermiticity_tol:
+    if not asymmetry <= hermiticity_tol:
         raise HermiticityError(asymmetry)
     eigenvalues, eigenvectors = np.linalg.eigh(A)
     norms = np.abs(eigenvalues).max(axis=-1)

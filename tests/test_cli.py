@@ -182,6 +182,24 @@ class TestVerify:
         assert abs(json.loads(out)["scenarios"][0]["expectation"] - 2.0) < 1e-12
 
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"kind": "pure", "data": [[float("nan"), 0.0]] * 9},
+            {"kind": "pure", "data": [[1.0, 0.0]] + [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7},
+            {"kind": "mixed", "data": [[[float("nan"), 0.0]] * 9] * 9},
+        ],
+        ids=["pure-all-nan", "pure-one-nan", "mixed-nan"],
+    )
+    def test_non_finite_state_rejected(self, capsys, tmp_path, state):
+        path = tmp_path / "nan_state.json"
+        path.write_text(json.dumps({**TIGHT, "state": state}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid state") and err.count("\n") == 1
+
+
 class TestSpectrum:
     def test_near_sqrt2_parameters(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--s", "1.4142135", "--t", "1.4142135")

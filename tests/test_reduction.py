@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinchsh
 from conftest import gaussian_scenario, scenarios
 from spinchsh import (
     RankDeficiencyError,
@@ -60,6 +65,42 @@ class TestSvd3:
             # left singular vectors (rows of O1) lead with a positive entry
             for row in O1a:
                 assert row[np.argmax(np.abs(row))] > 0.0
+
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_without_hanging(self, bad):
+        # LAPACK's SVD never returns on an infinite entry, so the call runs in
+        # a child process: a regression then fails on the timeout, not by hanging
+        program = (
+            "import numpy as np\n"
+            "from spinchsh import canonical_reduction, svd3\n"
+            f"M = np.diag([float('{bad}'), 1.0, 0.0])\n"
+            "for call in (svd3, canonical_reduction):\n"
+            "    try:\n"
+            "        call(M)\n"
+            "    except ValueError as exc:\n"
+            "        print(call.__name__, 'rejected:', exc)\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(spinchsh.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "svd3 rejected: expected finite matrix entries",
+            "canonical_reduction rejected: expected finite matrix entries",
+        ]
+
+    def test_rejects_non_finite_in_a_stack(self):
+        M = np.zeros((4, 3, 3))
+        M[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            svd3(M)
 
 
 class TestCanonicalReduction:

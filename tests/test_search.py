@@ -80,6 +80,25 @@ class TestQuantumState:
         with pytest.raises(StateError):
             QuantumState.mixed(bad)  # negative eigenvalue
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pure_rejects_non_finite(self, bad):
+        v = np.zeros(9, dtype=complex)
+        v[0] = 1.0
+        v[4] = bad
+        with pytest.raises(StateError):
+            QuantumState.pure(v)
+        with pytest.raises(StateError):
+            QuantumState.pure(np.full(9, bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mixed_rejects_non_finite(self, bad):
+        with pytest.raises(StateError):
+            QuantumState.mixed(np.full((9, 9), bad))
+        rho = np.eye(9, dtype=complex) / 9.0
+        rho[2, 2] = bad
+        with pytest.raises(StateError):
+            QuantumState.mixed(rho)
+
     def test_mixed_accepts_maximally_mixed(self):
         state = QuantumState.mixed(np.eye(9) / 9.0)
         assert state.dim == 9

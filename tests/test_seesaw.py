@@ -1,0 +1,275 @@
+"""The batched seesaw against a per-restart reference, and its checks.
+
+``maximize_violation`` runs every restart of a block as one batch per
+iteration. ``reference_restart`` below is the per-restart algorithm kept in
+the test: one Bell build, one eigensolve and one direction update per
+iteration for a single restart, with scalar gradients.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from spinchsh import (
+    PAULI_FAMILY,
+    SPIN1_FAMILY,
+    MeasurementScenario,
+    MonotonicityError,
+    ObservableFamily,
+    QuantumState,
+    SearchConfig,
+    StateError,
+    expectation,
+    maximize_violation,
+    random_scenario,
+)
+from spinchsh import cli, search
+
+FAMILIES = (SPIN1_FAMILY, PAULI_FAMILY)
+
+
+def _observable(family, u):
+    return np.einsum("i,iab->ab", np.asarray(u, dtype=float), family.generators)
+
+
+def _paired_with(gens, Y):
+    return np.real(Y.reshape(1, -1) @ gens.reshape(3, -1).T)[0]
+
+
+def _gradient_a(W, gens, right):
+    return _paired_with(gens, (W @ right.T @ W.conj().T).T)
+
+
+def _gradient_b(W, gens, left):
+    return _paired_with(gens, W.conj().T @ (left @ W))
+
+
+def _renormalized(gradient, fallback):
+    norm = np.linalg.norm(gradient)
+    return fallback if norm < 1e-14 else gradient / norm
+
+
+def reference_restart(family, scenario, config, initial_state=None):
+    """One restart of the seesaw, one scenario at a time.
+
+    Returns (value, scenario, iterations, converged, history).
+    """
+    gens = family.generators
+    previous = -np.inf
+    if initial_state is not None:
+        previous = expectation(initial_state, family.bell_operator(scenario))
+    history = []
+    value, converged, iterations = previous, False, 0
+    for iteration in range(1, config.max_iterations + 1):
+        iterations = iteration
+        eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(scenario))
+        top = float(eigenvalues[-1])
+        assert not top < previous - 1e-12 * max(1.0, abs(previous))
+        state = QuantumState.pure(eigenvectors[:, -1])
+        W = state.data.reshape(family.dim, family.dim)
+        a, a_prime, b, b_prime = scenario.directions()
+        ob, obp = _observable(family, b), _observable(family, b_prime)
+        a = _renormalized(_gradient_a(W, gens, ob + obp), a)
+        a_prime = _renormalized(_gradient_a(W, gens, ob - obp), a_prime)
+        oa, oap = _observable(family, a), _observable(family, a_prime)
+        b = _renormalized(_gradient_b(W, gens, oa + oap), b)
+        b_prime = _renormalized(_gradient_b(W, gens, oa - oap), b_prime)
+        scenario = MeasurementScenario(a, a_prime, b, b_prime)
+        value = expectation(state, family.bell_operator(scenario))
+        assert not value < top - 1e-12 * max(1.0, abs(top))
+        history.append(value)
+        if value - previous < config.tol:
+            converged = True
+            break
+        previous = value
+    return value, scenario, iterations, converged, history
+
+
+def run_batch(family, config):
+    """The batched seesaw on the starts maximize_violation draws for ``config``."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    starts = search._start_directions(seeds)
+    return seeds, search._seesaw(family, starts, np.full(len(seeds), -np.inf), config)
+
+
+def assert_matches_reference(family, config):
+    seeds, batch = run_batch(family, config)
+    for k, seed in enumerate(seeds):
+        # restart k still starts from its own stream, bit for bit
+        start = random_scenario(np.random.default_rng(seed))
+        value, scenario, iterations, converged, history = reference_restart(family, start, config)
+        assert abs(batch.values[k] - value) <= 1e-12, k
+        assert batch.iterations[k] == iterations, k
+        assert batch.converged[k] == converged, k
+        # the batch does each restart's arithmetic in the reference's order
+        assert batch.restart_history(k) == tuple(history), k
+        assert np.array_equal(batch.directions[k], np.stack(scenario.directions())), k
+    return batch
+
+
+def search_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", [0, 5, 301])
+def test_matches_per_restart_reference(family, seed):
+    assert_matches_reference(family, SearchConfig(family=family.name, restarts=25, seed=seed))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_active_set_with_staggered_convergence(family):
+    config = SearchConfig(family=family.name, restarts=60, seed=7, tol=1e-15, max_iterations=8)
+    batch = assert_matches_reference(family, config)
+    assert len(set(batch.iterations.tolist())) > 1
+    # a restart's history stops when it leaves the active set
+    for k in range(60):
+        assert np.all(np.isnan(batch.history[batch.iterations[k] :, k]))
+
+
+def test_state_step_failure_names_first_offending_restart(monkeypatch):
+    config = SearchConfig(restarts=10, seed=3, max_iterations=2)
+    _, clean = run_batch(SPIN1_FAMILY, config)
+    # every restart is active in iteration 2: no restart converges from -inf
+    original = np.linalg.eigh
+    calls, lowered = [], {}
+
+    def lowering_eigh(B):
+        eigenvalues, eigenvectors = original(B)
+        calls.append(len(B))
+        if len(calls) == 2:
+            for k, drop in ((6, 0.5), (8, 1.0)):
+                eigenvalues[k, -1] -= drop
+                lowered[k] = float(eigenvalues[k, -1])
+        return eigenvalues, eigenvectors
+
+    monkeypatch.setattr(np.linalg, "eigh", lowering_eigh)
+    with pytest.raises(MonotonicityError) as excinfo:
+        maximize_violation(config)
+    before = float(clean.history[0, 6])
+    assert str(excinfo.value) == (
+        f"state step lowered the objective: {before!r} -> {lowered[6]!r}"
+    )
+
+
+def test_direction_step_failure_names_first_offending_restart(monkeypatch):
+    config = SearchConfig(family="qubit-pauli", restarts=10, seed=4)
+    original = ObservableFamily.bell_operator
+    built = []
+
+    def shrinking_bell_operator(self, sc):
+        B = original(self, sc)
+        built.append(B)
+        if len(built) == 2:  # the rebuild after the first direction update
+            B[[4, 7]] *= 0.5
+        return B
+
+    monkeypatch.setattr(ObservableFamily, "bell_operator", shrinking_bell_operator)
+    with pytest.raises(MonotonicityError) as excinfo:
+        maximize_violation(config)
+    eigenvalues, eigenvectors = np.linalg.eigh(built[0])
+    top = float(eigenvalues[4, -1])
+    value = float(search._real_expectations(eigenvectors[:, :, -1], built[1])[4])
+    assert value < top
+    assert str(excinfo.value) == f"direction step lowered the objective: {top!r} -> {value!r}"
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_small_blocks_match_one_block(monkeypatch, family):
+    config = SearchConfig(family=family.name, restarts=30, seed=11)
+    whole = maximize_violation(config)
+    monkeypatch.setattr(search, "SEESAW_BLOCK", 7)
+    blocked = maximize_violation(config)
+    assert abs(blocked.best_value - whole.best_value) <= 1e-14
+    # every restart computes as it would alone, so even the tie break agrees
+    assert blocked.best_value == whole.best_value
+    assert blocked.history == whole.history
+    assert np.array_equal(blocked.best_state.data, whole.best_state.data)
+    assert blocked.restarts == whole.restarts == 30
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_stack_kernels_match_single_items_bit_for_bit(family):
+    rng = np.random.default_rng(23)
+    directions = search.random_directions(rng, (6, 4))
+    B = family.bell_operator(directions)
+    observables = family.observable(directions)
+    d = family.dim
+    v = rng.standard_normal((6, d * d)) + 1j * rng.standard_normal((6, d * d))
+    W = (v / np.linalg.norm(v, axis=1, keepdims=True)).reshape(6, 1, d, d)
+    pairs = observables[:, :2] + observables[:, 2:]
+    grad_a = search._party_a_gradient(W, family.generators, pairs)
+    grad_b = search._party_b_gradient(W, family.generators, pairs)
+    unit = search._renormalized(grad_a, directions[:, :2])
+    for k in range(6):
+        assert np.array_equal(B[k], family.bell_operator(MeasurementScenario(*directions[k])))
+        for j in range(2):
+            assert np.array_equal(observables[k, j], family.observable(directions[k, j]))
+            single_a = search._party_a_gradient(W[k, 0], family.generators, pairs[k, j])
+            assert np.array_equal(grad_a[k, j], single_a)
+            single_b = search._party_b_gradient(W[k, 0], family.generators, pairs[k, j])
+            assert np.array_equal(grad_b[k, j], single_b)
+            assert np.array_equal(unit[k, j], single_a / np.linalg.norm(single_a))
+
+
+def test_gradients_match_kron_expectations():
+    # d/du of <v| u.G (x) C |v> is <v| G_i (x) C |v>, and likewise for party B
+    rng = np.random.default_rng(29)
+    gens = SPIN1_FAMILY.generators
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    v /= np.linalg.norm(v)
+    C = SPIN1_FAMILY.observable(search.random_directions(rng, ()))
+    W = v.reshape(3, 3)
+    expected_a = [np.real(v.conj() @ np.kron(G, C) @ v) for G in gens]
+    expected_b = [np.real(v.conj() @ np.kron(C, G) @ v) for G in gens]
+    assert np.max(np.abs(search._party_a_gradient(W, gens, C) - expected_a)) < 1e-13
+    assert np.max(np.abs(search._party_b_gradient(W, gens, C) - expected_b)) < 1e-13
+
+
+def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_scenario):
+    ket0 = np.zeros(9)
+    ket0[0] = 1.0
+    config = SearchConfig(
+        restarts=8, seed=2, initial_scenario=tight_scenario, initial_state=QuantumState.pure(ket0)
+    )
+    original = search._seesaw
+    seen = []
+
+    def recording_seesaw(family, directions, previous, cfg):
+        seen.append((directions.copy(), previous.copy()))
+        return original(family, directions, previous, cfg)
+
+    monkeypatch.setattr(search, "_seesaw", recording_seesaw)
+    monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
+    maximize_violation(config)
+    plain = search._start_directions(np.random.SeedSequence(2).spawn(8))
+    (first, first_previous), (second, second_previous) = seen
+    assert np.array_equal(first[0], np.stack(tight_scenario.directions()))
+    assert np.array_equal(first[1:], plain[1:5])
+    assert np.array_equal(second, plain[5:])
+    assert abs(first_previous[0] - 2.0) < 1e-12
+    assert np.all(first_previous[1:] == -np.inf) and np.all(second_previous == -np.inf)
+
+
+@pytest.mark.parametrize("family", ["qutrit-spin1", "qubit-pauli"])
+def test_search_stdout_byte_identical(family):
+    argv = ["search", "--family", family, "--restarts", "40", "--seed", "13"]
+    first, second = search_stdout(argv), search_stdout(argv)
+    assert first[0] == 0
+    assert first == second
+
+
+def test_batched_state_norm_check_rejects_nan():
+    states = np.zeros((4, 9), dtype=complex)
+    states[:, 0] = 1.0
+    search._check_state_norms(states)
+    states[2, 3] = np.nan
+    with pytest.raises(StateError, match="nan"):
+        search._check_state_norms(states)
+    with pytest.raises(StateError):
+        search._check_state_norms(np.full((3, 9), np.nan, dtype=complex))

@@ -63,6 +63,17 @@ class TestEigHermitian:
         V = result.eigenvectors
         assert np.linalg.norm(A @ V - V * result.eigenvalues) < 1e-10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(9, 9), (5, 9, 9)])
+    def test_rejects_non_finite(self, bad, shape):
+        with pytest.raises(HermiticityError), np.errstate(invalid="ignore"):
+            eig_hermitian(np.full(shape, bad))
+        # one bad entry on the diagonal of one matrix of a Hermitian stack
+        A = np.broadcast_to(canonical_operator(1.0, 1.0), shape).copy()
+        A[(0,) * (len(shape) - 2) + (3, 3)] = bad
+        with pytest.raises(HermiticityError), np.errstate(invalid="ignore"):
+            eig_hermitian(A)
+
     def test_rejects_non_hermitian_with_measurement(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(HermiticityError) as excinfo:
