@@ -19,6 +19,7 @@ from .errors import (
     CertificationError,
     HermiticityError,
     MonotonicityError,
+    NonFiniteError,
     NormalizationError,
     RankDeficiencyError,
     RotationError,
@@ -77,6 +78,7 @@ __all__ = [
     "CertificationError",
     "HermiticityError",
     "MonotonicityError",
+    "NonFiniteError",
     "NormalizationError",
     "RankDeficiencyError",
     "RotationError",

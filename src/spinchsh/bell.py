@@ -107,6 +107,14 @@ def bell_operator(sc) -> np.ndarray:
     return _kron(sa, sb) + _kron(sa, sbp) + _kron(sap, sb) - _kron(sap, sbp)
 
 
-def canonical_operator(s: float, t: float) -> np.ndarray:
-    """The two-parameter canonical form s S_x (x) S_x + t S_z (x) S_z."""
-    return coupling_operator(np.diag([float(s), 0.0, float(t)]))
+def canonical_operator(s, t) -> np.ndarray:
+    """The two-parameter canonical form s S_x (x) S_x + t S_z (x) S_z.
+
+    ``s`` and ``t`` are scalars, giving one 9x9 operator, or arrays that
+    broadcast together, giving the (..., 9, 9) stack over their common shape.
+    """
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    M = np.zeros(np.broadcast_shapes(s.shape, t.shape) + (3, 3))
+    M[..., 0, 0] = s
+    M[..., 2, 2] = t
+    return coupling_operator(M)

@@ -265,10 +265,14 @@ def _spectrum_grid(args) -> int:
     values = np.linspace(0.0, 2.0, args.grid)
 
     def rows():
-        for s in values:
-            for t in values:
-                numeric = eig_hermitian(canonical_operator(s, t))
-                yield [s, t, *numeric.eigenvalues, numeric.operator_norm]
+        # one build and one eigensolve per grid row of fixed s; a stack of the
+        # whole grid would hold N^2 operators and their eigenvectors at once
+        points = values.tolist()
+        for s in points:
+            numeric = eig_hermitian(canonical_operator(s, values))
+            columns = zip(points, numeric.eigenvalues.tolist(), numeric.operator_norm.tolist())
+            for t, eigenvalues, norm in columns:
+                yield (s, t, *eigenvalues, norm)
 
     write_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"], rows())
     return EXIT_OK

@@ -5,6 +5,10 @@ class SpinChshError(Exception):
     """Base class for all library errors."""
 
 
+class NonFiniteError(SpinChshError, ValueError):
+    """A matrix that must be finite holds a NaN or infinite entry."""
+
+
 class NormalizationError(SpinChshError, ValueError):
     """A direction vector is too far from unit norm."""
 

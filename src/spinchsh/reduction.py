@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import MeasurementScenario, canonical_operator, correlation_matrix
-from .errors import RankDeficiencyError
+from .errors import NonFiniteError, RankDeficiencyError
 from .tolerances import TOL
 
 # sign flip on the third coordinate; absorbed by a zero third singular value
@@ -70,14 +70,14 @@ def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (determinants not fixed). Signs are made deterministic by pointing the
     largest-magnitude entry of each left singular vector in the positive
     direction. An (..., 3, 3) stack is decomposed matrix by matrix in one
-    call, with the results stacked the same way. Non-finite entries are
-    rejected: LAPACK's SVD does not return on an infinite one.
+    call, with the results stacked the same way. Non-finite entries raise
+    NonFiniteError: LAPACK's SVD does not return on an infinite one.
     """
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
-        raise ValueError("expected finite matrix entries")
+        raise NonFiniteError("expected finite matrix entries")
     U, sigma, Vt = np.linalg.svd(M)
     # row of the largest-magnitude entry in each column of U (first one on ties)
     lead = np.argmax(np.abs(U), axis=-2)

@@ -139,8 +139,9 @@ def _check_state_norms(vectors: np.ndarray) -> None:
 
     Written so that a NaN norm fails; the first offending vector is named.
     """
-    # an infinite entry gives a NaN norm, which is rejected without a warning
-    with np.errstate(invalid="ignore"):
+    # an infinite entry gives a NaN norm and a huge one overflows; both are
+    # rejected below, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
         norms = np.linalg.norm(vectors.reshape(-1, vectors.shape[-1]), axis=-1)
     deviation = np.abs(norms - 1.0)
     bad = ~(deviation <= TOL.state_norm)

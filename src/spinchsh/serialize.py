@@ -7,7 +7,6 @@ of the dictionaries we build.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -93,16 +92,16 @@ def parse_complex_pairs(data) -> np.ndarray:
 def write_csv(path: str | None, header, rows) -> None:
     """Write ``header``, then one line per row of numbers, to ``path`` (stdout if None).
 
-    Ints are written as-is and floats at 17 significant digits. ``rows`` may
-    be a generator; it is consumed as the lines are written.
+    Every cell is formatted as ``%.17g``: floats at 17 significant digits,
+    and ints of magnitude up to 2**53 as their decimal digits, as ``str``
+    gives them. ``rows`` may be a generator; it is consumed as the lines are
+    written.
     """
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     handle = sys.stdout if path is None else open(path, "w", newline="")
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(
-            [x if isinstance(x, int) else format(x, ".17g") for x in row] for row in rows
-        )
+        handle.write(",".join(header) + "\n")
+        handle.writelines(template % tuple(row) for row in rows)
     finally:
         if handle is not sys.stdout:
             handle.close()

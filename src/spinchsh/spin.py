@@ -31,7 +31,9 @@ def check_unit_vector(u, tol: float = TOL.unit_norm_reject) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape != (3,):
         raise NormalizationError(f"expected a 3-vector, got shape {u.shape}")
-    deviation = abs(np.linalg.norm(u) - 1.0)
+    # an overflowed or NaN norm is rejected below, so numpy need not warn about it
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = abs(np.linalg.norm(u) - 1.0)
     # written so that a NaN deviation fails too
     if not deviation <= tol:
         raise NormalizationError(
@@ -45,7 +47,8 @@ def check_unit_vectors(directions, tol: float = TOL.unit_norm_reject) -> np.ndar
     directions = np.asarray(directions, dtype=float)
     if directions.shape[-1:] != (3,):
         raise NormalizationError(f"expected a stack of 3-vectors, got shape {directions.shape}")
-    deviation = np.abs(np.linalg.norm(directions, axis=-1) - 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = np.abs(np.linalg.norm(directions, axis=-1) - 1.0)
     bad = ~(deviation <= tol)
     if np.any(bad):
         raise NormalizationError(

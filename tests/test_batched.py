@@ -1,10 +1,14 @@
 """The stack forms of the Bell build, the eigensolve and the reduction against their scalar forms.
 
-``verify`` reports every scenario from one batched pass; each test here
-pins a batched result to the per-scenario computation bit for bit.
+``verify`` reports every scenario from one batched pass and ``spectrum
+--grid`` every grid row from one; each test here pins a batched result to
+the per-item computation bit for bit.
 """
 
+import csv
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +20,11 @@ from spinchsh import (
     QuantumState,
     RankDeficiencyError,
     bell_operator,
+    canonical_operator,
     canonical_reduction,
     correlation_matrices,
     correlation_matrix,
+    coupling_operator,
     eig_hermitian,
     expectation,
     random_directions,
@@ -26,7 +32,7 @@ from spinchsh import (
     svd3,
 )
 from spinchsh import cli
-from spinchsh.serialize import complex_pairs, json_dumps
+from spinchsh.serialize import complex_pairs, json_dumps, write_csv
 
 # a 4e-144 component leaves a rounding-noise second singular value (see
 # test_reduction.py::TestReducedBell::test_rank_one_with_rounding_noise)
@@ -255,3 +261,100 @@ class TestSvdStack:
         with pytest.raises(RankDeficiencyError) as excinfo:
             canonical_reduction(M)
         assert excinfo.value.sigma3 == 0.5
+
+
+def bits_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal shapes and bytes: unlike array_equal, tells -0.0 from 0.0."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def csv_writer_text(header, rows) -> str:
+    """Reference CSV text as csv.writer gives it: ints as-is, other numbers at .17g."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([x if isinstance(x, int) else format(x, ".17g") for x in row] for row in rows)
+    return out.getvalue()
+
+
+class TestSpectrumGrid:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_csv_matches_per_point_reference(self, tmp_path, n):
+        path = tmp_path / "grid.csv"
+        assert cli.main(["spectrum", "--grid", str(n), "--csv", str(path)]) == 0
+        values = np.linspace(0.0, 2.0, n)
+        rows = []
+        for s in values:
+            for t in values:
+                numeric = eig_hermitian(coupling_operator(np.diag([s, 0, t])))
+                rows.append([s, t, *numeric.eigenvalues, numeric.operator_norm])
+        header = ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]
+        # 17 significant digits round-trip every float, so equal text is equal bits
+        assert path.read_bytes() == csv_writer_text(header, rows).encode()
+
+
+class TestCanonicalStack:
+    S = np.array([0.0, 2.0, 1e-300, 5e-324, 0.3, 1.9999999999999998, 1.25])
+    T = np.array([0.0, 0.0, 2.0, 1e-160, 1.7, 0.5, 1.25])
+
+    def test_scalar_call_is_the_coupling_operator_of_diag(self):
+        for s, t in zip(self.S, self.T):
+            H = canonical_operator(s, t)
+            assert H.shape == (9, 9)
+            assert bits_equal(H, coupling_operator(np.diag([float(s), 0.0, float(t)])))
+
+    def test_array_matches_scalar_calls(self):
+        stack = canonical_operator(self.S, self.T)
+        assert stack.shape == (len(self.S), 9, 9)
+        for k in range(len(self.S)):
+            assert bits_equal(stack[k], canonical_operator(self.S[k], self.T[k]))
+
+    def test_broadcast_shapes(self):
+        grid = canonical_operator(self.S[:, None], self.T[None, :4])
+        assert grid.shape == (len(self.S), 4, 9, 9)
+        row = canonical_operator(1.5, self.T)
+        assert row.shape == (len(self.T), 9, 9)
+        column = canonical_operator(self.S.tolist(), 0.5)
+        assert column.shape == (len(self.S), 9, 9)
+        for i in range(len(self.S)):
+            assert bits_equal(column[i], canonical_operator(self.S[i], 0.5))
+            for j in range(4):
+                assert bits_equal(grid[i, j], canonical_operator(self.S[i], self.T[j]))
+        for j in range(len(self.T)):
+            assert bits_equal(row[j], canonical_operator(1.5, self.T[j]))
+
+
+class TestWriteCsv:
+    HEADER = ["index", "x", "y"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1.5, 0.1], [7, np.float64(1.0 / 3.0), np.float32(0.1)]],
+            [[np.int64(3), np.int32(-4), np.float64(2.0)], [-1, 2.0, 1e-300]],
+            [[1, -0.0, np.float64(-0.0)], [2, 0.0, -1e-320]],
+            [[10**15, 2**53, -(10**15)], [999_999_999_999_999, 123456789, 5e-324]],
+            [[4, 1.7976931348623157e308, float("inf")], [5, float("nan"), -np.inf]],
+            [],
+        ],
+        ids=["python-and-numpy", "numpy-ints", "negative-zero", "large-ints", "extremes", "empty"],
+    )
+    def test_matches_csv_writer(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        write_csv(str(path), self.HEADER, rows)
+        assert path.read_bytes() == csv_writer_text(self.HEADER, rows).encode()
+
+    def test_consumes_a_generator_lazily(self, monkeypatch):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+
+        def rows():
+            for k in range(5):
+                # the header and every earlier row are written before row k is drawn
+                assert out.getvalue().count("\n") == 1 + k
+                yield (k, k / 2.0, -k)
+
+        write_csv(None, self.HEADER, rows())
+        assert out.getvalue() == csv_writer_text(
+            self.HEADER, [(k, k / 2.0, -k) for k in range(5)]
+        )

@@ -74,6 +74,12 @@ class TestEigHermitian:
         with pytest.raises(HermiticityError), np.errstate(invalid="ignore"):
             eig_hermitian(A)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_diagonal_rejected_without_warning(self):
+        # inf - inf in the asymmetry is NaN; numpy's warning about it is noise
+        with pytest.raises(HermiticityError):
+            eig_hermitian(np.diag([np.inf, 1.0]))
+
     def test_rejects_non_hermitian_with_measurement(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(HermiticityError) as excinfo:
