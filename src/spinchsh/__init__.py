@@ -56,8 +56,8 @@ from .spectrum import (
     verify_invariance,
 )
 from .spin import (
-    axis_angle,
-    expm_hermitian,
+    CARTESIAN_BASIS,
+    cartesian_generators,
     rotation_about,
     spin_along,
     spin_generators,
@@ -112,8 +112,8 @@ __all__ = [
     "eig_hermitian",
     "subspace_blocks",
     "verify_invariance",
-    "axis_angle",
-    "expm_hermitian",
+    "CARTESIAN_BASIS",
+    "cartesian_generators",
     "rotation_about",
     "spin_along",
     "spin_generators",

@@ -6,7 +6,8 @@ operator is the four-term CHSH combination of spin observables on the
 the 3x3 correlation matrix M = a (b + b')^T + a' (b - b')^T. The four-term
 ``bell_operator`` is kept as the independent reference; every other build
 is the coupling operator, one matrix product of M against a precomputed
-tensor of generator products.
+tensor of generator products; ``SPIN1_REAL_TENSOR`` gives the same operator
+in the real Cartesian basis.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import check_unit_vector, spin_along, spin_generators
+from .spin import cartesian_generators, check_unit_vector, spin_along, spin_generators
 
 
 def coupling_tensor(generators) -> np.ndarray:
@@ -27,6 +28,11 @@ def coupling_tensor(generators) -> np.ndarray:
 
 
 _SPIN1_TENSOR = coupling_tensor(spin_generators())
+# The spin-1 tensor in the Cartesian basis, where S_k = -i eps_k makes every
+# S(u) (x) S(v) = -eps(u) (x) eps(v) real: its coupling operators are the
+# float64, exactly symmetric (C (x) C)^dagger K(M) (C (x) C), same spectrum.
+SPIN1_REAL_TENSOR = -coupling_tensor(cartesian_generators())
+SPIN1_REAL_TENSOR.setflags(write=False)
 
 
 @dataclass(frozen=True)

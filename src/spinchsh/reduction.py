@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import MeasurementScenario, canonical_operator, correlation_matrix
+from .bell import MeasurementScenario, canonical_operator, correlation_matrix, coupling_operator
 from .errors import NonFiniteError, RankDeficiencyError
+from .spin import spin_representation
 from .tolerances import TOL
 
 # sign flip on the third coordinate; absorbed by a zero third singular value
@@ -45,8 +46,14 @@ class CanonicalReduction:
         return np.diag([self.s, 0.0, self.t])
 
     def certificate(self, M) -> dict:
-        """JSON-ready certificate with the residuals a verifier needs."""
+        """JSON-ready certificate with the residuals a verifier needs.
+
+        ``conjugation_residual`` is the paper's key step: the spin
+        representations of R and Q carry K(M) to the canonical form.
+        """
         M = np.asarray(M, dtype=float)
+        W = np.kron(spin_representation(self.R), spin_representation(self.Q))
+        conjugated = W @ coupling_operator(M) @ W.conj().T
         return {
             "R": self.R,
             "Q": self.Q,
@@ -60,6 +67,9 @@ class CanonicalReduction:
             "det_Q_residual": float(abs(np.linalg.det(self.Q) - 1.0)),
             "orthogonality_R_residual": float(np.linalg.norm(self.R.T @ self.R - np.eye(3))),
             "orthogonality_Q_residual": float(np.linalg.norm(self.Q.T @ self.Q - np.eye(3))),
+            "conjugation_residual": float(
+                np.linalg.norm(conjugated - canonical_operator(self.s, self.t))
+            ),
         }
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import (
+    SPIN1_REAL_TENSOR,
     MeasurementScenario,
     correlation_matrices,
     coupling_operator,
@@ -452,6 +453,9 @@ def monte_carlo_certify(
     any sample falling outside [2 - band_tol, 2 + band_tol] raises a
     CertificationError carrying the offending scenario. Returns the largest
     norm observed. Scenarios in ``inject`` replace the first samples.
+
+    Each norm comes from a dense eigensolve of the scenario's Bell operator
+    in the Cartesian basis, where it is real symmetric.
     """
     if n < 1:
         raise ValueError("empty sample: n must be at least 1")
@@ -461,7 +465,8 @@ def monte_carlo_certify(
 
     norms = np.empty(n)
     for start in range(0, n, chunk):
-        B = coupling_operator(correlation_matrices(directions[start : start + chunk]))
+        M = correlation_matrices(directions[start : start + chunk])
+        B = coupling_operator(M, SPIN1_REAL_TENSOR)
         norms[start : start + chunk] = np.max(np.abs(np.linalg.eigvalsh(B)), axis=1)
     if csv_path is not None:
         write_csv(

@@ -5,6 +5,10 @@ The three generators act on a three-level system in the basis ordered
 gives the observable u_x S_x + u_y S_y + u_z S_z with spectrum {-1, 0, 1},
 and every rotation R acts by a 3x3 unitary that conjugates observables the
 same way R rotates directions.
+
+The same generators in the Cartesian basis x, y, z are -i eps_k, built from
+the Levi-Civita symbol. There a rotation acts by R itself, and a product of
+two observables is real, which the Monte Carlo certificate uses.
 """
 
 from __future__ import annotations
@@ -20,10 +24,30 @@ _S_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _SQRT2_INV
 _S_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _SQRT2_INV
 _S_Z = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 
+# The unitary from Cartesian x, y, z coordinates (columns) to |+1>, |0>, |-1>
+# coordinates (rows): C^dagger S_k C = -i eps_k, with (eps_k)_ab the
+# Levi-Civita symbol eps_kab.
+CARTESIAN_BASIS = np.array(
+    [[-_SQRT2_INV, 1j * _SQRT2_INV, 0], [0, 0, 1], [_SQRT2_INV, 1j * _SQRT2_INV, 0]]
+)
+CARTESIAN_BASIS.setflags(write=False)
+
+_EPSILON = np.zeros((3, 3, 3))
+_EPSILON[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPSILON[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+
 
 def spin_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return copies of the spin-1 matrices (S_x, S_y, S_z)."""
     return _S_X.copy(), _S_Y.copy(), _S_Z.copy()
+
+
+def cartesian_generators() -> np.ndarray:
+    """The real antisymmetric (eps_x, eps_y, eps_z), (eps_k)_ab = eps_kab, as a (3, 3, 3) copy.
+
+    The spin-1 matrices in the Cartesian basis are -i eps_k.
+    """
+    return _EPSILON.copy()
 
 
 def check_unit_vector(u, tol: float = TOL.unit_norm_reject) -> np.ndarray:
@@ -92,55 +116,11 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def axis_angle(R) -> tuple[np.ndarray, float]:
-    """Extract (axis, angle) with angle in [0, pi] from a rotation matrix.
-
-    Conventions: the null rotation returns axis (0, 0, 1). Close to a half
-    turn the axis comes from the symmetric part of R, where the extraction
-    stays well conditioned; at an exact half turn the sign ambiguity is
-    broken by making the first nonzero axis component positive.
-    """
-    R = check_rotation(R)
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    # w = sin(theta) * axis
-    w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    sin_theta = np.linalg.norm(w)
-    theta = float(np.arctan2(sin_theta, cos_theta))
-
-    if theta < 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-
-    if theta < 3.0 * np.pi / 4.0:
-        return w / sin_theta, theta
-
-    # Near a half turn w/sin(theta) is ill conditioned; nn^T is not:
-    # (R + R^T)/2 = cos(theta) I + (1 - cos(theta)) nn^T.
-    outer = ((R + R.T) / 2.0 - cos_theta * np.eye(3)) / (1.0 - cos_theta)
-    k = int(np.argmax(np.diagonal(outer)))
-    n = outer[:, k] / np.sqrt(outer[k, k])
-    n /= np.linalg.norm(n)
-    if sin_theta > 1e-13:
-        if np.dot(n, w) < 0.0:
-            n = -n
-    else:
-        # exact half turn: both signs give the same rotation, pick one
-        nonzero = np.nonzero(np.abs(n) > 1e-9)[0]
-        if nonzero.size and n[nonzero[0]] < 0.0:
-            n = -n
-    return n, theta
-
-
-def expm_hermitian(H, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * H) for Hermitian H, via eigendecomposition (exact for small dims)."""
-    eigenvalues, V = np.linalg.eigh(H)
-    return (V * np.exp(scale * eigenvalues)) @ V.conj().T
-
-
 def spin_representation(R) -> np.ndarray:
     """The 3x3 unitary that conjugates spin-1 observables the way ``R`` rotates directions.
 
-    Built as exp(-i * theta * S(axis)) from the axis-angle form of R. Only the
-    conjugation action is contractual; the overall phase is a convention.
+    In the Cartesian basis the spin-1 representation of ``R`` is ``R``
+    itself, so this is ``R`` carried to |+1>, |0>, |-1> coordinates by
+    ``CARTESIAN_BASIS``. It is a homomorphism, with no phase convention.
     """
-    n, theta = axis_angle(R)
-    return expm_hermitian(spin_along(n), scale=-1j * theta)
+    return CARTESIAN_BASIS @ check_rotation(R) @ CARTESIAN_BASIS.conj().T

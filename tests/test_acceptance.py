@@ -10,6 +10,7 @@ import numpy as np
 
 from conftest import gaussian_scenario, qr_rotation
 from spinchsh import (
+    TOL,
     MeasurementScenario,
     QuantumState,
     SearchConfig,
@@ -79,7 +80,7 @@ def test_criterion_3_rotational_covariance():
         worst = max(worst, float(np.linalg.norm(lhs - coupling_operator(R @ M @ Q.T))))
     report(
         "criterion 3 (rotational covariance, 1e3 samples)",
-        worst < 1e-10,
+        worst < TOL.conjugation,
         f"max Frobenius residual {worst:.3e}",
     )
 
@@ -87,20 +88,15 @@ def test_criterion_3_rotational_covariance():
 def test_criterion_4_reduction_certificates():
     """10^4 random scenarios: proper rotations, exact reconstruction, s^2+t^2=4."""
     rng = np.random.default_rng(7)
-    worst_det, worst_recon, worst_sumsq = 0.0, 0.0, 0.0
-    for _ in range(10_000):
-        M = correlation_matrix(gaussian_scenario(rng))
-        red = canonical_reduction(M)
-        worst_det = max(
-            worst_det,
-            abs(np.linalg.det(red.R) - 1.0),
-            abs(np.linalg.det(red.Q) - 1.0),
-        )
-        worst_recon = max(
-            worst_recon, float(np.linalg.norm(red.R @ M @ red.Q.T - red.diagonal_form()))
-        )
-        worst_sumsq = max(worst_sumsq, abs(red.s**2 + red.t**2 - 4.0))
-    ok = worst_det < 1e-10 and worst_recon < 1e-10 and worst_sumsq < 1e-9
+    M = np.stack([correlation_matrix(gaussian_scenario(rng)) for _ in range(10_000)])
+    red = canonical_reduction(M)
+    worst_det = float(np.max(np.abs(np.linalg.det(np.stack([red.R, red.Q])) - 1.0)))
+    diagonal = np.zeros_like(M)
+    diagonal[:, 0, 0], diagonal[:, 2, 2] = red.s, red.t
+    residual = red.R @ M @ np.swapaxes(red.Q, -1, -2) - diagonal
+    worst_recon = float(np.max(np.linalg.norm(residual, axis=(-2, -1))))
+    worst_sumsq = float(np.max(np.abs(red.s**2 + red.t**2 - 4.0)))
+    ok = worst_det < 1e-10 and worst_recon < TOL.reconstruction and worst_sumsq < 1e-9
     report(
         "criterion 4 (reduction certificates, 1e4 scenarios)",
         ok,
@@ -148,7 +144,7 @@ def test_criterion_7_subspace_invariance():
         worst = max(worst, verify_invariance(s, t).max_residual)
     report(
         "criterion 7 (subspace invariance, 100 random parameter pairs)",
-        worst < 1e-13,
+        worst < TOL.invariance,
         f"max off-block Frobenius norm {worst:.3e}",
     )
 

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from spinchsh import (
+    CARTESIAN_BASIS,
+    CertificationError,
     HermiticityError,
     MeasurementScenario,
     NormalizationError,
@@ -27,11 +29,13 @@ from spinchsh import (
     coupling_operator,
     eig_hermitian,
     expectation,
+    monte_carlo_certify,
     random_directions,
     spin_along,
     svd3,
 )
-from spinchsh import cli
+from spinchsh import cli, search
+from spinchsh.bell import SPIN1_REAL_TENSOR
 from spinchsh.serialize import complex_pairs, json_dumps, write_csv
 
 # a 4e-144 component leaves a rounding-noise second singular value (see
@@ -188,6 +192,32 @@ class TestBellStack:
     def test_rejects_wrong_stack_shape(self):
         with pytest.raises(ValueError):
             bell_operator(np.zeros((5, 3, 3)))
+
+
+class TestRealPath:
+    """The Monte Carlo certificate's real Cartesian-basis build against the complex builds."""
+
+    def test_operator_is_the_cartesian_conjugate(self):
+        M = np.random.default_rng(21).standard_normal((40, 3, 3))
+        W = np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
+        real = coupling_operator(M, SPIN1_REAL_TENSOR)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, np.swapaxes(real, -1, -2))
+        conjugated = W.conj().T @ coupling_operator(M) @ W
+        assert np.max(np.abs(conjugated - real)) < 1e-14
+
+    def test_norms_match_four_term_build(self, tmp_path):
+        path = tmp_path / "norms.csv"
+        monte_carlo_certify(3000, seed=22, csv_path=str(path))
+        with open(path, newline="") as handle:
+            rows = np.array([[float(x) for x in row] for row in list(csv.reader(handle))[1:]])
+        reference = eig_hermitian(bell_operator(rows[:, 1:13].reshape(-1, 4, 3))).operator_norm
+        assert np.max(np.abs(rows[:, -1] - reference)) <= 16 * np.spacing(2.0)
+
+    def test_band_gate_reads_the_real_build(self, monkeypatch):
+        monkeypatch.setattr(search, "SPIN1_REAL_TENSOR", SPIN1_REAL_TENSOR * (1.0 + 1e-8))
+        with pytest.raises(CertificationError):
+            monte_carlo_certify(100, seed=23)
 
 
 class TestEigStack:

@@ -275,6 +275,7 @@ class TestReduce:
         assert report["reconstruction_residual"] < 1e-10
         assert report["det_R_residual"] < 1e-10
         assert report["det_Q_residual"] < 1e-10
+        assert report["conjugation_residual"] <= TOL.conjugation
         # certificate is self-verifying: rebuild the reduction from R, Q
         R, Q = np.array(report["R"]), np.array(report["Q"])
         M = np.array(report["matrix"])

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import spinchsh
 from conftest import gaussian_scenario, scenarios
 from spinchsh import (
+    TOL,
+    CanonicalReduction,
     RankDeficiencyError,
     bell_operator,
     canonical_operator,
@@ -170,6 +172,16 @@ class TestCanonicalReduction:
             "orthogonality_Q_residual",
         ):
             assert cert[key] < 1e-10
+
+    def test_certificate_conjugation_residual(self, tight_scenario):
+        rng = np.random.default_rng(14)
+        for sc in [tight_scenario, *(gaussian_scenario(rng) for _ in range(100))]:
+            M = correlation_matrix(sc)
+            red = canonical_reduction(M)
+            assert red.certificate(M)["conjugation_residual"] <= TOL.conjugation
+        # with identity rotations the residual is ||K(M) - canonical||, far from 0
+        wrong = CanonicalReduction(R=np.eye(3), Q=np.eye(3), s=red.s, t=red.t)
+        assert wrong.certificate(M)["conjugation_residual"] > 1.0
 
 
 class TestReducedBell:

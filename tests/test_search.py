@@ -12,6 +12,7 @@ from spinchsh import (
     PAULI_FAMILY,
     QuantumState,
     SPIN1_FAMILY,
+    TOL,
     SearchConfig,
     StateError,
     bell_operator,
@@ -334,6 +335,11 @@ def test_random_directions_match_per_scenario_draws(seed):
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
         expected.append(vs)
     assert np.array_equal(random_directions(np.random.default_rng(seed), (n, 4)), np.stack(expected))
+
+
+def test_random_directions_are_unit():
+    directions = random_directions(np.random.default_rng(3), (2000, 4))
+    assert np.max(np.abs(np.linalg.norm(directions, axis=-1) - 1.0)) <= TOL.unit_norm
 
 
 def test_random_directions_shapes():

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from conftest import canonical_params, scenarios
 from spinchsh import (
+    TOL,
     HermiticityError,
     V4_INDICES,
     V5_INDICES,
@@ -208,7 +209,7 @@ class TestInvariance:
         assert report.max_residual == 0.0
 
     def test_sqrt2_pair(self):
-        assert verify_invariance(SQRT2, SQRT2).max_residual < 1e-13
+        assert verify_invariance(SQRT2, SQRT2).max_residual < TOL.invariance
 
     def test_hundred_points_on_the_circle(self):
         rng = np.random.default_rng(29)
@@ -217,8 +218,8 @@ class TestInvariance:
             angle = rng.uniform(0.0, np.pi / 2.0)
             report = verify_invariance(2.0 * np.cos(angle), 2.0 * np.sin(angle))
             worst = max(worst, report.max_residual)
-        assert worst < 1e-13
+        assert worst < TOL.invariance
 
     @given(canonical_params())
     def test_random_parameters(self, params):
-        assert verify_invariance(*params).max_residual < 1e-13
+        assert verify_invariance(*params).max_residual < TOL.invariance

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 
 from conftest import qr_rotation, rotations, unit_vectors
 from spinchsh import (
+    CARTESIAN_BASIS,
+    TOL,
     NormalizationError,
     RotationError,
-    axis_angle,
-    expm_hermitian,
+    cartesian_generators,
     rotation_about,
     spin_along,
     spin_generators,
@@ -16,12 +17,6 @@ from spinchsh import (
 from spinchsh.spin import check_unit_vector, check_unit_vectors
 
 SQRT2 = np.sqrt(2.0)
-
-
-def rodrigues(n, theta):
-    """Independent reconstruction oracle for axis-angle pairs."""
-    K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
 class TestGenerators:
@@ -40,7 +35,7 @@ class TestGenerators:
     def test_commutation_relations(self):
         Sx, Sy, Sz = spin_generators()
         for A, B, C in ((Sx, Sy, Sz), (Sy, Sz, Sx), (Sz, Sx, Sy)):
-            assert np.linalg.norm(A @ B - B @ A - 1j * C) < 1e-14
+            assert np.linalg.norm(A @ B - B @ A - 1j * C) < TOL.commutator
 
     def test_returns_copies(self):
         Sx, _, _ = spin_generators()
@@ -99,17 +94,24 @@ class TestSpinAlong:
         assert np.allclose(np.linalg.eigvalsh(S), [-1.0, 0.0, 1.0], atol=1e-10)
 
 
-class TestAxisAngle:
-    def test_identity_convention(self):
-        n, theta = axis_angle(np.eye(3))
-        assert theta == 0.0
-        assert np.array_equal(n, [0.0, 0.0, 1.0])
+class TestCartesianBasis:
+    def test_generators_are_real_antisymmetric(self):
+        eps = cartesian_generators()
+        assert eps.dtype == np.float64
+        assert np.array_equal(eps, -np.swapaxes(eps, -1, -2))
+        # (eps_k)_ab = eps_kab: eps_x maps y to z
+        assert eps[0, 1, 2] == 1.0 and eps[0, 2, 1] == -1.0
 
-    def test_quarter_turn_about_z(self):
-        R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        n, theta = axis_angle(R)
-        assert abs(theta - np.pi / 2) < 1e-12
-        assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-12)
+    def test_unitary_carries_spin_to_cartesian_generators(self):
+        C = CARTESIAN_BASIS
+        assert np.linalg.norm(C.conj().T @ C - np.eye(3)) < 1e-15
+        for S, eps in zip(spin_generators(), cartesian_generators()):
+            assert np.linalg.norm(C.conj().T @ S @ C - (-1j) * eps) < 1e-15
+
+
+class TestSpinRepresentation:
+    def test_identity(self):
+        assert np.allclose(spin_representation(np.eye(3)), np.eye(3), atol=1e-15)
 
     @pytest.mark.parametrize(
         "bad",
@@ -117,46 +119,17 @@ class TestAxisAngle:
     )
     def test_rejects_non_rotations(self, bad):
         with pytest.raises(RotationError):
-            axis_angle(bad)
-
-    @given(rotations())
-    def test_rodrigues_reconstruction(self, R):
-        n, theta = axis_angle(R)
-        assert abs(np.linalg.norm(n) - 1.0) < 1e-12
-        assert 0.0 <= theta <= np.pi + 1e-15
-        assert np.linalg.norm(rodrigues(n, theta) - R) < 1e-10
-
-    def test_qr_sampled_reconstruction(self):
-        rng = np.random.default_rng(42)
-        worst = 0.0
-        for _ in range(300):
-            R = qr_rotation(rng)
-            n, theta = axis_angle(R)
-            worst = max(worst, np.linalg.norm(rodrigues(n, theta) - R))
-        assert worst < 1e-10
+            spin_representation(bad)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
     def test_near_half_turn(self, gap):
         axis = np.array([0.3, -0.5, 0.81])
         axis /= np.linalg.norm(axis)
         R = rotation_about(axis, np.pi - gap)
-        n, theta = axis_angle(R)
-        assert np.linalg.norm(rodrigues(n, theta) - R) < 1e-10
-
-    def test_half_turn_sign_convention(self):
-        # at exactly pi both axis signs give the same rotation; the first
-        # nonzero component of the reported axis must be positive
-        for axis in ([0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]):
-            R = rotation_about(np.array(axis), np.pi)
-            n, theta = axis_angle(R)
-            assert abs(theta - np.pi) < 1e-12
-            lead = n[np.nonzero(np.abs(n) > 1e-9)[0][0]]
-            assert lead > 0.0
-
-
-class TestSpinRepresentation:
-    def test_identity(self):
-        assert np.allclose(spin_representation(np.eye(3)), np.eye(3), atol=1e-15)
+        U = spin_representation(R)
+        for u in np.eye(3):
+            residual = np.linalg.norm(U @ spin_along(u) @ U.conj().T - spin_along(R @ u))
+            assert residual < TOL.conjugation
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, np.pi / 2, 2.5])
     def test_z_rotation_phases(self, theta):
@@ -198,20 +171,3 @@ class TestSpinRepresentation:
                 worst, np.linalg.norm(U @ spin_along(u) @ U.conj().T - spin_along(R @ u))
             )
         assert worst < 1e-10
-
-
-def test_expm_matches_series():
-    # brute-force oracle: Taylor series, plenty of terms for norm <= pi
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        theta = rng.uniform(0.0, np.pi)
-        H = spin_along(u)
-        A = -1j * theta * H
-        series = np.zeros((3, 3), dtype=complex)
-        term = np.eye(3, dtype=complex)
-        for k in range(1, 60):
-            series += term
-            term = term @ A / k
-        assert np.linalg.norm(expm_hermitian(H, scale=-1j * theta) - series) < 1e-12
