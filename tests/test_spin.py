@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qr_rotation, rotations, unit_vectors
 from spinchsh import (
@@ -109,9 +110,37 @@ class TestCartesianBasis:
             assert np.linalg.norm(C.conj().T @ S @ C - (-1j) * eps) < 1e-15
 
 
-class TestSpinRepresentation:
-    def test_identity(self):
-        assert np.allclose(spin_representation(np.eye(3)), np.eye(3), atol=1e-15)
+def spin_exponential(n, theta):
+    """Independent oracle: exp(-i theta n.S) in closed form, using (n.S)^3 = n.S for spin 1."""
+    H = spin_along(n)
+    return np.eye(3) - 1j * np.sin(theta) * H + (np.cos(theta) - 1.0) * (H @ H)
+
+
+def rotation_from_spin(U):
+    """Read R back from its spin-1 image: U S_k U^dagger = sum_j R_jk S_j, Tr(S_i S_j) = 2 delta_ij."""
+    S = spin_generators()
+    return np.array(
+        [[np.trace(S[j] @ U @ S[k] @ U.conj().T).real / 2.0 for k in range(3)] for j in range(3)]
+    )
+
+
+class TestAxisAngle:
+    """``spin_representation`` of the rotation by ``theta`` about ``n`` is exp(-i theta n.S)."""
+
+    def test_identity_convention(self):
+        # at angle 0 the axis is irrelevant: every axis gives the identity
+        for axis in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]):
+            U = spin_representation(rotation_about(np.array(axis), 0.0))
+            assert np.linalg.norm(U - np.eye(3)) < 1e-15
+
+    def test_quarter_turn_about_z(self):
+        R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        U = spin_representation(R)
+        assert np.linalg.norm(U - spin_exponential([0.0, 0.0, 1.0], np.pi / 2)) < 1e-12
+        # a quarter turn about z carries S_x to S_y and S_y to -S_x
+        Sx, Sy, _ = spin_generators()
+        assert np.linalg.norm(U @ Sx @ U.conj().T - Sy) < 1e-12
+        assert np.linalg.norm(U @ Sy @ U.conj().T + Sx) < 1e-12
 
     @pytest.mark.parametrize(
         "bad",
@@ -121,15 +150,45 @@ class TestSpinRepresentation:
         with pytest.raises(RotationError):
             spin_representation(bad)
 
+    @given(unit_vectors(), st.floats(min_value=0.0, max_value=np.pi, allow_nan=False))
+    def test_rodrigues_reconstruction(self, n, theta):
+        U = spin_representation(rotation_about(n, theta))
+        assert np.linalg.norm(U - spin_exponential(n, theta)) < 1e-10
+
+    def test_qr_sampled_reconstruction(self):
+        # QR samples carry no axis or angle; the rotation must be readable from its image
+        rng = np.random.default_rng(42)
+        worst = 0.0
+        for _ in range(300):
+            R = qr_rotation(rng)
+            worst = max(worst, np.linalg.norm(rotation_from_spin(spin_representation(R)) - R))
+        assert worst < 1e-10
+
     @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
     def test_near_half_turn(self, gap):
         axis = np.array([0.3, -0.5, 0.81])
         axis /= np.linalg.norm(axis)
         R = rotation_about(axis, np.pi - gap)
         U = spin_representation(R)
+        assert np.linalg.norm(U - spin_exponential(axis, np.pi - gap)) < 1e-10
         for u in np.eye(3):
             residual = np.linalg.norm(U @ spin_along(u) @ U.conj().T - spin_along(R @ u))
             assert residual < TOL.conjugation
+
+    def test_half_turn_sign_convention(self):
+        # at exactly pi both axis signs give the same rotation; integer spin has
+        # no sign ambiguity, so both give the same unitary, I - 2 (n.S)^2
+        for axis in ([0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]):
+            n = np.array(axis)
+            U = spin_representation(rotation_about(n, np.pi))
+            assert np.linalg.norm(U - spin_representation(rotation_about(-n, np.pi))) < 1e-12
+            H = spin_along(n)
+            assert np.linalg.norm(U - (np.eye(3) - 2.0 * H @ H)) < 1e-12
+
+
+class TestSpinRepresentation:
+    def test_identity(self):
+        assert np.allclose(spin_representation(np.eye(3)), np.eye(3), atol=1e-15)
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, np.pi / 2, 2.5])
     def test_z_rotation_phases(self, theta):
@@ -171,3 +230,19 @@ class TestSpinRepresentation:
                 worst, np.linalg.norm(U @ spin_along(u) @ U.conj().T - spin_along(R @ u))
             )
         assert worst < 1e-10
+
+
+def test_expm_matches_series():
+    # brute-force oracle: Taylor series of exp(-i theta u.S), plenty of terms for norm <= pi
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        theta = rng.uniform(0.0, np.pi)
+        A = -1j * theta * spin_along(u)
+        series = np.zeros((3, 3), dtype=complex)
+        term = np.eye(3, dtype=complex)
+        for k in range(1, 60):
+            series += term
+            term = term @ A / k
+        assert np.linalg.norm(spin_representation(rotation_about(u, theta)) - series) < 1e-12
