@@ -96,17 +96,17 @@ def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.swapaxes(U * sign[..., None, :], -1, -2), Vt * sign[..., :, None], sigma
 
 
-def canonical_reduction(M, rank_tol: float = TOL.rank) -> CanonicalReduction:
+def canonical_reduction(M) -> CanonicalReduction:
     """Reduce a rank <= 2 matrix, or each of an (..., 3, 3) stack, to diag(s, 0, t).
 
     Raises RankDeficiencyError, naming the first offending matrix's value,
-    when a third singular value exceeds ``rank_tol``: a genuinely rank-3
+    when a third singular value exceeds ``TOL.rank``: a genuinely rank-3
     matrix cannot absorb the determinant fix. A second singular value at
     most machine epsilon times the first is returned as t = 0.
     """
     M = np.asarray(M, dtype=float)
     O1, O2, sigma = svd3(M)
-    rank3 = sigma[..., 2] >= rank_tol
+    rank3 = sigma[..., 2] >= TOL.rank
     if np.any(rank3):
         raise RankDeficiencyError(float(sigma[..., 2][rank3][0]))
     s, t = sigma[..., 0], sigma[..., 1]

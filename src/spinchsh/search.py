@@ -1,10 +1,12 @@
 """Global numerical search for CHSH violations over states and directions.
 
 The seesaw alternates two exact steps: for fixed directions the best state
-is the top eigenvector of the Bell operator, and for a fixed pure state the
-expectation is linear in each direction separately, so each direction moves
-to its normalized gradient. Both steps can only raise the objective, which
-the code asserts on every iteration.
+is the top eigenvector of the Bell operator, and for a fixed pure state v the
+expectation is sum_ij M_ij T_ij with T_ij = Re <v| G_i (x) G_j |v> and
+M = a (b + b')^T + a' (b - b')^T. That is linear in each party's pair of
+directions, so each pair moves to its normalized product with the 3x3 matrix
+T, which the family's coupling tensor gives in one product. Both steps can
+only raise the objective, which the code asserts on every iteration.
 
 The same optimizer runs on two measurement families: the spin-1 qutrit
 family the bound-2 certification is about, and a qubit Pauli family that
@@ -27,7 +29,7 @@ from .bell import (
 )
 from .errors import CertificationError, HermiticityError, MonotonicityError, StateError
 from .serialize import DIRECTION_COLUMNS, write_csv
-from .spin import check_unit_vector, check_unit_vectors, spin_generators
+from .spin import check_unit_vectors, spin_generators
 from .tolerances import TOL
 
 _PAULI = np.stack(
@@ -58,12 +60,6 @@ class ObservableFamily:
     @property
     def dim(self) -> int:
         return self.generators.shape[1]
-
-    def observable(self, u) -> np.ndarray:
-        """u . generators for a unit 3-vector, or the (..., d, d) stack for an (..., 3) stack."""
-        u = np.asarray(u, dtype=float)
-        u = check_unit_vector(u) if u.ndim <= 1 else check_unit_vectors(u)
-        return np.einsum("...i,iab->...ab", u, self.generators)
 
     def bell_operator(self, sc) -> np.ndarray:
         """The Bell operator of a MeasurementScenario, or of each quadruple of a (..., 4, 3) stack.
@@ -256,6 +252,9 @@ class SearchReport:
 # restarts per batched seesaw: bounds the (block, d^2, d^2) operator and
 # eigenvector stacks a large --restarts run holds at once
 SEESAW_BLOCK = 1024
+# scenarios per Monte Carlo build and eigensolve: bounds the (block, 9, 9)
+# operator stack a large --samples run holds at once
+MONTE_CARLO_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -294,8 +293,19 @@ def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
 
 
 def _sum_and_difference(pair: np.ndarray) -> np.ndarray:
-    """(X + Y, X - Y) stacked on axis 1 for the (R, 2, d, d) pair (X, Y)."""
+    """(x + y, x - y) stacked on axis 1 for the (R, 2, 3) direction pair (x, y)."""
     return np.stack((pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]), axis=1)
+
+
+def _correlations(family: ObservableFamily, states: np.ndarray) -> np.ndarray:
+    """T_ij = Re <v| G_i (x) G_j |v> for each state v of an (R, d^2) stack, as (R, 3, 3).
+
+    The unit axis makes each T one vector-matrix product against the
+    family's coupling tensor, bit for bit as for a single state.
+    """
+    outer = states.conj()[:, :, None] * states[:, None, :]
+    T = outer.reshape(len(states), 1, -1) @ family.tensor.T
+    return T[:, 0].real.reshape(-1, 3, 3)
 
 
 def _seesaw(
@@ -326,13 +336,13 @@ def _seesaw(
         v = eigenvectors[:, :, -1]
         _check_state_norms(v)
 
-        # each direction enters the expectation linearly, so its exact
-        # optimum is the normalized gradient; zero gradient keeps the old one
-        W = v.reshape(-1, 1, d, d)
-        right = _sum_and_difference(family.observable(current[:, 2:]))
-        a_pair = _renormalized(_party_a_gradient(W, family.generators, right), current[:, :2])
-        left = _sum_and_difference(family.observable(a_pair))
-        b_pair = _renormalized(_party_b_gradient(W, family.generators, left), current[:, 2:])
+        # the value sum_ij M_ij T_ij is linear in each direction, so a, a' move to
+        # T (b + b'), T (b - b') normalized, then b, b' to T^T (a + a'), T^T (a - a');
+        # a zero gradient keeps the old direction
+        T = _correlations(family, v)
+        a_pair = _sum_and_difference(current[:, 2:]) @ T.swapaxes(-1, -2)
+        a_pair = _renormalized(a_pair, current[:, :2])
+        b_pair = _renormalized(_sum_and_difference(a_pair) @ T, current[:, 2:])
         updated = check_unit_vectors(np.concatenate((a_pair, b_pair), axis=1))
 
         value = _real_expectations(v, family.bell_operator(updated))
@@ -348,30 +358,6 @@ def _seesaw(
         if not active.size:
             break
     return _SeesawBatch(values, directions, states, iterations, converged, np.stack(history))
-
-
-def _party_a_gradient(W: np.ndarray, gens: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """d/du of Re <v| u.gens (x) right |v> at each component, W = v reshaped (..., d, d)."""
-    # <v| (A (x) C) |v> = tr(W^H A W C^T) = sum_ab A_ab (W C^T W^H)_ba
-    X = W @ right.swapaxes(-1, -2) @ W.conj().swapaxes(-1, -2)
-    return _paired_with(gens, X.swapaxes(-1, -2))
-
-
-def _party_b_gradient(W: np.ndarray, gens: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """d/du of Re <v| left (x) u.gens |v> at each component."""
-    # coefficient of u_j is tr(W^H left W G_j^T): elementwise against G_j, not tr(G_j Y)
-    return _paired_with(gens, W.conj().swapaxes(-1, -2) @ (left @ W))
-
-
-def _paired_with(gens: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Re sum_mn G_mn Y_mn for each generator G and each d x d matrix of the stack Y.
-
-    One vector-matrix product per matrix, so a stack gives each matrix's
-    result bit for bit as it would be alone.
-    """
-    d2 = gens.shape[-1] ** 2
-    paired = Y.reshape(Y.shape[:-2] + (1, d2)) @ gens.reshape(3, d2).T
-    return np.ascontiguousarray(paired[..., 0, :].real)
 
 
 def _renormalized(gradient: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -445,7 +431,6 @@ def monte_carlo_certify(
     inject: tuple[MeasurementScenario, ...] = (),
     band_tol: float = TOL.norm_band,
     csv_path: str | None = None,
-    chunk: int = 4096,
 ) -> float:
     """Sample n random scenarios and certify every Bell operator norm is 2.
 
@@ -464,10 +449,10 @@ def monte_carlo_certify(
         directions[i] = np.stack(sc.directions())
 
     norms = np.empty(n)
-    for start in range(0, n, chunk):
-        M = correlation_matrices(directions[start : start + chunk])
-        B = coupling_operator(M, SPIN1_REAL_TENSOR)
-        norms[start : start + chunk] = np.max(np.abs(np.linalg.eigvalsh(B)), axis=1)
+    for start in range(0, n, MONTE_CARLO_BLOCK):
+        block = slice(start, start + MONTE_CARLO_BLOCK)
+        B = coupling_operator(correlation_matrices(directions[block]), SPIN1_REAL_TENSOR)
+        norms[block] = np.max(np.abs(np.linalg.eigvalsh(B)), axis=1)
     if csv_path is not None:
         write_csv(
             csv_path,

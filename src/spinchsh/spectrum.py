@@ -53,7 +53,7 @@ class SubspaceBlocks:
     w_block: np.ndarray
 
 
-def eig_hermitian(A, hermiticity_tol: float = TOL.hermiticity) -> SpectrumResult:
+def eig_hermitian(A) -> SpectrumResult:
     """Eigendecomposition of a Hermitian matrix, or of an (..., n, n) stack of them.
 
     The Hermiticity gate is the Frobenius norm of A - A^dagger over the whole
@@ -68,7 +68,7 @@ def eig_hermitian(A, hermiticity_tol: float = TOL.hermiticity) -> SpectrumResult
     # fails the gate below, so numpy's warnings about them are noise
     with np.errstate(invalid="ignore", over="ignore"):
         asymmetry = float(np.linalg.norm(A - A.swapaxes(-1, -2).conj()))
-    if not asymmetry <= hermiticity_tol:
+    if not asymmetry <= TOL.hermiticity:
         raise HermiticityError(asymmetry)
     eigenvalues, eigenvectors = np.linalg.eigh(A)
     norms = np.abs(eigenvalues).max(axis=-1)

@@ -50,8 +50,8 @@ def cartesian_generators() -> np.ndarray:
     return _EPSILON.copy()
 
 
-def check_unit_vector(u, tol: float = TOL.unit_norm_reject) -> np.ndarray:
-    """Validate that ``u`` is a real 3-vector of unit norm; return it as an array."""
+def check_unit_vector(u) -> np.ndarray:
+    """Validate that ``u`` is a real 3-vector of unit norm to TOL.unit_norm_reject; return it."""
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape != (3,):
         raise NormalizationError(f"expected a 3-vector, got shape {u.shape}")
@@ -59,25 +59,26 @@ def check_unit_vector(u, tol: float = TOL.unit_norm_reject) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         deviation = abs(np.linalg.norm(u) - 1.0)
     # written so that a NaN deviation fails too
-    if not deviation <= tol:
+    if not deviation <= TOL.unit_norm_reject:
         raise NormalizationError(
-            f"direction norm deviates from 1 by {deviation:.3e} (tolerance {tol:.1e})"
+            f"direction norm deviates from 1 by {deviation:.3e} "
+            f"(tolerance {TOL.unit_norm_reject:.1e})"
         )
     return u
 
 
-def check_unit_vectors(directions, tol: float = TOL.unit_norm_reject) -> np.ndarray:
+def check_unit_vectors(directions) -> np.ndarray:
     """``check_unit_vector`` for every 3-vector along the last axis of a stack."""
     directions = np.asarray(directions, dtype=float)
     if directions.shape[-1:] != (3,):
         raise NormalizationError(f"expected a stack of 3-vectors, got shape {directions.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
         deviation = np.abs(np.linalg.norm(directions, axis=-1) - 1.0)
-    bad = ~(deviation <= tol)
+    bad = ~(deviation <= TOL.unit_norm_reject)
     if np.any(bad):
         raise NormalizationError(
             f"direction norm deviates from 1 by {deviation[bad][0]:.3e} "
-            f"(tolerance {tol:.1e})"
+            f"(tolerance {TOL.unit_norm_reject:.1e})"
         )
     return directions
 
@@ -95,16 +96,16 @@ def spin_along(u) -> np.ndarray:
     return x * _S_X + y * _S_Y + z * _S_Z
 
 
-def check_rotation(R, tol: float = TOL.rotation) -> np.ndarray:
-    """Validate the SO(3) invariants of ``R`` and return it as a float array."""
+def check_rotation(R) -> np.ndarray:
+    """Validate the SO(3) invariants of ``R`` to TOL.rotation and return it as a float array."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise RotationError(f"expected a 3x3 matrix, got shape {R.shape}")
     ortho = np.linalg.norm(R.T @ R - np.eye(3))
-    if ortho > tol:
+    if ortho > TOL.rotation:
         raise RotationError(f"not orthogonal: ||R^T R - I|| = {ortho:.3e}")
     det = np.linalg.det(R)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > TOL.rotation:
         raise RotationError(f"determinant {det!r} is not 1")
     return R
 

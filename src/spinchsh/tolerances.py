@@ -7,8 +7,9 @@ from dataclasses import dataclass
 class Tolerances:
     """Every tolerance the library enforces, with its default strictness.
 
-    Tests that want a stricter or looser regime construct their own instance
-    and pass the relevant fields explicitly; library code reads ``TOL``.
+    Library code reads the fields of the module-level ``TOL`` when it runs.
+    The only tolerances a caller sets are ``monte_carlo_certify``'s
+    ``band_tol`` and ``SearchConfig.tol``, which default to their fields.
     """
 
     # direction vectors

@@ -197,7 +197,7 @@ class TestFamilies:
         rng = np.random.default_rng(6)
         for _ in range(20):
             u = random_unit_vector(rng)
-            sigma = PAULI_FAMILY.observable(u)
+            sigma = np.einsum("i,iab->ab", u, PAULI_FAMILY.generators)
             assert np.linalg.norm(sigma @ sigma - np.eye(2)) < 1e-12
 
     def test_spin1_generators_match(self):

@@ -3,7 +3,8 @@
 ``maximize_violation`` runs every restart of a block as one batch per
 iteration. ``reference_restart`` below is the per-restart algorithm kept in
 the test: one Bell build, one eigensolve and one direction update per
-iteration for a single restart, with scalar gradients.
+iteration for a single restart, each direction pair moved along its product
+with the restart's own T_ij = Re <v| G_i (x) G_j |v>.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from spinchsh import (
     QuantumState,
     SearchConfig,
     StateError,
+    correlation_matrix,
     expectation,
     maximize_violation,
     random_scenario,
@@ -30,20 +32,9 @@ from spinchsh import cli, search
 FAMILIES = (SPIN1_FAMILY, PAULI_FAMILY)
 
 
-def _observable(family, u):
-    return np.einsum("i,iab->ab", np.asarray(u, dtype=float), family.generators)
-
-
-def _paired_with(gens, Y):
-    return np.real(Y.reshape(1, -1) @ gens.reshape(3, -1).T)[0]
-
-
-def _gradient_a(W, gens, right):
-    return _paired_with(gens, (W @ right.T @ W.conj().T).T)
-
-
-def _gradient_b(W, gens, left):
-    return _paired_with(gens, W.conj().T @ (left @ W))
+def _correlations(family, v):
+    """T_ij = Re <v| G_i (x) G_j |v> for one state, from the family's coupling tensor."""
+    return np.real(np.outer(v.conj(), v).reshape(-1) @ family.tensor.T).reshape(3, 3)
 
 
 def _renormalized(gradient, fallback):
@@ -56,7 +47,6 @@ def reference_restart(family, scenario, config, initial_state=None):
 
     Returns (value, scenario, iterations, converged, history).
     """
-    gens = family.generators
     previous = -np.inf
     if initial_state is not None:
         previous = expectation(initial_state, family.bell_operator(scenario))
@@ -68,14 +58,12 @@ def reference_restart(family, scenario, config, initial_state=None):
         top = float(eigenvalues[-1])
         assert not top < previous - 1e-12 * max(1.0, abs(previous))
         state = QuantumState.pure(eigenvectors[:, -1])
-        W = state.data.reshape(family.dim, family.dim)
+        T = _correlations(family, state.data)
         a, a_prime, b, b_prime = scenario.directions()
-        ob, obp = _observable(family, b), _observable(family, b_prime)
-        a = _renormalized(_gradient_a(W, gens, ob + obp), a)
-        a_prime = _renormalized(_gradient_a(W, gens, ob - obp), a_prime)
-        oa, oap = _observable(family, a), _observable(family, a_prime)
-        b = _renormalized(_gradient_b(W, gens, oa + oap), b)
-        b_prime = _renormalized(_gradient_b(W, gens, oa - oap), b_prime)
+        grad_a = np.stack((b + b_prime, b - b_prime)) @ T.T
+        a, a_prime = _renormalized(grad_a[0], a), _renormalized(grad_a[1], a_prime)
+        grad_b = np.stack((a + a_prime, a - a_prime)) @ T
+        b, b_prime = _renormalized(grad_b[0], b), _renormalized(grad_b[1], b_prime)
         scenario = MeasurementScenario(a, a_prime, b, b_prime)
         value = expectation(state, family.bell_operator(scenario))
         assert not value < top - 1e-12 * max(1.0, abs(top))
@@ -198,37 +186,38 @@ def test_stack_kernels_match_single_items_bit_for_bit(family):
     rng = np.random.default_rng(23)
     directions = search.random_directions(rng, (6, 4))
     B = family.bell_operator(directions)
-    observables = family.observable(directions)
     d = family.dim
     v = rng.standard_normal((6, d * d)) + 1j * rng.standard_normal((6, d * d))
-    W = (v / np.linalg.norm(v, axis=1, keepdims=True)).reshape(6, 1, d, d)
-    pairs = observables[:, :2] + observables[:, 2:]
-    grad_a = search._party_a_gradient(W, family.generators, pairs)
-    grad_b = search._party_b_gradient(W, family.generators, pairs)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    T = search._correlations(family, v)
+    pairs = search._sum_and_difference(directions[:, 2:])
+    grad_a, grad_b = pairs @ T.swapaxes(-1, -2), pairs @ T
     unit = search._renormalized(grad_a, directions[:, :2])
     for k in range(6):
         assert np.array_equal(B[k], family.bell_operator(MeasurementScenario(*directions[k])))
+        assert np.array_equal(T[k], search._correlations(family, v[k : k + 1])[0])
+        assert np.array_equal(T[k], _correlations(family, v[k]))
+        single_a, single_b = pairs[k] @ T[k].T, pairs[k] @ T[k]
+        assert np.array_equal(grad_a[k], single_a)
+        assert np.array_equal(grad_b[k], single_b)
         for j in range(2):
-            assert np.array_equal(observables[k, j], family.observable(directions[k, j]))
-            single_a = search._party_a_gradient(W[k, 0], family.generators, pairs[k, j])
-            assert np.array_equal(grad_a[k, j], single_a)
-            single_b = search._party_b_gradient(W[k, 0], family.generators, pairs[k, j])
-            assert np.array_equal(grad_b[k, j], single_b)
-            assert np.array_equal(unit[k, j], single_a / np.linalg.norm(single_a))
+            assert np.array_equal(unit[k, j], single_a[j] / np.linalg.norm(single_a[j]))
 
 
 def test_gradients_match_kron_expectations():
-    # d/du of <v| u.G (x) C |v> is <v| G_i (x) C |v>, and likewise for party B
+    # T_ij = Re <v| G_i (x) G_j |v> and the CHSH value is sum_ij M_ij T_ij, so
+    # the direction steps' products with T are the exact gradients
     rng = np.random.default_rng(29)
-    gens = SPIN1_FAMILY.generators
-    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    v /= np.linalg.norm(v)
-    C = SPIN1_FAMILY.observable(search.random_directions(rng, ()))
-    W = v.reshape(3, 3)
-    expected_a = [np.real(v.conj() @ np.kron(G, C) @ v) for G in gens]
-    expected_b = [np.real(v.conj() @ np.kron(C, G) @ v) for G in gens]
-    assert np.max(np.abs(search._party_a_gradient(W, gens, C) - expected_a)) < 1e-13
-    assert np.max(np.abs(search._party_b_gradient(W, gens, C) - expected_b)) < 1e-13
+    for family in FAMILIES:
+        gens, n = family.generators, family.dim**2
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        T = search._correlations(family, v[None])[0]
+        expected = [[np.real(v.conj() @ np.kron(Gi, Gj) @ v) for Gj in gens] for Gi in gens]
+        assert np.max(np.abs(T - expected)) < 1e-13, family.name
+        scenario = MeasurementScenario(*search.random_directions(rng, (4,)))
+        value = np.real(v.conj() @ family.bell_operator(scenario) @ v)
+        assert abs(np.sum(correlation_matrix(scenario) * T) - value) < 1e-13, family.name
 
 
 def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_scenario):
