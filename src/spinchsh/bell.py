@@ -17,7 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import cartesian_generators, check_unit_vector, spin_along, spin_generators
+from .errors import NormalizationError
+from .spin import cartesian_generators, check_unit_vectors, spin_along, spin_generators
+
+# the four directions in the order of every (..., 4, 3) direction stack
+DIRECTION_NAMES = ("a", "a_prime", "b", "b_prime")
 
 
 def coupling_tensor(generators) -> np.ndarray:
@@ -37,7 +41,11 @@ SPIN1_REAL_TENSOR.setflags(write=False)
 
 @dataclass(frozen=True)
 class MeasurementScenario:
-    """Four measurement directions, two per party."""
+    """Four unit measurement directions, two per party, validated as one (4, 3) stack.
+
+    ``np.asarray(sc)`` is ``sc.directions()``, so every function that takes
+    an (..., 4, 3) direction stack takes a scenario too.
+    """
 
     a: np.ndarray
     a_prime: np.ndarray
@@ -45,11 +53,19 @@ class MeasurementScenario:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, name, check_unit_vector(getattr(self, name)))
+        vectors = [np.reshape(getattr(self, name), -1) for name in DIRECTION_NAMES]
+        if any(v.shape != (3,) for v in vectors):
+            shapes = [v.shape for v in vectors]
+            raise NormalizationError(f"expected four 3-vectors, got shapes {shapes}")
+        for name, row in zip(DIRECTION_NAMES, check_unit_vectors(vectors)):
+            object.__setattr__(self, name, row)
 
-    def directions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.a, self.a_prime, self.b, self.b_prime
+    def directions(self) -> np.ndarray:
+        """The (4, 3) stack of a, a', b, b'."""
+        return np.stack((self.a, self.a_prime, self.b, self.b_prime))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.directions(), dtype=dtype)
 
 
 def correlation_matrices(directions) -> np.ndarray:
@@ -68,7 +84,7 @@ def correlation_matrix(sc: MeasurementScenario) -> np.ndarray:
     A sum of two rank-one terms, so rank at most 2; its squared Frobenius
     norm is 4 for any scenario because b + b' and b - b' are orthogonal.
     """
-    return correlation_matrices(sc.directions())
+    return correlation_matrices(sc)
 
 
 def coupling_operator(M, tensor: np.ndarray = _SPIN1_TENSOR) -> np.ndarray:
@@ -101,15 +117,10 @@ def bell_operator(sc) -> np.ndarray:
     (..., 9, 9) stack of their operators; every direction is checked for
     unit norm.
     """
-    if isinstance(sc, MeasurementScenario):
-        sa, sap, sb, sbp = (spin_along(u) for u in sc.directions())
-    else:
-        directions = np.asarray(sc, dtype=float)
-        if directions.shape[-2:] != (4, 3):
-            raise ValueError(
-                f"expected an (..., 4, 3) direction stack, got shape {directions.shape}"
-            )
-        sa, sap, sb, sbp = spin_along(np.moveaxis(directions, -2, 0))
+    directions = np.asarray(sc, dtype=float)
+    if directions.shape[-2:] != (4, 3):
+        raise ValueError(f"expected an (..., 4, 3) direction stack, got shape {directions.shape}")
+    sa, sap, sb, sbp = spin_along(np.moveaxis(directions, -2, 0))
     return _kron(sa, sb) + _kron(sa, sbp) + _kron(sap, sb) - _kron(sap, sbp)
 
 

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .bell import (
+    DIRECTION_NAMES,
     MeasurementScenario,
     bell_operator,
     canonical_operator,
@@ -70,7 +71,9 @@ def _scenario_vector(raw, name: str) -> np.ndarray:
         raise UsageError(f"field {name!r} is not a numeric 3-vector") from None
     if v.shape != (3,):
         raise UsageError(f"field {name!r} must have exactly 3 components")
-    norm = float(np.linalg.norm(v))
+    # an overflowed or NaN norm is rejected below, so numpy need not warn about it
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = float(np.linalg.norm(v))
     deviation = abs(norm - 1.0)
     # written so that a NaN deviation is rejected too
     if not deviation <= TOL.unit_norm_input:
@@ -117,7 +120,7 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: top level must be a JSON object")
     vectors = {}
-    for name in ("a", "a_prime", "b", "b_prime"):
+    for name in DIRECTION_NAMES:
         if name not in raw:
             raise UsageError(f"{path}: missing field {name!r}")
         vectors[name] = _scenario_vector(raw[name], name)
@@ -135,15 +138,6 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _scenario_dict(sc: MeasurementScenario) -> dict:
-    return {
-        "a": sc.a,
-        "a_prime": sc.a_prime,
-        "b": sc.b,
-        "b_prime": sc.b_prime,
-    }
-
-
 def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
     """One report row per quadruple of an (N, 4, 3) stack, and the last block's operators.
 
@@ -157,14 +151,11 @@ def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
         norms = eig_hermitian(B).operator_norm
         reduction = canonical_reduction(correlation_matrices(block))
         columns = zip(block.tolist(), norms.tolist(), reduction.s.tolist(), reduction.t.tolist())
-        for index, ((a, a_prime, b, b_prime), norm, s, t) in enumerate(columns, start):
+        for index, (quad, norm, s, t) in enumerate(columns, start):
             rows.append(
                 {
                     "index": index,
-                    "a": a,
-                    "a_prime": a_prime,
-                    "b": b,
-                    "b_prime": b_prime,
+                    **dict(zip(DIRECTION_NAMES, quad)),
                     "operator_norm": norm,
                     "s": s,
                     "t": t,
@@ -175,31 +166,24 @@ def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
     return rows, B
 
 
-def _check_jobs(args) -> None:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-
-
 def cmd_verify(args) -> int:
     if args.scenario is None and args.random is None:
         raise UsageError("verify needs a scenario file or --random N")
     if args.scenario is not None and args.random is not None:
         raise UsageError("give either a scenario file or --random, not both")
-    _check_jobs(args)
 
     report = {"command": "verify", "band_halfwidth": TOL.norm_band}
     if args.random is not None:
-        if args.random < 1:
-            raise UsageError("--random needs at least one sample")
         seed = _resolve_seed(args)
         report["seed"] = seed
         directions = random_directions(np.random.default_rng(seed), (args.random, 4))
-        rows, _ = _verify_rows(directions)
+        state = None
     else:
         sc, state = load_scenario_file(args.scenario)
-        rows, B = _verify_rows(np.stack(sc.directions())[None])
-        if state is not None:
-            rows[0]["expectation"] = expectation(state, B[0])
+        directions = np.asarray(sc)[None]
+    rows, B = _verify_rows(directions)
+    if state is not None:
+        rows[0]["expectation"] = expectation(state, B[0])
 
     report["count"] = len(rows)
     report["scenarios"] = rows
@@ -213,9 +197,8 @@ def cmd_verify(args) -> int:
             args.csv,
             ["index", *DIRECTION_COLUMNS, "s", "t", "norm"],
             (
-                [row["index"], *row["a"], *row["a_prime"], *row["b"], *row["b_prime"],
-                 row["s"], row["t"], row["operator_norm"]]
-                for row in rows
+                [row["index"], *quad, row["s"], row["t"], row["operator_norm"]]
+                for row, quad in zip(rows, directions.reshape(-1, 12).tolist())
             ),
         )
     print(json_dumps(report))
@@ -224,8 +207,6 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.grid is not None:
-        if args.grid < 1:
-            raise UsageError("--grid needs a positive size")
         return _spectrum_grid(args)
 
     if args.scenario is not None:
@@ -235,8 +216,11 @@ def cmd_spectrum(args) -> int:
         source = "scenario-file"
     elif args.s is not None and args.t is not None:
         s, t = args.s, args.t
-        if not (np.isfinite(s) and np.isfinite(t)):
-            raise UsageError("--s and --t must be finite")
+        # the closed-form norm sqrt(s^2 + t^2) is finite only if the whole report is
+        with np.errstate(over="ignore"):
+            closed_norm = np.hypot(s, t)
+        if not np.isfinite(closed_norm):
+            raise UsageError("--s and --t must be finite, and so must sqrt(s^2 + t^2)")
         if s < 0.0 or t < 0.0:
             raise UsageError("--s and --t must be nonnegative")
         source = "parameters"
@@ -288,8 +272,11 @@ def cmd_reduce(args) -> int:
             raise UsageError("--matrix must be a JSON 3x3 array of numbers") from None
         if M.shape != (3, 3):
             raise UsageError(f"--matrix must be 3x3, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise UsageError("--matrix entries must be finite")
+        # the sum of squares, the report's s^2 + t^2, is finite only if the whole report is
+        with np.errstate(over="ignore"):
+            sum_of_squares = np.sum(np.square(M))
+        if not np.isfinite(sum_of_squares):
+            raise UsageError("--matrix entries must be finite, and so must their sum of squares")
     else:
         sc, _ = load_scenario_file(args.scenario)
         M = correlation_matrix(sc)
@@ -316,7 +303,7 @@ def _search_payload(family: ObservableFamily, seed: int, **config) -> dict:
         "within_tolerance": within,
         "iterations": report.iterations,
         "converged": report.converged,
-        "best_scenario": _scenario_dict(report.best_scenario),
+        "best_scenario": dict(zip(DIRECTION_NAMES, report.best_scenario.directions())),
         "best_state": {
             "kind": report.best_state.kind,
             "data": complex_pairs(report.best_state.data),
@@ -330,11 +317,6 @@ def cmd_search(args) -> int:
         family = family_by_name(args.family)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.restarts < 1:
-        raise UsageError("--restarts must be at least 1")
-    if args.iterations < 1:
-        raise UsageError("--iterations must be at least 1")
-    _check_jobs(args)
     payload = _search_payload(
         family, _resolve_seed(args), restarts=args.restarts, max_iterations=args.iterations
     )
@@ -343,20 +325,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
-    if args.restarts < 1:
-        raise UsageError("--restarts must be at least 1")
     seed = _resolve_seed(args)
     monte_carlo = {"samples": args.samples, "band_halfwidth": TOL.norm_band}
     try:
-        monte_carlo["max_norm"] = monte_carlo_certify(
-            args.samples, seed=seed, band_tol=TOL.norm_band, csv_path=args.csv
-        )
+        monte_carlo["max_norm"] = monte_carlo_certify(args.samples, seed=seed, csv_path=args.csv)
         monte_carlo["within_band"] = True
     except CertificationError as exc:
         monte_carlo["offending_norm"] = exc.norm
-        monte_carlo["offending_scenario"] = json.loads(exc.scenario_json)
+        monte_carlo["offending_scenario"] = exc.scenario
         monte_carlo["within_band"] = False
     searches = [
         _search_payload(family, seed, restarts=args.restarts)
@@ -377,6 +353,17 @@ def cmd_certify(args) -> int:
 _JOBS_HELP = "accepted for compatibility; must be at least 1, and work always runs serially"
 
 
+def _count(text: str) -> int:
+    """argparse type of every count option: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="spinchsh",
@@ -391,9 +378,9 @@ def build_parser() -> _Parser:
         "verify", help="certify operator norms are 2 for scenarios or random samples"
     )
     p_verify.add_argument("scenario", nargs="?", help="scenario JSON file")
-    p_verify.add_argument("--random", type=int, metavar="N", help="sample N random scenarios")
+    p_verify.add_argument("--random", type=_count, metavar="N", help="sample N random scenarios")
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
-    p_verify.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p_verify.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_verify.add_argument("--csv", metavar="PATH", help="also write sweep rows as CSV")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -403,7 +390,9 @@ def build_parser() -> _Parser:
     p_spec.add_argument("scenario", nargs="?", help="scenario JSON file")
     p_spec.add_argument("--s", type=float, help="first canonical parameter")
     p_spec.add_argument("--t", type=float, help="second canonical parameter")
-    p_spec.add_argument("--grid", type=int, metavar="N", help="emit an NxN sweep over [0,2]^2 as CSV")
+    p_spec.add_argument(
+        "--grid", type=_count, metavar="N", help="emit an NxN sweep over [0,2]^2 as CSV"
+    )
     p_spec.add_argument("--csv", metavar="PATH", help="CSV output path for --grid (default stdout)")
     p_spec.set_defaults(handler=cmd_spectrum)
 
@@ -418,17 +407,21 @@ def build_parser() -> _Parser:
         default="qutrit-spin1",
         help="measurement family: qutrit-spin1 or qubit-pauli",
     )
-    p_search.add_argument("--restarts", type=int, default=200)
-    p_search.add_argument("--iterations", type=int, default=500, help="seesaw iteration cap")
+    p_search.add_argument("--restarts", type=_count, default=200)
+    p_search.add_argument("--iterations", type=_count, default=500, help="seesaw iteration cap")
     p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p_search.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_search.set_defaults(handler=cmd_search)
 
     p_certify = sub.add_parser(
         "certify", help="Monte Carlo norm sweep plus the seesaw search on both families"
     )
-    p_certify.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
-    p_certify.add_argument("--restarts", type=int, default=200, help="seesaw restarts per family")
+    p_certify.add_argument(
+        "--samples", type=_count, default=100_000, help="Monte Carlo sample count"
+    )
+    p_certify.add_argument(
+        "--restarts", type=_count, default=200, help="seesaw restarts per family"
+    )
     p_certify.add_argument("--seed", type=int, default=0)
     p_certify.add_argument("--csv", metavar="PATH", help="also write the Monte Carlo norms as CSV")
     p_certify.set_defaults(handler=cmd_certify)

@@ -45,11 +45,11 @@ class MonotonicityError(SpinChshError, RuntimeError):
 
 
 class CertificationError(SpinChshError, RuntimeError):
-    """An operator norm fell outside the certification band; carries the scenario."""
+    """An operator norm fell outside the certification band; carries the scenario by name."""
 
-    def __init__(self, norm: float, scenario_json: str):
+    def __init__(self, norm: float, scenario: dict):
         self.norm = norm
-        self.scenario_json = scenario_json
+        self.scenario = scenario
         super().__init__(
-            f"operator norm {norm!r} outside the certification band; scenario: {scenario_json}"
+            f"operator norm {norm!r} outside the certification band; scenario: {scenario}"
         )

@@ -15,12 +15,12 @@ serves as a positive control because its known maximum 2*sqrt(2) exceeds 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bell import (
+    DIRECTION_NAMES,
     SPIN1_REAL_TENSOR,
     MeasurementScenario,
     correlation_matrices,
@@ -67,8 +67,6 @@ class ObservableFamily:
         Each operator of a stack is built bit for bit as it would be alone,
         so a seesaw restart follows the same path in any batch.
         """
-        if isinstance(sc, MeasurementScenario):
-            sc = sc.directions()
         M = correlation_matrices(sc)
         # the unit axis makes every build one vector-matrix product, as for a single M
         return coupling_operator(M[..., None, :, :], self.tensor)[..., 0, :, :]
@@ -164,8 +162,13 @@ def _real_expectations(vectors: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def expectation(state: QuantumState, B) -> float:
-    """tr(rho B), guaranteed real; a large imaginary part means corrupt inputs."""
+    """tr(rho B), guaranteed real; a large imaginary part means corrupt inputs.
+
+    Raises StateError when B is not an operator on the state's space.
+    """
     B = np.asarray(B, dtype=complex)
+    if B.shape != (state.dim, state.dim):
+        raise StateError(f"state dimension {state.dim} does not match operator shape {B.shape}")
     if state.kind == "pure":
         value = state.data.conj() @ B @ state.data
     else:
@@ -278,7 +281,7 @@ def _start_directions(
     """The (R, 4, 3) stack of start directions; restart k draws from its own stream."""
     starts = [random_directions(np.random.default_rng(seed), (4,)) for seed in seeds]
     if initial_scenario is not None:
-        starts[0] = np.stack(initial_scenario.directions())
+        starts[0] = np.asarray(initial_scenario)
     return check_unit_vectors(np.stack(starts))
 
 
@@ -382,11 +385,6 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     if config.tol <= 0.0:
         raise ValueError("convergence tolerance must be positive")
     family = family_by_name(config.family)
-    if config.initial_state is not None and config.initial_state.dim != family.dim**2:
-        raise StateError(
-            f"initial state dimension {config.initial_state.dim} does not match "
-            f"the family's product dimension {family.dim ** 2}"
-        )
 
     root = np.random.SeedSequence(config.seed)
     best, best_index = None, 0
@@ -420,22 +418,16 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
 # Monte Carlo certification
 
 
-def _scenario_json(directions: np.ndarray) -> str:
-    labels = ("a", "a_prime", "b", "b_prime")
-    return json.dumps({k: list(map(float, directions[i])) for i, k in enumerate(labels)})
-
-
 def monte_carlo_certify(
     n: int,
     seed: int = 0,
     inject: tuple[MeasurementScenario, ...] = (),
-    band_tol: float = TOL.norm_band,
     csv_path: str | None = None,
 ) -> float:
     """Sample n random scenarios and certify every Bell operator norm is 2.
 
     The norm is not merely bounded by 2: it equals 2 for every scenario, so
-    any sample falling outside [2 - band_tol, 2 + band_tol] raises a
+    any sample further than TOL.norm_band from 2 raises a
     CertificationError carrying the offending scenario. Returns the largest
     norm observed. Scenarios in ``inject`` replace the first samples.
 
@@ -446,7 +438,7 @@ def monte_carlo_certify(
         raise ValueError("empty sample: n must be at least 1")
     directions = random_directions(np.random.default_rng(seed), (n, 4))
     for i, sc in enumerate(inject[:n]):
-        directions[i] = np.stack(sc.directions())
+        directions[i] = sc
 
     norms = np.empty(n)
     for start in range(0, n, MONTE_CARLO_BLOCK):
@@ -459,8 +451,9 @@ def monte_carlo_certify(
             ["index", *DIRECTION_COLUMNS, "norm"],
             ([i, *quad.reshape(-1), norm] for i, (quad, norm) in enumerate(zip(directions, norms))),
         )
-    off_band = np.abs(norms - 2.0) > band_tol
+    off_band = np.abs(norms - 2.0) > TOL.norm_band
     if np.any(off_band):
         k = int(np.argmax(off_band))
-        raise CertificationError(float(norms[k]), _scenario_json(directions[k]))
+        scenario = dict(zip(DIRECTION_NAMES, directions[k].tolist()))
+        raise CertificationError(float(norms[k]), scenario)
     return float(np.max(norms))

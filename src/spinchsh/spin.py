@@ -55,25 +55,18 @@ def check_unit_vector(u) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape != (3,):
         raise NormalizationError(f"expected a 3-vector, got shape {u.shape}")
-    # an overflowed or NaN norm is rejected below, so numpy need not warn about it
-    with np.errstate(invalid="ignore", over="ignore"):
-        deviation = abs(np.linalg.norm(u) - 1.0)
-    # written so that a NaN deviation fails too
-    if not deviation <= TOL.unit_norm_reject:
-        raise NormalizationError(
-            f"direction norm deviates from 1 by {deviation:.3e} "
-            f"(tolerance {TOL.unit_norm_reject:.1e})"
-        )
-    return u
+    return check_unit_vectors(u)
 
 
 def check_unit_vectors(directions) -> np.ndarray:
-    """``check_unit_vector`` for every 3-vector along the last axis of a stack."""
+    """Validate every 3-vector along the last axis of a stack to TOL.unit_norm_reject; return it."""
     directions = np.asarray(directions, dtype=float)
     if directions.shape[-1:] != (3,):
         raise NormalizationError(f"expected a stack of 3-vectors, got shape {directions.shape}")
+    # an overflowed or NaN norm is rejected below, so numpy need not warn about it
     with np.errstate(invalid="ignore", over="ignore"):
         deviation = np.abs(np.linalg.norm(directions, axis=-1) - 1.0)
+    # written so that a NaN deviation fails too
     bad = ~(deviation <= TOL.unit_norm_reject)
     if np.any(bad):
         raise NormalizationError(
@@ -90,8 +83,7 @@ def spin_along(u) -> np.ndarray:
     deviates from 1 beyond the rejection tolerance. An (..., 3) stack of
     directions gives the (..., 3, 3) stack of their observables.
     """
-    u = np.asarray(u, dtype=float)
-    u = check_unit_vector(u) if u.ndim <= 1 else check_unit_vectors(u)
+    u = check_unit_vectors(u)
     x, y, z = u[..., 0, None, None], u[..., 1, None, None], u[..., 2, None, None]
     return x * _S_X + y * _S_Y + z * _S_Z
 

@@ -8,8 +8,8 @@ class Tolerances:
     """Every tolerance the library enforces, with its default strictness.
 
     Library code reads the fields of the module-level ``TOL`` when it runs.
-    The only tolerances a caller sets are ``monte_carlo_certify``'s
-    ``band_tol`` and ``SearchConfig.tol``, which default to their fields.
+    The only tolerance a caller sets is ``SearchConfig.tol``, which defaults
+    to ``seesaw_improvement``.
     """
 
     # direction vectors

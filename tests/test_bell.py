@@ -213,3 +213,26 @@ def test_scenario_directions_roundtrip(u):
     sc = MeasurementScenario(u, u, u, u)
     for v in sc.directions():
         assert np.array_equal(v, u)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [((0, 0, 1), (0, 1), (0, 0, 1), (0, 0, 1)), ((0, 1), (0, 1), (1, 0), (1, 0))],
+    ids=["ragged", "all-2-vectors"],
+)
+def test_scenario_rejects_wrong_shapes(vectors):
+    with pytest.raises(NormalizationError):
+        MeasurementScenario(*vectors)
+
+
+def test_scenario_is_its_direction_stack():
+    rng = np.random.default_rng(12)
+    sc = gaussian_scenario(rng)
+    stack = sc.directions()
+    assert stack.shape == (4, 3)
+    assert np.array_equal(np.asarray(sc), stack)
+    assert np.array_equal(stack, np.stack([sc.a, sc.a_prime, sc.b, sc.b_prime]))
+    # a scenario and its stack take the same path through every kernel
+    assert np.array_equal(bell_operator(sc), bell_operator(stack))
+    assert np.array_equal(SPIN1_FAMILY.bell_operator(sc), SPIN1_FAMILY.bell_operator(stack))
+    assert np.array_equal(correlation_matrix(sc), correlation_matrices(stack))

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinchsh import (
     TOL,
@@ -14,8 +17,11 @@ from spinchsh import (
     correlation_matrix,
     eig_hermitian,
 )
-from spinchsh import cli
+from spinchsh import cli, search
 from spinchsh.cli import main
+
+# a numpy warning on the way to a report or a rejection is a defect of its own
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TIGHT = {
     "a": [0.0, 0.0, 1.0],
@@ -143,7 +149,7 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--random", "0")
         assert code == 1
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e200"])
     def test_non_finite_direction_rejected(self, capsys, tmp_path, bad):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(TIGHT).replace("0.0", bad, 1))
@@ -199,6 +205,23 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: invalid state") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 3},
+            {"kind": "mixed", "data": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        ],
+        ids=["pure-4", "mixed-2x2"],
+    )
+    def test_state_dimension_mismatch_rejected(self, capsys, tmp_path, state):
+        path = tmp_path / "qubit_state.json"
+        path.write_text(json.dumps({**TIGHT, "state": state}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dimension" in err
+
 
 class TestSpectrum:
     def test_near_sqrt2_parameters(self, capsys):
@@ -218,12 +241,27 @@ class TestSpectrum:
         code, _, _ = run(capsys, "spectrum", "--s", "-1", "--t", "0")
         assert code == 1
 
-    @pytest.mark.parametrize("s, t", [("nan", "1"), ("1", "nan"), ("inf", "0"), ("0", "-inf")])
+    # the last two are finite, but the closed-form norm sqrt(s^2 + t^2) overflows
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            ("nan", "1"), ("1", "nan"), ("inf", "0"), ("0", "-inf"),
+            ("1.7e308", "1.7e308"), ("1.3e308", "1.3e308"),
+        ],
+    )
     def test_non_finite_rejected(self, capsys, s, t):
         code, out, err = run(capsys, "spectrum", f"--s={s}", f"--t={t}")
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "finite" in err
+
+    def test_huge_representable_keeps_its_exit_code(self, capsys):
+        # s^2 + t^2 overflows but sqrt(s^2 + t^2) does not: the report is finite,
+        # and the absolute discrepancy at this scale fails the gate
+        code, out, _ = run(capsys, "spectrum", "--s", "1e154", "--t", "1e154")
+        assert code == 2
+        report = json.loads(out)
+        assert report["operator_norm_closed_form"] == float(np.hypot(1e154, 1e154))
 
     def test_discrepancy_gate_exits_2(self, capsys, monkeypatch):
         # a tolerance no discrepancy can meet: the report is still printed
@@ -324,6 +362,21 @@ class TestReduce:
         assert out == ""
         assert err.count("\n") == 1 and "finite" in err
 
+    @pytest.mark.parametrize("big", ["1e200", "1e154", "1.79e308"])
+    def test_huge_matrix_rejected(self, capsys, big):
+        # finite entries whose sum of squares, the report's s^2 + t^2, overflows
+        code, out, err = run(capsys, "reduce", "--matrix", f"[[{big},0,0],[0,{big},0],[0,0,0]]")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+    def test_huge_representable_matrix_accepted(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--matrix", "[[9e153,0,0],[0,9e153,0],[0,0,0]]")
+        assert code == 0
+        report = json.loads(out)
+        assert report["s"] == pytest.approx(9e153, rel=1e-12)
+        assert report["sum_of_squares"] == pytest.approx(2 * 9e153**2, rel=1e-12)
+
     def test_needs_exactly_one_input(self, capsys, tight_file):
         code, _, _ = run(capsys, "reduce")
         assert code == 1
@@ -379,7 +432,9 @@ class TestCertify:
         assert abs(targets["qubit-pauli"] - 2.0 * np.sqrt(2.0)) < 1e-6
 
     def test_impossible_band_exits_2_with_scenario(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "TOL", dataclasses.replace(TOL, norm_band=1e-17))
+        tight = dataclasses.replace(TOL, norm_band=1e-17)
+        monkeypatch.setattr(cli, "TOL", tight)
+        monkeypatch.setattr(search, "TOL", tight)
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 2
         report = json.loads(out)
@@ -419,6 +474,36 @@ class TestSeedEnvironment:
         monkeypatch.setenv("SPINCHSH_SEED", "4")
         _, out, _ = run(capsys, "search", "--family", "qubit-pauli", "--restarts", "3")
         assert json.loads(out)["seed"] == 4
+
+
+_huge_finite = st.floats(min_value=-1.79e308, max_value=1.79e308)
+
+
+@settings(max_examples=150)
+@given(
+    command=st.sampled_from(["reduce", "spectrum", "verify"]),
+    values=st.lists(_huge_finite, min_size=12, max_size=12),
+)
+def test_finite_inputs_end_in_a_documented_exit(tmp_path_factory, command, values):
+    """Any finite --matrix entries, --s/--t or scenario-file directions: an exit code, never a trace.
+
+    The values run up to the largest doubles, so squares and norms overflow.
+    """
+    if command == "reduce":
+        argv = ["reduce", "--matrix", json.dumps([values[0:3], values[3:6], values[6:9]])]
+    elif command == "spectrum":
+        argv = ["spectrum", f"--s={abs(values[0])!r}", f"--t={abs(values[1])!r}"]
+    else:
+        path = tmp_path_factory.mktemp("scenario") / "huge.json"
+        quads = [values[0:3], values[3:6], values[6:9], values[9:12]]
+        path.write_text(json.dumps(dict(zip(("a", "a_prime", "b", "b_prime"), quads))))
+        argv = ["verify", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
 
 
 def test_unknown_command_is_usage_error(capsys):

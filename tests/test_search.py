@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -28,6 +29,7 @@ from spinchsh import (
     random_unit_vector,
     spin_generators,
 )
+from spinchsh import search
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -145,6 +147,15 @@ class TestExpectation:
         rho[1, 0] = -0.5j
         with pytest.raises(HermiticityError):
             expectation(QuantumState.mixed(rho), corrupted)
+
+    @pytest.mark.parametrize(
+        "state",
+        [ket(0, dim=4), ket(0, dim=27), QuantumState.mixed(np.eye(2) / 2.0)],
+        ids=["pure-4", "pure-27", "mixed-2x2"],
+    )
+    def test_dimension_mismatch_rejected(self, tight_scenario, state):
+        with pytest.raises(StateError, match="dimension"):
+            expectation(state, bell_operator(tight_scenario))
 
 
 class TestBestStateValue:
@@ -301,13 +312,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_certify(0)
 
-    def test_band_failure_carries_scenario(self):
-        import json
-
+    def test_band_failure_carries_scenario(self, monkeypatch):
         # an impossibly tight band makes honest float noise fail the check
+        monkeypatch.setattr(search, "TOL", dataclasses.replace(TOL, norm_band=1e-17))
         with pytest.raises(CertificationError) as excinfo:
-            monte_carlo_certify(50, seed=1, band_tol=1e-17)
-        payload = json.loads(excinfo.value.scenario_json)
+            monte_carlo_certify(50, seed=1)
+        payload = excinfo.value.scenario
         assert set(payload) == {"a", "a_prime", "b", "b_prime"}
         assert abs(excinfo.value.norm - 2.0) < 1e-9
 
