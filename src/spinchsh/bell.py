@@ -13,7 +13,7 @@ in the real Cartesian basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,33 +39,38 @@ SPIN1_REAL_TENSOR = -coupling_tensor(cartesian_generators())
 SPIN1_REAL_TENSOR.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementScenario:
     """Four unit measurement directions, two per party, validated as one (4, 3) stack.
 
-    ``np.asarray(sc)`` is ``sc.directions()``, so every function that takes
-    an (..., 4, 3) direction stack takes a scenario too.
+    The scenario owns that read-only stack, whose rows are ``a`` ... ``b_prime``;
+    ``np.asarray(sc)`` is ``sc.directions()``, so every function that takes an
+    (..., 4, 3) direction stack takes a scenario too. Equal only to itself.
     """
 
     a: np.ndarray
     a_prime: np.ndarray
     b: np.ndarray
     b_prime: np.ndarray
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vectors = [np.reshape(getattr(self, name), -1) for name in DIRECTION_NAMES]
         if any(v.shape != (3,) for v in vectors):
             shapes = [v.shape for v in vectors]
             raise NormalizationError(f"expected four 3-vectors, got shapes {shapes}")
-        for name, row in zip(DIRECTION_NAMES, check_unit_vectors(vectors)):
+        stack = check_unit_vectors(vectors)  # a fresh array: no caller holds a view of it
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        for name, row in zip(DIRECTION_NAMES, stack):
             object.__setattr__(self, name, row)
 
     def directions(self) -> np.ndarray:
-        """The (4, 3) stack of a, a', b, b'."""
-        return np.stack((self.a, self.a_prime, self.b, self.b_prime))
+        """The read-only (4, 3) stack of a, a', b, b'."""
+        return self._stack
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.directions(), dtype=dtype)
+        return np.array(self._stack, dtype=dtype, copy=copy)
 
 
 def correlation_matrices(directions) -> np.ndarray:

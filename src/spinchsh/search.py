@@ -7,6 +7,7 @@ M = a (b + b')^T + a' (b - b')^T. That is linear in each party's pair of
 directions, so each pair moves to its normalized product with the 3x3 matrix
 T, which the family's coupling tensor gives in one product. Both steps can
 only raise the objective, which the code asserts on every iteration.
+Restarts start from the seed's ``random_directions`` draw, as ``verify`` does.
 
 The same optimizer runs on two measurement families: the spin-1 qutrit
 family the bound-2 certification is about, and a qubit Pauli family that
@@ -87,22 +88,23 @@ def family_by_name(name: str) -> ObservableFamily:
         raise ValueError(f"unknown measurement family {name!r}; known families: {known}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
-    """A pure state vector or a density matrix, validated on construction."""
+    """A validated pure state vector or density matrix, read-only; equal only to itself."""
 
     kind: str
     data: np.ndarray
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
+        vector = np.array(vector, dtype=complex).reshape(-1)
         _check_state_norms(vector)
+        vector.setflags(write=False)
         return cls(kind="pure", data=vector)
 
     @classmethod
     def mixed(cls, matrix) -> "QuantumState":
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.array(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise StateError(f"density matrix must be square, got shape {matrix.shape}")
         if not np.isfinite(matrix).all():
@@ -117,6 +119,7 @@ class QuantumState:
         smallest = float(np.min(np.linalg.eigvalsh(matrix)))
         if not smallest >= TOL.psd_floor:
             raise StateError(f"density matrix has negative eigenvalue {smallest:.3e}")
+        matrix.setflags(write=False)
         return cls(kind="mixed", data=matrix)
 
     @property
@@ -199,8 +202,8 @@ def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     """
     v = rng.standard_normal(tuple(shape) + (3,))
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    while np.any(norms < 1e-12):
-        short = norms[..., 0] < 1e-12
+    while np.any(norms < TOL.short_draw):
+        short = norms[..., 0] < TOL.short_draw
         v[short] = rng.standard_normal((int(short.sum()), 3))
         norms = np.linalg.norm(v, axis=-1, keepdims=True)
     return v / norms
@@ -235,7 +238,6 @@ class SearchConfig:
     family: str = "qutrit-spin1"
     restarts: int = 200
     max_iterations: int = 500
-    tol: float = TOL.seesaw_improvement
     seed: int = 0
     initial_scenario: MeasurementScenario | None = None
     initial_state: QuantumState | None = None
@@ -268,26 +270,16 @@ class _SeesawBatch:
     directions: np.ndarray  # (R, 4, 3) final a, a', b, b'
     states: np.ndarray  # (R, d^2) final top eigenvectors
     iterations: np.ndarray  # (R,) iterations run
-    converged: np.ndarray  # (R,) whether the improvement fell below tol
+    converged: np.ndarray  # (R,) whether the improvement fell below TOL.seesaw_improvement
     history: np.ndarray  # (iterations, R) objective per iteration, NaN once a restart stopped
 
     def restart_history(self, k: int) -> tuple[float, ...]:
         return tuple(self.history[: self.iterations[k], k].tolist())
 
 
-def _start_directions(
-    seeds: list[np.random.SeedSequence], initial_scenario: MeasurementScenario | None = None
-) -> np.ndarray:
-    """The (R, 4, 3) stack of start directions; restart k draws from its own stream."""
-    starts = [random_directions(np.random.default_rng(seed), (4,)) for seed in seeds]
-    if initial_scenario is not None:
-        starts[0] = np.asarray(initial_scenario)
-    return check_unit_vectors(np.stack(starts))
-
-
 def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
     """Raise for the first restart whose objective fell by more than rounding."""
-    lowered = after < before - 1e-12 * np.maximum(1.0, np.abs(before))
+    lowered = after < before - TOL.seesaw_monotonicity * np.maximum(1.0, np.abs(before))
     if np.any(lowered):
         k = int(np.argmax(lowered))
         raise MonotonicityError(
@@ -319,7 +311,7 @@ def _seesaw(
     ``previous`` holds each restart's objective before the first iteration
     (-inf without an initial state). Each iteration is one Bell build, one
     eigensolve and one direction update over the restarts still active; a
-    restart leaves the active set once its improvement falls below tol.
+    restart leaves once its improvement falls below TOL.seesaw_improvement.
     """
     count, d = len(directions), family.dim
     directions = directions.copy()
@@ -354,7 +346,7 @@ def _seesaw(
         row = np.full(count, np.nan)
         row[active] = value
         history.append(row)
-        done = value - before < config.tol
+        done = value - before < TOL.seesaw_improvement
         converged[active[done]] = True
         previous[active] = value
         active = active[~done]
@@ -367,7 +359,7 @@ def _renormalized(gradient: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Each 3-vector along the last axis scaled to unit norm; a zero one gives its fallback."""
     # one dot product per vector, the sum np.linalg.norm forms for a single vector
     norm = np.sqrt(gradient[..., None, :] @ gradient[..., :, None])[..., 0]
-    zero = norm < 1e-14
+    zero = norm < TOL.zero_gradient
     return np.where(zero, fallback, gradient / np.where(zero, 1.0, norm))
 
 
@@ -375,26 +367,25 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     """Run the multi-restart seesaw and report the best expectation found.
 
     Restarts run as one batch per block of SEESAW_BLOCK. Deterministic for a
-    fixed seed: every restart draws from its own spawned stream, and ties
-    between restarts resolve to the lowest restart index.
+    fixed seed: restart k starts from row k of one ``random_directions`` draw,
+    scenario k of ``verify --random`` (row 0 is ``initial_scenario`` if given),
+    and ties between restarts resolve to the lowest restart index.
     """
     if config.restarts < 1:
         raise ValueError("need at least one restart")
     if config.max_iterations < 1:
         raise ValueError("need at least one iteration")
-    if config.tol <= 0.0:
-        raise ValueError("convergence tolerance must be positive")
     family = family_by_name(config.family)
 
-    root = np.random.SeedSequence(config.seed)
+    starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
+    if config.initial_scenario is not None:
+        starts[0] = config.initial_scenario
+    starts = check_unit_vectors(starts)
     best, best_index = None, 0
     for start in range(0, config.restarts, SEESAW_BLOCK):
-        # spawning block by block yields the same children as one spawn
-        seeds = root.spawn(min(SEESAW_BLOCK, config.restarts - start))
-        first = start == 0
-        directions = _start_directions(seeds, config.initial_scenario if first else None)
-        previous = np.full(len(seeds), -np.inf)
-        if first and config.initial_state is not None:
+        directions = starts[start : start + SEESAW_BLOCK]
+        previous = np.full(len(directions), -np.inf)
+        if start == 0 and config.initial_state is not None:
             previous[0] = expectation(config.initial_state, family.bell_operator(directions[0]))
         batch = _seesaw(family, directions, previous, config)
         k = int(np.argmax(batch.values))

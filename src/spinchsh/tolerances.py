@@ -7,9 +7,8 @@ from dataclasses import dataclass
 class Tolerances:
     """Every tolerance the library enforces, with its default strictness.
 
-    Library code reads the fields of the module-level ``TOL`` when it runs.
-    The only tolerance a caller sets is ``SearchConfig.tol``, which defaults
-    to ``seesaw_improvement``.
+    Library code reads the fields of the module-level ``TOL`` when it runs;
+    no function or config takes a tolerance from its caller.
     """
 
     # direction vectors
@@ -38,6 +37,9 @@ class Tolerances:
     state_norm: float = 1e-12         # normalization / trace residual of quantum states
     psd_floor: float = -1e-10         # most negative eigenvalue tolerated in a density matrix
     seesaw_improvement: float = 1e-9  # convergence threshold on the seesaw objective
+    seesaw_monotonicity: float = 1e-12  # relative drop of the seesaw objective taken as rounding
+    zero_gradient: float = 1e-14      # seesaw gradient norm below which a direction stays put
+    short_draw: float = 1e-12         # Gaussian draws shorter than this are redrawn, not normalised
     search_target: float = 1e-6       # distance from the known optimum the search must reach
 
 

@@ -236,3 +236,32 @@ def test_scenario_is_its_direction_stack():
     assert np.array_equal(bell_operator(sc), bell_operator(stack))
     assert np.array_equal(SPIN1_FAMILY.bell_operator(sc), SPIN1_FAMILY.bell_operator(stack))
     assert np.array_equal(correlation_matrix(sc), correlation_matrices(stack))
+
+
+def test_scenario_owns_a_read_only_stack():
+    rng = np.random.default_rng(13)
+    directions = rng.standard_normal((4, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    sc = MeasurementScenario(*directions)
+    M = correlation_matrix(sc)
+    directions[0] = (0.0, 0.0, 5.0)  # the caller's rows are not the scenario's
+    assert np.array_equal(correlation_matrix(sc), M)
+    for row in (sc.a, sc.a_prime, sc.b, sc.b_prime, sc.directions(), np.asarray(sc)):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 5.0
+    assert np.array_equal(correlation_matrix(sc), M)
+    # the rows are views of the one stack directions() returns
+    assert sc.directions() is sc.directions()
+    assert all(np.shares_memory(row, sc.directions()) for row in (sc.a, sc.b_prime))
+    copied = np.array(sc, copy=True)
+    assert copied.flags.writeable and not np.shares_memory(copied, sc.directions())
+    assert np.array_equal(copied, sc.directions())
+
+
+def test_scenarios_compare_by_identity():
+    z = [0.0, 0.0, 1.0]
+    sc, twin = MeasurementScenario(z, z, z, z), MeasurementScenario(z, z, z, z)
+    assert sc == sc and sc != twin
+    assert hash(sc) == hash(sc) and len({sc, twin}) == 2
+

@@ -102,6 +102,33 @@ class TestQuantumState:
         with pytest.raises(StateError):
             QuantumState.mixed(rho)
 
+    def test_pure_owns_a_read_only_copy(self, tight_scenario):
+        v = np.zeros(9, dtype=complex)
+        v[0] = 1.0
+        state = QuantumState.pure(v)
+        v[0] = 3.0  # a complex vector used to be kept as a view
+        B = bell_operator(tight_scenario)
+        assert expectation(state, B) == 2.0
+        with pytest.raises(ValueError):
+            state.data[0] = 3.0
+        assert expectation(state, B) == 2.0
+
+    def test_mixed_owns_a_read_only_copy(self, tight_scenario):
+        rho = np.zeros((9, 9), dtype=complex)
+        rho[0, 0] = 1.0
+        state = QuantumState.mixed(rho)
+        rho[0, 0] = 3.0
+        B = bell_operator(tight_scenario)
+        assert expectation(state, B) == 2.0
+        with pytest.raises(ValueError):
+            state.data[0, 0] = 3.0
+        assert expectation(state, B) == 2.0
+
+    def test_states_compare_by_identity(self):
+        state, twin = ket(0), ket(0)
+        assert state == state and state != twin
+        assert len({state, twin}) == 2
+
     def test_mixed_accepts_maximally_mixed(self):
         state = QuantumState.mixed(np.eye(9) / 9.0)
         assert state.dim == 9
@@ -289,8 +316,6 @@ class TestSeesaw:
             maximize_violation(SearchConfig(restarts=0))
         with pytest.raises(ValueError):
             maximize_violation(SearchConfig(max_iterations=0))
-        with pytest.raises(ValueError):
-            maximize_violation(SearchConfig(tol=0.0))
 
     def test_initial_state_dimension_mismatch(self):
         with pytest.raises(StateError):

@@ -8,7 +8,9 @@ with the restart's own T_ij = Re <v| G_i (x) G_j |v>.
 """
 
 import contextlib
+import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from spinchsh import (
     correlation_matrix,
     expectation,
     maximize_violation,
-    random_scenario,
 )
 from spinchsh import cli, search
 
@@ -57,7 +58,8 @@ def reference_restart(family, scenario, config, initial_state=None):
         eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(scenario))
         top = float(eigenvalues[-1])
         assert not top < previous - 1e-12 * max(1.0, abs(previous))
-        state = QuantumState.pure(eigenvectors[:, -1])
+        v = eigenvectors[:, -1]
+        state = QuantumState.pure(v)
         T = _correlations(family, state.data)
         a, a_prime, b, b_prime = scenario.directions()
         grad_a = np.stack((b + b_prime, b - b_prime)) @ T.T
@@ -65,10 +67,12 @@ def reference_restart(family, scenario, config, initial_state=None):
         grad_b = np.stack((a + a_prime, a - a_prime)) @ T
         b, b_prime = _renormalized(grad_b[0], b), _renormalized(grad_b[1], b_prime)
         scenario = MeasurementScenario(a, a_prime, b, b_prime)
-        value = expectation(state, family.bell_operator(scenario))
+        # <v|B|v> on the eigensolver's strided column, as the batch takes it: the
+        # state's contiguous copy can round the last bit another way
+        value = float(search._checked_real(v.conj() @ family.bell_operator(scenario) @ v))
         assert not value < top - 1e-12 * max(1.0, abs(top))
         history.append(value)
-        if value - previous < config.tol:
+        if value - previous < search.TOL.seesaw_improvement:
             converged = True
             break
         previous = value
@@ -77,16 +81,15 @@ def reference_restart(family, scenario, config, initial_state=None):
 
 def run_batch(family, config):
     """The batched seesaw on the starts maximize_violation draws for ``config``."""
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    starts = search._start_directions(seeds)
-    return seeds, search._seesaw(family, starts, np.full(len(seeds), -np.inf), config)
+    starts = search.random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
+    return starts, search._seesaw(family, starts, np.full(len(starts), -np.inf), config)
 
 
 def assert_matches_reference(family, config):
-    seeds, batch = run_batch(family, config)
-    for k, seed in enumerate(seeds):
-        # restart k still starts from its own stream, bit for bit
-        start = random_scenario(np.random.default_rng(seed))
+    starts, batch = run_batch(family, config)
+    for k, quad in enumerate(starts):
+        # restart k starts from row k of the seed's draw, bit for bit
+        start = MeasurementScenario(*quad)
         value, scenario, iterations, converged, history = reference_restart(family, start, config)
         assert abs(batch.values[k] - value) <= 1e-12, k
         assert batch.iterations[k] == iterations, k
@@ -111,8 +114,9 @@ def test_matches_per_restart_reference(family, seed):
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-def test_active_set_with_staggered_convergence(family):
-    config = SearchConfig(family=family.name, restarts=60, seed=7, tol=1e-15, max_iterations=8)
+def test_active_set_with_staggered_convergence(monkeypatch, family):
+    monkeypatch.setattr(search, "TOL", dataclasses.replace(search.TOL, seesaw_improvement=1e-15))
+    config = SearchConfig(family=family.name, restarts=60, seed=7, max_iterations=8)
     batch = assert_matches_reference(family, config)
     assert len(set(batch.iterations.tolist())) > 1
     # a restart's history stops when it leaves the active set
@@ -236,13 +240,38 @@ def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_sc
     monkeypatch.setattr(search, "_seesaw", recording_seesaw)
     monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
     maximize_violation(config)
-    plain = search._start_directions(np.random.SeedSequence(2).spawn(8))
+    plain = search.random_directions(np.random.default_rng(2), (8, 4))
     (first, first_previous), (second, second_previous) = seen
     assert np.array_equal(first[0], np.stack(tight_scenario.directions()))
     assert np.array_equal(first[1:], plain[1:5])
     assert np.array_equal(second, plain[5:])
     assert abs(first_previous[0] - 2.0) < 1e-12
     assert np.all(first_previous[1:] == -np.inf) and np.all(second_previous == -np.inf)
+
+
+@pytest.mark.parametrize("block", [search.SEESAW_BLOCK, 7])
+def test_restarts_start_from_the_verify_draw(monkeypatch, block):
+    restarts, seed = 30, 17
+    original = search._seesaw
+    seen = []
+
+    def recording_seesaw(family, directions, previous, cfg):
+        seen.append(directions.copy())
+        return original(family, directions, previous, cfg)
+
+    monkeypatch.setattr(search, "_seesaw", recording_seesaw)
+    monkeypatch.setattr(search, "SEESAW_BLOCK", block)
+    maximize_violation(SearchConfig(restarts=restarts, seed=seed))
+    assert len(seen) == -(-restarts // block)
+    starts = np.concatenate(seen)
+    draw = search.random_directions(np.random.default_rng(seed), (restarts, 4))
+    assert np.array_equal(starts, draw)
+    # restart k starts from scenario k of `verify --random N --seed S`
+    code, out = search_stdout(["verify", "--random", str(restarts), "--seed", str(seed)])
+    assert code == 0
+    rows = json.loads(out)["scenarios"]
+    verified = np.array([[row[name] for name in ("a", "a_prime", "b", "b_prime")] for row in rows])
+    assert np.array_equal(starts, verified)
 
 
 @pytest.mark.parametrize("family", ["qutrit-spin1", "qubit-pauli"])
