@@ -70,7 +70,8 @@ class MeasurementScenario:
         return self._stack
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._stack, dtype=dtype, copy=copy)
+        stack = np.asarray(self._stack, dtype=dtype)  # numpy 1.x rejects np.array(copy=None)
+        return stack.copy() if copy else stack
 
 
 def correlation_matrices(directions) -> np.ndarray:

@@ -328,7 +328,7 @@ def _seesaw(
         eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(current))
         top = eigenvalues[:, -1]
         _check_monotone(before, top, "state step")
-        v = eigenvectors[:, :, -1]
+        v = np.ascontiguousarray(eigenvectors[:, :, -1])  # <v|B|v> rounds as in expectation
         _check_state_norms(v)
 
         # the value sum_ij M_ij T_ij is linear in each direction, so a, a' move to
@@ -380,7 +380,6 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
     if config.initial_scenario is not None:
         starts[0] = config.initial_scenario
-    starts = check_unit_vectors(starts)
     best, best_index = None, 0
     for start in range(0, config.restarts, SEESAW_BLOCK):
         directions = starts[start : start + SEESAW_BLOCK]

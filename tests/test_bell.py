@@ -257,6 +257,9 @@ def test_scenario_owns_a_read_only_stack():
     copied = np.array(sc, copy=True)
     assert copied.flags.writeable and not np.shares_memory(copied, sc.directions())
     assert np.array_equal(copied, sc.directions())
+    # numpy 1.x calls __array__ without a copy argument
+    assert sc.__array__() is sc.directions()
+    assert sc.__array__(np.float32).dtype == np.float32
 
 
 def test_scenarios_compare_by_identity():

@@ -58,8 +58,7 @@ def reference_restart(family, scenario, config, initial_state=None):
         eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(scenario))
         top = float(eigenvalues[-1])
         assert not top < previous - 1e-12 * max(1.0, abs(previous))
-        v = eigenvectors[:, -1]
-        state = QuantumState.pure(v)
+        state = QuantumState.pure(eigenvectors[:, -1])
         T = _correlations(family, state.data)
         a, a_prime, b, b_prime = scenario.directions()
         grad_a = np.stack((b + b_prime, b - b_prime)) @ T.T
@@ -67,9 +66,7 @@ def reference_restart(family, scenario, config, initial_state=None):
         grad_b = np.stack((a + a_prime, a - a_prime)) @ T
         b, b_prime = _renormalized(grad_b[0], b), _renormalized(grad_b[1], b_prime)
         scenario = MeasurementScenario(a, a_prime, b, b_prime)
-        # <v|B|v> on the eigensolver's strided column, as the batch takes it: the
-        # state's contiguous copy can round the last bit another way
-        value = float(search._checked_real(v.conj() @ family.bell_operator(scenario) @ v))
+        value = expectation(state, family.bell_operator(scenario))
         assert not value < top - 1e-12 * max(1.0, abs(top))
         history.append(value)
         if value - previous < search.TOL.seesaw_improvement:
