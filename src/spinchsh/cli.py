@@ -130,12 +130,12 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
 
 def _resolve_seed(args) -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return args.seed
+    if env is None:
+        return args.seed
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{SEED_ENV_VAR}: {exc}") from None
 
 
 def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
@@ -250,7 +250,7 @@ def _spectrum_grid(args) -> int:
 
     def rows():
         # one build and one eigensolve per grid row of fixed s; a stack of the
-        # whole grid would hold N^2 operators and their eigenvectors at once
+        # whole grid would hold N^2 operators at once
         points = values.tolist()
         for s in points:
             numeric = eig_hermitian(canonical_operator(s, values))
@@ -353,15 +353,24 @@ def cmd_certify(args) -> int:
 _JOBS_HELP = "accepted for compatibility; must be at least 1, and work always runs serially"
 
 
-def _count(text: str) -> int:
-    """argparse type of every count option: an integer of at least 1."""
+def _integer(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _count(text: str) -> int:
+    """argparse type of every count option: an integer of at least 1."""
+    return _integer(text, 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed, also applied to SPINCHSH_SEED: an integer of at least 0."""
+    return _integer(text, 0)
 
 
 def build_parser() -> _Parser:
@@ -379,7 +388,7 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("scenario", nargs="?", help="scenario JSON file")
     p_verify.add_argument("--random", type=_count, metavar="N", help="sample N random scenarios")
-    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
+    p_verify.add_argument("--seed", type=_seed, default=0, help="RNG seed for --random")
     p_verify.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_verify.add_argument("--csv", metavar="PATH", help="also write sweep rows as CSV")
     p_verify.set_defaults(handler=cmd_verify)
@@ -409,7 +418,7 @@ def build_parser() -> _Parser:
     )
     p_search.add_argument("--restarts", type=_count, default=200)
     p_search.add_argument("--iterations", type=_count, default=500, help="seesaw iteration cap")
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--seed", type=_seed, default=0)
     p_search.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_search.set_defaults(handler=cmd_search)
 
@@ -422,7 +431,7 @@ def build_parser() -> _Parser:
     p_certify.add_argument(
         "--restarts", type=_count, default=200, help="seesaw restarts per family"
     )
-    p_certify.add_argument("--seed", type=int, default=0)
+    p_certify.add_argument("--seed", type=_seed, default=0)
     p_certify.add_argument("--csv", metavar="PATH", help="also write the Monte Carlo norms as CSV")
     p_certify.set_defaults(handler=cmd_certify)
 

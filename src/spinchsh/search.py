@@ -255,7 +255,8 @@ class SearchReport:
 
 
 # restarts per batched seesaw: bounds the (block, d^2, d^2) operator and
-# eigenvector stacks a large --restarts run holds at once
+# eigenvector stacks a large --restarts run holds at once (each block's
+# per-restart results are kept until the winner is chosen)
 SEESAW_BLOCK = 1024
 # scenarios per Monte Carlo build and eigensolve: bounds the (block, 9, 9)
 # operator stack a large --samples run holds at once
@@ -369,7 +370,8 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     Restarts run as one batch per block of SEESAW_BLOCK. Deterministic for a
     fixed seed: restart k starts from row k of one ``random_directions`` draw,
     scenario k of ``verify --random`` (row 0 is ``initial_scenario`` if given),
-    and ties between restarts resolve to the lowest restart index.
+    and the winner is the lowest restart index whose value is within
+    TOL.seesaw_monotonicity (relative) of the best value over all restarts.
     """
     if config.restarts < 1:
         raise ValueError("need at least one restart")
@@ -380,27 +382,30 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
     if config.initial_scenario is not None:
         starts[0] = config.initial_scenario
-    best, best_index = None, 0
+    batches = []
     for start in range(0, config.restarts, SEESAW_BLOCK):
         directions = starts[start : start + SEESAW_BLOCK]
         previous = np.full(len(directions), -np.inf)
         if start == 0 and config.initial_state is not None:
             previous[0] = expectation(config.initial_state, family.bell_operator(directions[0]))
-        batch = _seesaw(family, directions, previous, config)
-        k = int(np.argmax(batch.values))
-        if best is None or batch.values[k] > best.values[best_index]:
-            best, best_index = batch, k
+        batches.append(_seesaw(family, directions, previous, config))
 
-    best_scenario = MeasurementScenario(*best.directions[best_index])
-    best_state = QuantumState.pure(best.states[best_index])
+    # many restarts reach the optimum to within a few ulps; the lowest index
+    # among them wins, so a last-bit change elsewhere keeps the reported one
+    values = np.concatenate([batch.values for batch in batches])
+    top = float(values.max())
+    winner = int(np.argmax(values >= top - TOL.seesaw_monotonicity * max(1.0, abs(top))))
+    best, k = batches[winner // SEESAW_BLOCK], winner % SEESAW_BLOCK
+    best_scenario = MeasurementScenario(*best.directions[k])
+    best_state = QuantumState.pure(best.states[k])
     return SearchReport(
         best_value=expectation(best_state, family.bell_operator(best_scenario)),
         best_scenario=best_scenario,
         best_state=best_state,
-        iterations=int(best.iterations[best_index]),
+        iterations=int(best.iterations[k]),
         restarts=config.restarts,
-        converged=bool(best.converged[best_index]),
-        history=best.restart_history(best_index),
+        converged=bool(best.converged[k]),
+        history=best.restart_history(k),
     )
 
 

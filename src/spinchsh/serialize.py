@@ -21,6 +21,8 @@ DIRECTION_COLUMNS = (
 
 _INTEGERS = (int, np.integer)
 _NUMBERS = (int, float, np.integer, np.floating)
+_FLOAT = frozenset([float])
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its encoder set-up
 
 
 def _format_float(x: float) -> str:
@@ -30,9 +32,40 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _render_floats(values: list) -> str:
+    """A list of Python floats on one line, formatted by one ``%`` over the whole list."""
+    text = ", ".join(["%.17g"] * len(values)) % tuple(values)
+    # a finite float prints only 0-9 . e + -, so an "n" is a nan or an inf
+    if "n" in text:
+        for x in values:
+            _format_float(x)  # raises for the first non-finite value
+    return "[" + text + "]"
+
+
 def _render(obj, indent: int, level: int) -> str:
+    # the exact types a report is made of come first; subclasses, numpy
+    # scalars and arrays, and mixed lists follow the general rules below
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is int:
+        return str(obj)
+    if kind is list and _FLOAT.issuperset(map(type, obj)):
+        return _render_floats(obj)
     pad = " " * (indent * (level + 1))
     closing = " " * (indent * level)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = level + 1
+        # a finite Python float is formatted in place; a non-finite one goes
+        # through _render, which raises in its turn
+        items = [
+            f"{pad}{_quote(str(k))}: "
+            + ("%.17g" % v if type(v) is float and math.isfinite(v) else _render(v, indent, inner))
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + closing + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -44,17 +77,9 @@ def _render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return _render([obj.real, obj.imag], indent, level)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist(), indent, level)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + closing + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"

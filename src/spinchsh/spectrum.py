@@ -11,7 +11,7 @@ therefore sqrt(s^2 + t^2) for all s, t >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ V5_INDICES = (0, 2, 4, 6, 8)
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues sorted ascending, the operator norm, and (optionally) eigenvectors.
+    """Eigenvalues sorted ascending and the operator norm.
 
     For a stack of matrices each field carries the stack's leading axes, and
     ``operator_norm`` is an array of norms instead of a float.
@@ -35,7 +35,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     operator_norm: float
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,10 @@ class SubspaceBlocks:
 
 
 def eig_hermitian(A) -> SpectrumResult:
-    """Eigendecomposition of a Hermitian matrix, or of an (..., n, n) stack of them.
+    """Eigenvalues and operator norm of a Hermitian matrix, or of an (..., n, n) stack of them.
+
+    The eigenvalues come from one dense eigensolve over the whole input
+    (``eigvalsh``); no eigenvectors are computed.
 
     The Hermiticity gate is the Frobenius norm of A - A^dagger over the whole
     input. It bounds each matrix's own asymmetry, so a stack passes only if
@@ -70,12 +72,11 @@ def eig_hermitian(A) -> SpectrumResult:
         asymmetry = float(np.linalg.norm(A - A.swapaxes(-1, -2).conj()))
     if not asymmetry <= TOL.hermiticity:
         raise HermiticityError(asymmetry)
-    eigenvalues, eigenvectors = np.linalg.eigh(A)
+    eigenvalues = np.linalg.eigvalsh(A)
     norms = np.abs(eigenvalues).max(axis=-1)
     return SpectrumResult(
         eigenvalues=eigenvalues,
         operator_norm=norms if norms.ndim else float(norms),
-        eigenvectors=eigenvectors,
     )
 
 

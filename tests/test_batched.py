@@ -73,11 +73,11 @@ def loop_reduction(M):
 
 
 def reference_row(index: int, sc: MeasurementScenario) -> dict:
-    """One verify row computed per scenario: np.kron build, 2-D eigh, per-matrix reduction."""
+    """One verify row computed per scenario: np.kron build, 2-D eigvalsh, per-matrix reduction."""
     sa, sap, sb, sbp = (spin_along(u) for u in sc.directions())
     B = np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
     assert np.array_equal(B, B.conj().T)
-    norm = float(np.max(np.abs(np.linalg.eigh(B)[0])))
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
     _, _, s, t = loop_reduction(correlation_matrix(sc))
     return {
         "index": index,
@@ -228,7 +228,6 @@ class TestEigStack:
         for k, B in enumerate(stack):
             single = eig_hermitian(B)
             assert np.array_equal(batched.eigenvalues[k], single.eigenvalues)
-            assert np.array_equal(batched.eigenvectors[k], single.eigenvectors)
             assert batched.operator_norm[k] == single.operator_norm
             assert type(single.operator_norm) is float
 

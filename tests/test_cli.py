@@ -458,6 +458,14 @@ class TestCertify:
         assert run(capsys, "certify", flag, "0")[0] == 1
 
 
+# the subcommands that draw from a seed, at a small size
+SEEDED = [
+    ("verify", "--random", "2"),
+    ("search", "--restarts", "2"),
+    ("certify", "--samples", "10", "--restarts", "2"),
+]
+
+
 class TestSeedEnvironment:
     def test_env_overrides_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINCHSH_SEED", "99")
@@ -474,6 +482,26 @@ class TestSeedEnvironment:
         monkeypatch.setenv("SPINCHSH_SEED", "4")
         _, out, _ = run(capsys, "search", "--family", "qubit-pauli", "--restarts", "3")
         assert json.loads(out)["seed"] == 4
+
+    @pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv[0])
+    def test_negative_seed_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: argument --seed: must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv[0])
+    def test_negative_env_seed_rejected(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SPINCHSH_SEED", "-3")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: SPINCHSH_SEED: must be at least 0, got -3\n"
+
+    def test_zero_seed_accepted(self, capsys, monkeypatch):
+        _, out, _ = run(capsys, "verify", "--random", "2", "--seed", "0")
+        assert json.loads(out)["seed"] == 0
+        monkeypatch.setenv("SPINCHSH_SEED", "0")
+        _, out, _ = run(capsys, "verify", "--random", "2", "--seed", "5")
+        assert json.loads(out)["seed"] == 0
 
 
 _huge_finite = st.floats(min_value=-1.79e308, max_value=1.79e308)

@@ -182,6 +182,33 @@ def test_small_blocks_match_one_block(monkeypatch, family):
     assert blocked.restarts == whole.restarts == 30
 
 
+def test_restarts_tied_within_rounding_go_to_the_lowest_index(monkeypatch):
+    # restart 9 has the largest value and restart 6, in an earlier block,
+    # ties with it to within rounding; restart 3 falls short by more than that
+    values = np.ones(12)
+    values[3] = 2.0 - 1e-9
+    values[6] = 2.0
+    values[9] = np.nextafter(np.nextafter(2.0, 3.0), 3.0)
+    original = search._seesaw
+    batches = []
+
+    def planted_seesaw(family, directions, previous, cfg):
+        batch = original(family, directions, previous, cfg)
+        start = sum(len(b.values) for b in batches)
+        batch.values[:] = values[start : start + len(batch.values)]
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(search, "_seesaw", planted_seesaw)
+    monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
+    report = maximize_violation(SearchConfig(restarts=12, seed=19))
+    assert len(batches) == 3 and int(np.argmax(values)) == 9
+    winner = batches[1]  # restart 6 is row 1 of the second block
+    assert np.array_equal(report.best_state.data, winner.states[1])
+    assert np.array_equal(report.best_scenario.directions(), winner.directions[1])
+    assert report.history == winner.restart_history(1)
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_stack_kernels_match_single_items_bit_for_bit(family):
     rng = np.random.default_rng(23)

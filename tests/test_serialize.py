@@ -1,7 +1,108 @@
+"""The JSON renderer: its layout rules, and equivalence with the general-rules reference.
+
+``json_dumps`` renders the exact types a report is made of (Python floats,
+ints, dicts and all-float lists) on a fast path. ``reference_render`` below
+is the renderer with the general rules only, kept in the test: the two must
+give the same text for every input, and the same error for every rejected one.
+"""
+
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spinchsh.serialize import json_dumps
+
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _reference_float(x) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return format(x, ".17g")
+
+
+def reference_render(obj, indent: int = 2, level: int = 0) -> str:
+    """One isinstance chain and one call per value, json.dumps for every string."""
+    pad = " " * (indent * (level + 1))
+    closing = " " * (indent * level)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, _INTEGERS):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return reference_render([obj.real, obj.imag], indent, level)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return reference_render(obj.tolist(), indent, level)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{pad}{json.dumps(str(k))}: {reference_render(v, indent, level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + closing + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        if all(isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in obj):
+            return "[" + ", ".join(
+                str(int(v)) if isinstance(v, _INTEGERS) else _reference_float(v) for v in obj
+            ) + "]"
+        rendered = (pad + reference_render(v, indent, level + 1) for v in obj)
+        return "[\n" + ",\n".join(rendered) + "\n" + closing + "]"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+_finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 2.0]),
+)
+# ints beyond 2**53 print all their digits, which no float format does
+_ints = st.one_of(st.integers(), st.integers(2**53, 2**70), st.integers(-(2**70), -(2**53)))
+_shapes = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)
+_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7féß✓😀'), st.characters()))
+_leaves = st.one_of(
+    _floats,
+    _floats.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.booleans(),
+    st.none(),
+    _ints,
+    _text,
+    _finite_complex,
+    _finite_complex.map(np.complex128),
+    arrays(np.float64, _shapes, elements=_floats),
+    arrays(np.int64, _shapes),
+    arrays(np.complex128, st.integers(0, 3), elements=_finite_complex),
+    # all-float lists, the fast path, and the lists the general rules keep on one line
+    st.lists(_floats, max_size=6),
+    st.lists(st.one_of(_floats, _ints, _floats.map(np.float64)), max_size=6),
+)
+_keys = st.one_of(_text, st.integers(), _floats, st.booleans(), st.none())
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=5),
+    ),
+    max_leaves=25,
+)
 
 
 def test_flat_numeric_lists_render_on_one_line():
@@ -36,3 +137,38 @@ def test_other_lists_render_one_element_per_line():
 def test_non_finite_float_in_flat_list_rejected():
     with pytest.raises(ValueError):
         json_dumps([1.0, float("nan")])
+
+
+@settings(max_examples=100)
+@given(document=_documents, indent=st.sampled_from([0, 2, 4]))
+def test_matches_reference_renderer(document, indent):
+    assert json_dumps(document, indent) == reference_render(document, indent)
+
+
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def lists_with_non_finite(draw):
+    """A list (or a dict) of floats, non-finite ones included, with one or two planted."""
+    element = draw(st.sampled_from([_any_float, st.one_of(_any_float, st.integers())]))
+    values = draw(st.lists(element, max_size=8))
+    for _ in range(draw(st.integers(1, 2))):
+        values.insert(draw(st.integers(0, len(values))), draw(_non_finite))
+    shape = draw(st.sampled_from(["list", "nested", "dict"]))
+    if shape == "nested":
+        return {"scenarios": [{"index": 0, "a": values}]}
+    if shape == "dict":
+        return {f"k{i}": v for i, v in enumerate(values)}
+    return values
+
+
+@given(document=lists_with_non_finite())
+def test_non_finite_raises_as_the_reference(document):
+    with pytest.raises(ValueError) as expected:
+        reference_render(document)
+    with pytest.raises(ValueError) as raised:
+        json_dumps(document)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("cannot serialize non-finite float ")
