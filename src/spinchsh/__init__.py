@@ -11,7 +11,6 @@ from .bell import (
     bell_operator,
     canonical_operator,
     correlation_matrices,
-    correlation_matrix,
     coupling_operator,
     coupling_tensor,
 )
@@ -42,8 +41,6 @@ from .search import (
     random_density_matrix,
     random_directions,
     random_pure_state,
-    random_scenario,
-    random_unit_vector,
 )
 from .spectrum import (
     SpectrumResult,
@@ -72,7 +69,6 @@ __all__ = [
     "bell_operator",
     "canonical_operator",
     "correlation_matrices",
-    "correlation_matrix",
     "coupling_operator",
     "coupling_tensor",
     "CertificationError",
@@ -102,8 +98,6 @@ __all__ = [
     "random_density_matrix",
     "random_directions",
     "random_pure_state",
-    "random_scenario",
-    "random_unit_vector",
     "SpectrumResult",
     "SubspaceBlocks",
     "V4_INDICES",

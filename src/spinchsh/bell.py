@@ -75,22 +75,17 @@ class MeasurementScenario:
 
 
 def correlation_matrices(directions) -> np.ndarray:
-    """M = a (b + b')^T + a' (b - b')^T for each quadruple in an (..., 4, 3) stack."""
+    """M = a (b + b')^T + a' (b - b')^T for a scenario or each quadruple of an (..., 4, 3) stack.
+
+    A sum of two rank-one terms, so rank at most 2; its squared Frobenius
+    norm is 4 for any scenario because b + b' and b - b' are orthogonal.
+    """
     d = np.asarray(directions, dtype=float)
     a, a_prime, b, b_prime = d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :]
     return (
         a[..., :, None] * (b + b_prime)[..., None, :]
         + a_prime[..., :, None] * (b - b_prime)[..., None, :]
     )
-
-
-def correlation_matrix(sc: MeasurementScenario) -> np.ndarray:
-    """The 3x3 matrix a (b + b')^T + a' (b - b')^T coupling the parties' generators.
-
-    A sum of two rank-one terms, so rank at most 2; its squared Frobenius
-    norm is 4 for any scenario because b + b' and b - b' are orthogonal.
-    """
-    return correlation_matrices(sc)
 
 
 def coupling_operator(M, tensor: np.ndarray = _SPIN1_TENSOR) -> np.ndarray:

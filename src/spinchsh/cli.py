@@ -21,7 +21,6 @@ from .bell import (
     bell_operator,
     canonical_operator,
     correlation_matrices,
-    correlation_matrix,
 )
 from .errors import CertificationError, RankDeficiencyError, SpinChshError
 from .reduction import canonical_reduction
@@ -47,6 +46,9 @@ EXIT_BAND = 2
 EXIT_RANK = 3
 
 SEED_ENV_VAR = "SPINCHSH_SEED"
+
+# the largest count whose every index the CSV's %.17g writes exactly
+MAX_COUNT = 2**53
 
 # scenarios per batched build in verify: bounds the (block, 9, 9) complex
 # temporaries a large --random sweep holds at once
@@ -211,7 +213,7 @@ def cmd_spectrum(args) -> int:
 
     if args.scenario is not None:
         sc, _ = load_scenario_file(args.scenario)
-        reduction = canonical_reduction(correlation_matrix(sc))
+        reduction = canonical_reduction(correlation_matrices(sc))
         s, t = reduction.s, reduction.t
         source = "scenario-file"
     elif args.s is not None and args.t is not None:
@@ -279,7 +281,7 @@ def cmd_reduce(args) -> int:
             raise UsageError("--matrix entries must be finite, and so must their sum of squares")
     else:
         sc, _ = load_scenario_file(args.scenario)
-        M = correlation_matrix(sc)
+        M = correlation_matrices(sc)
 
     reduction = canonical_reduction(M)
     report = {"command": "reduce", "matrix": M}
@@ -364,8 +366,11 @@ def _integer(text: str, least: int) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type of every count option: an integer of at least 1."""
-    return _integer(text, 1)
+    """argparse type of every count option: an integer from 1 to MAX_COUNT."""
+    value = _integer(text, 1)
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {value}")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -449,8 +454,9 @@ def main(argv=None) -> int:
     except RankDeficiencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANK
-    except (SpinChshError, OSError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpinChshError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate; a bare one names no cause
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

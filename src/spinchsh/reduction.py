@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import MeasurementScenario, canonical_operator, correlation_matrix, coupling_operator
+from .bell import MeasurementScenario, canonical_operator, correlation_matrices, coupling_operator
 from .errors import NonFiniteError, RankDeficiencyError
 from .spin import spin_representation
 from .tolerances import TOL
@@ -127,5 +127,5 @@ def reduced_bell(sc: MeasurementScenario) -> tuple[float, float, np.ndarray]:
     The returned operator s S_x (x) S_x + t S_z (x) S_z is unitarily
     equivalent to the scenario's Bell operator, so their spectra agree.
     """
-    reduction = canonical_reduction(correlation_matrix(sc))
+    reduction = canonical_reduction(correlation_matrices(sc))
     return reduction.s, reduction.t, canonical_operator(reduction.s, reduction.t)

@@ -30,6 +30,7 @@ from .bell import (
 )
 from .errors import CertificationError, HermiticityError, MonotonicityError, StateError
 from .serialize import DIRECTION_COLUMNS, write_csv
+from .spectrum import _eigvalsh
 from .spin import check_unit_vectors, spin_generators
 from .tolerances import TOL
 
@@ -116,7 +117,7 @@ class QuantumState:
         trace_error = abs(np.trace(matrix) - 1.0)
         if not trace_error <= TOL.state_norm:
             raise StateError(f"density matrix trace deviates from 1 by {trace_error:.3e}")
-        smallest = float(np.min(np.linalg.eigvalsh(matrix)))
+        smallest = float(np.min(_eigvalsh(matrix)))
         if not smallest >= TOL.psd_floor:
             raise StateError(f"density matrix has negative eigenvalue {smallest:.3e}")
         matrix.setflags(write=False)
@@ -207,14 +208,6 @@ def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
         v[short] = rng.standard_normal((int(short.sum()), 3))
         norms = np.linalg.norm(v, axis=-1, keepdims=True)
     return v / norms
-
-
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    return random_directions(rng, ())
-
-
-def random_scenario(rng: np.random.Generator) -> MeasurementScenario:
-    return MeasurementScenario(*random_directions(rng, (4,)))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> QuantumState:
@@ -396,12 +389,10 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     top = float(values.max())
     winner = int(np.argmax(values >= top - TOL.seesaw_monotonicity * max(1.0, abs(top))))
     best, k = batches[winner // SEESAW_BLOCK], winner % SEESAW_BLOCK
-    best_scenario = MeasurementScenario(*best.directions[k])
-    best_state = QuantumState.pure(best.states[k])
     return SearchReport(
-        best_value=expectation(best_state, family.bell_operator(best_scenario)),
-        best_scenario=best_scenario,
-        best_state=best_state,
+        best_value=float(values[winner]),
+        best_scenario=MeasurementScenario(*best.directions[k]),
+        best_state=QuantumState.pure(best.states[k]),
         iterations=int(best.iterations[k]),
         restarts=config.restarts,
         converged=bool(best.converged[k]),
@@ -439,7 +430,7 @@ def monte_carlo_certify(
     for start in range(0, n, MONTE_CARLO_BLOCK):
         block = slice(start, start + MONTE_CARLO_BLOCK)
         B = coupling_operator(correlation_matrices(directions[block]), SPIN1_REAL_TENSOR)
-        norms[block] = np.max(np.abs(np.linalg.eigvalsh(B)), axis=1)
+        norms[block] = np.max(np.abs(_eigvalsh(B)), axis=1)
     if csv_path is not None:
         write_csv(
             csv_path,

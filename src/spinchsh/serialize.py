@@ -19,14 +19,13 @@ DIRECTION_COLUMNS = (
 )
 
 
-_INTEGERS = (int, np.integer)
-_NUMBERS = (int, float, np.integer, np.floating)
 _FLOAT = frozenset([float])
+_STR = frozenset([str])
+_PAD = "  "  # indentation per nesting level
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its encoder set-up
 
 
 def _format_float(x: float) -> str:
-    x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")
@@ -42,60 +41,55 @@ def _render_floats(values: list) -> str:
     return "[" + text + "]"
 
 
-def _render(obj, indent: int, level: int) -> str:
-    # the exact types a report is made of come first; subclasses, numpy
-    # scalars and arrays, and mixed lists follow the general rules below
+def _render(obj, level: int) -> str:
+    # one dispatch on the exact type: a subclass (np.float64 is a float) is
+    # not a report value, and neither is any type not named here
     kind = type(obj)
     if kind is float:
         return _format_float(obj)
     if kind is int:
         return str(obj)
-    if kind is list and _FLOAT.issuperset(map(type, obj)):
-        return _render_floats(obj)
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
-    if isinstance(obj, dict):
+    if kind is list:
+        if _FLOAT.issuperset(map(type, obj)):
+            return _render_floats(obj)
+        pad = _PAD * (level + 1)
+        rendered = (pad + _render(v, level + 1) for v in obj)
+        return "[\n" + ",\n".join(rendered) + "\n" + _PAD * level + "]"
+    if kind is dict:
         if not obj:
             return "{}"
-        inner = level + 1
+        if not _STR.issuperset(map(type, obj)):
+            key = type(next(k for k in obj if type(k) is not str))
+            raise TypeError(f"cannot serialize a dict key of type {key.__module__}.{key.__name__}")
+        pad = _PAD * (level + 1)
         # a finite Python float is formatted in place; a non-finite one goes
         # through _render, which raises in its turn
         items = [
-            f"{pad}{_quote(str(k))}: "
-            + ("%.17g" % v if type(v) is float and math.isfinite(v) else _render(v, indent, inner))
+            f"{pad}{_quote(k)}: "
+            + ("%.17g" % v if type(v) is float and math.isfinite(v) else _render(v, level + 1))
             for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + closing + "}"
+        return "{\n" + ",\n".join(items) + "\n" + _PAD * level + "}"
+    if kind is str:
+        return _quote(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, _INTEGERS):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _render([obj.real, obj.imag], indent, level)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent, level)
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        if all(isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in obj):
-            # a flat list of numbers goes on one line
-            return "[" + ", ".join(
-                str(int(v)) if isinstance(v, _INTEGERS) else _format_float(v) for v in obj
-            ) + "]"
-        rendered = (pad + _render(v, indent, level + 1) for v in obj)
-        return "[\n" + ",\n".join(rendered) + "\n" + closing + "]"
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+    if kind is np.ndarray and obj.dtype == np.float64:
+        return _render(obj.tolist(), level)
+    # module-qualified, since numpy.bool is not builtins.bool
+    raise TypeError(f"cannot serialize an object of type {kind.__module__}.{kind.__name__}")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
-    """Render ``obj`` as deterministic JSON text (no trailing newline)."""
-    return _render(obj, indent, 0)
+def json_dumps(obj) -> str:
+    """Render ``obj`` as deterministic JSON text (no trailing newline).
+
+    ``obj`` is built of Python floats, ints, bools, strs and None, lists,
+    dicts with str keys, and float64 arrays (as their ``tolist()``); any
+    other type, a numpy scalar or a tuple included, raises TypeError.
+    """
+    return _render(obj, 0)
 
 
 def complex_pairs(values) -> list:

@@ -24,6 +24,11 @@ from .tolerances import TOL
 V4_INDICES = (1, 3, 5, 7)
 V5_INDICES = (0, 2, 4, 6, 8)
 
+# below this fraction of a matrix's largest entry, LAPACK's eigenvalue-only
+# solver (dsterf) underflows in its eps^2 deflation test and returns wrong
+# eigenvalues, off by up to 0.2 for s S_x S_x + t S_z S_z with t/s near 1e-150
+_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -52,11 +57,25 @@ class SubspaceBlocks:
     w_block: np.ndarray
 
 
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` after zeroing each nonzero entry below ``_UNDERFLOW`` of its matrix's largest.
+
+    No eigenvalue of an n x n matrix moves by more than n * _UNDERFLOW times
+    its largest entry (Weyl's bound through the Frobenius norm).
+    """
+    magnitude = np.abs(A)
+    scale = magnitude.max(axis=(-2, -1), keepdims=True)
+    negligible = (magnitude < _UNDERFLOW * scale) & (magnitude > 0.0)
+    if negligible.any():
+        A = np.where(negligible, 0.0, A)
+    return np.linalg.eigvalsh(A)
+
+
 def eig_hermitian(A) -> SpectrumResult:
     """Eigenvalues and operator norm of a Hermitian matrix, or of an (..., n, n) stack of them.
 
     The eigenvalues come from one dense eigensolve over the whole input
-    (``eigvalsh``); no eigenvectors are computed.
+    (``_eigvalsh``); no eigenvectors are computed.
 
     The Hermiticity gate is the Frobenius norm of A - A^dagger over the whole
     input. It bounds each matrix's own asymmetry, so a stack passes only if
@@ -72,7 +91,7 @@ def eig_hermitian(A) -> SpectrumResult:
         asymmetry = float(np.linalg.norm(A - A.swapaxes(-1, -2).conj()))
     if not asymmetry <= TOL.hermiticity:
         raise HermiticityError(asymmetry)
-    eigenvalues = np.linalg.eigvalsh(A)
+    eigenvalues = _eigvalsh(A)
     norms = np.abs(eigenvalues).max(axis=-1)
     return SpectrumResult(
         eigenvalues=eigenvalues,

@@ -18,7 +18,7 @@ from spinchsh import (
     canonical_operator,
     canonical_reduction,
     closed_form_spectrum,
-    correlation_matrix,
+    correlation_matrices,
     coupling_operator,
     eig_hermitian,
     expectation,
@@ -88,7 +88,7 @@ def test_criterion_3_rotational_covariance():
 def test_criterion_4_reduction_certificates():
     """10^4 random scenarios: proper rotations, exact reconstruction, s^2+t^2=4."""
     rng = np.random.default_rng(7)
-    M = np.stack([correlation_matrix(gaussian_scenario(rng)) for _ in range(10_000)])
+    M = np.stack([correlation_matrices(gaussian_scenario(rng)) for _ in range(10_000)])
     red = canonical_reduction(M)
     worst_det = float(np.max(np.abs(np.linalg.det(np.stack([red.R, red.Q])) - 1.0)))
     diagonal = np.zeros_like(M)

@@ -25,7 +25,6 @@ from spinchsh import (
     canonical_operator,
     canonical_reduction,
     correlation_matrices,
-    correlation_matrix,
     coupling_operator,
     eig_hermitian,
     expectation,
@@ -77,8 +76,12 @@ def reference_row(index: int, sc: MeasurementScenario) -> dict:
     sa, sap, sb, sbp = (spin_along(u) for u in sc.directions())
     B = np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
     assert np.array_equal(B, B.conj().T)
+    # entries below sqrt(tiny)/eps of the largest underflow LAPACK's
+    # eigenvalue-only solver; verify zeroes them, _NOISE_A has some at 4e-144
+    cut = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps * np.abs(B).max()
+    B = np.where(np.abs(B) < cut, 0.0, B)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
-    _, _, s, t = loop_reduction(correlation_matrix(sc))
+    _, _, s, t = loop_reduction(correlation_matrices(sc))
     return {
         "index": index,
         "a": sc.a,

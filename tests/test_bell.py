@@ -10,7 +10,6 @@ from spinchsh import (
     bell_operator,
     canonical_operator,
     correlation_matrices,
-    correlation_matrix,
     coupling_operator,
     spin_along,
     spin_generators,
@@ -30,11 +29,11 @@ def brute_force_coupling(M):
 
 class TestCorrelationMatrix:
     def test_tight_scenario(self, tight_scenario):
-        assert np.array_equal(correlation_matrix(tight_scenario), np.diag([0.0, 0.0, 2.0]))
+        assert np.array_equal(correlation_matrices(tight_scenario), np.diag([0.0, 0.0, 2.0]))
 
     def test_hand_outer_product_example(self):
         sc = MeasurementScenario((1, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 1))
-        M = correlation_matrix(sc)
+        M = correlation_matrices(sc)
         expected = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
         assert np.array_equal(M, expected)
         # brute-force loop oracle over components
@@ -47,12 +46,12 @@ class TestCorrelationMatrix:
 
     @given(scenarios())
     def test_rank_at_most_two(self, sc):
-        sigma = np.linalg.svd(correlation_matrix(sc), compute_uv=False)
+        sigma = np.linalg.svd(correlation_matrices(sc), compute_uv=False)
         assert sigma[2] < 1e-12
 
     @given(scenarios())
     def test_frobenius_norm_squared_is_four(self, sc):
-        M = correlation_matrix(sc)
+        M = correlation_matrices(sc)
         assert abs(np.sum(M * M) - 4.0) < 1e-10
 
 
@@ -92,7 +91,7 @@ class TestCouplingOperator:
         for i in range(2):
             for k in range(5):
                 sc = MeasurementScenario(*dirs[i, k])
-                assert np.array_equal(stack[i, k], correlation_matrix(sc))
+                assert np.array_equal(stack[i, k], correlation_matrices(sc))
 
 
 class TestBellOperator:
@@ -127,7 +126,7 @@ class TestBellOperator:
 
     @given(scenarios())
     def test_two_paths_agree(self, sc):
-        diff = bell_operator(sc) - coupling_operator(correlation_matrix(sc))
+        diff = bell_operator(sc) - coupling_operator(correlation_matrices(sc))
         assert np.linalg.norm(diff) < 1e-12
 
     def test_two_paths_agree_bulk(self):
@@ -174,7 +173,7 @@ class TestBellOperator:
         rng = np.random.default_rng(31)
         a, ap, b = (v / np.linalg.norm(v) for v in rng.standard_normal((3, 3)))
         sc = MeasurementScenario(a, ap, b, flip * b)
-        M = correlation_matrix(sc)
+        M = correlation_matrices(sc)
         assert np.linalg.svd(M, compute_uv=False)[1] < 1e-12  # rank <= 1
         assert abs(np.sum(M * M) - 4.0) < 1e-10
         assert np.linalg.norm(bell_operator(sc) - coupling_operator(M)) < 1e-12
@@ -235,7 +234,7 @@ def test_scenario_is_its_direction_stack():
     # a scenario and its stack take the same path through every kernel
     assert np.array_equal(bell_operator(sc), bell_operator(stack))
     assert np.array_equal(SPIN1_FAMILY.bell_operator(sc), SPIN1_FAMILY.bell_operator(stack))
-    assert np.array_equal(correlation_matrix(sc), correlation_matrices(stack))
+    assert np.array_equal(correlation_matrices(sc), correlation_matrices(stack))
 
 
 def test_scenario_owns_a_read_only_stack():
@@ -243,14 +242,14 @@ def test_scenario_owns_a_read_only_stack():
     directions = rng.standard_normal((4, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     sc = MeasurementScenario(*directions)
-    M = correlation_matrix(sc)
+    M = correlation_matrices(sc)
     directions[0] = (0.0, 0.0, 5.0)  # the caller's rows are not the scenario's
-    assert np.array_equal(correlation_matrix(sc), M)
+    assert np.array_equal(correlation_matrices(sc), M)
     for row in (sc.a, sc.a_prime, sc.b, sc.b_prime, sc.directions(), np.asarray(sc)):
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 5.0
-    assert np.array_equal(correlation_matrix(sc), M)
+    assert np.array_equal(correlation_matrices(sc), M)
     # the rows are views of the one stack directions() returns
     assert sc.directions() is sc.directions()
     assert all(np.shares_memory(row, sc.directions()) for row in (sc.a, sc.b_prime))

@@ -14,7 +14,7 @@ from spinchsh import (
     bell_operator,
     canonical_reduction,
     closed_form_spectrum,
-    correlation_matrix,
+    correlation_matrices,
     eig_hermitian,
 )
 from spinchsh import cli, search
@@ -87,7 +87,7 @@ class TestVerify:
         for row in json.loads(out)["scenarios"]:
             sc = MeasurementScenario(row["a"], row["a_prime"], row["b"], row["b_prime"])
             norm = eig_hermitian(bell_operator(sc)).operator_norm
-            red = canonical_reduction(correlation_matrix(sc))
+            red = canonical_reduction(correlation_matrices(sc))
             assert abs(norm - row["operator_norm"]) < 1e-10
             assert abs(red.s - row["s"]) < 1e-10
             assert abs(red.t - row["t"]) < 1e-10
@@ -148,6 +148,27 @@ class TestVerify:
     def test_rejects_zero_samples(self, capsys):
         code, _, _ = run(capsys, "verify", "--random", "0")
         assert code == 1
+
+    def test_rejects_counts_above_two_to_the_53(self, capsys):
+        # the CSV's %.17g writes every index up to 2**53 exactly
+        code, out, err = run(capsys, "verify", "--random", "9007199254740993")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: argument --random: must be at most 9007199254740992, got 9007199254740993\n"
+        )
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [("Unable to allocate 768. PiB", "Unable to allocate 768. PiB"), ("", "MemoryError")],
+    )
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, message, line):
+        def no_memory(rng, shape):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "random_directions", no_memory)
+        code, out, err = run(capsys, "verify", "--random", "5")
+        assert code == 1 and out == ""
+        assert err == f"error: {line}\n"
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e200"])
     def test_non_finite_direction_rejected(self, capsys, tmp_path, bad):
@@ -236,6 +257,12 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--s", "0", "--t", "0")
         assert code == 0
         assert json.loads(out)["numerical"] == [0.0] * 9
+
+    def test_tiny_t_passes_the_discrepancy_gate(self, capsys):
+        # eigvalsh alone put the norm 2.5e-6 off sqrt(s^2 + t^2) here
+        code, out, _ = run(capsys, "spectrum", "--s", "1.25", "--t", "5.540939184423706e-160")
+        assert code == 0
+        assert json.loads(out)["operator_norm_numerical"] == 1.25
 
     def test_negative_rejected(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--s", "-1", "--t", "0")

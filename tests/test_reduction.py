@@ -15,7 +15,7 @@ from spinchsh import (
     bell_operator,
     canonical_operator,
     canonical_reduction,
-    correlation_matrix,
+    correlation_matrices,
     coupling_operator,
     reduced_bell,
     spin_generators,
@@ -113,14 +113,14 @@ class TestCanonicalReduction:
         assert np.linalg.norm(red.R @ M @ red.Q.T - np.diag([2.0, 0.0, 0.0])) < 1e-12
 
     def test_tight_scenario(self, tight_scenario):
-        M = correlation_matrix(tight_scenario)
+        M = correlation_matrices(tight_scenario)
         red = canonical_reduction(M)
         assert (red.s, red.t) == (2.0, 0.0)
         assert red.s**2 + red.t**2 == 4.0
 
     @given(scenarios())
     def test_certificate_properties(self, sc):
-        M = correlation_matrix(sc)
+        M = correlation_matrices(sc)
         red = canonical_reduction(M)
         assert red.s >= red.t >= 0.0
         assert abs(np.linalg.det(red.R) - 1.0) < 1e-10
@@ -154,7 +154,7 @@ class TestCanonicalReduction:
             canonical_reduction(np.diag([1.0, 1.0, 2e-8]))
 
     def test_certificate_dict(self, tight_scenario):
-        M = correlation_matrix(tight_scenario)
+        M = correlation_matrices(tight_scenario)
         cert = canonical_reduction(M).certificate(M)
         assert cert["s"] == 2.0 and cert["t"] == 0.0
         assert cert["sum_of_squares"] == 4.0
@@ -170,7 +170,7 @@ class TestCanonicalReduction:
     def test_certificate_conjugation_residual(self, tight_scenario):
         rng = np.random.default_rng(14)
         for sc in [tight_scenario, *(gaussian_scenario(rng) for _ in range(100))]:
-            M = correlation_matrix(sc)
+            M = correlation_matrices(sc)
             red = canonical_reduction(M)
             assert red.certificate(M)["conjugation_residual"] <= TOL.conjugation
         # with identity rotations the residual is ||K(M) - canonical||, far from 0
@@ -227,7 +227,7 @@ class TestReducedBell:
         worst = 0.0
         for _ in range(100):
             sc = gaussian_scenario(rng)
-            M = correlation_matrix(sc)
+            M = correlation_matrices(sc)
             red = canonical_reduction(M)
             W = np.kron(spin_representation(red.R), spin_representation(red.Q))
             conjugated = W @ coupling_operator(M) @ W.conj().T

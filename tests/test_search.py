@@ -9,6 +9,7 @@ from conftest import gaussian_scenario, scenarios
 from spinchsh import (
     CertificationError,
     HermiticityError,
+    MeasurementScenario,
     MonotonicityError,
     PAULI_FAMILY,
     QuantumState,
@@ -25,8 +26,6 @@ from spinchsh import (
     random_density_matrix,
     random_directions,
     random_pure_state,
-    random_scenario,
-    random_unit_vector,
     spin_generators,
 )
 from spinchsh import search
@@ -234,7 +233,7 @@ class TestFamilies:
     def test_pauli_observables_square_to_identity(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            u = random_unit_vector(rng)
+            u = random_directions(rng, ())
             sigma = np.einsum("i,iab->ab", u, PAULI_FAMILY.generators)
             assert np.linalg.norm(sigma @ sigma - np.eye(2)) < 1e-12
 
@@ -333,6 +332,18 @@ class TestMonteCarlo:
         value = monte_carlo_certify(5000, seed=12)
         assert abs(value - 2.0) < 1e-9
 
+    def test_tiny_components_stay_in_band(self):
+        # components near 1e-160 underflow LAPACK's eigenvalue-only solver,
+        # which put this scenario's norm at 2.0009 and raised CertificationError
+        sc = [
+            [-9.136518948409038e-163, 1.0, -7.744881766749292e-164],
+            [-9.351450068663418e-175, -1.0, -1.19105282076901e-161],
+            [0.9522461412912218, 8.750611558973732e-158, 0.30533143695986925],
+            [2.062136162875216e-150, -1.0, -5.069339989282051e-164],
+        ]
+        value = monte_carlo_certify(1, seed=0, inject=(np.array(sc),))
+        assert abs(value - 2.0) < TOL.norm_band
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo_certify(0)
@@ -399,7 +410,7 @@ def test_random_directions_redraws_zero_draws():
 
 def test_random_scenario_is_normalized():
     rng = np.random.default_rng(8)
-    sc = random_scenario(rng)
+    sc = MeasurementScenario(*random_directions(rng, (4,)))
     for v in sc.directions():
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 

@@ -24,7 +24,7 @@ from spinchsh import (
     QuantumState,
     SearchConfig,
     StateError,
-    correlation_matrix,
+    correlation_matrices,
     expectation,
     maximize_violation,
 )
@@ -180,6 +180,8 @@ def test_small_blocks_match_one_block(monkeypatch, family):
     assert blocked.history == whole.history
     assert np.array_equal(blocked.best_state.data, whole.best_state.data)
     assert blocked.restarts == whole.restarts == 30
+    # the reported value is the winner's own last seesaw value
+    assert whole.best_value == whole.history[-1]
 
 
 def test_restarts_tied_within_rounding_go_to_the_lowest_index(monkeypatch):
@@ -245,7 +247,7 @@ def test_gradients_match_kron_expectations():
         assert np.max(np.abs(T - expected)) < 1e-13, family.name
         scenario = MeasurementScenario(*search.random_directions(rng, (4,)))
         value = np.real(v.conj() @ family.bell_operator(scenario) @ v)
-        assert abs(np.sum(correlation_matrix(scenario) * T) - value) < 1e-13, family.name
+        assert abs(np.sum(correlation_matrices(scenario) * T) - value) < 1e-13, family.name
 
 
 def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_scenario):

@@ -65,6 +65,24 @@ class TestEigHermitian:
         _, V = np.linalg.eigh(A)
         assert np.linalg.norm(A @ V - V * result.eigenvalues) < 1e-10
 
+    def test_tiny_entries_keep_the_spectrum(self):
+        # eigvalsh alone is off by up to 0.2 on this grid, and by 2.5e-6 at
+        # the (1.25, 5.5e-160) Hypothesis found; eigh is the reference
+        s, t = np.meshgrid(np.linspace(0.1, 2.0, 40), np.geomspace(1e-165, 1e-138, 50))
+        s, t = np.append(s, 1.25), np.append(t, 5.540939184423706e-160)
+        A = canonical_operator(s, t)
+        result = eig_hermitian(A)
+        assert np.abs(result.eigenvalues - np.linalg.eigh(A)[0]).max() < TOL.spectrum
+        assert np.abs(result.operator_norm - np.hypot(s, t)).max() < TOL.spectrum
+        # a scenario with components near 1e-160, whose norm eigvalsh put 3.9e-8 off 2
+        sc = [
+            [-1.0, -1.7948568387427578e-150, 1.5071827868730103e-162],
+            [-0.9634120899189063, 1.6647928625758795e-154, -0.2680245231281744],
+            [-4.9129494056464775e-160, 1.0, -1.4079145068725445e-162],
+            [-4.79879270718705e-161, 1.0, 4.196401765237238e-158],
+        ]
+        assert abs(eig_hermitian(bell_operator(np.array(sc))).operator_norm - 2.0) < TOL.norm_band
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", [(9, 9), (5, 9, 9)])
     def test_rejects_non_finite(self, bad, shape):
