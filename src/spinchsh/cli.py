@@ -130,16 +130,6 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
     return MeasurementScenario(**vectors), state
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return args.seed
-    try:
-        return _seed(env)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{SEED_ENV_VAR}: {exc}") from None
-
-
 def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
     """One report row per quadruple of an (N, 4, 3) stack, and the last block's operators.
 
@@ -169,16 +159,10 @@ def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
 
 
 def cmd_verify(args) -> int:
-    if args.scenario is None and args.random is None:
-        raise UsageError("verify needs a scenario file or --random N")
-    if args.scenario is not None and args.random is not None:
-        raise UsageError("give either a scenario file or --random, not both")
-
     report = {"command": "verify", "band_halfwidth": TOL.norm_band}
     if args.random is not None:
-        seed = _resolve_seed(args)
-        report["seed"] = seed
-        directions = random_directions(np.random.default_rng(seed), (args.random, 4))
+        report["seed"] = args.seed
+        directions = random_directions(np.random.default_rng(args.seed), (args.random, 4))
         state = None
     else:
         sc, state = load_scenario_file(args.scenario)
@@ -208,6 +192,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    # the two input rules a mutually exclusive group cannot declare
+    if (args.s is None) != (args.t is None):
+        raise UsageError("--s and --t must be given together")
+    if args.csv is not None and args.grid is None:
+        raise UsageError("--csv needs --grid")
     if args.grid is not None:
         return _spectrum_grid(args)
 
@@ -216,7 +205,7 @@ def cmd_spectrum(args) -> int:
         reduction = canonical_reduction(correlation_matrices(sc))
         s, t = reduction.s, reduction.t
         source = "scenario-file"
-    elif args.s is not None and args.t is not None:
+    else:
         s, t = args.s, args.t
         # the closed-form norm sqrt(s^2 + t^2) is finite only if the whole report is
         with np.errstate(over="ignore"):
@@ -226,8 +215,6 @@ def cmd_spectrum(args) -> int:
         if s < 0.0 or t < 0.0:
             raise UsageError("--s and --t must be nonnegative")
         source = "parameters"
-    else:
-        raise UsageError("spectrum needs --s and --t, a scenario file, or --grid N")
 
     closed = closed_form_spectrum(s, t)
     numeric = eig_hermitian(canonical_operator(s, t))
@@ -244,7 +231,10 @@ def cmd_spectrum(args) -> int:
         "operator_norm_numerical": numeric.operator_norm,
     }
     print(json_dumps(report))
-    return EXIT_OK if discrepancy <= TOL.spectrum else EXIT_BAND
+    # rounding in the eigensolve grows with the norm sqrt(s^2 + t^2), so the gate
+    # scales with it above 2, the norm of every scenario
+    gate = TOL.spectrum * max(1.0, closed.operator_norm / 2.0)
+    return EXIT_OK if discrepancy <= gate else EXIT_BAND
 
 
 def _spectrum_grid(args) -> int:
@@ -265,8 +255,6 @@ def _spectrum_grid(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if (args.scenario is None) == (args.matrix is None):
-        raise UsageError("reduce needs a scenario file or --matrix, not both")
     if args.matrix is not None:
         try:
             M = np.asarray(json.loads(args.matrix), dtype=float)
@@ -320,30 +308,29 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = _search_payload(
-        family, _resolve_seed(args), restarts=args.restarts, max_iterations=args.iterations
+        family, args.seed, restarts=args.restarts, max_iterations=args.iterations
     )
     print(json_dumps(payload))
     return EXIT_OK if payload["within_tolerance"] else EXIT_BAND
 
 
 def cmd_certify(args) -> int:
-    seed = _resolve_seed(args)
     monte_carlo = {"samples": args.samples, "band_halfwidth": TOL.norm_band}
     try:
-        monte_carlo["max_norm"] = monte_carlo_certify(args.samples, seed=seed, csv_path=args.csv)
+        monte_carlo["max_norm"] = monte_carlo_certify(args.samples, args.seed, csv_path=args.csv)
         monte_carlo["within_band"] = True
     except CertificationError as exc:
         monte_carlo["offending_norm"] = exc.norm
         monte_carlo["offending_scenario"] = exc.scenario
         monte_carlo["within_band"] = False
     searches = [
-        _search_payload(family, seed, restarts=args.restarts)
+        _search_payload(family, args.seed, restarts=args.restarts)
         for family in (SPIN1_FAMILY, PAULI_FAMILY)
     ]
     passed = monte_carlo["within_band"] and all(p["within_tolerance"] for p in searches)
     report = {
         "command": "certify",
-        "seed": seed,
+        "seed": args.seed,
         "monte_carlo": monte_carlo,
         "search": searches,
         "passed": passed,
@@ -391,8 +378,9 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser(
         "verify", help="certify operator norms are 2 for scenarios or random samples"
     )
-    p_verify.add_argument("scenario", nargs="?", help="scenario JSON file")
-    p_verify.add_argument("--random", type=_count, metavar="N", help="sample N random scenarios")
+    inputs = p_verify.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("scenario", nargs="?", help="scenario JSON file")
+    inputs.add_argument("--random", type=_count, metavar="N", help="sample N random scenarios")
     p_verify.add_argument("--seed", type=_seed, default=0, help="RNG seed for --random")
     p_verify.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_verify.add_argument("--csv", metavar="PATH", help="also write sweep rows as CSV")
@@ -401,18 +389,20 @@ def build_parser() -> _Parser:
     p_spec = sub.add_parser(
         "spectrum", help="closed-form vs numerical spectrum of the canonical operator"
     )
-    p_spec.add_argument("scenario", nargs="?", help="scenario JSON file")
-    p_spec.add_argument("--s", type=float, help="first canonical parameter")
-    p_spec.add_argument("--t", type=float, help="second canonical parameter")
-    p_spec.add_argument(
+    inputs = p_spec.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("scenario", nargs="?", help="scenario JSON file")
+    inputs.add_argument("--s", type=float, help="first canonical parameter (with --t)")
+    p_spec.add_argument("--t", type=float, help="second canonical parameter (with --s)")
+    inputs.add_argument(
         "--grid", type=_count, metavar="N", help="emit an NxN sweep over [0,2]^2 as CSV"
     )
     p_spec.add_argument("--csv", metavar="PATH", help="CSV output path for --grid (default stdout)")
     p_spec.set_defaults(handler=cmd_spectrum)
 
     p_reduce = sub.add_parser("reduce", help="canonical-reduction certificate for a scenario")
-    p_reduce.add_argument("scenario", nargs="?", help="scenario JSON file")
-    p_reduce.add_argument("--matrix", metavar="JSON", help="reduce a raw 3x3 matrix instead")
+    inputs = p_reduce.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("scenario", nargs="?", help="scenario JSON file")
+    inputs.add_argument("--matrix", metavar="JSON", help="reduce a raw 3x3 matrix instead")
     p_reduce.set_defaults(handler=cmd_reduce)
 
     p_search = sub.add_parser("search", help="seesaw search for the maximal expectation")
@@ -447,6 +437,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is not None and "seed" in vars(args):
+            try:
+                args.seed = _seed(env)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"{SEED_ENV_VAR}: {exc}")
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -248,8 +248,8 @@ class SearchReport:
 
 
 # restarts per batched seesaw: bounds the (block, d^2, d^2) operator and
-# eigenvector stacks a large --restarts run holds at once (each block's
-# per-restart results are kept until the winner is chosen)
+# eigenvector stacks a large --restarts run holds at once; of earlier blocks
+# only each restart's final value is kept
 SEESAW_BLOCK = 1024
 # scenarios per Monte Carlo build and eigensolve: bounds the (block, 9, 9)
 # operator stack a large --samples run holds at once
@@ -360,11 +360,13 @@ def _renormalized(gradient: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     """Run the multi-restart seesaw and report the best expectation found.
 
-    Restarts run as one batch per block of SEESAW_BLOCK. Deterministic for a
-    fixed seed: restart k starts from row k of one ``random_directions`` draw,
-    scenario k of ``verify --random`` (row 0 is ``initial_scenario`` if given),
-    and the winner is the lowest restart index whose value is within
-    TOL.seesaw_monotonicity (relative) of the best value over all restarts.
+    Restarts run as one batch per block of SEESAW_BLOCK; a winner outside the
+    last block runs again alone, which repeats its batched run bit for bit.
+    Deterministic for a fixed seed: restart k starts from row k of one
+    ``random_directions`` draw, scenario k of ``verify --random`` (row 0 is
+    ``initial_scenario`` if given), and the winner is the lowest restart index
+    whose value is within TOL.seesaw_monotonicity (relative) of the best value
+    over all restarts.
     """
     if config.restarts < 1:
         raise ValueError("need at least one restart")
@@ -375,20 +377,27 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
     if config.initial_scenario is not None:
         starts[0] = config.initial_scenario
-    batches = []
-    for start in range(0, config.restarts, SEESAW_BLOCK):
-        directions = starts[start : start + SEESAW_BLOCK]
+
+    def run(start: int, stop: int) -> _SeesawBatch:
+        directions = starts[start:stop]
         previous = np.full(len(directions), -np.inf)
         if start == 0 and config.initial_state is not None:
             previous[0] = expectation(config.initial_state, family.bell_operator(directions[0]))
-        batches.append(_seesaw(family, directions, previous, config))
+        return _seesaw(family, directions, previous, config)
+
+    values = np.empty(config.restarts)
+    for start in range(0, config.restarts, SEESAW_BLOCK):
+        best = run(start, start + SEESAW_BLOCK)
+        values[start : start + len(best.values)] = best.values
 
     # many restarts reach the optimum to within a few ulps; the lowest index
     # among them wins, so a last-bit change elsewhere keeps the reported one
-    values = np.concatenate([batch.values for batch in batches])
     top = float(values.max())
     winner = int(np.argmax(values >= top - TOL.seesaw_monotonicity * max(1.0, abs(top))))
-    best, k = batches[winner // SEESAW_BLOCK], winner % SEESAW_BLOCK
+    # only the last block's batch is kept, so a winner outside it runs again alone
+    if winner < start:
+        best, start = run(winner, winner + 1), winner
+    k = winner - start
     return SearchReport(
         best_value=float(values[winner]),
         best_scenario=MeasurementScenario(*best.directions[k]),

@@ -93,11 +93,14 @@ def check_rotation(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise RotationError(f"expected a 3x3 matrix, got shape {R.shape}")
-    ortho = np.linalg.norm(R.T @ R - np.eye(3))
-    if ortho > TOL.rotation:
+    # a NaN or overflowed residual is rejected below, so numpy need not warn about it
+    with np.errstate(invalid="ignore", over="ignore"):
+        ortho = np.linalg.norm(R.T @ R - np.eye(3))
+    # both gates are written so that a NaN residual fails them
+    if not ortho <= TOL.rotation:
         raise RotationError(f"not orthogonal: ||R^T R - I|| = {ortho:.3e}")
-    det = np.linalg.det(R)
-    if abs(det - 1.0) > TOL.rotation:
+    det = float(np.linalg.det(R))
+    if not abs(det - 1.0) <= TOL.rotation:
         raise RotationError(f"determinant {det!r} is not 1")
     return R
 
@@ -105,6 +108,8 @@ def check_rotation(R) -> np.ndarray:
 def rotation_about(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a counterclockwise turn by ``angle`` about ``axis``."""
     n = check_unit_vector(axis)
+    if not np.isfinite(angle):
+        raise RotationError(f"rotation angle {angle} is not finite")
     K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 

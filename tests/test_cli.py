@@ -284,11 +284,22 @@ class TestSpectrum:
 
     def test_huge_representable_keeps_its_exit_code(self, capsys):
         # s^2 + t^2 overflows but sqrt(s^2 + t^2) does not: the report is finite,
-        # and the absolute discrepancy at this scale fails the gate
+        # and the discrepancy gate scales with the norm
         code, out, _ = run(capsys, "spectrum", "--s", "1e154", "--t", "1e154")
-        assert code == 2
+        assert code == 0
         report = json.loads(out)
         assert report["operator_norm_closed_form"] == float(np.hypot(1e154, 1e154))
+
+    @pytest.mark.parametrize(
+        "s, t", [("1e6", "1e6"), ("1e8", "1e8"), ("1e154", "1e154"), ("1e300", "1e-300")]
+    )
+    def test_discrepancy_gate_scales_with_the_norm(self, capsys, s, t):
+        # each discrepancy is below 1e-15 of sqrt(s^2 + t^2), but above 1e-10 absolute
+        code, out, _ = run(capsys, "spectrum", "--s", s, "--t", t)
+        assert code == 0
+        report = json.loads(out)
+        assert report["max_discrepancy"] > TOL.spectrum
+        assert report["max_discrepancy"] <= 1e-15 * report["operator_norm_closed_form"]
 
     def test_discrepancy_gate_exits_2(self, capsys, monkeypatch):
         # a tolerance no discrepancy can meet: the report is still printed
@@ -329,6 +340,33 @@ class TestSpectrum:
             numeric = np.array([float(x) for x in row[2:11]])
             expected = closed_form_spectrum(s, t).eigenvalues
             assert np.max(np.abs(numeric - expected)) < 1e-10
+
+
+# each gives two inputs a subcommand takes only one of, or one it does not take alone;
+# P stands for a CSV path that must not be written
+CONFLICTS = [
+    ("spectrum", "FILE", "--s", "1", "--t", "1"),
+    ("spectrum", "--grid", "2", "--s", "1", "--t", "1"),
+    ("spectrum", "FILE", "--grid", "2"),
+    ("spectrum", "--t", "1", "--grid", "2"),
+    ("spectrum", "--s", "1", "--t", "1", "--csv", "P"),
+    ("spectrum", "FILE", "--csv", "P"),
+    ("spectrum", "--s", "1"),
+    ("verify", "FILE", "--random", "3"),
+    ("reduce", "FILE", "--matrix", "[[1,0,0],[0,0,0],[0,0,1]]"),
+]
+
+
+@pytest.mark.parametrize("argv", CONFLICTS, ids=" ".join)
+def test_conflicting_inputs_rejected(capsys, tmp_path, tight_file, argv):
+    path = tmp_path / "out.csv"
+    argv = [{"FILE": tight_file, "P": str(path)}.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not path.exists()
 
 
 class TestReduce:
@@ -522,6 +560,13 @@ class TestSeedEnvironment:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: SPINCHSH_SEED: must be at least 0, got -3\n"
+
+    def test_env_checked_without_random(self, capsys, monkeypatch, tight_file):
+        # every subcommand with --seed checks the variable, whether or not it draws
+        monkeypatch.setenv("SPINCHSH_SEED", "abc")
+        code, out, err = run(capsys, "verify", tight_file)
+        assert code == 1 and out == ""
+        assert err == "error: SPINCHSH_SEED: expected an integer, got 'abc'\n"
 
     def test_zero_seed_accepted(self, capsys, monkeypatch):
         _, out, _ = run(capsys, "verify", "--random", "2", "--seed", "0")

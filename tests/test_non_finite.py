@@ -16,12 +16,15 @@ from spinchsh import (
     NonFiniteError,
     NormalizationError,
     QuantumState,
+    RotationError,
     StateError,
     canonical_reduction,
     eig_hermitian,
+    rotation_about,
+    spin_representation,
     svd3,
 )
-from spinchsh.spin import check_unit_vector, check_unit_vectors
+from spinchsh.spin import check_rotation, check_unit_vector, check_unit_vectors
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -110,3 +113,16 @@ def test_pure_state(vector):
 def test_mixed_state(matrix):
     with pytest.raises(StateError):
         QuantumState.mixed(matrix)
+
+
+@pytest.mark.parametrize("check", [check_rotation, spin_representation])
+@given(R=real_with_non_finite((3, 3)))
+def test_rotation_checks(check, R):
+    with pytest.raises(RotationError):
+        check(R)
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_rotation_about_non_finite_angle(angle):
+    with pytest.raises(RotationError, match="not finite"):
+        rotation_about((0.0, 0.0, 1.0), angle)

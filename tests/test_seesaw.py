@@ -97,6 +97,45 @@ def assert_matches_reference(family, config):
     return batch
 
 
+def record_seesaw(monkeypatch, starts, planted=None):
+    """Record every ``_seesaw`` call as (first restart, directions, previous, batch).
+
+    A call's first restart is the row of ``starts`` its first start equals,
+    so a lone re-run of the winner is told apart from a block. With
+    ``planted``, each batch's values become the planted values of its restarts.
+    """
+    original = search._seesaw
+    calls = []
+
+    def recording_seesaw(family, directions, previous, cfg):
+        batch = original(family, directions, previous, cfg)
+        first = int(np.flatnonzero((starts == directions[0]).all(axis=(1, 2)))[0])
+        if planted is not None:
+            batch.values[:] = planted[first : first + len(batch.values)]
+        calls.append((first, directions.copy(), previous.copy(), batch))
+        return batch
+
+    monkeypatch.setattr(search, "_seesaw", recording_seesaw)
+    return calls
+
+
+def split_blocks(calls, report, restarts, block):
+    """The block calls and the reported restart; assert the winner reruns alone iff it must.
+
+    The winner is the first restart whose final directions are the report's.
+    It runs again alone, after every block, exactly when it is not in the last block.
+    """
+    count = -(-restarts // block)
+    blocks, rerun = calls[:count], calls[count:]
+    assert [first for first, *_ in blocks] == list(range(0, restarts, block))
+    final = np.concatenate([batch.directions for *_, batch in blocks])
+    reported = np.stack(report.best_scenario.directions())
+    winner = int(np.flatnonzero((final == reported).all(axis=(1, 2)))[0])
+    expected = [(winner, 1)] if winner < blocks[-1][0] else []
+    assert [(first, len(directions)) for first, directions, *_ in rerun] == expected
+    return blocks, winner
+
+
 def search_stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -191,21 +230,15 @@ def test_restarts_tied_within_rounding_go_to_the_lowest_index(monkeypatch):
     values[3] = 2.0 - 1e-9
     values[6] = 2.0
     values[9] = np.nextafter(np.nextafter(2.0, 3.0), 3.0)
-    original = search._seesaw
-    batches = []
-
-    def planted_seesaw(family, directions, previous, cfg):
-        batch = original(family, directions, previous, cfg)
-        start = sum(len(b.values) for b in batches)
-        batch.values[:] = values[start : start + len(batch.values)]
-        batches.append(batch)
-        return batch
-
-    monkeypatch.setattr(search, "_seesaw", planted_seesaw)
+    starts = search.random_directions(np.random.default_rng(19), (12, 4))
+    calls = record_seesaw(monkeypatch, starts, planted=values)
     monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
     report = maximize_violation(SearchConfig(restarts=12, seed=19))
-    assert len(batches) == 3 and int(np.argmax(values)) == 9
-    winner = batches[1]  # restart 6 is row 1 of the second block
+    blocks, reported = split_blocks(calls, report, 12, 5)
+    assert len(blocks) == 3 and int(np.argmax(values)) == 9
+    # restart 6 is row 1 of the second block, so it runs again alone
+    assert reported == 6 and len(calls) == 4
+    winner = blocks[1][-1]
     assert np.array_equal(report.best_state.data, winner.states[1])
     assert np.array_equal(report.best_scenario.directions(), winner.directions[1])
     assert report.history == winner.restart_history(1)
@@ -256,41 +289,35 @@ def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_sc
     config = SearchConfig(
         restarts=8, seed=2, initial_scenario=tight_scenario, initial_state=QuantumState.pure(ket0)
     )
-    original = search._seesaw
-    seen = []
-
-    def recording_seesaw(family, directions, previous, cfg):
-        seen.append((directions.copy(), previous.copy()))
-        return original(family, directions, previous, cfg)
-
-    monkeypatch.setattr(search, "_seesaw", recording_seesaw)
-    monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
-    maximize_violation(config)
     plain = search.random_directions(np.random.default_rng(2), (8, 4))
-    (first, first_previous), (second, second_previous) = seen
+    starts = plain.copy()
+    starts[0] = tight_scenario
+    calls = record_seesaw(monkeypatch, starts)
+    monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
+    report = maximize_violation(config)
+    blocks, winner = split_blocks(calls, report, 8, 5)
+    (_, first, first_previous, _), (_, second, second_previous, _) = blocks
     assert np.array_equal(first[0], np.stack(tight_scenario.directions()))
     assert np.array_equal(first[1:], plain[1:5])
     assert np.array_equal(second, plain[5:])
     assert abs(first_previous[0] - 2.0) < 1e-12
     assert np.all(first_previous[1:] == -np.inf) and np.all(second_previous == -np.inf)
+    # the lone re-run of a winner in the first block starts as it did there
+    for _, directions, previous, _ in calls[2:]:
+        assert np.array_equal(directions, first[[winner]])
+        assert np.array_equal(previous, first_previous[[winner]])
 
 
 @pytest.mark.parametrize("block", [search.SEESAW_BLOCK, 7])
 def test_restarts_start_from_the_verify_draw(monkeypatch, block):
     restarts, seed = 30, 17
-    original = search._seesaw
-    seen = []
-
-    def recording_seesaw(family, directions, previous, cfg):
-        seen.append(directions.copy())
-        return original(family, directions, previous, cfg)
-
-    monkeypatch.setattr(search, "_seesaw", recording_seesaw)
-    monkeypatch.setattr(search, "SEESAW_BLOCK", block)
-    maximize_violation(SearchConfig(restarts=restarts, seed=seed))
-    assert len(seen) == -(-restarts // block)
-    starts = np.concatenate(seen)
     draw = search.random_directions(np.random.default_rng(seed), (restarts, 4))
+    calls = record_seesaw(monkeypatch, draw)
+    monkeypatch.setattr(search, "SEESAW_BLOCK", block)
+    report = maximize_violation(SearchConfig(restarts=restarts, seed=seed))
+    blocks, _ = split_blocks(calls, report, restarts, block)
+    assert len(blocks) == -(-restarts // block)
+    starts = np.concatenate([directions for _, directions, *_ in blocks])
     assert np.array_equal(starts, draw)
     # restart k starts from scenario k of `verify --random N --seed S`
     code, out = search_stdout(["verify", "--random", str(restarts), "--seed", str(seed)])
