@@ -195,19 +195,31 @@ def best_state_value(B) -> tuple[float, QuantumState]:
 # random sampling
 
 
+# vectors per norm computation in random_directions: bounds its temporaries
+DRAW_BLOCK = 65536
+
+
 def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Uniform random unit 3-vectors, shape ``shape + (3,)``.
 
     Gaussian draws normalised along the last axis; a draw too short to
-    normalise is replaced by a fresh one.
+    normalise is replaced by a fresh one. The norms are taken per block of
+    DRAW_BLOCK vectors and the draw is divided in place, so a large draw is
+    held once, with no full-size temporaries.
     """
     v = rng.standard_normal(tuple(shape) + (3,))
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    while np.any(norms < TOL.short_draw):
-        short = norms[..., 0] < TOL.short_draw
-        v[short] = rng.standard_normal((int(short.sum()), 3))
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / norms
+    vectors = v.reshape(-1, 3)
+    norms = np.empty(len(vectors))
+    for start in range(0, len(vectors), DRAW_BLOCK):
+        block = slice(start, start + DRAW_BLOCK)
+        norms[block] = np.linalg.norm(vectors[block], axis=-1)
+    short = norms < TOL.short_draw
+    while short.any():
+        vectors[short] = rng.standard_normal((int(short.sum()), 3))
+        norms[short] = np.linalg.norm(vectors[short], axis=-1)
+        short = norms < TOL.short_draw
+    vectors /= norms[:, None]
+    return vectors.reshape(v.shape)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> QuantumState:

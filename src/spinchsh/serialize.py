@@ -3,6 +3,16 @@
 Identical inputs must produce byte-identical text, so floats are formatted
 explicitly instead of relying on repr, and key order is the insertion order
 of the dictionaries we build.
+
+A list of same-shape dicts, such as the rows of a ``verify`` report, is
+rendered through one row template: every item is a dict with the first
+item's str keys in the same order, and each value has, by exact type, the
+first item's kind (a float, an int, or an all-float list of the same
+length). The template holds the padding, the quoted keys and one ``%.17g``
+or ``%d`` field per number, and one ``%`` fills every row's copy of it
+from a flat tuple of the values, so the rows cost little more than the
+formatting of their floats. Any other list, or one holding a non-finite
+float, is rendered item by item, which gives the same text.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +32,9 @@ DIRECTION_COLUMNS = (
 
 _FLOAT = frozenset([float])
 _STR = frozenset([str])
+_DICT = frozenset([dict])
+_LIST = frozenset([list])
+_FIELDS = {float: "%.17g", int: "%d"}  # the row-template field of each scalar kind
 _PAD = "  "  # indentation per nesting level
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its encoder set-up
 
@@ -41,6 +55,52 @@ def _render_floats(values: list) -> str:
     return "[" + text + "]"
 
 
+def _render_rows(rows: list, level: int) -> str | None:
+    """A non-empty list of same-shape dicts, by one ``%``; None for any other list.
+
+    None also when the rows hold a non-finite float (or floats whose sum
+    overflows): the item-by-item path then raises for the first one, in
+    document order, or renders the same text.
+    """
+    first = rows[0]
+    if type(first) is not dict or not _STR.issuperset(map(type, first)):
+        return None
+    if not _DICT.issuperset(map(type, rows)) or set(map(tuple, rows)) != {tuple(first)}:
+        return None
+    pad = _PAD * (level + 2)
+    fields, columns, floats = [], [], []
+    # one column per key, then one per element of a list-valued key
+    for key, column in zip(first, zip(*map(dict.values, rows))):
+        kind = type(column[0])
+        if kind is list:
+            width = len(column[0])
+            if not _LIST.issuperset(map(type, column)) or set(map(len, column)) != {width}:
+                return None
+            if not _FLOAT.issuperset(map(type, chain.from_iterable(column))):
+                return None
+            parts = list(zip(*column))
+            field = "[" + ", ".join(["%.17g"] * width) + "]"
+            columns += parts
+            floats += parts
+        elif kind in _FIELDS and frozenset([kind]).issuperset(map(type, column)):
+            field = _FIELDS[kind]
+            columns.append(column)
+            if kind is float:
+                floats.append(column)
+        else:
+            return None
+        fields.append(f"{pad}{_quote(key).replace('%', '%%')}: {field}")
+    # no columns: rows like {} render without a template. A nan or an inf
+    # makes the sum non-finite; so may finite floats near the largest float,
+    # which the item-by-item path then renders all the same
+    if not columns or not math.isfinite(sum(chain.from_iterable(floats))):
+        return None
+    inner = _PAD * (level + 1)
+    template = inner + "{\n" + ",\n".join(fields) + "\n" + inner + "}"
+    values = tuple(chain.from_iterable(zip(*columns)))  # row by row
+    return "[\n" + ",\n".join([template] * len(rows)) % values + "\n" + _PAD * level + "]"
+
+
 def _render(obj, level: int) -> str:
     # one dispatch on the exact type: a subclass (np.float64 is a float) is
     # not a report value, and neither is any type not named here
@@ -52,6 +112,9 @@ def _render(obj, level: int) -> str:
     if kind is list:
         if _FLOAT.issuperset(map(type, obj)):
             return _render_floats(obj)
+        text = _render_rows(obj, level)
+        if text is not None:
+            return text
         pad = _PAD * (level + 1)
         rendered = (pad + _render(v, level + 1) for v in obj)
         return "[\n" + ",\n".join(rendered) + "\n" + _PAD * level + "]"

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -406,6 +407,51 @@ def test_random_directions_redraws_zero_draws():
 
     v = random_directions(ZeroFirst(), (2,))
     assert np.allclose(v, np.ones((2, 3)) / np.sqrt(3.0), atol=1e-15)
+
+
+def one_shot_random_directions(rng, shape):
+    """random_directions as one expression over the whole draw, the reference."""
+    v = rng.standard_normal(tuple(shape) + (3,))
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    while np.any(norms < TOL.short_draw):
+        short = norms[..., 0] < TOL.short_draw
+        v[short] = rng.standard_normal((int(short.sum()), 3))
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / norms
+
+
+class PlantedShortDraw:
+    """A seeded generator whose first draw has vectors too short to normalise at ``rows``."""
+
+    def __init__(self, seed, rows):
+        self.rng = np.random.default_rng(seed)
+        self.rows = rows
+        self.calls = 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        v = self.rng.standard_normal(shape)
+        if self.calls == 1:
+            flat = v.reshape(-1, 3)
+            flat[self.rows[0]] = 0.0
+            flat[self.rows[1:]] *= 1e-20
+        return v
+
+
+@pytest.mark.parametrize("shape", [(), (5, 4), (2, 3, 4), (search.DRAW_BLOCK // 4 + 7, 4)])
+def test_random_directions_match_the_one_shot_draw_bit_for_bit(shape):
+    """Blocked norms and the in-place division change no bit, a redrawn short vector included."""
+    for seed in (0, 11):
+        expected = one_shot_random_directions(np.random.default_rng(seed), shape)
+        got = random_directions(np.random.default_rng(seed), shape)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    n = math.prod(shape)
+    rows = [0] if n == 1 else [0, n - 1, n // 2]
+    planted = PlantedShortDraw(5, rows)
+    expected = one_shot_random_directions(PlantedShortDraw(5, rows), shape)
+    got = random_directions(planted, shape)
+    assert planted.calls == 2  # the short vectors were drawn again
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_random_scenario_is_normalized():

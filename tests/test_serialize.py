@@ -13,9 +13,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from spinchsh import cli, serialize
 from spinchsh.serialize import json_dumps
 
 _INTEGERS = (int, np.integer)
@@ -92,6 +93,68 @@ _documents = st.recursive(
     max_leaves=25,
 )
 
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# keys that need escaping: % (the row template's own field marker), quotes, non-ASCII
+_keys = st.text(st.one_of(st.sampled_from('%"\\\'é✓😀'), st.characters()), max_size=6)
+# a row value's kind: a float, an int, or (an int n) an all-float list of length n
+_row_kinds = st.one_of(st.sampled_from([float, int]), st.integers(0, 4))
+
+
+def _floats_in(kind) -> int:
+    return 1 if kind is float else 0 if kind is int else kind
+
+
+@st.composite
+def row_lists(draw, non_finite=False):
+    """A list of same-shape dicts, the row-template path, or one whose row differs.
+
+    The rows hold floats, ints (beyond 2**53 too) and all-float lists under
+    keys with %, quotes and non-ASCII. About half the lists get one row that
+    differs in key order, key set or a value's kind. With ``non_finite``, one
+    or two nan or inf values are then planted at random rows.
+    """
+    keys = draw(st.lists(_keys, max_size=5, unique=True))
+    kinds = [draw(_row_kinds) for _ in keys]
+    if non_finite and not any(map(_floats_in, kinds)):
+        keys.append("".join(keys) + "%")  # longer than every key, so new
+        kinds.append(float)
+
+    def value(kind):
+        if kind is float:
+            return draw(_floats)
+        if kind is int:
+            return draw(_ints)
+        return draw(st.lists(_floats, min_size=kind, max_size=kind))
+
+    count = draw(st.integers(1, 6))
+    rows = [{key: value(kind) for key, kind in zip(keys, kinds)} for _ in range(count)]
+    if draw(st.booleans()):
+        index = draw(st.integers(0, count - 1))
+        row = rows[index]
+        change = draw(st.sampled_from(["order", "extra key", "kind"]))
+        if change == "order" and len(row) > 1:
+            rows[index] = dict(reversed(row.items()))
+        elif change == "kind" and row:
+            key = draw(st.sampled_from(sorted(row)))
+            old = row[key]
+            if type(old) is float:
+                row[key] = draw(st.one_of(_ints, st.booleans(), st.lists(_floats, max_size=2)))
+            elif type(old) is int:
+                row[key] = draw(st.one_of(st.booleans(), _floats, st.none()))
+            else:
+                row[key] = old + [draw(st.one_of(_floats, _ints, _text))]
+        else:
+            row["".join(keys) + "%%"] = draw(_floats)
+    if non_finite:  # after the change, which may replace a float
+        slots = [(row, key, kind) for row in rows for key, kind in zip(keys, kinds) if _floats_in(kind)]
+        for _ in range(draw(st.integers(1, 2))):
+            row, key, kind = draw(st.sampled_from(slots))
+            if kind is float:
+                row[key] = draw(_non_finite)
+            else:
+                row[key][draw(st.integers(0, kind - 1))] = draw(_non_finite)
+    return draw(st.sampled_from([rows, {"scenarios": rows}, [rows, {"count": count}]]))
+
 
 def test_flat_numeric_lists_render_on_one_line():
     report = {
@@ -151,13 +214,25 @@ def test_other_types_rejected(value, name):
             json_dumps(document)
 
 
-@settings(max_examples=100)
-@given(document=_documents)
+@settings(max_examples=200)
+@given(document=st.one_of(_documents, row_lists()))
+# rows the row template must decline or get right
+@example([{}])
+@example([{"k": []}, {"k": []}])
+@example([{"n": 1}, {"n": True}])  # a bool is not an int
+@example([{"n": 2**64 + 1}, {"n": -(2**60) - 1}])  # every digit of a big int
+@example([{"v": [1.0, 2.0]}, {"v": [3.0]}])
+@example([{"v": [1.0]}, {"v": [2.0, 3.0]}])
+@example([{"v": [1.0, 2.0]}, {"v": [1.0, 2]}])  # an int in a float list
+@example([{"v": [1.0]}, {"v": 2.0}])
+@example([{"a": 0.5}, ["a"], "a"])  # items whose keys, as a tuple, match
+@example([{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}])
+@example([{"50%": 0.5, "%d": 1, "é\"": [0.25]}])
+@example([{"x": 1e308}, {"x": 1e308}])  # a finite sum that overflows
 def test_matches_reference_renderer(document):
     assert json_dumps(document) == reference_render(document)
 
 
-_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -176,7 +251,8 @@ def lists_with_non_finite(draw):
     return values
 
 
-@given(document=lists_with_non_finite())
+@given(document=st.one_of(lists_with_non_finite(), row_lists(non_finite=True)))
+@example([{"x": 1.0, "v": [2.0, math.inf]}, {"x": math.nan, "v": [1.0, 1.0]}])
 def test_non_finite_raises_as_the_reference(document):
     with pytest.raises(ValueError) as expected:
         reference_render(document)
@@ -184,3 +260,36 @@ def test_non_finite_raises_as_the_reference(document):
         json_dumps(document)
     assert str(raised.value) == str(expected.value)
     assert str(raised.value).startswith("cannot serialize non-finite float ")
+
+
+@pytest.mark.parametrize("source", ["random", "state"])
+def test_verify_reports_match_reference_renderer(source, tmp_path, monkeypatch, capsys):
+    """The report cmd_verify builds renders as the reference does, through the row template.
+
+    5000 random scenarios span two VERIFY_BLOCKs; a scenario file's state
+    adds an "expectation" key to its one row.
+    """
+    if source == "random":
+        argv = ["verify", "--random", "5000", "--seed", "3"]
+    else:
+        z = [0.0, 0.0, 1.0]
+        state = {"kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 8}
+        path = tmp_path / "with_state.json"
+        path.write_text(json.dumps({"a": z, "a_prime": z, "b": z, "b_prime": z, "state": state}))
+        argv = ["verify", str(path)]
+    reports, templated = [], []
+    render_rows = serialize._render_rows
+    monkeypatch.setattr(cli, "json_dumps", lambda report: reports.append(report) or json_dumps(report))
+    monkeypatch.setattr(
+        serialize, "_render_rows", lambda rows, level: templated.append(rows) or render_rows(rows, level)
+    )
+    assert cli.main(argv) == 0
+    (report,) = reports
+    rows = report["scenarios"]
+    if source == "random":
+        assert len(rows) == 5000 > cli.VERIFY_BLOCK
+    else:
+        assert len(rows) == 1 and "expectation" in rows[0]
+    assert capsys.readouterr().out == reference_render(report) + "\n"
+    # the rows are the one list of the report, and the template renders them
+    assert len(templated) == 1 and templated[0] is rows and render_rows(rows, 1) is not None
