@@ -111,7 +111,7 @@ def _load_state(raw) -> QuantumState:
 def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | None]:
     """Parse a scenario JSON file; auto-normalizes near-unit vectors."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
@@ -119,6 +119,10 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
         raise UsageError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise UsageError(f"malformed JSON in {path}: nested too deeply") from None
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: top level must be a JSON object")
     vectors = {}
@@ -258,7 +262,7 @@ def cmd_reduce(args) -> int:
     if args.matrix is not None:
         try:
             M = np.asarray(json.loads(args.matrix), dtype=float)
-        except (json.JSONDecodeError, TypeError, ValueError):
+        except (json.JSONDecodeError, RecursionError, TypeError, ValueError):
             raise UsageError("--matrix must be a JSON 3x3 array of numbers") from None
         if M.shape != (3, 3):
             raise UsageError(f"--matrix must be 3x3, got shape {M.shape}")

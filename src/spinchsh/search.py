@@ -315,8 +315,9 @@ def _seesaw(
     """Run the seesaw on every restart of an (R, 4, 3) start stack at once.
 
     ``previous`` holds each restart's objective before the first iteration
-    (-inf without an initial state). Each iteration is one Bell build, one
-    eigensolve and one direction update over the restarts still active; a
+    (-inf without an initial state). Each iteration is one eigensolve, one
+    direction update and one Bell build of the updated directions over the
+    restarts still active, whose operators the next iteration solves; a
     restart leaves once its improvement falls below TOL.seesaw_improvement.
     """
     count, d = len(directions), family.dim
@@ -328,10 +329,11 @@ def _seesaw(
     converged = np.zeros(count, dtype=bool)
     history = []
     active = np.arange(count)
+    B = family.bell_operator(directions)  # one operator per active restart
     for iteration in range(1, config.max_iterations + 1):
         iterations[active] = iteration
         current, before = directions[active], previous[active]
-        eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(current))
+        eigenvalues, eigenvectors = np.linalg.eigh(B)
         top = eigenvalues[:, -1]
         _check_monotone(before, top, "state step")
         v = np.ascontiguousarray(eigenvectors[:, :, -1])  # <v|B|v> rounds as in expectation
@@ -346,7 +348,9 @@ def _seesaw(
         b_pair = _renormalized(_sum_and_difference(a_pair) @ T, current[:, 2:])
         updated = check_unit_vectors(np.concatenate((a_pair, b_pair), axis=1))
 
-        value = _real_expectations(v, family.bell_operator(updated))
+        # the next iteration's operators: bit for bit what directions[active] rebuilds
+        B = family.bell_operator(updated)
+        value = _real_expectations(v, B)
         _check_monotone(top, value, "direction step")
         directions[active], states[active], values[active] = updated, v, value
         row = np.full(count, np.nan)
@@ -355,7 +359,7 @@ def _seesaw(
         done = value - before < TOL.seesaw_improvement
         converged[active[done]] = True
         previous[active] = value
-        active = active[~done]
+        active, B = active[~done], B[~done]
         if not active.size:
             break
     return _SeesawBatch(values, directions, states, iterations, converged, np.stack(history))

@@ -5,14 +5,16 @@ explicitly instead of relying on repr, and key order is the insertion order
 of the dictionaries we build.
 
 A list of same-shape dicts, such as the rows of a ``verify`` report, is
-rendered through one row template: every item is a dict with the first
-item's str keys in the same order, and each value has, by exact type, the
-first item's kind (a float, an int, or an all-float list of the same
-length). The template holds the padding, the quoted keys and one ``%.17g``
-or ``%d`` field per number, and one ``%`` fills every row's copy of it
-from a flat tuple of the values, so the rows cost little more than the
-formatting of their floats. Any other list, or one holding a non-finite
-float, is rendered item by item, which gives the same text.
+rendered through one row template, the renderer's only fast path: every
+item is a dict with the first item's str keys in the same order, and each
+value has, by exact type, the first item's kind (a float, an int, or an
+all-float list of the same length). The template holds the brackets, the
+padding, the quoted keys and one ``%.17g`` or ``%d`` field per number, and
+one ``%`` fills every row's copy of it from a flat tuple of the values, so
+the rows cost little more than the formatting of their floats. Any other
+list, or one holding a non-finite float, is rendered item by item, which
+gives the same text. Every other container is one ``"".join`` over a flat
+list of its parts, so a large report's text is held about twice at most.
 """
 
 from __future__ import annotations
@@ -43,16 +45,6 @@ def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")
-
-
-def _render_floats(values: list) -> str:
-    """A list of Python floats on one line, formatted by one ``%`` over the whole list."""
-    text = ", ".join(["%.17g"] * len(values)) % tuple(values)
-    # a finite float prints only 0-9 . e + -, so an "n" is a nan or an inf
-    if "n" in text:
-        for x in values:
-            _format_float(x)  # raises for the first non-finite value
-    return "[" + text + "]"
 
 
 def _render_rows(rows: list, level: int) -> str | None:
@@ -98,7 +90,7 @@ def _render_rows(rows: list, level: int) -> str | None:
     inner = _PAD * (level + 1)
     template = inner + "{\n" + ",\n".join(fields) + "\n" + inner + "}"
     values = tuple(chain.from_iterable(zip(*columns)))  # row by row
-    return "[\n" + ",\n".join([template] * len(rows)) % values + "\n" + _PAD * level + "]"
+    return ("[\n" + ",\n".join([template] * len(rows)) + "\n" + _PAD * level + "]") % values
 
 
 def _render(obj, level: int) -> str:
@@ -111,13 +103,16 @@ def _render(obj, level: int) -> str:
         return str(obj)
     if kind is list:
         if _FLOAT.issuperset(map(type, obj)):
-            return _render_floats(obj)
+            return "[" + ", ".join(map(_format_float, obj)) + "]"
         text = _render_rows(obj, level)
         if text is not None:
             return text
         pad = _PAD * (level + 1)
-        rendered = (pad + _render(v, level + 1) for v in obj)
-        return "[\n" + ",\n".join(rendered) + "\n" + _PAD * level + "]"
+        parts = ["[\n"]
+        for v in obj:
+            parts += (pad, _render(v, level + 1), ",\n")
+        parts[-1] = "\n" + _PAD * level + "]"
+        return "".join(parts)
     if kind is dict:
         if not obj:
             return "{}"
@@ -125,14 +120,11 @@ def _render(obj, level: int) -> str:
             key = type(next(k for k in obj if type(k) is not str))
             raise TypeError(f"cannot serialize a dict key of type {key.__module__}.{key.__name__}")
         pad = _PAD * (level + 1)
-        # a finite Python float is formatted in place; a non-finite one goes
-        # through _render, which raises in its turn
-        items = [
-            f"{pad}{_quote(k)}: "
-            + ("%.17g" % v if type(v) is float and math.isfinite(v) else _render(v, level + 1))
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + _PAD * level + "}"
+        parts = ["{\n"]
+        for k, v in obj.items():
+            parts += (pad, _quote(k), ": ", _render(v, level + 1), ",\n")
+        parts[-1] = "\n" + _PAD * level + "}"
+        return "".join(parts)
     if kind is str:
         return _quote(obj)
     if obj is None:

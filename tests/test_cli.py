@@ -369,6 +369,32 @@ def test_conflicting_inputs_rejected(capsys, tmp_path, tight_file, argv):
     assert not path.exists()
 
 
+# inputs the JSON decoder cannot take: a FILE holding bytes that are not UTF-8, and
+# nesting deeper than the decoder's recursion limit
+NOT_UTF8 = b'\xff\xfe{"a": [0,0,1]}'
+MALFORMED = [
+    pytest.param(("verify", "FILE"), NOT_UTF8, id="verify-not-utf8"),
+    pytest.param(("spectrum", "FILE"), NOT_UTF8, id="spectrum-not-utf8"),
+    pytest.param(("reduce", "FILE"), NOT_UTF8, id="reduce-not-utf8"),
+    pytest.param(("verify", "FILE"), b"[" * 100_000, id="verify-deeply-nested"),
+    pytest.param(("reduce", "--matrix", "[" * 3000 + "]" * 3000), None, id="matrix-deeply-nested"),
+]
+
+
+@pytest.mark.parametrize("argv, content", MALFORMED)
+def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, content):
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (str(path) if content is not None else "--matrix") in err
+
+
 class TestReduce:
     def test_tight_certificate(self, capsys, tight_file):
         code, out, _ = run(capsys, "reduce", tight_file)

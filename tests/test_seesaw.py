@@ -208,6 +208,23 @@ def test_direction_step_failure_names_first_offending_restart(monkeypatch):
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_each_operator_is_built_once(monkeypatch, family):
+    """One Bell build of the starts, then one per iteration of the updated directions."""
+    original = ObservableFamily.bell_operator
+    built = []
+
+    def counting_bell_operator(self, sc):
+        built.append(len(sc))
+        return original(self, sc)
+
+    monkeypatch.setattr(ObservableFamily, "bell_operator", counting_bell_operator)
+    _, batch = run_batch(family, SearchConfig(family=family.name, restarts=20, seed=2))
+    assert len(batch.history) > 1
+    assert len(built) == 1 + len(batch.history)
+    assert built[0] == 20
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_small_blocks_match_one_block(monkeypatch, family):
     config = SearchConfig(family=family.name, restarts=30, seed=11)
     whole = maximize_violation(config)

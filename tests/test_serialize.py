@@ -10,6 +10,7 @@ the same text, and the same error for every non-finite float.
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,3 +294,23 @@ def test_verify_reports_match_reference_renderer(source, tmp_path, monkeypatch, 
     assert capsys.readouterr().out == reference_render(report) + "\n"
     # the rows are the one list of the report, and the template renders them
     assert len(templated) == 1 and templated[0] is rows and render_rows(rows, 1) is not None
+
+
+def test_verify_report_is_held_about_twice(monkeypatch, capsys):
+    """json_dumps of a 2000-row verify report allocates at most 2.5 times its text.
+
+    Each container joins its parts once, so the rows' text and the report's
+    are the only large strings alive at once.
+    """
+    reports = []
+    monkeypatch.setattr(cli, "json_dumps", lambda report: reports.append(report) or "")
+    assert cli.main(["verify", "--random", "2000", "--seed", "1"]) == 0
+    capsys.readouterr()
+    (report,) = reports
+    tracemalloc.start()
+    try:
+        text = json_dumps(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
