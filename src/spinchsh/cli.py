@@ -27,6 +27,7 @@ from .reduction import canonical_reduction
 from .search import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
+    SWEEP_BLOCK,
     ObservableFamily,
     QuantumState,
     SearchConfig,
@@ -49,10 +50,6 @@ SEED_ENV_VAR = "SPINCHSH_SEED"
 
 # the largest count whose every index the CSV's %.17g writes exactly
 MAX_COUNT = 2**53
-
-# scenarios per batched build in verify: bounds the (block, 9, 9) complex
-# temporaries a large --random sweep holds at once
-VERIFY_BLOCK = 4096
 
 
 class UsageError(Exception):
@@ -134,17 +131,16 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
     return MeasurementScenario(**vectors), state
 
 
-def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
-    """One report row per quadruple of an (N, 4, 3) stack, and the last block's operators.
+def _verify_rows(directions: np.ndarray) -> list[dict]:
+    """One report row per quadruple of an (N, 4, 3) stack.
 
-    Each block of VERIFY_BLOCK scenarios is one four-term Bell build, one
+    Each block of SWEEP_BLOCK scenarios is one four-term Bell build, one
     Hermitian eigensolve and one SVD reduction.
     """
     rows = []
-    for start in range(0, len(directions), VERIFY_BLOCK):
-        block = directions[start : start + VERIFY_BLOCK]
-        B = bell_operator(block)
-        norms = eig_hermitian(B).operator_norm
+    for start in range(0, len(directions), SWEEP_BLOCK):
+        block = directions[start : start + SWEEP_BLOCK]
+        norms = eig_hermitian(bell_operator(block)).operator_norm
         reduction = canonical_reduction(correlation_matrices(block))
         columns = zip(block.tolist(), norms.tolist(), reduction.s.tolist(), reduction.t.tolist())
         for index, (quad, norm, s, t) in enumerate(columns, start):
@@ -159,7 +155,7 @@ def _verify_rows(directions: np.ndarray) -> tuple[list[dict], np.ndarray]:
                     "band_deviation": abs(norm - 2.0),
                 }
             )
-    return rows, B
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -171,15 +167,14 @@ def cmd_verify(args) -> int:
     else:
         sc, state = load_scenario_file(args.scenario)
         directions = np.asarray(sc)[None]
-    rows, B = _verify_rows(directions)
+    rows = _verify_rows(directions)
     if state is not None:
-        rows[0]["expectation"] = expectation(state, B[0])
+        rows[0]["expectation"] = expectation(state, bell_operator(directions[0]))
 
     report["count"] = len(rows)
     report["scenarios"] = rows
-    deviations = [row["band_deviation"] for row in rows]
-    report["max_band_deviation"] = max(deviations)
-    within = max(deviations) <= TOL.norm_band
+    report["max_band_deviation"] = max(row["band_deviation"] for row in rows)
+    within = report["max_band_deviation"] <= TOL.norm_band
     report["all_within_band"] = within
 
     if args.csv is not None:

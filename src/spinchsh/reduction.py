@@ -100,13 +100,16 @@ def canonical_reduction(M) -> CanonicalReduction:
     """Reduce a rank <= 2 matrix, or each of an (..., 3, 3) stack, to diag(s, 0, t).
 
     Raises RankDeficiencyError, naming the first offending matrix's value,
-    when a third singular value exceeds ``TOL.rank``: a genuinely rank-3
-    matrix cannot absorb the determinant fix. A second singular value at
-    most machine epsilon times the first is returned as t = 0.
+    when a third singular value exceeds ``TOL.rank`` times half the first:
+    a genuinely rank-3 matrix cannot absorb the determinant fix. The gate
+    is relative, so a matrix and its multiples get the same verdict; half
+    the first is at most 1 for a scenario's M, whose Frobenius norm is 2.
+    A second singular value at most machine epsilon times the first is
+    returned as t = 0.
     """
     M = np.asarray(M, dtype=float)
     O1, O2, sigma = svd3(M)
-    rank3 = sigma[..., 2] >= TOL.rank
+    rank3 = sigma[..., 2] > TOL.rank * sigma[..., 0] / 2.0
     if np.any(rank3):
         raise RankDeficiencyError(float(sigma[..., 2][rank3][0]))
     s, t = sigma[..., 0], sigma[..., 1]

@@ -197,6 +197,10 @@ def best_state_value(B) -> tuple[float, QuantumState]:
 
 # vectors per norm computation in random_directions: bounds its temporaries
 DRAW_BLOCK = 65536
+# scenarios per batched build and eigensolve over one draw, in verify --random
+# and the Monte Carlo certificate: bounds the (block, 9, 9) operator stack a
+# large --random or --samples run holds at once
+SWEEP_BLOCK = 4096
 
 
 def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -263,9 +267,6 @@ class SearchReport:
 # eigenvector stacks a large --restarts run holds at once; of earlier blocks
 # only each restart's final value is kept
 SEESAW_BLOCK = 1024
-# scenarios per Monte Carlo build and eigensolve: bounds the (block, 9, 9)
-# operator stack a large --samples run holds at once
-MONTE_CARLO_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -319,20 +320,20 @@ def _seesaw(
     direction update and one Bell build of the updated directions over the
     restarts still active, whose operators the next iteration solves; a
     restart leaves once its improvement falls below TOL.seesaw_improvement.
+    Both inputs are only read.
     """
     count, d = len(directions), family.dim
-    directions = directions.copy()
-    previous = previous.copy()
+    # the active restarts' directions, objectives and operators; they shrink together
+    current, before, B = directions, previous, family.bell_operator(directions)
+    directions = directions.copy()  # the final directions; the caller's starts stay as drawn
     values = np.empty(count)
     states = np.empty((count, d * d), dtype=complex)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     history = []
     active = np.arange(count)
-    B = family.bell_operator(directions)  # one operator per active restart
     for iteration in range(1, config.max_iterations + 1):
         iterations[active] = iteration
-        current, before = directions[active], previous[active]
         eigenvalues, eigenvectors = np.linalg.eigh(B)
         top = eigenvalues[:, -1]
         _check_monotone(before, top, "state step")
@@ -348,7 +349,7 @@ def _seesaw(
         b_pair = _renormalized(_sum_and_difference(a_pair) @ T, current[:, 2:])
         updated = check_unit_vectors(np.concatenate((a_pair, b_pair), axis=1))
 
-        # the next iteration's operators: bit for bit what directions[active] rebuilds
+        # the next iteration's operators, built once
         B = family.bell_operator(updated)
         value = _real_expectations(v, B)
         _check_monotone(top, value, "direction step")
@@ -358,8 +359,7 @@ def _seesaw(
         history.append(row)
         done = value - before < TOL.seesaw_improvement
         converged[active[done]] = True
-        previous[active] = value
-        active, B = active[~done], B[~done]
+        active, B, current, before = active[~done], B[~done], updated[~done], value[~done]
         if not active.size:
             break
     return _SeesawBatch(values, directions, states, iterations, converged, np.stack(history))
@@ -391,20 +391,17 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     family = family_by_name(config.family)
 
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
+    previous = np.full(config.restarts, -np.inf)
     if config.initial_scenario is not None:
         starts[0] = config.initial_scenario
-
-    def run(start: int, stop: int) -> _SeesawBatch:
-        directions = starts[start:stop]
-        previous = np.full(len(directions), -np.inf)
-        if start == 0 and config.initial_state is not None:
-            previous[0] = expectation(config.initial_state, family.bell_operator(directions[0]))
-        return _seesaw(family, directions, previous, config)
+    if config.initial_state is not None:
+        previous[0] = expectation(config.initial_state, family.bell_operator(starts[0]))
 
     values = np.empty(config.restarts)
     for start in range(0, config.restarts, SEESAW_BLOCK):
-        best = run(start, start + SEESAW_BLOCK)
-        values[start : start + len(best.values)] = best.values
+        block = slice(start, start + SEESAW_BLOCK)
+        best = _seesaw(family, starts[block], previous[block], config)
+        values[block] = best.values
 
     # many restarts reach the optimum to within a few ulps; the lowest index
     # among them wins, so a last-bit change elsewhere keeps the reported one
@@ -412,7 +409,8 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     winner = int(np.argmax(values >= top - TOL.seesaw_monotonicity * max(1.0, abs(top))))
     # only the last block's batch is kept, so a winner outside it runs again alone
     if winner < start:
-        best, start = run(winner, winner + 1), winner
+        alone = slice(winner, winner + 1)
+        best, start = _seesaw(family, starts[alone], previous[alone], config), winner
     k = winner - start
     return SearchReport(
         best_value=float(values[winner]),
@@ -452,8 +450,8 @@ def monte_carlo_certify(
         directions[i] = sc
 
     norms = np.empty(n)
-    for start in range(0, n, MONTE_CARLO_BLOCK):
-        block = slice(start, start + MONTE_CARLO_BLOCK)
+    for start in range(0, n, SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
         B = coupling_operator(correlation_matrices(directions[block]), SPIN1_REAL_TENSOR)
         norms[block] = np.max(np.abs(_eigvalsh(B)), axis=1)
     if csv_path is not None:

@@ -27,7 +27,7 @@ class Tolerances:
     invariance: float = 1e-13         # off-block leakage across the invariant split
 
     # reduction
-    rank: float = 1e-8                # third singular value above this means rank 3
+    rank: float = 1e-8                # third singular value above this times half the first means rank 3
     reconstruction: float = 1e-10     # SVD / reduction reconstruction residuals
     sum_squares: float = 1e-9         # residual of s^2 + t^2 = 4 for Bell-derived matrices
 

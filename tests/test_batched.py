@@ -111,7 +111,7 @@ def edge_directions() -> np.ndarray:
 
 
 def assert_rows_match_reference(directions: np.ndarray) -> None:
-    rows, _ = cli._verify_rows(directions)
+    rows = cli._verify_rows(directions)
     reference = [
         reference_row(i, MeasurementScenario(*quad)) for i, quad in enumerate(directions)
     ]
@@ -129,18 +129,17 @@ class TestVerifyRows:
 
     def test_edge_cases_match_per_scenario_path(self):
         directions = edge_directions()
-        rows, _ = cli._verify_rows(directions)
+        rows = cli._verify_rows(directions)
         assert rows[0]["t"] == 0.0 and rows[3]["t"] == 0.0
         assert_rows_match_reference(directions)
 
     def test_blocks_join_seamlessly(self, monkeypatch):
         directions = random_directions(np.random.default_rng(5), (23, 4))
-        whole, _ = cli._verify_rows(directions)
-        monkeypatch.setattr(cli, "VERIFY_BLOCK", 5)
-        blocked, last = cli._verify_rows(directions)
+        whole = cli._verify_rows(directions)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 5)
+        blocked = cli._verify_rows(directions)
         assert json_dumps(blocked) == json_dumps(whole)
         assert [row["index"] for row in blocked] == list(range(23))
-        assert last.shape == (3, 9, 9)
 
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_file_expectation_matches_per_scenario_path(self, capsys, tmp_path, kind):

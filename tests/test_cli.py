@@ -370,7 +370,8 @@ def test_conflicting_inputs_rejected(capsys, tmp_path, tight_file, argv):
 
 
 # inputs the JSON decoder cannot take: a FILE holding bytes that are not UTF-8, and
-# nesting deeper than the decoder's recursion limit
+# nesting deeper than the decoder's recursion limit; then a FILE that is never
+# written, and one whose top level is not an object
 NOT_UTF8 = b'\xff\xfe{"a": [0,0,1]}'
 MALFORMED = [
     pytest.param(("verify", "FILE"), NOT_UTF8, id="verify-not-utf8"),
@@ -378,6 +379,8 @@ MALFORMED = [
     pytest.param(("reduce", "FILE"), NOT_UTF8, id="reduce-not-utf8"),
     pytest.param(("verify", "FILE"), b"[" * 100_000, id="verify-deeply-nested"),
     pytest.param(("reduce", "--matrix", "[" * 3000 + "]" * 3000), None, id="matrix-deeply-nested"),
+    pytest.param(("verify", "FILE"), None, id="verify-unreadable"),
+    pytest.param(("verify", "FILE"), b"[[0, 0, 1]]", id="verify-top-level-list"),
 ]
 
 
@@ -386,13 +389,37 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, content):
     path = tmp_path / "scenario.json"
     if content is not None:
         path.write_bytes(content)
+    named = str(path) if "FILE" in argv else "--matrix"
     argv = [str(path) if arg == "FILE" else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert (str(path) if content is not None else "--matrix") in err
+    assert named in err
+
+
+# a scenario FILE with one bad field, and the field or key the error must name
+BAD_FIELDS = [
+    pytest.param({"a": "abc"}, "'a'", id="non-numeric"),
+    pytest.param({"b": [1.0, 0.0]}, "'b'", id="two-components"),
+    pytest.param({"state": [1.0, 0.0]}, "state", id="state-not-an-object"),
+    pytest.param({"state": {"kind": "pure", "data": [[1, 0, 0]] * 9}}, "state", id="state-not-pairs"),
+    pytest.param({"state": {"kind": "bra", "data": [[1, 0]] * 9}}, "state", id="unknown-state-kind"),
+    pytest.param({"state": {"kind": "mixed", "data": [[1, 0]] * 9}}, "state", id="mixed-not-square"),
+]
+
+
+@pytest.mark.parametrize("field, named", BAD_FIELDS)
+def test_bad_scenario_field_is_one_error_line(capsys, tmp_path, field, named):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**TIGHT, **field}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert named in err
 
 
 class TestReduce:
@@ -439,6 +466,24 @@ class TestReduce:
         assert code == 0
         report = json.loads(out)
         assert (report["s"], report["t"]) == (2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            ("[[1e9,2e9,3e9],[4e9,5e9,6e9],[7e9,8e9,9e9]]", 0),  # rank 2, sigma3 9.5e-7
+            ("[[1,2,3],[4,5,6],[7,8,9]]", 0),
+            ("[[0,0,0],[0,0,0],[0,0,0]]", 0),
+            ("[[1e-9,0,0],[0,1e-9,0],[0,0,1e-9]]", 3),
+            ("[[1e-9,2e-9,3e-9],[4e-9,5e-9,6e-9],[7e-9,8e-9,10e-9]]", 3),
+        ],
+    )
+    def test_rank_gate_scales_with_the_matrix(self, capsys, matrix, expected):
+        code, out, err = run(capsys, "reduce", "--matrix", matrix)
+        assert code == expected
+        if expected == 0:
+            assert np.isfinite(json.loads(out)["s"]) and err == ""
+        else:
+            assert out == "" and err.count("\n") == 1 and "singular value" in err
 
     def test_bad_matrix_json(self, capsys):
         code, _, _ = run(capsys, "reduce", "--matrix", "[[1,2],[3,4]]")

@@ -24,6 +24,11 @@ from spinchsh import (
 )
 
 
+# row 3 = 2 row 2 - row 1, and a rank-3 neighbour
+RANK2 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+RANK3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
+
+
 def random_rank2(rng):
     return np.outer(rng.standard_normal(3), rng.standard_normal(3)) + np.outer(
         rng.standard_normal(3), rng.standard_normal(3)
@@ -40,6 +45,10 @@ class TestSvd3:
     def test_zero_matrix(self):
         _, _, sigma = svd3(np.zeros((3, 3)))
         assert np.array_equal(sigma, [0.0, 0.0, 0.0])
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
+            svd3(np.eye(2))
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
@@ -152,6 +161,27 @@ class TestCanonicalReduction:
         canonical_reduction(np.diag([1.0, 1.0, 5e-9]))
         with pytest.raises(RankDeficiencyError):
             canonical_reduction(np.diag([1.0, 1.0, 2e-8]))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_rank_verdict_does_not_depend_on_scale(self, scale):
+        # at 1e9 the rank-2 matrix's rounding sigma3 is 9.5e-7, far above 1e-8
+        M = scale * RANK2
+        red = canonical_reduction(M)
+        assert np.linalg.norm(red.R @ M @ red.Q.T - red.diagonal_form()) < 1e-14 * red.s
+        for M in (scale * RANK3, scale * np.eye(3)):
+            with pytest.raises(RankDeficiencyError) as excinfo:
+                canonical_reduction(M)
+            assert excinfo.value.sigma3 == svd3(M)[2][2]
+
+    def test_stack_names_the_first_offending_sigma3(self):
+        stack = np.stack((1e9 * RANK2, 1e-9 * RANK3, 1e-9 * np.eye(3)))
+        with pytest.raises(RankDeficiencyError) as excinfo:
+            canonical_reduction(stack)
+        assert excinfo.value.sigma3 == svd3(stack[1])[2][2]
+        with pytest.raises(RankDeficiencyError) as excinfo:
+            canonical_reduction(stack[[0, 2, 1]])
+        assert excinfo.value.sigma3 == 1e-9
+        assert "1.000e-09" in str(excinfo.value)
 
     def test_certificate_dict(self, tight_scenario):
         M = correlation_matrices(tight_scenario)

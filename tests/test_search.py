@@ -70,6 +70,10 @@ class TestQuantumState:
         rho = state.density()
         assert rho[0, 0] == 1.0 and np.count_nonzero(rho) == 1
 
+    def test_mixed_density_is_its_matrix(self):
+        state = random_density_matrix(9, np.random.default_rng(8))
+        assert state.density() is state.data
+
     def test_pure_rejects_bad_norm(self):
         with pytest.raises(StateError):
             QuantumState.pure(np.ones(9))

@@ -325,6 +325,43 @@ def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_sc
         assert np.array_equal(previous, first_previous[[winner]])
 
 
+def test_initial_state_is_scored_once(monkeypatch, tight_scenario):
+    # restart 0 starts at the optimum, wins in the first of two blocks and runs
+    # again alone, from the prior objective prepared before the blocks
+    ket0 = np.zeros(9)
+    ket0[0] = 1.0
+    config = SearchConfig(
+        restarts=8, seed=2, initial_scenario=tight_scenario, initial_state=QuantumState.pure(ket0)
+    )
+    scored = []
+    original = search.expectation
+    monkeypatch.setattr(search, "expectation", lambda *args: scored.append(args) or original(*args))
+    starts = search.random_directions(np.random.default_rng(2), (8, 4))
+    starts[0] = tight_scenario
+    calls = record_seesaw(monkeypatch, starts)
+    monkeypatch.setattr(search, "SEESAW_BLOCK", 4)
+    report = maximize_violation(config)
+    _, winner = split_blocks(calls, report, 8, 4)
+    assert winner == 0 and len(calls) == 3
+    assert len(scored) == 1
+    first_previous, rerun_previous = calls[0][2], calls[2][2]
+    assert abs(first_previous[0] - 2.0) < 1e-12
+    assert np.array_equal(rerun_previous, first_previous[:1])
+
+
+def test_seesaw_only_reads_its_inputs():
+    config = SearchConfig(restarts=12, seed=6)
+    starts = search.random_directions(np.random.default_rng(6), (12, 4))
+    previous = np.full(12, -np.inf)
+    previous[3] = 1.5
+    kept = starts.copy(), previous.copy()
+    starts.setflags(write=False)
+    previous.setflags(write=False)
+    batch = search._seesaw(SPIN1_FAMILY, starts, previous, config)
+    assert np.array_equal(starts, kept[0]) and np.array_equal(previous, kept[1])
+    assert not np.array_equal(batch.directions, starts)
+
+
 @pytest.mark.parametrize("block", [search.SEESAW_BLOCK, 7])
 def test_restarts_start_from_the_verify_draw(monkeypatch, block):
     restarts, seed = 30, 17

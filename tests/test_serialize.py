@@ -267,7 +267,7 @@ def test_non_finite_raises_as_the_reference(document):
 def test_verify_reports_match_reference_renderer(source, tmp_path, monkeypatch, capsys):
     """The report cmd_verify builds renders as the reference does, through the row template.
 
-    5000 random scenarios span two VERIFY_BLOCKs; a scenario file's state
+    5000 random scenarios span two SWEEP_BLOCKs; a scenario file's state
     adds an "expectation" key to its one row.
     """
     if source == "random":
@@ -288,7 +288,7 @@ def test_verify_reports_match_reference_renderer(source, tmp_path, monkeypatch, 
     (report,) = reports
     rows = report["scenarios"]
     if source == "random":
-        assert len(rows) == 5000 > cli.VERIFY_BLOCK
+        assert len(rows) == 5000 > cli.SWEEP_BLOCK
     else:
         assert len(rows) == 1 and "expectation" in rows[0]
     assert capsys.readouterr().out == reference_render(report) + "\n"

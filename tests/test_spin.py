@@ -15,7 +15,7 @@ from spinchsh import (
     spin_generators,
     spin_representation,
 )
-from spinchsh.spin import check_unit_vector, check_unit_vectors
+from spinchsh.spin import check_rotation, check_unit_vector, check_unit_vectors
 
 SQRT2 = np.sqrt(2.0)
 
@@ -75,6 +75,12 @@ class TestSpinAlong:
         stack[3, 1, 0] = bad
         with pytest.raises(NormalizationError):
             check_unit_vectors(stack)
+
+    def test_rejects_wrong_shapes(self):
+        with pytest.raises(NormalizationError, match=r"expected a 3-vector, got shape \(2,\)"):
+            check_unit_vector((1.0, 0.0))
+        with pytest.raises(NormalizationError, match=r"3-vectors, got shape \(2, 2\)"):
+            check_unit_vectors(np.eye(2))
 
     def test_stack_matches_per_direction(self):
         rng = np.random.default_rng(4)
@@ -149,6 +155,10 @@ class TestAxisAngle:
     def test_rejects_non_rotations(self, bad):
         with pytest.raises(RotationError):
             spin_representation(bad)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(RotationError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
+            check_rotation(np.eye(2))
 
     @given(unit_vectors(), st.floats(min_value=0.0, max_value=np.pi, allow_nan=False))
     def test_rodrigues_reconstruction(self, n, theta):
