@@ -6,6 +6,8 @@ by closed form and by global numerical search that the CHSH expectation
 never exceeds 2 on the two-qutrit space.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bell import (
     MeasurementScenario,
     bell_operator,
@@ -25,7 +27,7 @@ from .errors import (
     SpinChshError,
     StateError,
 )
-from .reduction import CanonicalReduction, canonical_reduction, reduced_bell, svd3
+from .reduction import CanonicalReduction, canonical_reduction, svd3
 from .search import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
@@ -38,24 +40,18 @@ from .search import (
     family_by_name,
     maximize_violation,
     monte_carlo_certify,
-    random_density_matrix,
     random_directions,
-    random_pure_state,
 )
 from .spectrum import (
     SpectrumResult,
     SubspaceBlocks,
-    V4_INDICES,
-    V5_INDICES,
     closed_form_spectrum,
     eig_hermitian,
     subspace_blocks,
-    verify_invariance,
 )
 from .spin import (
     CARTESIAN_BASIS,
     cartesian_generators,
-    rotation_about,
     spin_along,
     spin_generators,
     spin_representation,
@@ -64,55 +60,10 @@ from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"
 
+# every name imported above, in import order, and the version; the
+# submodules that those imports bind as attributes are not exports
 __all__ = [
-    "MeasurementScenario",
-    "bell_operator",
-    "canonical_operator",
-    "correlation_matrices",
-    "coupling_operator",
-    "coupling_tensor",
-    "CertificationError",
-    "HermiticityError",
-    "MonotonicityError",
-    "NonFiniteError",
-    "NormalizationError",
-    "RankDeficiencyError",
-    "RotationError",
-    "SpinChshError",
-    "StateError",
-    "CanonicalReduction",
-    "canonical_reduction",
-    "reduced_bell",
-    "svd3",
-    "PAULI_FAMILY",
-    "SPIN1_FAMILY",
-    "ObservableFamily",
-    "QuantumState",
-    "SearchConfig",
-    "SearchReport",
-    "best_state_value",
-    "expectation",
-    "family_by_name",
-    "maximize_violation",
-    "monte_carlo_certify",
-    "random_density_matrix",
-    "random_directions",
-    "random_pure_state",
-    "SpectrumResult",
-    "SubspaceBlocks",
-    "V4_INDICES",
-    "V5_INDICES",
-    "closed_form_spectrum",
-    "eig_hermitian",
-    "subspace_blocks",
-    "verify_invariance",
-    "CARTESIAN_BASIS",
-    "cartesian_generators",
-    "rotation_about",
-    "spin_along",
-    "spin_generators",
-    "spin_representation",
-    "TOL",
-    "Tolerances",
-    "__version__",
-]
+    name
+    for name, value in tuple(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

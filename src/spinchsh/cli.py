@@ -63,10 +63,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json_floats(raw) -> np.ndarray:
+    """Decoded JSON numbers, nested in lists, as a float array.
+
+    numpy's float cast would also read a numeric string or a boolean as a
+    number; here any leaf that is not a JSON number raises ValueError, and
+    so does an integer too large for a float.
+    """
+    pending = [raw]
+    while pending:
+        item = pending.pop()
+        if type(item) is list:
+            pending.extend(item)
+        elif type(item) not in (int, float):
+            raise ValueError("expected only JSON numbers in nested arrays")
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError:
+        raise ValueError("expected numbers within the float range") from None
+
+
 def _scenario_vector(raw, name: str) -> np.ndarray:
     try:
-        v = np.asarray(raw, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
+        v = _json_floats(raw).reshape(-1)
+    except ValueError:
         raise UsageError(f"field {name!r} is not a numeric 3-vector") from None
     if v.shape != (3,):
         raise UsageError(f"field {name!r} must have exactly 3 components")
@@ -92,7 +112,7 @@ def _load_state(raw) -> QuantumState:
     if not isinstance(raw, dict) or "kind" not in raw or "data" not in raw:
         raise UsageError("state must be an object with 'kind' and 'data'")
     try:
-        data = parse_complex_pairs(raw["data"])
+        data = parse_complex_pairs(_json_floats(raw["data"]))
     except ValueError as exc:
         raise UsageError(f"state data: {exc}") from None
     try:
@@ -256,8 +276,8 @@ def _spectrum_grid(args) -> int:
 def cmd_reduce(args) -> int:
     if args.matrix is not None:
         try:
-            M = np.asarray(json.loads(args.matrix), dtype=float)
-        except (json.JSONDecodeError, RecursionError, TypeError, ValueError):
+            M = _json_floats(json.loads(args.matrix))
+        except (json.JSONDecodeError, RecursionError, ValueError):
             raise UsageError("--matrix must be a JSON 3x3 array of numbers") from None
         if M.shape != (3, 3):
             raise UsageError(f"--matrix must be 3x3, got shape {M.shape}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import MeasurementScenario, canonical_operator, correlation_matrices, coupling_operator
+from .bell import canonical_operator, coupling_operator
 from .errors import NonFiniteError, RankDeficiencyError
 from .spin import spin_representation
 from .tolerances import TOL
@@ -122,13 +122,3 @@ def canonical_reduction(M) -> CanonicalReduction:
     if M.ndim == 2:
         s, t = float(s), float(t)
     return CanonicalReduction(R=_P @ O1, Q=_P @ O2, s=s, t=t)
-
-
-def reduced_bell(sc: MeasurementScenario) -> tuple[float, float, np.ndarray]:
-    """The canonical parameters of a scenario and its reduced Bell operator.
-
-    The returned operator s S_x (x) S_x + t S_z (x) S_z is unitarily
-    equivalent to the scenario's Bell operator, so their spectra agree.
-    """
-    reduction = canonical_reduction(correlation_matrices(sc))
-    return reduction.s, reduction.t, canonical_operator(reduction.s, reduction.t)

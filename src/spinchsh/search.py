@@ -226,18 +226,6 @@ def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     return vectors.reshape(v.shape)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> QuantumState:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return QuantumState.pure(v / np.linalg.norm(v))
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> QuantumState:
-    """Hilbert-Schmidt sample: G G^dagger normalized to unit trace."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = G @ G.conj().T
-    return QuantumState.mixed(rho / np.trace(rho).real)
-
-
 # --------------------------------------------------------------------------
 # seesaw optimization
 

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import canonical_operator
 from .errors import HermiticityError
 from .tolerances import TOL
-
-# composite index 3*m + n over levels (+1, 0, -1); parity of the level pair
-# splits the space into the two invariant sectors
-V4_INDICES = (1, 3, 5, 7)
-V5_INDICES = (0, 2, 4, 6, 8)
 
 # below this fraction of a matrix's largest entry, LAPACK's eigenvalue-only
 # solver (dsterf) underflows in its eps^2 deflation test and returns wrong
@@ -146,27 +140,4 @@ def subspace_blocks(s: float, t: float) -> SubspaceBlocks:
         v4_block=v4_block,
         v5_t_eigenpairs=((u1, t), (u2, -t)),
         w_block=w_block,
-    )
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Frobenius norms of the cross-sector blocks of the canonical operator."""
-
-    off_block_upper: float  # rows in the five-state sector, columns in the four-state one
-    off_block_lower: float  # the transpose block
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.off_block_upper, self.off_block_lower)
-
-
-def verify_invariance(s: float, t: float) -> InvarianceReport:
-    """Measure how much the canonical operator leaks across the invariant split."""
-    s, t = _check_parameters(s, t)
-    H = canonical_operator(s, t)
-    v4, v5 = list(V4_INDICES), list(V5_INDICES)
-    return InvarianceReport(
-        off_block_upper=float(np.linalg.norm(H[np.ix_(v5, v4)])),
-        off_block_lower=float(np.linalg.norm(H[np.ix_(v4, v5)])),
     )

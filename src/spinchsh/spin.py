@@ -50,14 +50,6 @@ def cartesian_generators() -> np.ndarray:
     return _EPSILON.copy()
 
 
-def check_unit_vector(u) -> np.ndarray:
-    """Validate that ``u`` is a real 3-vector of unit norm to TOL.unit_norm_reject; return it."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape != (3,):
-        raise NormalizationError(f"expected a 3-vector, got shape {u.shape}")
-    return check_unit_vectors(u)
-
-
 def check_unit_vectors(directions) -> np.ndarray:
     """Validate every 3-vector along the last axis of a stack to TOL.unit_norm_reject; return it."""
     directions = np.asarray(directions, dtype=float)
@@ -103,15 +95,6 @@ def check_rotation(R) -> np.ndarray:
     if not abs(det - 1.0) <= TOL.rotation:
         raise RotationError(f"determinant {det!r} is not 1")
     return R
-
-
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rotation matrix for a counterclockwise turn by ``angle`` about ``axis``."""
-    n = check_unit_vector(axis)
-    if not np.isfinite(angle):
-        raise RotationError(f"rotation angle {angle} is not finite")
-    K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
 def spin_representation(R) -> np.ndarray:

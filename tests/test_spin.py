@@ -4,18 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qr_rotation, rotations, unit_vectors
+from reference import check_unit_vector, rotation_about
 from spinchsh import (
     CARTESIAN_BASIS,
     TOL,
     NormalizationError,
     RotationError,
     cartesian_generators,
-    rotation_about,
     spin_along,
     spin_generators,
     spin_representation,
 )
-from spinchsh.spin import check_rotation, check_unit_vector, check_unit_vectors
+from spinchsh.spin import check_rotation, check_unit_vectors
 
 SQRT2 = np.sqrt(2.0)
 
