@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage or input error, 2 certification-band failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -384,7 +385,9 @@ def _seed(text: str) -> int:
     return _integer(text, 0)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process and shared: callers must not change it."""
     parser = _Parser(
         prog="spinchsh",
         description=(

@@ -3,6 +3,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,9 +705,6 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "spinchsh", "spectrum", "--s", "1", "--t", "1"],
         capture_output=True,
@@ -711,3 +712,64 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["max_discrepancy"] < 1e-10
+
+
+class TestRepeatedCalls:
+    """``main`` runs many times in one process on one shared parser."""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        run(capsys, "spectrum", "--s", "1", "--t", "1")
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for _ in range(2):
+            assert run(capsys, "spectrum", "--s", "1", "--t", "1")[0] == 0
+        assert built == []
+
+    def test_nothing_carries_over_between_calls(self, capsys, monkeypatch, tight_file):
+        searches = [
+            ("search", "--family", family, "--restarts", "20", "--seed", "3")
+            for family in ("qutrit-spin1", "qubit-pauli")
+        ]
+        verify = ("verify", "--random", "5", "--seed", "2")
+        calls = [(argv, None) for argv in searches] + [
+            (("verify", tight_file, "--random", "5"), None),
+            (("search", "--restarts", "0"), None),
+            (verify, "9"),
+            (verify, None),
+        ] + [(argv, None) for argv in searches]
+
+        in_process = []
+        for argv, seed_env in calls:
+            if seed_env is None:
+                monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(cli.SEED_ENV_VAR, seed_env)
+            in_process.append(run(capsys, *argv))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        alone = {}
+        for argv, seed_env in calls:
+            if (argv, seed_env) in alone:
+                continue
+            env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
+            if seed_env is not None:
+                env[cli.SEED_ENV_VAR] = seed_env
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinchsh", *argv], capture_output=True, text=True, env=env
+            )
+            alone[argv, seed_env] = (proc.returncode, proc.stdout, proc.stderr)
+
+        for call, result in zip(calls, in_process):
+            assert result == alone[call], call
+        assert in_process[-2:] == in_process[:2]
+        assert [code for code, _, _ in in_process] == [0, 0, 1, 1, 0, 0, 0, 0]
+        assert json.loads(in_process[4][1])["seed"] == 9
+        assert json.loads(in_process[5][1])["seed"] == 2

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from spinchsh import TOL, monte_carlo_certify, spin_generators
+from spinchsh import TOL, cartesian_generators, monte_carlo_certify, spin_generators
 
 sympy = pytest.importorskip("sympy")
 
@@ -43,6 +43,30 @@ def test_correlation_matrix_frobenius_norm_is_two_for_unit_directions():
     gens = [x for u in vectors for x in u]
     _, remainder = sympy.reduced(sympy.expand(squared_norm - 4), constraints, *gens)
     assert remainder == 0
+
+
+def test_rotations_act_on_generators_by_adjoint_covariance():
+    # Q is the rotation of q = (w, x, y, z) scaled by |q|^2, with no square root;
+    # the first two identities make R = Q / |q|^2 a rotation, every rotation is
+    # one, and the third is then R [v] R^T = [R v] for [v] = sum_k v_k eps_k
+    w, x, y, z = sympy.symbols("w x y z", real=True)
+    n = w**2 + x**2 + y**2 + z**2
+    Q = sympy.Matrix(
+        [
+            [w**2 + x**2 - y**2 - z**2, 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), w**2 - x**2 + y**2 - z**2, 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), w**2 - x**2 - y**2 + z**2],
+        ]
+    )
+    eps = [sympy.Matrix(e.astype(int).tolist()) for e in cartesian_generators()]
+
+    def bracket(v):
+        return sum((v[k] * eps[k] for k in range(3)), sympy.zeros(3, 3))
+
+    v = sympy.Matrix(sympy.symbols("v1 v2 v3", real=True))
+    assert (Q.T * Q - n**2 * sympy.eye(3)).expand() == sympy.zeros(3, 3)
+    assert sympy.expand(Q.det() - n**3) == 0
+    assert (Q * bracket(v) * Q.T - n * bracket(Q * v)).expand() == sympy.zeros(3, 3)
 
 
 def test_worst_monte_carlo_norm_deviation_is_rounding(tmp_path):
