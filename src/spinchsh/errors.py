@@ -28,11 +28,10 @@ class HermiticityError(SpinChshError, ValueError):
 class RankDeficiencyError(SpinChshError, ValueError):
     """A correlation matrix has numerical rank 3; carries sigma_3."""
 
-    def __init__(self, sigma3: float, message: str | None = None):
+    def __init__(self, sigma3: float):
         self.sigma3 = sigma3
         super().__init__(
-            message
-            or f"matrix has rank 3: third singular value {sigma3:.3e} exceeds the rank tolerance"
+            f"matrix has rank 3: third singular value {sigma3:.3e} exceeds the rank tolerance"
         )
 
 

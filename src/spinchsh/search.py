@@ -158,10 +158,7 @@ def _checked_real(value: np.ndarray) -> np.ndarray:
 
 
 def _real_expectations(vectors: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<v|B|v> for each pure state of an (R, n) stack against its (R, n, n) operator.
-
-    Evaluated per state in the same order as ``expectation``.
-    """
+    """<v|B|v> for each pure state of an (R, n) stack against its (R, n, n) operator."""
     return _checked_real((vectors.conj()[:, None, :] @ B @ vectors[:, :, None])[:, 0, 0])
 
 
@@ -174,10 +171,8 @@ def expectation(state: QuantumState, B) -> float:
     if B.shape != (state.dim, state.dim):
         raise StateError(f"state dimension {state.dim} does not match operator shape {B.shape}")
     if state.kind == "pure":
-        value = state.data.conj() @ B @ state.data
-    else:
-        value = np.trace(state.data @ B)
-    return float(_checked_real(np.asarray(value)))
+        return float(_real_expectations(state.data[None], B[None])[0])
+    return float(_checked_real(np.asarray(np.trace(state.data @ B))))
 
 
 def best_state_value(B) -> tuple[float, QuantumState]:
@@ -195,12 +190,11 @@ def best_state_value(B) -> tuple[float, QuantumState]:
 # random sampling
 
 
-# vectors per norm computation in random_directions: bounds its temporaries
-DRAW_BLOCK = 65536
-# scenarios per batched build and eigensolve over one draw, in verify --random
-# and the Monte Carlo certificate: bounds the (block, 9, 9) operator stack a
-# large --random or --samples run holds at once
-SWEEP_BLOCK = 4096
+# the one block size of every batched loop over a random_directions draw: the
+# vectors per norm computation of the draw, the scenarios per Bell build and
+# eigensolve of verify --random and the Monte Carlo certificate, and the
+# restarts per batched seesaw; it bounds the stacks a large run holds at once
+SWEEP_BLOCK = 1024
 
 
 def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -208,14 +202,14 @@ def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
 
     Gaussian draws normalised along the last axis; a draw too short to
     normalise is replaced by a fresh one. The norms are taken per block of
-    DRAW_BLOCK vectors and the draw is divided in place, so a large draw is
+    SWEEP_BLOCK vectors and the draw is divided in place, so a large draw is
     held once, with no full-size temporaries.
     """
     v = rng.standard_normal(tuple(shape) + (3,))
     vectors = v.reshape(-1, 3)
     norms = np.empty(len(vectors))
-    for start in range(0, len(vectors), DRAW_BLOCK):
-        block = slice(start, start + DRAW_BLOCK)
+    for start in range(0, len(vectors), SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
         norms[block] = np.linalg.norm(vectors[block], axis=-1)
     short = norms < TOL.short_draw
     while short.any():
@@ -249,12 +243,6 @@ class SearchReport:
     restarts: int
     converged: bool
     history: tuple[float, ...] = field(default=(), repr=False)
-
-
-# restarts per batched seesaw: bounds the (block, d^2, d^2) operator and
-# eigenvector stacks a large --restarts run holds at once; of earlier blocks
-# only each restart's final value is kept
-SEESAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -364,8 +352,9 @@ def _renormalized(gradient: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     """Run the multi-restart seesaw and report the best expectation found.
 
-    Restarts run as one batch per block of SEESAW_BLOCK; a winner outside the
-    last block runs again alone, which repeats its batched run bit for bit.
+    Restarts run as one batch per block of SWEEP_BLOCK, and of earlier blocks
+    only each restart's final value is kept; a winner outside the last block
+    runs again alone, which repeats its batched run bit for bit.
     Deterministic for a fixed seed: restart k starts from row k of one
     ``random_directions`` draw, scenario k of ``verify --random`` (row 0 is
     ``initial_scenario`` if given), and the winner is the lowest restart index
@@ -381,13 +370,13 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
     previous = np.full(config.restarts, -np.inf)
     if config.initial_scenario is not None:
-        starts[0] = config.initial_scenario
+        starts[0] = check_unit_vectors(config.initial_scenario)
     if config.initial_state is not None:
         previous[0] = expectation(config.initial_state, family.bell_operator(starts[0]))
 
     values = np.empty(config.restarts)
-    for start in range(0, config.restarts, SEESAW_BLOCK):
-        block = slice(start, start + SEESAW_BLOCK)
+    for start in range(0, config.restarts, SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
         best = _seesaw(family, starts[block], previous[block], config)
         values[block] = best.values
 
@@ -435,7 +424,7 @@ def monte_carlo_certify(
         raise ValueError("empty sample: n must be at least 1")
     directions = random_directions(np.random.default_rng(seed), (n, 4))
     for i, sc in enumerate(inject[:n]):
-        directions[i] = sc
+        directions[i] = check_unit_vectors(sc)
 
     norms = np.empty(n)
     for start in range(0, n, SWEEP_BLOCK):
@@ -448,7 +437,8 @@ def monte_carlo_certify(
             ["index", *DIRECTION_COLUMNS, "norm"],
             ([i, *quad.reshape(-1), norm] for i, (quad, norm) in enumerate(zip(directions, norms))),
         )
-    off_band = np.abs(norms - 2.0) > TOL.norm_band
+    # written so that a NaN norm fails too
+    off_band = ~(np.abs(norms - 2.0) <= TOL.norm_band)
     if np.any(off_band):
         k = int(np.argmax(off_band))
         scenario = dict(zip(DIRECTION_NAMES, directions[k].tolist()))

@@ -13,6 +13,7 @@ from spinchsh import (
     HermiticityError,
     MeasurementScenario,
     MonotonicityError,
+    NormalizationError,
     PAULI_FAMILY,
     QuantumState,
     SPIN1_FAMILY,
@@ -326,6 +327,11 @@ class TestSeesaw:
                 SearchConfig(family="qubit-pauli", restarts=1, initial_state=ket(0, dim=9))
             )
 
+    def test_non_finite_initial_scenario_rejected(self):
+        scenario = np.array([[0.0, 0.0, 1.0]] * 3 + [[np.nan, 0.0, 1.0]])
+        with pytest.raises(NormalizationError):
+            maximize_violation(SearchConfig(restarts=1, initial_scenario=scenario))
+
 
 class TestMonteCarlo:
     def test_tight_scenario_injected(self, tight_scenario):
@@ -360,6 +366,28 @@ class TestMonteCarlo:
         payload = excinfo.value.scenario
         assert set(payload) == {"a", "a_prime", "b", "b_prime"}
         assert abs(excinfo.value.norm - 2.0) < 1e-9
+
+    def test_nan_norm_fails_the_band(self, monkeypatch):
+        monkeypatch.setattr(search, "_eigvalsh", lambda B: np.full(B.shape[:-1], np.nan))
+        with pytest.raises(CertificationError) as excinfo:
+            monte_carlo_certify(10, seed=0)
+        assert np.isnan(excinfo.value.norm)
+
+    @pytest.mark.parametrize(
+        "b_prime", [[0.0, 0.0, 5.0], [np.nan, 0.0, 1.0]], ids=["norm-5", "nan"]
+    )
+    def test_injected_directions_must_be_unit(self, b_prime):
+        scenario = np.array([[0.0, 0.0, 1.0]] * 3 + [b_prime])
+        with pytest.raises(NormalizationError):
+            monte_carlo_certify(1, seed=0, inject=(scenario,))
+
+    @pytest.mark.parametrize("block", [7, 1024, 4096])
+    def test_result_and_csv_do_not_depend_on_the_block(self, monkeypatch, tmp_path, block):
+        expected = monte_carlo_certify(2500, seed=5, csv_path=str(tmp_path / "default.csv"))
+        monkeypatch.setattr(search, "SWEEP_BLOCK", block)
+        value = monte_carlo_certify(2500, seed=5, csv_path=str(tmp_path / "blocked.csv"))
+        assert value == expected
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
     def test_csv_emission(self, tmp_path):
         import csv
@@ -441,7 +469,7 @@ class PlantedShortDraw:
         return v
 
 
-@pytest.mark.parametrize("shape", [(), (5, 4), (2, 3, 4), (search.DRAW_BLOCK // 4 + 7, 4)])
+@pytest.mark.parametrize("shape", [(), (5, 4), (2, 3, 4), (search.SWEEP_BLOCK // 4 + 7, 4)])
 def test_random_directions_match_the_one_shot_draw_bit_for_bit(shape):
     """Blocked norms and the in-place division change no bit, a redrawn short vector included."""
     for seed in (0, 11):

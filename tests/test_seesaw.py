@@ -228,7 +228,7 @@ def test_each_operator_is_built_once(monkeypatch, family):
 def test_small_blocks_match_one_block(monkeypatch, family):
     config = SearchConfig(family=family.name, restarts=30, seed=11)
     whole = maximize_violation(config)
-    monkeypatch.setattr(search, "SEESAW_BLOCK", 7)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", 7)
     blocked = maximize_violation(config)
     assert abs(blocked.best_value - whole.best_value) <= 1e-14
     # every restart computes as it would alone, so even the tie break agrees
@@ -249,7 +249,7 @@ def test_restarts_tied_within_rounding_go_to_the_lowest_index(monkeypatch):
     values[9] = np.nextafter(np.nextafter(2.0, 3.0), 3.0)
     starts = search.random_directions(np.random.default_rng(19), (12, 4))
     calls = record_seesaw(monkeypatch, starts, planted=values)
-    monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", 5)
     report = maximize_violation(SearchConfig(restarts=12, seed=19))
     blocks, reported = split_blocks(calls, report, 12, 5)
     assert len(blocks) == 3 and int(np.argmax(values)) == 9
@@ -310,7 +310,7 @@ def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_sc
     starts = plain.copy()
     starts[0] = tight_scenario
     calls = record_seesaw(monkeypatch, starts)
-    monkeypatch.setattr(search, "SEESAW_BLOCK", 5)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", 5)
     report = maximize_violation(config)
     blocks, winner = split_blocks(calls, report, 8, 5)
     (_, first, first_previous, _), (_, second, second_previous, _) = blocks
@@ -339,7 +339,7 @@ def test_initial_state_is_scored_once(monkeypatch, tight_scenario):
     starts = search.random_directions(np.random.default_rng(2), (8, 4))
     starts[0] = tight_scenario
     calls = record_seesaw(monkeypatch, starts)
-    monkeypatch.setattr(search, "SEESAW_BLOCK", 4)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", 4)
     report = maximize_violation(config)
     _, winner = split_blocks(calls, report, 8, 4)
     assert winner == 0 and len(calls) == 3
@@ -362,12 +362,12 @@ def test_seesaw_only_reads_its_inputs():
     assert not np.array_equal(batch.directions, starts)
 
 
-@pytest.mark.parametrize("block", [search.SEESAW_BLOCK, 7])
+@pytest.mark.parametrize("block", [search.SWEEP_BLOCK, 7])
 def test_restarts_start_from_the_verify_draw(monkeypatch, block):
     restarts, seed = 30, 17
     draw = search.random_directions(np.random.default_rng(seed), (restarts, 4))
     calls = record_seesaw(monkeypatch, draw)
-    monkeypatch.setattr(search, "SEESAW_BLOCK", block)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", block)
     report = maximize_violation(SearchConfig(restarts=restarts, seed=seed))
     blocks, _ = split_blocks(calls, report, restarts, block)
     assert len(blocks) == -(-restarts // block)

@@ -267,7 +267,7 @@ def test_non_finite_raises_as_the_reference(document):
 def test_verify_reports_match_reference_renderer(source, tmp_path, monkeypatch, capsys):
     """The report cmd_verify builds renders as the reference does, through the row template.
 
-    5000 random scenarios span two SWEEP_BLOCKs; a scenario file's state
+    5000 random scenarios span several SWEEP_BLOCKs; a scenario file's state
     adds an "expectation" key to its one row.
     """
     if source == "random":
