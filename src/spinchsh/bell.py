@@ -74,13 +74,22 @@ class MeasurementScenario:
         return stack.copy() if copy else stack
 
 
+def _direction_stack(directions) -> np.ndarray:
+    """``directions`` as a float array, raising ValueError unless its shape is (..., 4, 3)."""
+    d = np.asarray(directions, dtype=float)
+    if d.shape[-2:] != (4, 3):
+        raise ValueError(f"expected an (..., 4, 3) direction stack, got shape {d.shape}")
+    return d
+
+
 def correlation_matrices(directions) -> np.ndarray:
     """M = a (b + b')^T + a' (b - b')^T for a scenario or each quadruple of an (..., 4, 3) stack.
 
     A sum of two rank-one terms, so rank at most 2; its squared Frobenius
     norm is 4 for any scenario because b + b' and b - b' are orthogonal.
+    Only the stack's shape is checked here, not its unit norms.
     """
-    d = np.asarray(directions, dtype=float)
+    d = _direction_stack(directions)
     a, a_prime, b, b_prime = d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :]
     return (
         a[..., :, None] * (b + b_prime)[..., None, :]
@@ -118,9 +127,7 @@ def bell_operator(sc) -> np.ndarray:
     (..., 9, 9) stack of their operators; every direction is checked for
     unit norm.
     """
-    directions = np.asarray(sc, dtype=float)
-    if directions.shape[-2:] != (4, 3):
-        raise ValueError(f"expected an (..., 4, 3) direction stack, got shape {directions.shape}")
+    directions = _direction_stack(sc)
     sa, sap, sb, sbp = spin_along(np.moveaxis(directions, -2, 0))
     return _kron(sa, sb) + _kron(sa, sbp) + _kron(sap, sb) - _kron(sap, sbp)
 

@@ -66,10 +66,11 @@ class ObservableFamily:
     def bell_operator(self, sc) -> np.ndarray:
         """The Bell operator of a MeasurementScenario, or of each quadruple of a (..., 4, 3) stack.
 
-        Each operator of a stack is built bit for bit as it would be alone,
-        so a seesaw restart follows the same path in any batch.
+        Every direction is checked for unit norm. Each operator of a stack is
+        built bit for bit as it would be alone, so a seesaw restart follows
+        the same path in any batch.
         """
-        M = correlation_matrices(sc)
+        M = correlation_matrices(check_unit_vectors(sc))
         # the unit axis makes every build one vector-matrix product, as for a single M
         return coupling_operator(M[..., None, :, :], self.tensor)[..., 0, :, :]
 
@@ -98,7 +99,9 @@ class QuantumState:
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
-        vector = np.array(vector, dtype=complex).reshape(-1)
+        vector = np.array(vector, dtype=complex)
+        if vector.ndim != 1:
+            raise StateError(f"pure state must be a vector, got shape {vector.shape}")
         _check_state_norms(vector)
         vector.setflags(write=False)
         return cls(kind="pure", data=vector)
@@ -126,11 +129,6 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-    def density(self) -> np.ndarray:
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return self.data
 
 
 def _check_state_norms(vectors: np.ndarray) -> None:
@@ -230,8 +228,6 @@ class SearchConfig:
     restarts: int = 200
     max_iterations: int = 500
     seed: int = 0
-    initial_scenario: MeasurementScenario | None = None
-    initial_state: QuantumState | None = None
 
 
 @dataclass(frozen=True)
@@ -286,21 +282,17 @@ def _correlations(family: ObservableFamily, states: np.ndarray) -> np.ndarray:
     return T[:, 0].real.reshape(-1, 3, 3)
 
 
-def _seesaw(
-    family: ObservableFamily, directions: np.ndarray, previous: np.ndarray, config: SearchConfig
-) -> _SeesawBatch:
+def _seesaw(family: ObservableFamily, directions: np.ndarray, config: SearchConfig) -> _SeesawBatch:
     """Run the seesaw on every restart of an (R, 4, 3) start stack at once.
 
-    ``previous`` holds each restart's objective before the first iteration
-    (-inf without an initial state). Each iteration is one eigensolve, one
-    direction update and one Bell build of the updated directions over the
-    restarts still active, whose operators the next iteration solves; a
-    restart leaves once its improvement falls below TOL.seesaw_improvement.
-    Both inputs are only read.
+    Each iteration is one eigensolve, one direction update and one Bell
+    build of the updated directions over the restarts still active, whose
+    operators the next iteration solves; a restart leaves once its
+    improvement falls below TOL.seesaw_improvement. The starts are only read.
     """
     count, d = len(directions), family.dim
     # the active restarts' directions, objectives and operators; they shrink together
-    current, before, B = directions, previous, family.bell_operator(directions)
+    current, before, B = directions, np.full(count, -np.inf), family.bell_operator(directions)
     directions = directions.copy()  # the final directions; the caller's starts stay as drawn
     values = np.empty(count)
     states = np.empty((count, d * d), dtype=complex)
@@ -323,9 +315,9 @@ def _seesaw(
         a_pair = _sum_and_difference(current[:, 2:]) @ T.swapaxes(-1, -2)
         a_pair = _renormalized(a_pair, current[:, :2])
         b_pair = _renormalized(_sum_and_difference(a_pair) @ T, current[:, 2:])
-        updated = check_unit_vectors(np.concatenate((a_pair, b_pair), axis=1))
+        updated = np.concatenate((a_pair, b_pair), axis=1)
 
-        # the next iteration's operators, built once
+        # the next iteration's operators, built once; the build checks the unit norms
         B = family.bell_operator(updated)
         value = _real_expectations(v, B)
         _check_monotone(top, value, "direction step")
@@ -356,10 +348,9 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     only each restart's final value is kept; a winner outside the last block
     runs again alone, which repeats its batched run bit for bit.
     Deterministic for a fixed seed: restart k starts from row k of one
-    ``random_directions`` draw, scenario k of ``verify --random`` (row 0 is
-    ``initial_scenario`` if given), and the winner is the lowest restart index
-    whose value is within TOL.seesaw_monotonicity (relative) of the best value
-    over all restarts.
+    ``random_directions`` draw, scenario k of ``verify --random``, and the
+    winner is the lowest restart index whose value is within
+    TOL.seesaw_monotonicity (relative) of the best value over all restarts.
     """
     if config.restarts < 1:
         raise ValueError("need at least one restart")
@@ -368,16 +359,10 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     family = family_by_name(config.family)
 
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
-    previous = np.full(config.restarts, -np.inf)
-    if config.initial_scenario is not None:
-        starts[0] = check_unit_vectors(config.initial_scenario)
-    if config.initial_state is not None:
-        previous[0] = expectation(config.initial_state, family.bell_operator(starts[0]))
-
     values = np.empty(config.restarts)
     for start in range(0, config.restarts, SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
-        best = _seesaw(family, starts[block], previous[block], config)
+        best = _seesaw(family, starts[block], config)
         values[block] = best.values
 
     # many restarts reach the optimum to within a few ulps; the lowest index
@@ -386,8 +371,7 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     winner = int(np.argmax(values >= top - TOL.seesaw_monotonicity * max(1.0, abs(top))))
     # only the last block's batch is kept, so a winner outside it runs again alone
     if winner < start:
-        alone = slice(winner, winner + 1)
-        best, start = _seesaw(family, starts[alone], previous[alone], config), winner
+        best, start = _seesaw(family, starts[winner : winner + 1], config), winner
     k = winner - start
     return SearchReport(
         best_value=float(values[winner]),
@@ -404,18 +388,13 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
 # Monte Carlo certification
 
 
-def monte_carlo_certify(
-    n: int,
-    seed: int = 0,
-    inject: tuple[MeasurementScenario, ...] = (),
-    csv_path: str | None = None,
-) -> float:
+def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> float:
     """Sample n random scenarios and certify every Bell operator norm is 2.
 
     The norm is not merely bounded by 2: it equals 2 for every scenario, so
     any sample further than TOL.norm_band from 2 raises a
     CertificationError carrying the offending scenario. Returns the largest
-    norm observed. Scenarios in ``inject`` replace the first samples.
+    norm observed.
 
     Each norm comes from a dense eigensolve of the scenario's Bell operator
     in the Cartesian basis, where it is real symmetric.
@@ -423,8 +402,6 @@ def monte_carlo_certify(
     if n < 1:
         raise ValueError("empty sample: n must be at least 1")
     directions = random_directions(np.random.default_rng(seed), (n, 4))
-    for i, sc in enumerate(inject[:n]):
-        directions[i] = check_unit_vectors(sc)
 
     norms = np.empty(n)
     for start in range(0, n, SWEEP_BLOCK):

@@ -54,6 +54,14 @@ class TestCorrelationMatrix:
         M = correlation_matrices(sc)
         assert abs(np.sum(M * M) - 4.0) < 1e-10
 
+    @pytest.mark.parametrize(
+        "shape", [(5, 3), (4, 4), (3, 3), (2, 5, 3)], ids=["5x3", "4x4", "3x3", "2x5x3"]
+    )
+    def test_rejects_a_stack_not_of_quadruples(self, shape):
+        # a (5, 3) stack used to lose its fifth row, and a (4, 4) one gave a 4x4 "M"
+        with pytest.raises(ValueError, match=r"expected an \(\.\.\., 4, 3\) direction stack"):
+            correlation_matrices(np.full(shape, 0.5))
+
 
 class TestCouplingOperator:
     def test_zero_matrix(self):

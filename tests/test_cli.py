@@ -403,6 +403,8 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, content):
     assert named in err
 
 
+PURE_MATRIX = [[[3**-0.5 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+
 # a scenario FILE with one bad field, and the field or key the error must name
 BAD_FIELDS = [
     pytest.param({"a": "abc"}, "'a'", id="non-numeric"),
@@ -411,6 +413,8 @@ BAD_FIELDS = [
     pytest.param({"state": {"kind": "pure", "data": [[1, 0, 0]] * 9}}, "state", id="state-not-pairs"),
     pytest.param({"state": {"kind": "bra", "data": [[1, 0]] * 9}}, "state", id="unknown-state-kind"),
     pytest.param({"state": {"kind": "mixed", "data": [[1, 0]] * 9}}, "state", id="mixed-not-square"),
+    # nine pairs as a 3x3 matrix (the identity over sqrt(3)) used to be flattened and accepted
+    pytest.param({"state": {"kind": "pure", "data": PURE_MATRIX}}, "vector", id="pure-not-a-vector"),
     # numpy's float cast reads a numeric string or a boolean as a number,
     # and cannot take an integer beyond the float range
     pytest.param({"a": [0, 0, "1"]}, "'a'", id="string-component"),

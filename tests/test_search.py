@@ -65,18 +65,19 @@ def planar_qubit_grid_max(steps: int = 16) -> float:
 
 
 class TestQuantumState:
-    def test_pure_density(self):
-        state = ket(0)
-        rho = state.density()
-        assert rho[0, 0] == 1.0 and np.count_nonzero(rho) == 1
-
-    def test_mixed_density_is_its_matrix(self):
-        state = random_density_matrix(9, np.random.default_rng(8))
-        assert state.density() is state.data
-
     def test_pure_rejects_bad_norm(self):
         with pytest.raises(StateError):
             QuantumState.pure(np.ones(9))
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.eye(3) / np.sqrt(3.0), np.ones((1, 9)) / 3.0, np.array(1.0)],
+        ids=["3x3", "1x9", "scalar"],
+    )
+    def test_pure_rejects_a_non_vector(self, data):
+        # a unit-norm matrix used to be flattened into a state vector
+        with pytest.raises(StateError, match="vector"):
+            QuantumState.pure(data)
 
     def test_mixed_validation(self):
         with pytest.raises(StateError):
@@ -259,6 +260,15 @@ class TestFamilies:
             direct = np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
             assert np.linalg.norm(PAULI_FAMILY.bell_operator(sc) - direct) < 1e-13
 
+    @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
+    def test_bell_operator_checks_its_directions(self, family):
+        # an all-ones stack used to give the spin-1 family an operator of norm 6
+        for bad in (np.ones((4, 3)), np.full((2, 4, 3), np.nan)):
+            with pytest.raises(NormalizationError):
+                family.bell_operator(bad)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 4, 3\)"):
+            family.bell_operator(np.tile([0.0, 0.0, 1.0], (5, 1)))
+
     def test_known_maxima(self):
         assert SPIN1_FAMILY.known_maximum == 2.0
         assert abs(PAULI_FAMILY.known_maximum - TSIRELSON) < 1e-15
@@ -280,18 +290,9 @@ class TestSeesaw:
         assert abs(report.best_value - 2.0) < 1e-6
 
     def test_tight_start_converges_immediately(self, tight_scenario):
-        report = maximize_violation(
-            SearchConfig(
-                restarts=1, seed=0, initial_scenario=tight_scenario, initial_state=ket(0)
-            )
-        )
-        assert report.iterations <= 2
-        assert abs(report.best_value - 2.0) < 1e-9
-        report = maximize_violation(
-            SearchConfig(restarts=1, seed=0, initial_scenario=tight_scenario)
-        )
-        assert report.iterations <= 2
-        assert abs(report.best_value - 2.0) < 1e-9
+        batch = search._seesaw(SPIN1_FAMILY, tight_scenario.directions()[None], SearchConfig())
+        assert batch.iterations[0] <= 2
+        assert abs(batch.values[0] - 2.0) < 1e-9
 
     @settings(max_examples=10)
     @given(st.integers(0, 2**32 - 1))
@@ -321,28 +322,23 @@ class TestSeesaw:
         with pytest.raises(ValueError):
             maximize_violation(SearchConfig(max_iterations=0))
 
-    def test_initial_state_dimension_mismatch(self):
-        with pytest.raises(StateError):
-            maximize_violation(
-                SearchConfig(family="qubit-pauli", restarts=1, initial_state=ket(0, dim=9))
-            )
 
-    def test_non_finite_initial_scenario_rejected(self):
-        scenario = np.array([[0.0, 0.0, 1.0]] * 3 + [[np.nan, 0.0, 1.0]])
-        with pytest.raises(NormalizationError):
-            maximize_violation(SearchConfig(restarts=1, initial_scenario=scenario))
+def plant_draw(monkeypatch, scenario):
+    """Make the next ``random_directions`` draw the one planted (4, 3) scenario."""
+    monkeypatch.setattr(search, "random_directions", lambda rng, shape: np.array(scenario)[None])
 
 
 class TestMonteCarlo:
-    def test_tight_scenario_injected(self, tight_scenario):
-        value = monte_carlo_certify(1, seed=0, inject=(tight_scenario,))
+    def test_tight_scenario_injected(self, monkeypatch, tight_scenario):
+        plant_draw(monkeypatch, tight_scenario)
+        value = monte_carlo_certify(1, seed=0)
         assert abs(value - 2.0) < 1e-9
 
     def test_random_sample_stays_in_band(self):
         value = monte_carlo_certify(5000, seed=12)
         assert abs(value - 2.0) < 1e-9
 
-    def test_tiny_components_stay_in_band(self):
+    def test_tiny_components_stay_in_band(self, monkeypatch):
         # components near 1e-160 underflow LAPACK's eigenvalue-only solver,
         # which put this scenario's norm at 2.0009 and raised CertificationError
         sc = [
@@ -351,7 +347,8 @@ class TestMonteCarlo:
             [0.9522461412912218, 8.750611558973732e-158, 0.30533143695986925],
             [2.062136162875216e-150, -1.0, -5.069339989282051e-164],
         ]
-        value = monte_carlo_certify(1, seed=0, inject=(np.array(sc),))
+        plant_draw(monkeypatch, sc)
+        value = monte_carlo_certify(1, seed=0)
         assert abs(value - 2.0) < TOL.norm_band
 
     def test_empty_sample_rejected(self):
@@ -372,14 +369,6 @@ class TestMonteCarlo:
         with pytest.raises(CertificationError) as excinfo:
             monte_carlo_certify(10, seed=0)
         assert np.isnan(excinfo.value.norm)
-
-    @pytest.mark.parametrize(
-        "b_prime", [[0.0, 0.0, 5.0], [np.nan, 0.0, 1.0]], ids=["norm-5", "nan"]
-    )
-    def test_injected_directions_must_be_unit(self, b_prime):
-        scenario = np.array([[0.0, 0.0, 1.0]] * 3 + [b_prime])
-        with pytest.raises(NormalizationError):
-            monte_carlo_certify(1, seed=0, inject=(scenario,))
 
     @pytest.mark.parametrize("block", [7, 1024, 4096])
     def test_result_and_csv_do_not_depend_on_the_block(self, monkeypatch, tmp_path, block):

@@ -43,14 +43,12 @@ def _renormalized(gradient, fallback):
     return fallback if norm < 1e-14 else gradient / norm
 
 
-def reference_restart(family, scenario, config, initial_state=None):
+def reference_restart(family, scenario, config):
     """One restart of the seesaw, one scenario at a time.
 
     Returns (value, scenario, iterations, converged, history).
     """
     previous = -np.inf
-    if initial_state is not None:
-        previous = expectation(initial_state, family.bell_operator(scenario))
     history = []
     value, converged, iterations = previous, False, 0
     for iteration in range(1, config.max_iterations + 1):
@@ -79,7 +77,7 @@ def reference_restart(family, scenario, config, initial_state=None):
 def run_batch(family, config):
     """The batched seesaw on the starts maximize_violation draws for ``config``."""
     starts = search.random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
-    return starts, search._seesaw(family, starts, np.full(len(starts), -np.inf), config)
+    return starts, search._seesaw(family, starts, config)
 
 
 def assert_matches_reference(family, config):
@@ -98,7 +96,7 @@ def assert_matches_reference(family, config):
 
 
 def record_seesaw(monkeypatch, starts, planted=None):
-    """Record every ``_seesaw`` call as (first restart, directions, previous, batch).
+    """Record every ``_seesaw`` call as (first restart, directions, batch).
 
     A call's first restart is the row of ``starts`` its first start equals,
     so a lone re-run of the winner is told apart from a block. With
@@ -107,12 +105,12 @@ def record_seesaw(monkeypatch, starts, planted=None):
     original = search._seesaw
     calls = []
 
-    def recording_seesaw(family, directions, previous, cfg):
-        batch = original(family, directions, previous, cfg)
+    def recording_seesaw(family, directions, cfg):
+        batch = original(family, directions, cfg)
         first = int(np.flatnonzero((starts == directions[0]).all(axis=(1, 2)))[0])
         if planted is not None:
             batch.values[:] = planted[first : first + len(batch.values)]
-        calls.append((first, directions.copy(), previous.copy(), batch))
+        calls.append((first, directions.copy(), batch))
         return batch
 
     monkeypatch.setattr(search, "_seesaw", recording_seesaw)
@@ -300,65 +298,13 @@ def test_gradients_match_kron_expectations():
         assert abs(np.sum(correlation_matrices(scenario) * T) - value) < 1e-13, family.name
 
 
-def test_initial_scenario_and_state_seed_restart_zero_only(monkeypatch, tight_scenario):
-    ket0 = np.zeros(9)
-    ket0[0] = 1.0
-    config = SearchConfig(
-        restarts=8, seed=2, initial_scenario=tight_scenario, initial_state=QuantumState.pure(ket0)
-    )
-    plain = search.random_directions(np.random.default_rng(2), (8, 4))
-    starts = plain.copy()
-    starts[0] = tight_scenario
-    calls = record_seesaw(monkeypatch, starts)
-    monkeypatch.setattr(search, "SWEEP_BLOCK", 5)
-    report = maximize_violation(config)
-    blocks, winner = split_blocks(calls, report, 8, 5)
-    (_, first, first_previous, _), (_, second, second_previous, _) = blocks
-    assert np.array_equal(first[0], np.stack(tight_scenario.directions()))
-    assert np.array_equal(first[1:], plain[1:5])
-    assert np.array_equal(second, plain[5:])
-    assert abs(first_previous[0] - 2.0) < 1e-12
-    assert np.all(first_previous[1:] == -np.inf) and np.all(second_previous == -np.inf)
-    # the lone re-run of a winner in the first block starts as it did there
-    for _, directions, previous, _ in calls[2:]:
-        assert np.array_equal(directions, first[[winner]])
-        assert np.array_equal(previous, first_previous[[winner]])
-
-
-def test_initial_state_is_scored_once(monkeypatch, tight_scenario):
-    # restart 0 starts at the optimum, wins in the first of two blocks and runs
-    # again alone, from the prior objective prepared before the blocks
-    ket0 = np.zeros(9)
-    ket0[0] = 1.0
-    config = SearchConfig(
-        restarts=8, seed=2, initial_scenario=tight_scenario, initial_state=QuantumState.pure(ket0)
-    )
-    scored = []
-    original = search.expectation
-    monkeypatch.setattr(search, "expectation", lambda *args: scored.append(args) or original(*args))
-    starts = search.random_directions(np.random.default_rng(2), (8, 4))
-    starts[0] = tight_scenario
-    calls = record_seesaw(monkeypatch, starts)
-    monkeypatch.setattr(search, "SWEEP_BLOCK", 4)
-    report = maximize_violation(config)
-    _, winner = split_blocks(calls, report, 8, 4)
-    assert winner == 0 and len(calls) == 3
-    assert len(scored) == 1
-    first_previous, rerun_previous = calls[0][2], calls[2][2]
-    assert abs(first_previous[0] - 2.0) < 1e-12
-    assert np.array_equal(rerun_previous, first_previous[:1])
-
-
 def test_seesaw_only_reads_its_inputs():
     config = SearchConfig(restarts=12, seed=6)
     starts = search.random_directions(np.random.default_rng(6), (12, 4))
-    previous = np.full(12, -np.inf)
-    previous[3] = 1.5
-    kept = starts.copy(), previous.copy()
+    kept = starts.copy()
     starts.setflags(write=False)
-    previous.setflags(write=False)
-    batch = search._seesaw(SPIN1_FAMILY, starts, previous, config)
-    assert np.array_equal(starts, kept[0]) and np.array_equal(previous, kept[1])
+    batch = search._seesaw(SPIN1_FAMILY, starts, config)
+    assert np.array_equal(starts, kept)
     assert not np.array_equal(batch.directions, starts)
 
 
