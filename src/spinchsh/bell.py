@@ -55,10 +55,10 @@ class MeasurementScenario:
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vectors = [np.reshape(getattr(self, name), -1) for name in DIRECTION_NAMES]
-        if any(v.shape != (3,) for v in vectors):
-            shapes = [v.shape for v in vectors]
-            raise NormalizationError(f"expected four 3-vectors, got shapes {shapes}")
+        vectors = [getattr(self, name) for name in DIRECTION_NAMES]
+        shapes = [np.shape(v) for v in vectors]
+        if any(shape != (3,) for shape in shapes):
+            raise NormalizationError(f"expected four flat 3-vectors, got shapes {shapes}")
         stack = check_unit_vectors(vectors)  # a fresh array: no caller holds a view of it
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)

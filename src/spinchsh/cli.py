@@ -26,14 +26,12 @@ from .bell import (
 from .errors import CertificationError, RankDeficiencyError, SpinChshError
 from .reduction import canonical_reduction
 from .search import (
-    PAULI_FAMILY,
-    SPIN1_FAMILY,
+    _FAMILIES,
     SWEEP_BLOCK,
     ObservableFamily,
     QuantumState,
     SearchConfig,
     expectation,
-    family_by_name,
     maximize_violation,
     monte_carlo_certify,
     random_directions,
@@ -86,11 +84,11 @@ def _json_floats(raw) -> np.ndarray:
 
 def _scenario_vector(raw, name: str) -> np.ndarray:
     try:
-        v = _json_floats(raw).reshape(-1)
+        v = _json_floats(raw)
     except ValueError:
         raise UsageError(f"field {name!r} is not a numeric 3-vector") from None
     if v.shape != (3,):
-        raise UsageError(f"field {name!r} must have exactly 3 components")
+        raise UsageError(f"field {name!r} must be a flat list of 3 numbers, got shape {v.shape}")
     # an overflowed or NaN norm is rejected below, so numpy need not warn about it
     with np.errstate(invalid="ignore", over="ignore"):
         norm = float(np.linalg.norm(v))
@@ -116,13 +114,10 @@ def _load_state(raw) -> QuantumState:
         data = parse_complex_pairs(_json_floats(raw["data"]))
     except ValueError as exc:
         raise UsageError(f"state data: {exc}") from None
-    try:
-        if raw["kind"] == "pure":
-            return QuantumState.pure(data)
-        if raw["kind"] == "mixed":
-            return QuantumState.mixed(data)
-    except SpinChshError as exc:
-        raise UsageError(f"invalid state: {exc}") from None
+    if raw["kind"] == "pure":
+        return QuantumState.pure(data)
+    if raw["kind"] == "mixed":
+        return QuantumState.mixed(data)
     raise UsageError(f"unknown state kind {raw['kind']!r}")
 
 
@@ -323,12 +318,8 @@ def _search_payload(family: ObservableFamily, seed: int, **config) -> dict:
 
 
 def cmd_search(args) -> int:
-    try:
-        family = family_by_name(args.family)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     payload = _search_payload(
-        family, args.seed, restarts=args.restarts, max_iterations=args.iterations
+        _FAMILIES[args.family], args.seed, restarts=args.restarts, max_iterations=args.iterations
     )
     print(json_dumps(payload))
     return EXIT_OK if payload["within_tolerance"] else EXIT_BAND
@@ -344,8 +335,7 @@ def cmd_certify(args) -> int:
         monte_carlo["offending_scenario"] = exc.scenario
         monte_carlo["within_band"] = False
     searches = [
-        _search_payload(family, args.seed, restarts=args.restarts)
-        for family in (SPIN1_FAMILY, PAULI_FAMILY)
+        _search_payload(family, args.seed, restarts=args.restarts) for family in _FAMILIES.values()
     ]
     passed = monte_carlo["within_band"] and all(p["within_tolerance"] for p in searches)
     report = {
@@ -430,12 +420,15 @@ def build_parser() -> _Parser:
     p_search = sub.add_parser("search", help="seesaw search for the maximal expectation")
     p_search.add_argument(
         "--family",
-        default="qutrit-spin1",
-        help="measurement family: qutrit-spin1 or qubit-pauli",
+        choices=list(_FAMILIES),  # the families certify runs
+        default=SearchConfig.family,
+        help="measurement family",
     )
-    p_search.add_argument("--restarts", type=_count, default=200)
-    p_search.add_argument("--iterations", type=_count, default=500, help="seesaw iteration cap")
-    p_search.add_argument("--seed", type=_seed, default=0)
+    p_search.add_argument("--restarts", type=_count, default=SearchConfig.restarts)
+    p_search.add_argument(
+        "--iterations", type=_count, default=SearchConfig.max_iterations, help="seesaw iteration cap"
+    )
+    p_search.add_argument("--seed", type=_seed, default=SearchConfig.seed)
     p_search.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_search.set_defaults(handler=cmd_search)
 
@@ -446,7 +439,7 @@ def build_parser() -> _Parser:
         "--samples", type=_count, default=100_000, help="Monte Carlo sample count"
     )
     p_certify.add_argument(
-        "--restarts", type=_count, default=200, help="seesaw restarts per family"
+        "--restarts", type=_count, default=SearchConfig.restarts, help="seesaw restarts per family"
     )
     p_certify.add_argument("--seed", type=_seed, default=0)
     p_certify.add_argument("--csv", metavar="PATH", help="also write the Monte Carlo norms as CSV")

@@ -30,7 +30,7 @@ from .bell import (
 )
 from .errors import CertificationError, HermiticityError, MonotonicityError, StateError
 from .serialize import DIRECTION_COLUMNS, write_csv
-from .spectrum import _eigvalsh
+from .spectrum import _check_hermitian, _eigvalsh
 from .spin import check_unit_vectors, spin_generators
 from .tolerances import TOL
 
@@ -110,19 +110,19 @@ class QuantumState:
     def mixed(cls, matrix) -> "QuantumState":
         matrix = np.array(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise StateError(f"density matrix must be square, got shape {matrix.shape}")
+            raise StateError(f"mixed state must be a square matrix, got shape {matrix.shape}")
         if not np.isfinite(matrix).all():
-            raise StateError("density matrix has non-finite entries")
+            raise StateError("mixed state has non-finite entries")
         # every comparison below is written so that NaN fails it
         asymmetry = np.linalg.norm(matrix - matrix.conj().T)
         if not asymmetry <= TOL.state_norm:
-            raise StateError(f"density matrix is not Hermitian: asymmetry {asymmetry:.3e}")
+            raise StateError(f"mixed state is not Hermitian: asymmetry {asymmetry:.3e}")
         trace_error = abs(np.trace(matrix) - 1.0)
         if not trace_error <= TOL.state_norm:
-            raise StateError(f"density matrix trace deviates from 1 by {trace_error:.3e}")
+            raise StateError(f"mixed state trace deviates from 1 by {trace_error:.3e}")
         smallest = float(np.min(_eigvalsh(matrix)))
         if not smallest >= TOL.psd_floor:
-            raise StateError(f"density matrix has negative eigenvalue {smallest:.3e}")
+            raise StateError(f"mixed state has negative eigenvalue {smallest:.3e}")
         matrix.setflags(write=False)
         return cls(kind="mixed", data=matrix)
 
@@ -176,10 +176,10 @@ def expectation(state: QuantumState, B) -> float:
 def best_state_value(B) -> tuple[float, QuantumState]:
     """The largest |eigenvalue| of B and an extremal eigenvector as a pure state.
 
-    No state can beat this: |tr(rho B)| is bounded by the operator norm.
+    No state can beat this: |tr(rho B)| is bounded by the operator norm. B
+    passes the Hermiticity gate of ``eig_hermitian`` first.
     """
-    B = np.asarray(B, dtype=complex)
-    eigenvalues, eigenvectors = np.linalg.eigh(B)
+    eigenvalues, eigenvectors = np.linalg.eigh(_check_hermitian(B))
     k = 0 if abs(eigenvalues[0]) > abs(eigenvalues[-1]) else len(eigenvalues) - 1
     return float(abs(eigenvalues[k])), QuantumState.pure(eigenvectors[:, k])
 

@@ -150,9 +150,7 @@ def json_dumps(obj) -> str:
 def complex_pairs(values) -> list:
     """A complex vector or matrix as nested [re, im] pairs."""
     arr = np.asarray(values, dtype=complex)
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [complex_pairs(row) for row in arr]
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def parse_complex_pairs(data) -> np.ndarray:

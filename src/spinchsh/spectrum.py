@@ -65,16 +65,13 @@ def _eigvalsh(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(A)
 
 
-def eig_hermitian(A) -> SpectrumResult:
-    """Eigenvalues and operator norm of a Hermitian matrix, or of an (..., n, n) stack of them.
+def _check_hermitian(A) -> np.ndarray:
+    """``A`` as a complex (..., n, n) array, raising HermiticityError unless it is Hermitian.
 
-    The eigenvalues come from one dense eigensolve over the whole input
-    (``_eigvalsh``); no eigenvectors are computed.
-
-    The Hermiticity gate is the Frobenius norm of A - A^dagger over the whole
-    input. It bounds each matrix's own asymmetry, so a stack passes only if
-    every matrix in it would pass alone. A NaN or infinite entry makes the
-    norm NaN or infinite, which fails the gate too, without a warning.
+    The gate is the Frobenius norm of A - A^dagger over the whole input. It
+    bounds each matrix's own asymmetry, so a stack passes only if every
+    matrix in it would pass alone. A NaN or infinite entry makes the norm
+    NaN or infinite, which fails the gate too, without a warning.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -85,7 +82,15 @@ def eig_hermitian(A) -> SpectrumResult:
         asymmetry = float(np.linalg.norm(A - A.swapaxes(-1, -2).conj()))
     if not asymmetry <= TOL.hermiticity:
         raise HermiticityError(asymmetry)
-    eigenvalues = _eigvalsh(A)
+    return A
+
+
+def eig_hermitian(A) -> SpectrumResult:
+    """Eigenvalues and operator norm of a Hermitian matrix, or of an (..., n, n) stack of them.
+
+    After ``_check_hermitian``, one eigenvalue-only solve (``_eigvalsh``) over the whole input.
+    """
+    eigenvalues = _eigvalsh(_check_hermitian(A))
     norms = np.abs(eigenvalues).max(axis=-1)
     return SpectrumResult(
         eigenvalues=eigenvalues,

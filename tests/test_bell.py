@@ -224,8 +224,14 @@ def test_scenario_directions_roundtrip(u):
 
 @pytest.mark.parametrize(
     "vectors",
-    [((0, 0, 1), (0, 1), (0, 0, 1), (0, 0, 1)), ((0, 1), (0, 1), (1, 0), (1, 0))],
-    ids=["ragged", "all-2-vectors"],
+    [
+        ((0, 0, 1), (0, 1), (0, 0, 1), (0, 0, 1)),
+        ((0, 1), (0, 1), (1, 0), (1, 0)),
+        # a column or a row of three numbers is not a flat 3-vector
+        (((0,), (0,), (1,)), (0, 0, 1), (0, 0, 1), (0, 0, 1)),
+        ((0, 0, 1), (0, 0, 1), ((0, 0, 1),), (0, 0, 1)),
+    ],
+    ids=["ragged", "all-2-vectors", "3x1", "1x3"],
 )
 def test_scenario_rejects_wrong_shapes(vectors):
     with pytest.raises(NormalizationError):

@@ -214,21 +214,31 @@ class TestVerify:
 
 
     @pytest.mark.parametrize(
-        "state",
+        "state, message",
         [
-            {"kind": "pure", "data": [[float("nan"), 0.0]] * 9},
-            {"kind": "pure", "data": [[1.0, 0.0]] + [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7},
-            {"kind": "mixed", "data": [[[float("nan"), 0.0]] * 9] * 9},
+            (
+                {"kind": "pure", "data": [[float("nan"), 0.0]] * 9},
+                "pure state norm deviates from 1 by nan",
+            ),
+            (
+                {"kind": "pure", "data": [[1.0, 0.0]] + [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7},
+                "pure state norm deviates from 1 by nan",
+            ),
+            (
+                {"kind": "mixed", "data": [[[float("nan"), 0.0]] * 9] * 9},
+                "mixed state has non-finite entries",
+            ),
         ],
         ids=["pure-all-nan", "pure-one-nan", "mixed-nan"],
     )
-    def test_non_finite_state_rejected(self, capsys, tmp_path, state):
+    def test_non_finite_state_rejected(self, capsys, tmp_path, state, message):
         path = tmp_path / "nan_state.json"
         path.write_text(json.dumps({**TIGHT, "state": state}))
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: invalid state") and err.count("\n") == 1
+        # the library's StateError message, as main prints every library error
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "state",
@@ -409,6 +419,8 @@ PURE_MATRIX = [[[3**-0.5 if i == j else 0.0, 0.0] for j in range(3)] for i in ra
 BAD_FIELDS = [
     pytest.param({"a": "abc"}, "'a'", id="non-numeric"),
     pytest.param({"b": [1.0, 0.0]}, "'b'", id="two-components"),
+    # a direction nested in a list is not a flat list of three numbers
+    pytest.param({"b_prime": [[0.0, 0.0, 1.0]]}, "'b_prime'", id="nested-direction"),
     pytest.param({"state": [1.0, 0.0]}, "state", id="state-not-an-object"),
     pytest.param({"state": {"kind": "pure", "data": [[1, 0, 0]] * 9}}, "state", id="state-not-pairs"),
     pytest.param({"state": {"kind": "bra", "data": [[1, 0]] * 9}}, "state", id="unknown-state-kind"),
@@ -566,9 +578,13 @@ class TestSearch:
         assert abs(report["best_value"] - 2.0) < 1e-6
 
     def test_unknown_family(self, capsys):
-        code, _, err = run(capsys, "search", "--family", "qudit-spin2")
+        code, out, err = run(capsys, "search", "--family", "qudit-spin2")
         assert code == 1
-        assert "unknown measurement family" in err
+        assert out == ""
+        # argparse's choices message names the argument and both families
+        assert err.startswith("error: argument --family: invalid choice: 'qudit-spin2'")
+        assert err.count("\n") == 1
+        assert "qutrit-spin1" in err and "qubit-pauli" in err
 
     def test_zero_restarts(self, capsys):
         code, _, _ = run(capsys, "search", "--restarts", "0")

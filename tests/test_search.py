@@ -207,6 +207,11 @@ class TestBestStateValue:
         assert value == 3.0
         assert abs(expectation(state, np.diag([-3.0, 1.0, 2.0])) + 3.0) < 1e-12
 
+    def test_non_hermitian_rejected(self):
+        # eigh reads only the lower triangle, here the identity; the gate reads the whole matrix
+        with pytest.raises(HermiticityError):
+            best_state_value(np.triu(np.ones((3, 3))))
+
     @given(scenarios())
     def test_norm_is_always_two(self, sc):
         value, _ = best_state_value(bell_operator(sc))

@@ -314,3 +314,17 @@ def test_verify_report_is_held_about_twice(monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text)
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 3)], ids=["vector", "matrix"])
+def test_complex_pairs_are_per_entry_pairs(shape):
+    rng = np.random.default_rng(8)
+    values = (rng.standard_normal(9) + 1j * rng.standard_normal(9)).reshape(shape)
+    values.flat[0] = complex(-0.0, -0.0)
+    values.flat[1] = complex(0.0, -0.0)
+    pairs = serialize.complex_pairs(values)
+    per_entry = [[z.real, z.imag] for z in values.reshape(-1).tolist()]
+    expected = per_entry if len(shape) == 1 else [per_entry[i : i + 3] for i in range(0, 9, 3)]
+    # repr tells -0.0 from 0.0, and a Python float from a numpy one
+    assert repr(pairs) == repr(expected)
+    assert np.array_equal(serialize.parse_complex_pairs(pairs), values)
