@@ -19,6 +19,7 @@ from .bell import (
 from .errors import (
     CertificationError,
     HermiticityError,
+    InputError,
     MonotonicityError,
     NonFiniteError,
     NormalizationError,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NormalizationError
+from .errors import InputError, NormalizationError
 from .spin import cartesian_generators, check_unit_vectors, spin_along, spin_generators
 
 # the four directions in the order of every (..., 4, 3) direction stack
@@ -75,10 +75,10 @@ class MeasurementScenario:
 
 
 def _direction_stack(directions) -> np.ndarray:
-    """``directions`` as a float array, raising ValueError unless its shape is (..., 4, 3)."""
+    """``directions`` as a float array, raising InputError unless its shape is (..., 4, 3)."""
     d = np.asarray(directions, dtype=float)
     if d.shape[-2:] != (4, 3):
-        raise ValueError(f"expected an (..., 4, 3) direction stack, got shape {d.shape}")
+        raise InputError(f"expected an (..., 4, 3) direction stack, got shape {d.shape}")
     return d
 
 
@@ -107,7 +107,7 @@ def coupling_operator(M, tensor: np.ndarray = _SPIN1_TENSOR) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
+        raise InputError(f"expected a 3x3 matrix, got shape {M.shape}")
     batch = M.shape[:-2]
     side = math.isqrt(tensor.shape[1])
     return (M.reshape(batch + (9,)) @ tensor).reshape(batch + (side, side))

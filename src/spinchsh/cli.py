@@ -36,7 +36,9 @@ from .search import (
     monte_carlo_certify,
     random_directions,
 )
-from .serialize import DIRECTION_COLUMNS, complex_pairs, json_dumps, parse_complex_pairs, write_csv
+from .serialize import (
+    DIRECTION_COLUMNS, Table, complex_pairs, format_rows, json_dumps, parse_complex_pairs, write_csv
+)
 from .spectrum import closed_form_spectrum, eig_hermitian
 from .tolerances import TOL
 
@@ -144,34 +146,37 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
             raise UsageError(f"{path}: missing field {name!r}")
         vectors[name] = _scenario_vector(raw[name], name)
     state = _load_state(raw["state"]) if "state" in raw else None
+    if state is not None and state.dim != 9:
+        raise UsageError(f"state dimension {state.dim} is not 9, the dimension of C^3 (x) C^3")
     return MeasurementScenario(**vectors), state
 
 
-def _verify_rows(directions: np.ndarray) -> list[dict]:
-    """One report row per quadruple of an (N, 4, 3) stack.
+# a verify row: its index, the scenario's directions and its numbers, band deviation last
+_VERIFY_FIELDS = (("index", 0), *((name, 3) for name in DIRECTION_NAMES)) + tuple(
+    (key, 0) for key in ("operator_norm", "s", "t", "sum_sq_residual", "band_deviation")
+)
+# the keys of a verify CSV line, under its header "index", DIRECTION_COLUMNS, "s", "t", "norm"
+_VERIFY_CSV_KEYS = ("index", *DIRECTION_NAMES, "s", "t", "operator_norm")
 
-    Each block of SWEEP_BLOCK scenarios is one four-term Bell build, one
-    Hermitian eigensolve and one SVD reduction.
+
+def _verify_blocks(directions: np.ndarray) -> list[np.ndarray]:
+    """The ``_VERIFY_FIELDS`` numbers of an (N, 4, 3) stack, one table per SWEEP_BLOCK scenarios.
+
+    Each block is one four-term Bell build, one Hermitian eigensolve and one
+    SVD reduction.
     """
-    rows = []
+    blocks = []
     for start in range(0, len(directions), SWEEP_BLOCK):
         block = directions[start : start + SWEEP_BLOCK]
         norms = eig_hermitian(bell_operator(block)).operator_norm
         reduction = canonical_reduction(correlation_matrices(block))
-        columns = zip(block.tolist(), norms.tolist(), reduction.s.tolist(), reduction.t.tolist())
-        for index, (quad, norm, s, t) in enumerate(columns, start):
-            rows.append(
-                {
-                    "index": index,
-                    **dict(zip(DIRECTION_NAMES, quad)),
-                    "operator_norm": norm,
-                    "s": s,
-                    "t": t,
-                    "sum_sq_residual": abs(s**2 + t**2 - 4.0),
-                    "band_deviation": abs(norm - 2.0),
-                }
-            )
-    return rows
+        s, t = reduction.s, reduction.t
+        # Python's float power, whose last bit numpy's square does not always match
+        residuals = [abs(x**2 + y**2 - 4.0) for x, y in zip(s.tolist(), t.tolist())]
+        index = np.arange(start, start + len(block))
+        columns = (index, block.reshape(-1, 12), norms, s, t, residuals, np.abs(norms - 2.0))
+        blocks.append(np.column_stack(columns))
+    return blocks
 
 
 def cmd_verify(args) -> int:
@@ -183,26 +188,20 @@ def cmd_verify(args) -> int:
     else:
         sc, state = load_scenario_file(args.scenario)
         directions = np.asarray(sc)[None]
-    rows = _verify_rows(directions)
+    blocks, fields = _verify_blocks(directions), _VERIFY_FIELDS
+    deviation = np.concatenate([block[:, -1] for block in blocks])
     if state is not None:
-        rows[0]["expectation"] = expectation(state, bell_operator(directions[0]))
-
-    report["count"] = len(rows)
-    report["scenarios"] = rows
-    report["max_band_deviation"] = max(row["band_deviation"] for row in rows)
-    within = report["max_band_deviation"] <= TOL.norm_band
+        value = expectation(state, bell_operator(directions[0]))
+        blocks, fields = [np.append(blocks[0], [[value]], axis=1)], fields + (("expectation", 0),)
+    rows = Table(fields, blocks, () if args.csv is None else _VERIFY_CSV_KEYS)
+    # written so that a NaN deviation fails the band too
+    within = not np.any(~(deviation <= TOL.norm_band))
+    report.update(count=len(directions), scenarios=rows, max_band_deviation=float(deviation.max()))
     report["all_within_band"] = within
-
+    text = json_dumps(report)
     if args.csv is not None:
-        write_csv(
-            args.csv,
-            ["index", *DIRECTION_COLUMNS, "s", "t", "norm"],
-            (
-                [row["index"], *quad, row["s"], row["t"], row["operator_norm"]]
-                for row, quad in zip(rows, directions.reshape(-1, 12).tolist())
-            ),
-        )
-    print(json_dumps(report))
+        write_csv(args.csv, ["index", *DIRECTION_COLUMNS, "s", "t", "norm"], rows.csv_lines)
+    print(text)
     return EXIT_OK if within else EXIT_BAND
 
 
@@ -227,8 +226,6 @@ def cmd_spectrum(args) -> int:
             closed_norm = np.hypot(s, t)
         if not np.isfinite(closed_norm):
             raise UsageError("--s and --t must be finite, and so must sqrt(s^2 + t^2)")
-        if s < 0.0 or t < 0.0:
-            raise UsageError("--s and --t must be nonnegative")
         source = "parameters"
 
     closed = closed_form_spectrum(s, t)
@@ -255,17 +252,15 @@ def cmd_spectrum(args) -> int:
 def _spectrum_grid(args) -> int:
     values = np.linspace(0.0, 2.0, args.grid)
 
-    def rows():
+    def lines():
         # one build and one eigensolve per grid row of fixed s; a stack of the
         # whole grid would hold N^2 operators at once
-        points = values.tolist()
-        for s in points:
+        for s in values:
             numeric = eig_hermitian(canonical_operator(s, values))
-            columns = zip(points, numeric.eigenvalues.tolist(), numeric.operator_norm.tolist())
-            for t, eigenvalues, norm in columns:
-                yield (s, t, *eigenvalues, norm)
+            columns = (np.full(len(values), s), values, numeric.eigenvalues, numeric.operator_norm)
+            yield format_rows(np.column_stack(columns))
 
-    write_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"], rows())
+    write_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"], lines())
     return EXIT_OK
 
 
@@ -275,8 +270,6 @@ def cmd_reduce(args) -> int:
             M = _json_floats(json.loads(args.matrix))
         except (json.JSONDecodeError, RecursionError, ValueError):
             raise UsageError("--matrix must be a JSON 3x3 array of numbers") from None
-        if M.shape != (3, 3):
-            raise UsageError(f"--matrix must be 3x3, got shape {M.shape}")
         # the sum of squares, the report's s^2 + t^2, is finite only if the whole report is
         with np.errstate(over="ignore"):
             sum_of_squares = np.sum(np.square(M))

@@ -5,6 +5,10 @@ class SpinChshError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(SpinChshError, ValueError):
+    """An argument has the wrong shape or lies outside its function's domain."""
+
+
 class NonFiniteError(SpinChshError, ValueError):
     """A matrix that must be finite holds a NaN or infinite entry."""
 

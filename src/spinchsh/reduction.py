@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import canonical_operator, coupling_operator
-from .errors import NonFiniteError, RankDeficiencyError
+from .errors import InputError, NonFiniteError, RankDeficiencyError
 from .spin import spin_representation
 from .tolerances import TOL
 
@@ -52,6 +52,8 @@ class CanonicalReduction:
         representations of R and Q carry K(M) to the canonical form.
         """
         M = np.asarray(M, dtype=float)
+        if M.shape != (3, 3):
+            raise InputError(f"a certificate is of one 3x3 matrix, got shape {M.shape}")
         W = np.kron(spin_representation(self.R), spin_representation(self.Q))
         conjugated = W @ coupling_operator(M) @ W.conj().T
         return {
@@ -85,7 +87,7 @@ def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
+        raise InputError(f"expected a 3x3 matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NonFiniteError("expected finite matrix entries")
     U, sigma, Vt = np.linalg.svd(M)

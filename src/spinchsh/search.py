@@ -28,8 +28,8 @@ from .bell import (
     coupling_operator,
     coupling_tensor,
 )
-from .errors import CertificationError, HermiticityError, MonotonicityError, StateError
-from .serialize import DIRECTION_COLUMNS, write_csv
+from .errors import CertificationError, HermiticityError, InputError, MonotonicityError, StateError
+from .serialize import DIRECTION_COLUMNS, format_rows, write_csv
 from .spectrum import _check_hermitian, _eigvalsh
 from .spin import check_unit_vectors, spin_generators
 from .tolerances import TOL
@@ -87,7 +87,7 @@ def family_by_name(name: str) -> ObservableFamily:
         return _FAMILIES[name]
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown measurement family {name!r}; known families: {known}") from None
+        raise InputError(f"unknown measurement family {name!r}; known families: {known}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,9 +353,9 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     TOL.seesaw_monotonicity (relative) of the best value over all restarts.
     """
     if config.restarts < 1:
-        raise ValueError("need at least one restart")
+        raise InputError("need at least one restart")
     if config.max_iterations < 1:
-        raise ValueError("need at least one iteration")
+        raise InputError("need at least one iteration")
     family = family_by_name(config.family)
 
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
@@ -400,7 +400,7 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
     in the Cartesian basis, where it is real symmetric.
     """
     if n < 1:
-        raise ValueError("empty sample: n must be at least 1")
+        raise InputError("empty sample: n must be at least 1")
     directions = random_directions(np.random.default_rng(seed), (n, 4))
 
     norms = np.empty(n)
@@ -409,11 +409,10 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
         B = coupling_operator(correlation_matrices(directions[block]), SPIN1_REAL_TENSOR)
         norms[block] = np.max(np.abs(_eigvalsh(B)), axis=1)
     if csv_path is not None:
-        write_csv(
-            csv_path,
-            ["index", *DIRECTION_COLUMNS, "norm"],
-            ([i, *quad.reshape(-1), norm] for i, (quad, norm) in enumerate(zip(directions, norms))),
-        )
+        columns = (np.arange(n), directions.reshape(n, 12), norms)
+        blocks = (slice(k, k + SWEEP_BLOCK) for k in range(0, n, SWEEP_BLOCK))
+        rows = (np.column_stack([column[b] for column in columns]) for b in blocks)
+        write_csv(csv_path, ["index", *DIRECTION_COLUMNS, "norm"], map(format_rows, rows))
     # written so that a NaN norm fails too
     off_band = ~(np.abs(norms - 2.0) <= TOL.norm_band)
     if np.any(off_band):

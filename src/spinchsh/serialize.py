@@ -4,17 +4,16 @@ Identical inputs must produce byte-identical text, so floats are formatted
 explicitly instead of relying on repr, and key order is the insertion order
 of the dictionaries we build.
 
-A list of same-shape dicts, such as the rows of a ``verify`` report, is
-rendered through one row template, the renderer's only fast path: every
-item is a dict with the first item's str keys in the same order, and each
-value has, by exact type, the first item's kind (a float, an int, or an
-all-float list of the same length). The template holds the brackets, the
-padding, the quoted keys and one ``%.17g`` or ``%d`` field per number, and
-one ``%`` fills every row's copy of it from a flat tuple of the values, so
-the rows cost little more than the formatting of their floats. Any other
-list, or one holding a non-finite float, is rendered item by item, which
-gives the same text. Every other container is one ``"".join`` over a flat
-list of its parts, so a large report's text is held about twice at most.
+``json_dumps`` renders a report value by value, dispatching on its exact
+type. A table of numbers, such as the rows of a ``verify`` report, is
+declared instead: a ``Table`` holds blocks of numbers and the layout of one
+row. ``render_table`` formats a few rows at a time by one ``%`` into the
+texts of their numbers, and ``%s`` templates place those texts into the
+rows, with their padding and quoted keys, and into their CSV lines; so
+every number is formatted once, and only a few rows' texts are held.
+``format_rows`` is the one ``%.17g`` formatter of tables and CSV lines, and
+``write_csv`` the one CSV writer. Every container is one ``"".join`` over a
+flat list of its parts, so a large report's text is held about twice at most.
 """
 
 from __future__ import annotations
@@ -22,9 +21,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain
 
 import numpy as np
+
+from .errors import InputError, NonFiniteError
 
 # the four scenario directions, flattened, as CSV columns
 DIRECTION_COLUMNS = (
@@ -34,63 +34,78 @@ DIRECTION_COLUMNS = (
 
 _FLOAT = frozenset([float])
 _STR = frozenset([str])
-_DICT = frozenset([dict])
-_LIST = frozenset([list])
-_FIELDS = {float: "%.17g", int: "%d"}  # the row-template field of each scalar kind
 _PAD = "  "  # indentation per nesting level
+# rows of a table formatted by one %: their texts cost about 2.6 times the
+# JSON they become, so a chunk is a small part of a large report
+_CHUNK = 128
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its encoder set-up
 
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
+        raise NonFiniteError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")
 
 
-def _render_rows(rows: list, level: int) -> str | None:
-    """A non-empty list of same-shape dicts, by one ``%``; None for any other list.
+def format_rows(table, separator: str = ",") -> str:
+    """The rows of a 2-D array of numbers as lines of text, by one ``%``: CSV lines by default.
 
-    None also when the rows hold a non-finite float (or floats whose sum
-    overflows): the item-by-item path then raises for the first one, in
-    document order, or renders the same text.
+    Each number is ``%.17g``: floats at 17 significant digits, and integers
+    of magnitude up to 2**53 as their decimal digits, joined by ``separator``.
     """
-    first = rows[0]
-    if type(first) is not dict or not _STR.issuperset(map(type, first)):
-        return None
-    if not _DICT.issuperset(map(type, rows)) or set(map(tuple, rows)) != {tuple(first)}:
-        return None
-    pad = _PAD * (level + 2)
-    fields, columns, floats = [], [], []
-    # one column per key, then one per element of a list-valued key
-    for key, column in zip(first, zip(*map(dict.values, rows))):
-        kind = type(column[0])
-        if kind is list:
-            width = len(column[0])
-            if not _LIST.issuperset(map(type, column)) or set(map(len, column)) != {width}:
-                return None
-            if not _FLOAT.issuperset(map(type, chain.from_iterable(column))):
-                return None
-            parts = list(zip(*column))
-            field = "[" + ", ".join(["%.17g"] * width) + "]"
-            columns += parts
-            floats += parts
-        elif kind in _FIELDS and frozenset([kind]).issuperset(map(type, column)):
-            field = _FIELDS[kind]
-            columns.append(column)
-            if kind is float:
-                floats.append(column)
-        else:
-            return None
-        fields.append(f"{pad}{_quote(key).replace('%', '%%')}: {field}")
-    # no columns: rows like {} render without a template. A nan or an inf
-    # makes the sum non-finite; so may finite floats near the largest float,
-    # which the item-by-item path then renders all the same
-    if not columns or not math.isfinite(sum(chain.from_iterable(floats))):
-        return None
-    inner = _PAD * (level + 1)
-    template = inner + "{\n" + ",\n".join(fields) + "\n" + inner + "}"
-    values = tuple(chain.from_iterable(zip(*columns)))  # row by row
-    return ("[\n" + ",\n".join([template] * len(rows)) + "\n" + _PAD * level + "]") % values
+    table = np.asarray(table, dtype=float)
+    template = (separator.join(["%.17g"] * table.shape[-1]) + "\n") * len(table)
+    return template % tuple(table.ravel().tolist())
+
+
+class Table:
+    """Report rows declared as blocks of numbers, which ``json_dumps`` renders as a list of dicts.
+
+    ``fields`` lays out a row as (key, width) pairs that take its numbers in
+    order: width 0 for one number, n for a list of n. Each of ``blocks`` is
+    a 2-D float array, one row per report row. With ``csv_keys``, rendering
+    also appends the rows' CSV lines, the numbers of those keys, to
+    ``csv_lines``. A plain class: a dataclass would cost every import a
+    millisecond.
+    """
+
+    def __init__(self, fields: tuple[tuple[str, int], ...], blocks: list, csv_keys: tuple = ()):
+        self.fields, self.blocks, self.csv_keys = fields, blocks, csv_keys
+        self.csv_lines: list[str] = []
+
+
+def render_table(table: Table, level: int) -> str:
+    """``table`` as the JSON list of its rows at nesting ``level``, each number formatted once.
+
+    Every ``_CHUNK`` rows of a block are formatted by one ``%`` into the
+    texts of their numbers, which ``%s`` templates then place into the rows
+    and the CSV lines. Raises NonFiniteError, naming the first non-finite
+    number in row order, before it renders any.
+    """
+    for block in table.blocks:
+        bad = block[~np.isfinite(block)]
+        if bad.size:
+            raise NonFiniteError(f"cannot serialize non-finite float {float(bad[0])!r}")
+    inner, pad = _PAD * (level + 1), _PAD * (level + 2)
+    values = {key: "[%s]" % ", ".join(["%s"] * width) if width else "%s" for key, width in table.fields}
+    entries = [f"{pad}{_quote(key).replace('%', '%%')}: {value}" for key, value in values.items()]
+    row = inner + "{\n" + ",\n".join(entries) + "\n" + inner + "}"
+    keys = [key for key, width in table.fields for _ in range(width or 1)]  # the key of each column
+    csv_columns = [c for csv_key in table.csv_keys for c, key in enumerate(keys) if key == csv_key]
+    line = ",".join(["%s"] * len(csv_columns)) + "\n"
+    parts = ["[\n"]
+    chunks = (block[i : i + _CHUNK] for block in table.blocks for i in range(0, len(block), _CHUNK))
+    for chunk in chunks:
+        cells = format_rows(chunk, "\n").split("\n")
+        cells.pop()  # the empty text after the last row's end
+        parts += (",\n".join([row] * len(chunk)) % tuple(cells), ",\n")
+        if csv_columns:
+            ordered = np.array(cells, dtype=object).reshape(chunk.shape)[:, csv_columns]
+            table.csv_lines.append(line * len(chunk) % tuple(ordered.ravel().tolist()))
+    if len(parts) == 1:
+        return "[]"
+    parts[-1] = "\n" + _PAD * level + "]"
+    return "".join(parts)
 
 
 def _render(obj, level: int) -> str:
@@ -104,9 +119,6 @@ def _render(obj, level: int) -> str:
     if kind is list:
         if _FLOAT.issuperset(map(type, obj)):
             return "[" + ", ".join(map(_format_float, obj)) + "]"
-        text = _render_rows(obj, level)
-        if text is not None:
-            return text
         pad = _PAD * (level + 1)
         parts = ["[\n"]
         for v in obj:
@@ -125,6 +137,8 @@ def _render(obj, level: int) -> str:
             parts += (pad, _quote(k), ": ", _render(v, level + 1), ",\n")
         parts[-1] = "\n" + _PAD * level + "}"
         return "".join(parts)
+    if kind is Table:
+        return render_table(obj, level)
     if kind is str:
         return _quote(obj)
     if obj is None:
@@ -141,8 +155,10 @@ def json_dumps(obj) -> str:
     """Render ``obj`` as deterministic JSON text (no trailing newline).
 
     ``obj`` is built of Python floats, ints, bools, strs and None, lists,
-    dicts with str keys, and float64 arrays (as their ``tolist()``); any
-    other type, a numpy scalar or a tuple included, raises TypeError.
+    dicts with str keys, float64 arrays (as their ``tolist()``) and
+    ``Table``s (by ``render_table``); any other type, a numpy scalar or a
+    tuple included, raises TypeError. A non-finite float raises
+    NonFiniteError, a ValueError.
     """
     return _render(obj, 0)
 
@@ -157,23 +173,20 @@ def parse_complex_pairs(data) -> np.ndarray:
     """Inverse of complex_pairs: nested [re, im] pairs back to a complex array."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
-        raise ValueError("expected nested [re, im] pairs")
+        raise InputError("expected nested [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def write_csv(path: str | None, header, rows) -> None:
-    """Write ``header``, then one line per row of numbers, to ``path`` (stdout if None).
+def write_csv(path: str | None, header, lines) -> None:
+    """Write ``header``, then each text of ``lines``, to ``path`` (stdout if None).
 
-    Every cell is formatted as ``%.17g``: floats at 17 significant digits,
-    and ints of magnitude up to 2**53 as their decimal digits, as ``str``
-    gives them. ``rows`` may be a generator; it is consumed as the lines are
-    written.
+    Each text holds whole CSV lines, as ``format_rows`` gives them.
+    ``lines`` may be a generator; it is consumed as the texts are written.
     """
-    template = ",".join(["%.17g"] * len(header)) + "\n"
     handle = sys.stdout if path is None else open(path, "w", newline="")
     try:
         handle.write(",".join(header) + "\n")
-        handle.writelines(template % tuple(row) for row in rows)
+        handle.writelines(lines)
     finally:
         if handle is not sys.stdout:
             handle.close()

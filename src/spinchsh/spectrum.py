@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HermiticityError
+from .errors import HermiticityError, InputError
 from .tolerances import TOL
 
 # below this fraction of a matrix's largest entry, LAPACK's eigenvalue-only
@@ -75,7 +75,7 @@ def _check_hermitian(A) -> np.ndarray:
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise InputError(f"expected a square matrix, got shape {A.shape}")
     # inf - inf gives NaN and a huge difference overflows to inf; either
     # fails the gate below, so numpy's warnings about them are noise
     with np.errstate(invalid="ignore", over="ignore"):
@@ -101,7 +101,7 @@ def eig_hermitian(A) -> SpectrumResult:
 def _check_parameters(s: float, t: float) -> tuple[float, float]:
     s, t = float(s), float(t)
     if s < 0.0 or t < 0.0:
-        raise ValueError(f"canonical parameters must be nonnegative, got s={s!r}, t={t!r}")
+        raise InputError(f"canonical parameters must be nonnegative, got s={s!r}, t={t!r}")
     return s, t
 
 

@@ -17,6 +17,7 @@ from spinchsh import (
     CARTESIAN_BASIS,
     CertificationError,
     HermiticityError,
+    InputError,
     MeasurementScenario,
     NormalizationError,
     QuantumState,
@@ -33,9 +34,9 @@ from spinchsh import (
     spin_along,
     svd3,
 )
-from spinchsh import cli, search
+from spinchsh import cli, search, serialize
 from spinchsh.bell import SPIN1_REAL_TENSOR
-from spinchsh.serialize import complex_pairs, json_dumps, write_csv
+from spinchsh.serialize import Table, complex_pairs, format_rows, json_dumps, write_csv
 
 # a 4e-144 component leaves a rounding-noise second singular value (see
 # test_reduction.py::TestReducedBell::test_rank_one_with_rounding_noise)
@@ -110,14 +111,27 @@ def edge_directions() -> np.ndarray:
     return np.array(quads, dtype=float)
 
 
+# the key of each column of a verify block
+_COLUMN_KEYS = [key for key, width in cli._VERIFY_FIELDS for _ in range(width or 1)]
+
+
+def verify_rows(directions: np.ndarray) -> Table:
+    """The verify rows of a direction stack, as cmd_verify declares them."""
+    return Table(cli._VERIFY_FIELDS, cli._verify_blocks(directions))
+
+
+def column(rows: Table, key: str) -> list:
+    return np.concatenate(rows.blocks)[:, _COLUMN_KEYS.index(key)].tolist()
+
+
 def assert_rows_match_reference(directions: np.ndarray) -> None:
-    rows = cli._verify_rows(directions)
+    rows = verify_rows(directions)
     reference = [
         reference_row(i, MeasurementScenario(*quad)) for i, quad in enumerate(directions)
     ]
-    for row, ref in zip(rows, reference):
-        for key in ("operator_norm", "s", "t", "sum_sq_residual", "band_deviation"):
-            assert row[key] == ref[key], (row["index"], key)
+    for key in ("operator_norm", "s", "t", "sum_sq_residual", "band_deviation"):
+        for index, value, ref in zip(column(rows, "index"), column(rows, key), reference):
+            assert value == ref[key], (index, key)
     # and the rendered report text is the same byte for byte
     assert json_dumps(rows) == json_dumps(reference)
 
@@ -129,17 +143,20 @@ class TestVerifyRows:
 
     def test_edge_cases_match_per_scenario_path(self):
         directions = edge_directions()
-        rows = cli._verify_rows(directions)
-        assert rows[0]["t"] == 0.0 and rows[3]["t"] == 0.0
+        t = column(verify_rows(directions), "t")
+        assert t[0] == 0.0 and t[3] == 0.0
         assert_rows_match_reference(directions)
 
     def test_blocks_join_seamlessly(self, monkeypatch):
         directions = random_directions(np.random.default_rng(5), (23, 4))
-        whole = cli._verify_rows(directions)
+        text = json_dumps(verify_rows(directions))
         monkeypatch.setattr(cli, "SWEEP_BLOCK", 5)
-        blocked = cli._verify_rows(directions)
-        assert json_dumps(blocked) == json_dumps(whole)
-        assert [row["index"] for row in blocked] == list(range(23))
+        blocked = verify_rows(directions)
+        assert json_dumps(blocked) == text
+        assert column(blocked, "index") == list(range(23))
+        # and the renderer's chunks, which need not divide a block
+        monkeypatch.setattr(serialize, "_CHUNK", 3)
+        assert json_dumps(blocked) == text
 
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_file_expectation_matches_per_scenario_path(self, capsys, tmp_path, kind):
@@ -192,7 +209,7 @@ class TestBellStack:
             bell_operator(directions)
 
     def test_rejects_wrong_stack_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             bell_operator(np.zeros((5, 3, 3)))
 
 
@@ -372,7 +389,7 @@ class TestWriteCsv:
     )
     def test_matches_csv_writer(self, tmp_path, rows):
         path = tmp_path / "rows.csv"
-        write_csv(str(path), self.HEADER, rows)
+        write_csv(str(path), self.HEADER, [format_rows(rows)])
         assert path.read_bytes() == csv_writer_text(self.HEADER, rows).encode()
 
     def test_consumes_a_generator_lazily(self, monkeypatch):
@@ -385,7 +402,7 @@ class TestWriteCsv:
                 assert out.getvalue().count("\n") == 1 + k
                 yield (k, k / 2.0, -k)
 
-        write_csv(None, self.HEADER, rows())
+        write_csv(None, self.HEADER, (format_rows([row]) for row in rows()))
         assert out.getvalue() == csv_writer_text(
             self.HEADER, [(k, k / 2.0, -k) for k in range(5)]
         )

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, qr_rotation, scenarios, unit_vectors
 from spinchsh import (
+    InputError,
     MeasurementScenario,
     NormalizationError,
     SPIN1_FAMILY,
@@ -59,7 +60,7 @@ class TestCorrelationMatrix:
     )
     def test_rejects_a_stack_not_of_quadruples(self, shape):
         # a (5, 3) stack used to lose its fifth row, and a (4, 4) one gave a 4x4 "M"
-        with pytest.raises(ValueError, match=r"expected an \(\.\.\., 4, 3\) direction stack"):
+        with pytest.raises(InputError, match=r"expected an \(\.\.\., 4, 3\) direction stack"):
             correlation_matrices(np.full(shape, 0.5))
 
 
@@ -87,7 +88,7 @@ class TestCouplingOperator:
             assert np.linalg.norm(coupling_operator(M) - brute_force_coupling(M)) < 1e-13
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             coupling_operator(np.eye(2))
 
     def test_correlation_stack_matches_scalar(self):

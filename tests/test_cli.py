@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from spinchsh import (
     TOL,
     MeasurementScenario,
+    SpectrumResult,
     bell_operator,
     canonical_reduction,
     closed_form_spectrum,
@@ -257,6 +258,59 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "dimension" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "reduce"])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 3},
+            {"kind": "mixed", "data": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        ],
+        ids=["pure-4", "mixed-2x2"],
+    )
+    def test_every_file_command_checks_the_state_dimension(self, capsys, tmp_path, command, state):
+        # the scenario-file loader owns the rule, though only verify uses the state
+        path = tmp_path / "qubit_state.json"
+        path.write_text(json.dumps({**TIGHT, "state": state}))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: state dimension ") and err.count("\n") == 1
+
+    @staticmethod
+    def report_one_norm_as(monkeypatch, value):
+        """Make the eigensolver report ``value`` as the norm of scenario 3: no real scenario leaves the band."""
+
+        def solver(A):
+            result = eig_hermitian(A)
+            norms = result.operator_norm.copy()
+            norms[3] = value
+            return SpectrumResult(result.eigenvalues, norms)
+
+        monkeypatch.setattr(cli, "eig_hermitian", solver)
+
+    def test_norm_outside_the_band_exits_2(self, capsys, tmp_path, monkeypatch):
+        self.report_one_norm_as(monkeypatch, 2.0 + 1e-8)
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "verify", "--random", "10", "--seed", "2", "--csv", str(path))
+        assert (code, err) == (2, "")
+        report = json.loads(out)
+        assert report["all_within_band"] is False
+        assert abs(report["max_band_deviation"] - 1e-8) <= 1e-15
+        assert report["scenarios"][3]["operator_norm"] == 2.0 + 1e-8
+        # the CSV is written all the same
+        with open(path) as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 11 and float(rows[4][15]) == 2.0 + 1e-8
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_norm_is_one_error_line(self, capsys, tmp_path, monkeypatch, value):
+        self.report_one_norm_as(monkeypatch, value)
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "verify", "--random", "10", "--seed", "2", "--csv", str(path))
+        # no number is printed, and a non-finite one is never written
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot serialize non-finite float {value!r}\n"
+        assert not path.exists()
+
 
 class TestSpectrum:
     def test_near_sqrt2_parameters(self, capsys):
@@ -279,8 +333,10 @@ class TestSpectrum:
         assert json.loads(out)["operator_norm_numerical"] == 1.25
 
     def test_negative_rejected(self, capsys):
-        code, _, _ = run(capsys, "spectrum", "--s", "-1", "--t", "0")
-        assert code == 1
+        code, out, err = run(capsys, "spectrum", "--s", "-1", "--t", "0")
+        assert (code, out) == (1, "")
+        # the library's message: closed_form_spectrum owns the rule
+        assert err == "error: canonical parameters must be nonnegative, got s=-1.0, t=0.0\n"
 
     # the last two are finite, but the closed-form norm sqrt(s^2 + t^2) overflows
     @pytest.mark.parametrize(
@@ -516,6 +572,12 @@ class TestReduce:
     def test_bad_matrix_json(self, capsys):
         code, _, _ = run(capsys, "reduce", "--matrix", "[[1,2],[3,4]]")
         assert code == 1
+        # svd3 and the certificate own the shape rules, and main prints their errors
+        for matrix, shape in (("[[1,2],[3,4]]", "3x3 matrix, got shape (2, 2)"),
+                              ("[[[2,0,0],[0,0,0],[0,0,0]]]", "one 3x3 matrix, got shape (1, 3, 3)")):
+            code, out, err = run(capsys, "reduce", "--matrix", matrix)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.endswith(shape + "\n") and err.count("\n") == 1
         code, _, _ = run(capsys, "reduce", "--matrix", "not json")
         assert code == 1
         # numpy's float cast reads a numeric string or a boolean as a number,

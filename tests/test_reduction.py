@@ -12,7 +12,9 @@ from reference import reduced_bell
 from spinchsh import (
     TOL,
     CanonicalReduction,
+    InputError,
     RankDeficiencyError,
+    SpinChshError,
     bell_operator,
     canonical_operator,
     canonical_reduction,
@@ -47,8 +49,18 @@ class TestSvd3:
         assert np.array_equal(sigma, [0.0, 0.0, 0.0])
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
+        with pytest.raises(InputError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
             svd3(np.eye(2))
+
+    def test_wrong_shape_is_a_library_error(self):
+        # main prints a library error as one line; any other exception is a traceback
+        with pytest.raises(SpinChshError, match=r"got shape \(2, 2\)"):
+            canonical_reduction(np.eye(2))
+
+    def test_certificate_is_of_one_matrix(self):
+        stack = np.stack([np.diag([2.0, 0.0, 0.0])] * 2)
+        with pytest.raises(InputError, match=r"one 3x3 matrix, got shape \(2, 3, 3\)"):
+            canonical_reduction(stack).certificate(stack)
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))

@@ -11,6 +11,7 @@ from reference import random_density_matrix, random_pure_state
 from spinchsh import (
     CertificationError,
     HermiticityError,
+    InputError,
     MeasurementScenario,
     MonotonicityError,
     NormalizationError,
@@ -232,7 +233,7 @@ class TestFamilies:
     def test_lookup(self):
         assert family_by_name("qutrit-spin1") is SPIN1_FAMILY
         assert family_by_name("qubit-pauli") is PAULI_FAMILY
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             family_by_name("qubit-spin1")
 
     def test_spin1_family_matches_bell_operator(self):
@@ -271,7 +272,7 @@ class TestFamilies:
         for bad in (np.ones((4, 3)), np.full((2, 4, 3), np.nan)):
             with pytest.raises(NormalizationError):
                 family.bell_operator(bad)
-        with pytest.raises(ValueError, match=r"\(\.\.\., 4, 3\)"):
+        with pytest.raises(InputError, match=r"\(\.\.\., 4, 3\)"):
             family.bell_operator(np.tile([0.0, 0.0, 1.0], (5, 1)))
 
     def test_known_maxima(self):
@@ -322,9 +323,9 @@ class TestSeesaw:
         assert abs(report.best_value - recomputed) < 1e-10
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             maximize_violation(SearchConfig(restarts=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             maximize_violation(SearchConfig(max_iterations=0))
 
 
@@ -357,7 +358,7 @@ class TestMonteCarlo:
         assert abs(value - 2.0) < TOL.norm_band
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             monte_carlo_certify(0)
 
     def test_band_failure_carries_scenario(self, monkeypatch):

@@ -1,10 +1,12 @@
 """The JSON renderer: its layout rules, and equivalence with the general-rules reference.
 
 ``json_dumps`` accepts exactly the types a report is made of (Python floats,
-ints, bools, strs and None, lists, str-keyed dicts and float64 arrays) and
-rejects every other type. ``reference_render`` below is a renderer with one
-isinstance chain, kept in the test: on every accepted input the two must give
-the same text, and the same error for every non-finite float.
+ints, bools, strs and None, lists, str-keyed dicts, float64 arrays and
+``Table``s) and rejects every other type. ``reference_render`` below is a
+renderer with one isinstance chain, kept in the test: on every accepted input
+the two must give the same text, and the same error for every non-finite
+float. A ``Table`` must render as its rows would as dicts, and its CSV lines
+as each number formatted by itself.
 """
 
 import json
@@ -17,8 +19,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spinchsh import cli, serialize
-from spinchsh.serialize import json_dumps
+from spinchsh import (
+    TOL,
+    NonFiniteError,
+    QuantumState,
+    bell_operator,
+    canonical_reduction,
+    cli,
+    correlation_matrices,
+    eig_hermitian,
+    expectation,
+    random_directions,
+    serialize,
+)
+from spinchsh.serialize import Table, json_dumps
 
 _INTEGERS = (int, np.integer)
 
@@ -95,7 +109,7 @@ _documents = st.recursive(
 )
 
 _non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
-# keys that need escaping: % (the row template's own field marker), quotes, non-ASCII
+# keys that need escaping: % (a table template's own field marker), quotes, non-ASCII
 _keys = st.text(st.one_of(st.sampled_from('%"\\\'é✓😀'), st.characters()), max_size=6)
 # a row value's kind: a float, an int, or (an int n) an all-float list of length n
 _row_kinds = st.one_of(st.sampled_from([float, int]), st.integers(0, 4))
@@ -107,7 +121,7 @@ def _floats_in(kind) -> int:
 
 @st.composite
 def row_lists(draw, non_finite=False):
-    """A list of same-shape dicts, the row-template path, or one whose row differs.
+    """A list of same-shape dicts, as a table's rows, or one whose row differs.
 
     The rows hold floats, ints (beyond 2**53 too) and all-float lists under
     keys with %, quotes and non-ASCII. About half the lists get one row that
@@ -217,7 +231,7 @@ def test_other_types_rejected(value, name):
 
 @settings(max_examples=200)
 @given(document=st.one_of(_documents, row_lists()))
-# rows the row template must decline or get right
+# same-shape rows, and rows that differ by little
 @example([{}])
 @example([{"k": []}, {"k": []}])
 @example([{"n": 1}, {"n": True}])  # a bool is not an int
@@ -257,62 +271,164 @@ def lists_with_non_finite(draw):
 def test_non_finite_raises_as_the_reference(document):
     with pytest.raises(ValueError) as expected:
         reference_render(document)
-    with pytest.raises(ValueError) as raised:
+    # a library error, so main prints it as one line
+    with pytest.raises(NonFiniteError) as raised:
         json_dumps(document)
     assert str(raised.value) == str(expected.value)
     assert str(raised.value).startswith("cannot serialize non-finite float ")
 
 
-@pytest.mark.parametrize("source", ["random", "state"])
-def test_verify_reports_match_reference_renderer(source, tmp_path, monkeypatch, capsys):
-    """The report cmd_verify builds renders as the reference does, through the row template.
+@st.composite
+def tables(draw, non_finite=False):
+    """A Table of up to three blocks under keys with %, quotes and non-ASCII, and its CSV keys.
 
-    5000 random scenarios span several SWEEP_BLOCKs; a scenario file's state
-    adds an "expectation" key to its one row.
+    Each key takes one number or a list of 1 to 3. With ``non_finite``, one
+    or two nan or inf values are planted at random cells.
     """
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    widths = [draw(st.integers(0, 3)) for _ in keys]
+    columns = sum(width or 1 for width in widths)
+    sizes = draw(st.lists(st.integers(1, 5), min_size=int(non_finite), max_size=3))
+    blocks = [draw(arrays(np.float64, (size, columns), elements=_floats)) for size in sizes]
+    for _ in range(draw(st.integers(1, 2)) if non_finite else 0):
+        block = draw(st.sampled_from(blocks))
+        block[draw(st.integers(0, len(block) - 1)), draw(st.integers(0, columns - 1))] = draw(_non_finite)
+    csv_keys = draw(st.lists(st.sampled_from(keys), unique=True))
+    return Table(tuple(zip(keys, widths)), blocks, tuple(csv_keys))
+
+
+def table_rows(table: Table) -> list[dict]:
+    """A table's rows as dicts of Python floats and float lists."""
+    rows = []
+    for block in table.blocks:
+        for numbers in map(iter, block.tolist()):
+            rows.append(
+                {
+                    key: [next(numbers) for _ in range(width)] if width else next(numbers)
+                    for key, width in table.fields
+                }
+            )
+    return rows
+
+
+@settings(max_examples=150)
+@given(table=tables(), nesting=st.sampled_from(["bare", "dict", "list"]), chunk=st.integers(1, 4))
+def test_table_renders_as_its_rows(table, nesting, chunk):
+    """Rows and CSV lines as the reference renders them, at any depth and chunk size."""
+    rows = table_rows(table)
+    wrap = {"bare": lambda x: x, "dict": lambda x: {"scenarios": x}, "list": lambda x: [x, 1]}[nesting]
+    default, serialize._CHUNK = serialize._CHUNK, chunk
+    try:
+        text = json_dumps(wrap(table))
+    finally:
+        serialize._CHUNK = default
+    assert text == reference_render(wrap(rows))
+    lines = [
+        [x for key in table.csv_keys for x in (row[key] if type(row[key]) is list else [row[key]])]
+        for row in rows if table.csv_keys
+    ]
+    assert "".join(table.csv_lines) == "".join(",".join(map(_reference_float, line)) + "\n" for line in lines)
+
+
+@given(table=tables(non_finite=True))
+def test_table_non_finite_raises_as_the_reference(table):
+    """The first non-finite number in row order, named as the reference names it, before any text."""
+    with pytest.raises(ValueError) as expected:
+        reference_render(table_rows(table))
+    with pytest.raises(NonFiniteError) as raised:
+        json_dumps({"scenarios": table})
+    assert str(raised.value) == str(expected.value)
+    assert table.csv_lines == []
+
+
+def reference_verify_rows(directions: np.ndarray) -> list[dict]:
+    """verify's rows as one dict per scenario, from the same batched computations."""
+    rows = []
+    for start in range(0, len(directions), cli.SWEEP_BLOCK):
+        block = directions[start : start + cli.SWEEP_BLOCK]
+        norms = eig_hermitian(bell_operator(block)).operator_norm
+        reduction = canonical_reduction(correlation_matrices(block))
+        columns = zip(block.tolist(), norms.tolist(), reduction.s.tolist(), reduction.t.tolist())
+        for index, (quad, norm, s, t) in enumerate(columns, start):
+            rows.append(
+                {
+                    "index": index,
+                    **dict(zip(("a", "a_prime", "b", "b_prime"), quad)),
+                    "operator_norm": norm,
+                    "s": s,
+                    "t": t,
+                    "sum_sq_residual": abs(s**2 + t**2 - 4.0),
+                    "band_deviation": abs(norm - 2.0),
+                }
+            )
+    return rows
+
+
+@pytest.mark.parametrize("source", ["random", "state"])
+def test_verify_reports_match_reference_renderer(source, tmp_path, capsys):
+    """verify's stdout and CSV are the reference renderings of its rows as dicts.
+
+    5000 random scenarios span several SWEEP_BLOCKs and renderer chunks; a
+    scenario file's state adds an "expectation" key to its one row. The
+    reference renders the report through reference_render and formats
+    every CSV cell by itself.
+    """
+    report = {"command": "verify", "band_halfwidth": TOL.norm_band}
     if source == "random":
         argv = ["verify", "--random", "5000", "--seed", "3"]
+        report["seed"] = 3
+        directions = random_directions(np.random.default_rng(3), (5000, 4))
+        state = None
     else:
         z = [0.0, 0.0, 1.0]
-        state = {"kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 8}
+        data = [[1.0, 0.0]] + [[0.0, 0.0]] * 8
         path = tmp_path / "with_state.json"
-        path.write_text(json.dumps({"a": z, "a_prime": z, "b": z, "b_prime": z, "state": state}))
+        path.write_text(json.dumps({"a": z, "a_prime": z, "b": z, "b_prime": z, "state": {"kind": "pure", "data": data}}))
         argv = ["verify", str(path)]
-    reports, templated = [], []
-    render_rows = serialize._render_rows
-    monkeypatch.setattr(cli, "json_dumps", lambda report: reports.append(report) or json_dumps(report))
-    monkeypatch.setattr(
-        serialize, "_render_rows", lambda rows, level: templated.append(rows) or render_rows(rows, level)
-    )
-    assert cli.main(argv) == 0
-    (report,) = reports
-    rows = report["scenarios"]
-    if source == "random":
-        assert len(rows) == 5000 > cli.SWEEP_BLOCK
-    else:
-        assert len(rows) == 1 and "expectation" in rows[0]
+        directions = np.array([z] * 4)[None]
+        state = QuantumState.pure(np.array([1.0] + [0.0] * 8))
+    rows = reference_verify_rows(directions)
+    if state is not None:
+        rows[0]["expectation"] = expectation(state, bell_operator(directions[0]))
+    report["count"] = len(rows)
+    report["scenarios"] = rows
+    report["max_band_deviation"] = max(row["band_deviation"] for row in rows)
+    report["all_within_band"] = report["max_band_deviation"] <= TOL.norm_band
+    assert report["all_within_band"] and len(rows) in (1, 5000)
+    lines = [
+        [row["index"], *row["a"], *row["a_prime"], *row["b"], *row["b_prime"], row["s"], row["t"], row["operator_norm"]]
+        for row in rows
+    ]
+    header = "index,ax,ay,az,apx,apy,apz,bx,by,bz,bpx,bpy,bpz,s,t,norm\n"
+    expected_csv = header + "".join(",".join("%.17g" % x for x in line) + "\n" for line in lines)
+
+    csv_path = tmp_path / "sweep.csv"
+    assert cli.main([*argv, "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out == reference_render(report) + "\n"
-    # the rows are the one list of the report, and the template renders them
-    assert len(templated) == 1 and templated[0] is rows and render_rows(rows, 1) is not None
+    assert csv_path.read_text() == expected_csv
 
 
 def test_verify_report_is_held_about_twice(monkeypatch, capsys):
     """json_dumps of a 2000-row verify report allocates at most 2.5 times its text.
 
-    Each container joins its parts once, so the rows' text and the report's
-    are the only large strings alive at once.
+    The report holds its rows as numbers, so the measure runs from the
+    first number formatted to the report's text. Only a chunk of rows is
+    formatted at a time, and each container joins its parts once, so the
+    rows' text and the report's are the only large strings alive at once.
     """
     reports = []
     monkeypatch.setattr(cli, "json_dumps", lambda report: reports.append(report) or "")
     assert cli.main(["verify", "--random", "2000", "--seed", "1"]) == 0
     capsys.readouterr()
     (report,) = reports
+    assert type(report["scenarios"]) is serialize.Table
     tracemalloc.start()
     try:
         text = json_dumps(report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert text.count('"index"') == 2000
     assert peak <= 2.5 * len(text)
 
 

@@ -7,6 +7,8 @@ from reference import V4_INDICES, V5_INDICES, verify_invariance
 from spinchsh import (
     TOL,
     HermiticityError,
+    InputError,
+    SpinChshError,
     bell_operator,
     canonical_operator,
     closed_form_spectrum,
@@ -105,7 +107,7 @@ class TestEigHermitian:
         assert abs(excinfo.value.asymmetry - np.sqrt(2.0)) < 1e-12
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             eig_hermitian(np.zeros((2, 3)))
 
 
@@ -128,8 +130,13 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("s,t", [(-1.0, 0.0), (0.0, -0.5)])
     def test_rejects_negative(self, s, t):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             closed_form_spectrum(s, t)
+
+    def test_negative_is_a_library_error(self):
+        # main prints a library error as one line; any other exception is a traceback
+        with pytest.raises(SpinChshError, match=r"nonnegative, got s=-1\.0, t=0\.0"):
+            closed_form_spectrum(-1.0, 0.0)
 
     @given(canonical_params())
     def test_matches_numeric(self, params):
