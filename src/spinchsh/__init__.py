@@ -38,7 +38,6 @@ from .search import (
     SearchReport,
     best_state_value,
     expectation,
-    family_by_name,
     maximize_violation,
     monte_carlo_certify,
     random_directions,

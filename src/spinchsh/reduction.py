@@ -54,6 +54,9 @@ class CanonicalReduction:
         M = np.asarray(M, dtype=float)
         if M.shape != (3, 3):
             raise InputError(f"a certificate is of one 3x3 matrix, got shape {M.shape}")
+        # the report's s^2 + t^2; Python's ** would raise OverflowError where * gives inf
+        if not np.isfinite(self.s * self.s + self.t * self.t):
+            raise NonFiniteError(f"s^2 + t^2 must be finite, got s={self.s!r}, t={self.t!r}")
         W = np.kron(spin_representation(self.R), spin_representation(self.Q))
         conjugated = W @ coupling_operator(M) @ W.conj().T
         return {

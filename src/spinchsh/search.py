@@ -82,14 +82,6 @@ PAULI_FAMILY = ObservableFamily("qubit-pauli", _PAULI, float(2.0 * np.sqrt(2.0))
 _FAMILIES = {f.name: f for f in (SPIN1_FAMILY, PAULI_FAMILY)}
 
 
-def family_by_name(name: str) -> ObservableFamily:
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FAMILIES))
-        raise InputError(f"unknown measurement family {name!r}; known families: {known}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """A validated pure state vector or density matrix, read-only; equal only to itself."""
@@ -356,7 +348,10 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
         raise InputError("need at least one restart")
     if config.max_iterations < 1:
         raise InputError("need at least one iteration")
-    family = family_by_name(config.family)
+    family = _FAMILIES.get(config.family)
+    if family is None:
+        known = ", ".join(sorted(_FAMILIES))
+        raise InputError(f"unknown measurement family {config.family!r}; known families: {known}")
 
     starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
     values = np.empty(config.restarts)

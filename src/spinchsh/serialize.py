@@ -174,7 +174,9 @@ def parse_complex_pairs(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise InputError("expected nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a pair is a complex number's memory layout; re + 1j * im would turn an
+    # infinite im into a NaN re, with a numpy warning
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def write_csv(path: str | None, header, lines) -> None:

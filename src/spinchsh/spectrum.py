@@ -100,6 +100,13 @@ def eig_hermitian(A) -> SpectrumResult:
 
 def _check_parameters(s: float, t: float) -> tuple[float, float]:
     s, t = float(s), float(t)
+    # hypot is NaN or infinite when s or t is, and infinite when it overflows
+    with np.errstate(over="ignore"):
+        norm = np.hypot(s, t)
+    if not np.isfinite(norm):
+        raise InputError(
+            f"canonical parameters and sqrt(s^2 + t^2) must be finite, got s={s!r}, t={t!r}"
+        )
     if s < 0.0 or t < 0.0:
         raise InputError(f"canonical parameters must be nonnegative, got s={s!r}, t={t!r}")
     return s, t

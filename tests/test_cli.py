@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinchsh import (
     TOL,
+    InputError,
     MeasurementScenario,
     SpectrumResult,
     bell_operator,
@@ -125,6 +126,11 @@ class TestVerify:
         assert code == 1
         assert "line 1" in err
 
+    def test_unreadable_file_is_a_library_error(self, tmp_path):
+        # the loader raises the library's InputError, which main prints as one line
+        with pytest.raises(InputError, match="cannot read"):
+            cli.load_scenario_file(str(tmp_path / "absent.json"))
+
     def test_missing_field(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"a": [0, 0, 1]}))
@@ -229,8 +235,12 @@ class TestVerify:
                 {"kind": "mixed", "data": [[[float("nan"), 0.0]] * 9] * 9},
                 "mixed state has non-finite entries",
             ),
+            (
+                {"kind": "pure", "data": [[1.0, 0.0]] + [[0.0, float("inf")]] + [[0.0, 0.0]] * 7},
+                "pure state norm deviates from 1 by inf",
+            ),
         ],
-        ids=["pure-all-nan", "pure-one-nan", "mixed-nan"],
+        ids=["pure-all-nan", "pure-one-nan", "mixed-nan", "pure-infinite-imaginary"],
     )
     def test_non_finite_state_rejected(self, capsys, tmp_path, state, message):
         path = tmp_path / "nan_state.json"
@@ -559,6 +569,8 @@ class TestReduce:
             ("[[0,0,0],[0,0,0],[0,0,0]]", 0),
             ("[[1e-9,0,0],[0,1e-9,0],[0,0,1e-9]]", 3),
             ("[[1e-9,2e-9,3e-9],[4e-9,5e-9,6e-9],[7e-9,8e-9,10e-9]]", 3),
+            # before the certificate's rule that s^2 + t^2 be finite
+            ("[[1e200,0,0],[0,1e200,0],[0,0,1e200]]", 3),
         ],
     )
     def test_rank_gate_scales_with_the_matrix(self, capsys, matrix, expected):
@@ -647,6 +659,19 @@ class TestSearch:
         assert err.startswith("error: argument --family: invalid choice: 'qudit-spin2'")
         assert err.count("\n") == 1
         assert "qutrit-spin1" in err and "qubit-pauli" in err
+
+    def test_missing_the_known_maximum_exits_2(self, capsys, monkeypatch):
+        # no real seesaw misses its family's optimum, so the report is patched to miss by 1e-4
+        def short_of_the_maximum(config):
+            report = search.maximize_violation(config)
+            return dataclasses.replace(report, best_value=2.0 - 1e-4)
+
+        monkeypatch.setattr(cli, "maximize_violation", short_of_the_maximum)
+        code, out, _ = run(capsys, "search", "--restarts", "5", "--seed", "0")
+        assert code == 2
+        report = json.loads(out)
+        assert report["best_value"] == 2.0 - 1e-4
+        assert report["within_tolerance"] is False
 
     def test_zero_restarts(self, capsys):
         code, _, _ = run(capsys, "search", "--restarts", "0")
@@ -780,6 +805,67 @@ def test_finite_inputs_end_in_a_documented_exit(tmp_path_factory, command, value
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1
+
+
+# JSON leaves: NaN and Infinity (json.dumps writes those literals), the largest
+# doubles, and integers beyond the float range
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+)
+_json = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+# unit directions, some off by more than TOL.unit_norm_reject (a warning line) or
+# TOL.unit_norm_input (rejected)
+_directions = st.builds(
+    lambda u, e: [x * (1.0 + e) for x in u],
+    st.sampled_from([(0.0, 0.0, 1.0), (0.6, 0.8, 0.0), (0.0, -1.0, 0.0)]),
+    st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 1e-3]),
+)
+_TIGHT_PURE = [[1.0, 0.0]] + [[0.0, 0.0]] * 8
+_MAXIMALLY_MIXED = [[[1 / 9 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]
+_states = _json | st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["pure", "mixed"]) | _json,
+        "data": st.sampled_from([_TIGHT_PURE, _MAXIMALLY_MIXED])
+        | st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=9, max_size=9)
+        | _json,
+    }
+)
+_FIELDS = ("a", "a_prime", "b", "b_prime", "state")
+# any document, or a scenario with some fields replaced by any JSON, some dropped
+# and some unknown ones added
+_scenario_documents = _json | st.builds(
+    lambda scenario, replaced, dropped: {
+        key: value for key, value in {**scenario, **replaced}.items() if key not in dropped
+    },
+    st.fixed_dictionaries({name: _directions for name in _FIELDS[:4]}, optional={"state": _states}),
+    st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), _json, max_size=2),
+    st.sets(st.sampled_from(_FIELDS), max_size=2),
+)
+
+
+@settings(max_examples=150)
+@given(document=_scenario_documents)
+def test_any_json_scenario_file_ends_in_a_documented_exit(tmp_path_factory, document):
+    """Any JSON document as a scenario file: an exit code and at most one error line, never a trace."""
+    path = tmp_path_factory.mktemp("document") / "scenario.json"
+    path.write_text(json.dumps(document))
+    for command in ("verify", "spectrum", "reduce"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+        # besides one warning line per normalized direction
+        lines = err.getvalue().splitlines()
+        assert sum(not line.startswith("warning: normalizing ") for line in lines) <= 1
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -13,6 +13,7 @@ from spinchsh import (
     TOL,
     CanonicalReduction,
     InputError,
+    NonFiniteError,
     RankDeficiencyError,
     SpinChshError,
     bell_operator,
@@ -208,6 +209,24 @@ class TestCanonicalReduction:
             "orthogonality_Q_residual",
         ):
             assert cert[key] < 1e-10
+
+    def test_small_second_singular_value_is_kept(self):
+        # t/s = 1e-12 is far above the SVD's backward error (machine epsilon times s)
+        rng = np.random.default_rng(12)
+        O1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        O2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        M = O1 @ np.diag([1.0, 1e-12, 0.0]) @ O2.T
+        reduction = canonical_reduction(M)
+        assert reduction.s == pytest.approx(1.0, rel=1e-14)
+        # relative only: pytest.approx would also accept t = 0 within its 1e-12 default
+        assert abs(reduction.t / 1e-12 - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("diagonal", [(1e200, 0.0, 1.0), (1e154, 1e154, 0.0)])
+    def test_certificate_rejects_an_overflowing_sum_of_squares(self, diagonal):
+        # finite entries whose s^2 + t^2 overflows: a library error, not Python's OverflowError
+        M = np.diag(diagonal)
+        with pytest.raises(NonFiniteError, match="finite"):
+            canonical_reduction(M).certificate(M)
 
     def test_certificate_conjugation_residual(self, tight_scenario):
         rng = np.random.default_rng(14)

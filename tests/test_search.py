@@ -24,7 +24,6 @@ from spinchsh import (
     bell_operator,
     best_state_value,
     expectation,
-    family_by_name,
     maximize_violation,
     monte_carlo_certify,
     random_directions,
@@ -88,6 +87,16 @@ class TestQuantumState:
         bad = np.diag([1.5, -0.5] + [0.0] * 7)
         with pytest.raises(StateError):
             QuantumState.mixed(bad)  # negative eigenvalue
+
+    def test_mixed_rejects_a_slightly_negative_eigenvalue(self):
+        # unit trace and Hermitian, but its smallest eigenvalue is -1e-6
+        rng = np.random.default_rng(8)
+        U, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        eigenvalues = np.array([-1e-6] + [(1.0 + 1e-6) / 8.0] * 8)
+        rho = (U * eigenvalues) @ U.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        with pytest.raises(StateError, match="negative eigenvalue -1.000e-06"):
+            QuantumState.mixed(rho)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_pure_rejects_non_finite(self, bad):
@@ -231,10 +240,13 @@ class TestBestStateValue:
 
 class TestFamilies:
     def test_lookup(self):
-        assert family_by_name("qutrit-spin1") is SPIN1_FAMILY
-        assert family_by_name("qubit-pauli") is PAULI_FAMILY
-        with pytest.raises(InputError):
-            family_by_name("qubit-spin1")
+        # maximize_violation looks the family up by name: its state is on two of its systems
+        for family in (SPIN1_FAMILY, PAULI_FAMILY):
+            config = SearchConfig(family=family.name, restarts=1, max_iterations=1)
+            assert maximize_violation(config).best_state.dim == family.dim**2
+        known = "known families: qubit-pauli, qutrit-spin1"
+        with pytest.raises(InputError, match=f"unknown measurement family 'qubit-spin1'; {known}"):
+            maximize_violation(SearchConfig(family="qubit-spin1"))
 
     def test_spin1_family_matches_bell_operator(self):
         rng = np.random.default_rng(5)

@@ -444,3 +444,10 @@ def test_complex_pairs_are_per_entry_pairs(shape):
     # repr tells -0.0 from 0.0, and a Python float from a numpy one
     assert repr(pairs) == repr(expected)
     assert np.array_equal(serialize.parse_complex_pairs(pairs), values)
+
+
+def test_parse_complex_pairs_keeps_each_pair_as_it_is():
+    # re + 1j * im would make an infinite im's real part NaN, with a numpy warning,
+    # and turn a -0.0 real part into 0.0
+    pairs = [[-0.0, 1.0], [0.0, float("inf")], [1.0, float("-inf")]]
+    assert repr(serialize.complex_pairs(serialize.parse_complex_pairs(pairs))) == repr(pairs)

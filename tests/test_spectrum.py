@@ -138,6 +138,16 @@ class TestClosedForm:
         with pytest.raises(SpinChshError, match=r"nonnegative, got s=-1\.0, t=0\.0"):
             closed_form_spectrum(-1.0, 0.0)
 
+    # 1.3e308 is finite, but the closed-form norm sqrt(s^2 + t^2) overflows
+    @pytest.mark.parametrize(
+        "s, t", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0), (1.3e308, 1.3e308), (-1.0, np.nan)]
+    )
+    @pytest.mark.parametrize("function", [closed_form_spectrum, subspace_blocks])
+    def test_rejects_non_finite(self, function, s, t):
+        # checked before the sign, so a NaN never passes as nonnegative
+        with pytest.raises(InputError, match="must be finite"):
+            function(s, t)
+
     @given(canonical_params())
     def test_matches_numeric(self, params):
         s, t = params
