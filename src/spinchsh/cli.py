@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,8 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAND = 2
 EXIT_RANK = 3
-
-SEED_ENV_VAR = "SPINCHSH_SEED"
 
 # the largest count whose every index the CSV's %.17g writes exactly
 MAX_COUNT = 2**53
@@ -350,7 +347,7 @@ def _count(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed, also applied to SPINCHSH_SEED: an integer of at least 0."""
+    """argparse type of --seed: an integer of at least 0."""
     return _integer(text, 0)
 
 
@@ -431,12 +428,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None and "seed" in vars(args):
-            try:
-                args.seed = _seed(env)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"{SEED_ENV_VAR}: {exc}")
         return args.handler(args)
     except RankDeficiencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

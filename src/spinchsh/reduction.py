@@ -86,7 +86,8 @@ def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     largest-magnitude entry of each left singular vector in the positive
     direction. An (..., 3, 3) stack is decomposed matrix by matrix in one
     call, with the results stacked the same way. Non-finite entries raise
-    NonFiniteError: LAPACK's SVD does not return on an infinite one.
+    NonFiniteError: LAPACK's SVD does not return on an infinite one. So do
+    finite entries whose singular values overflow.
     """
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
@@ -94,6 +95,8 @@ def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.isfinite(M).all():
         raise NonFiniteError("expected finite matrix entries")
     U, sigma, Vt = np.linalg.svd(M)
+    if not np.isfinite(sigma).all():
+        raise NonFiniteError("expected finite singular values, got an overflow")
     # row of the largest-magnitude entry in each column of U (first one on ties)
     lead = np.argmax(np.abs(U), axis=-2)
     flip = np.take_along_axis(U, lead[..., None, :], axis=-2)[..., 0, :] < 0.0

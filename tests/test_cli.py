@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinchsh import (
     TOL,
@@ -733,21 +733,14 @@ SEEDED = [
 
 
 class TestSeedEnvironment:
-    def test_env_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINCHSH_SEED", "99")
-        _, out, _ = run(capsys, "verify", "--random", "5", "--seed", "7")
-        assert json.loads(out)["seed"] == 99
-
-    def test_env_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINCHSH_SEED", "not-a-number")
-        code, _, err = run(capsys, "verify", "--random", "5")
-        assert code == 1
-        assert "SPINCHSH_SEED" in err
-
-    def test_env_applies_to_search(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINCHSH_SEED", "4")
-        _, out, _ = run(capsys, "search", "--family", "qubit-pauli", "--restarts", "3")
-        assert json.loads(out)["seed"] == 4
+    @pytest.mark.parametrize("value", ["99", "abc", "-3"])
+    def test_environment_is_not_an_input(self, capsys, monkeypatch, tight_file, value):
+        # the seed comes only from --seed: no value of SPINCHSH_SEED, valid or not, changes a run
+        commands = [(*argv, "--seed", "5") for argv in SEEDED] + [("verify", tight_file)]
+        monkeypatch.delenv("SPINCHSH_SEED", raising=False)
+        unset = [run(capsys, *argv) for argv in commands]
+        monkeypatch.setenv("SPINCHSH_SEED", value)
+        assert [run(capsys, *argv) for argv in commands] == unset
 
     @pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv[0])
     def test_negative_seed_rejected(self, capsys, argv):
@@ -755,25 +748,8 @@ class TestSeedEnvironment:
         assert code == 1 and out == ""
         assert err == "error: argument --seed: must be at least 0, got -1\n"
 
-    @pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv[0])
-    def test_negative_env_seed_rejected(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("SPINCHSH_SEED", "-3")
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err == "error: SPINCHSH_SEED: must be at least 0, got -3\n"
-
-    def test_env_checked_without_random(self, capsys, monkeypatch, tight_file):
-        # every subcommand with --seed checks the variable, whether or not it draws
-        monkeypatch.setenv("SPINCHSH_SEED", "abc")
-        code, out, err = run(capsys, "verify", tight_file)
-        assert code == 1 and out == ""
-        assert err == "error: SPINCHSH_SEED: expected an integer, got 'abc'\n"
-
-    def test_zero_seed_accepted(self, capsys, monkeypatch):
+    def test_zero_seed_accepted(self, capsys):
         _, out, _ = run(capsys, "verify", "--random", "2", "--seed", "0")
-        assert json.loads(out)["seed"] == 0
-        monkeypatch.setenv("SPINCHSH_SEED", "0")
-        _, out, _ = run(capsys, "verify", "--random", "2", "--seed", "5")
         assert json.loads(out)["seed"] == 0
 
 
@@ -785,6 +761,8 @@ _huge_finite = st.floats(min_value=-1.79e308, max_value=1.79e308)
     command=st.sampled_from(["reduce", "spectrum", "verify"]),
     values=st.lists(_huge_finite, min_size=12, max_size=12),
 )
+# singular values inf, inf, 1.7e308: svd3 rejects the overflow before the rank gate
+@example(command="reduce", values=[1.7e308, 1.7e308, 0, -1.7e308, 1.7e308, 0, 0, 0, 1.7e308, 0, 0, 0])
 def test_finite_inputs_end_in_a_documented_exit(tmp_path_factory, command, values):
     """Any finite --matrix entries, --s/--t or scenario-file directions: an exit code, never a trace.
 
@@ -900,44 +878,35 @@ class TestRepeatedCalls:
             assert run(capsys, "spectrum", "--s", "1", "--t", "1")[0] == 0
         assert built == []
 
-    def test_nothing_carries_over_between_calls(self, capsys, monkeypatch, tight_file):
+    def test_nothing_carries_over_between_calls(self, capsys, tight_file):
         searches = [
             ("search", "--family", family, "--restarts", "20", "--seed", "3")
             for family in ("qutrit-spin1", "qubit-pauli")
         ]
-        verify = ("verify", "--random", "5", "--seed", "2")
-        calls = [(argv, None) for argv in searches] + [
-            (("verify", tight_file, "--random", "5"), None),
-            (("search", "--restarts", "0"), None),
-            (verify, "9"),
-            (verify, None),
-        ] + [(argv, None) for argv in searches]
+        calls = [
+            *searches,
+            ("verify", tight_file, "--random", "5"),
+            ("search", "--restarts", "0"),
+            ("verify", "--random", "5", "--seed", "2"),
+            *searches,
+        ]
 
-        in_process = []
-        for argv, seed_env in calls:
-            if seed_env is None:
-                monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-            else:
-                monkeypatch.setenv(cli.SEED_ENV_VAR, seed_env)
-            in_process.append(run(capsys, *argv))
+        in_process = [run(capsys, *argv) for argv in calls]
 
         src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         alone = {}
-        for argv, seed_env in calls:
-            if (argv, seed_env) in alone:
+        for argv in calls:
+            if argv in alone:
                 continue
-            env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
-            if seed_env is not None:
-                env[cli.SEED_ENV_VAR] = seed_env
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             proc = subprocess.run(
                 [sys.executable, "-m", "spinchsh", *argv], capture_output=True, text=True, env=env
             )
-            alone[argv, seed_env] = (proc.returncode, proc.stdout, proc.stderr)
+            alone[argv] = (proc.returncode, proc.stdout, proc.stderr)
 
         for call, result in zip(calls, in_process):
             assert result == alone[call], call
         assert in_process[-2:] == in_process[:2]
-        assert [code for code, _, _ in in_process] == [0, 0, 1, 1, 0, 0, 0, 0]
-        assert json.loads(in_process[4][1])["seed"] == 9
-        assert json.loads(in_process[5][1])["seed"] == 2
+        assert [code for code, _, _ in in_process] == [0, 0, 1, 1, 0, 0, 0]
+        assert json.loads(in_process[4][1])["seed"] == 2

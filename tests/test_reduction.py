@@ -30,6 +30,8 @@ from spinchsh import (
 # row 3 = 2 row 2 - row 1, and a rank-3 neighbour
 RANK2 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
 RANK3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
+# finite entries whose two largest singular values, sqrt(2) * 1.7e308, overflow
+OVERFLOWING = np.array([[1.7e308, 1.7e308, 0.0], [-1.7e308, 1.7e308, 0.0], [0.0, 0.0, 1.7e308]])
 
 
 def random_rank2(rng):
@@ -52,6 +54,17 @@ class TestSvd3:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InputError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
             svd3(np.eye(2))
+
+    def test_rejects_overflowing_singular_values(self):
+        with pytest.raises(NonFiniteError, match="finite"):
+            svd3(OVERFLOWING)
+        with pytest.raises(NonFiniteError, match="finite"):
+            svd3(np.stack([np.eye(3), OVERFLOWING]))
+
+    def test_overflow_is_not_reduced(self):
+        # an infinite first singular value would pass the rank gate and give s = inf, t = 0
+        with pytest.raises(NonFiniteError, match="finite"):
+            canonical_reduction(OVERFLOWING)
 
     def test_wrong_shape_is_a_library_error(self):
         # main prints a library error as one line; any other exception is a traceback
