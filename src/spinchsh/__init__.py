@@ -28,7 +28,7 @@ from .errors import (
     SpinChshError,
     StateError,
 )
-from .reduction import CanonicalReduction, canonical_reduction, svd3
+from .reduction import CanonicalReduction, canonical_parameters, canonical_reduction, svd3
 from .search import (
     PAULI_FAMILY,
     SPIN1_FAMILY,

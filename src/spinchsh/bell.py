@@ -7,7 +7,9 @@ the 3x3 correlation matrix M = a (b + b')^T + a' (b - b')^T. The four-term
 ``bell_operator`` is kept as the independent reference; every other build
 is the coupling operator, one matrix product of M against a precomputed
 tensor of generator products; ``SPIN1_REAL_TENSOR`` gives the same operator
-in the real Cartesian basis.
+in the real Cartesian basis. ``bell_operator`` builds a stack of scenarios
+with the stack's axes innermost, as ``spin_along`` gives the observables,
+and copies the result into the (..., 9, 9) layout once.
 """
 
 from __future__ import annotations
@@ -114,9 +116,11 @@ def coupling_operator(M, tensor: np.ndarray = _SPIN1_TENSOR) -> np.ndarray:
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.kron of the trailing 3x3 matrices of two stacks, broadcast over the leading axes."""
-    product = x[..., :, None, :, None] * y[..., None, :, None, :]
-    return product.reshape(product.shape[:-4] + (9, 9))
+    """np.kron of two (3, 3, ...) stacks of matrices, as (3, 3, 3, 3, ...) with the stack innermost.
+
+    Entry (i, k, j, l) is x[i, j] y[k, l], entry (3i + k, 3j + l) of the 9x9 np.kron.
+    """
+    return x[:, None, :, None] * y[None, :, None, :]
 
 
 def bell_operator(sc) -> np.ndarray:
@@ -125,11 +129,17 @@ def bell_operator(sc) -> np.ndarray:
     ``sc`` is a MeasurementScenario, giving one 9x9 operator, or an
     (..., 4, 3) stack of direction quadruples (a, a', b, b'), giving the
     (..., 9, 9) stack of their operators; every direction is checked for
-    unit norm.
+    unit norm. The four products and their sum are computed with the stack
+    innermost, as ``spin_along`` computes the observables, and copied into
+    the (..., 9, 9) layout once at the end; each entry is the same sum of
+    the same products as np.kron's, bit for bit.
     """
     directions = _direction_stack(sc)
-    sa, sap, sb, sbp = spin_along(np.moveaxis(directions, -2, 0))
-    return _kron(sa, sb) + _kron(sa, sbp) + _kron(sap, sb) - _kron(sap, sbp)
+    observables = spin_along(np.moveaxis(directions, -2, 0))
+    sa, sap, sb, sbp = np.moveaxis(observables, (-2, -1), (1, 2))
+    total = _kron(sa, sb) + _kron(sa, sbp) + _kron(sap, sb) - _kron(sap, sbp)
+    operators = total.reshape((9, 9) + directions.shape[:-2])
+    return np.ascontiguousarray(np.moveaxis(operators, (0, 1), (-2, -1)))
 
 
 def canonical_operator(s, t) -> np.ndarray:

@@ -23,7 +23,7 @@ from .bell import (
     correlation_matrices,
 )
 from .errors import CertificationError, InputError, RankDeficiencyError, SpinChshError
-from .reduction import canonical_reduction
+from .reduction import canonical_parameters, canonical_reduction
 from .search import (
     _FAMILIES,
     SWEEP_BLOCK,
@@ -36,7 +36,13 @@ from .search import (
     random_directions,
 )
 from .serialize import (
-    DIRECTION_COLUMNS, Table, complex_pairs, format_rows, json_dumps, parse_complex_pairs, write_csv
+    DIRECTION_COLUMNS,
+    Table,
+    complex_pairs,
+    format_rows,
+    json_dumps,
+    open_csv,
+    parse_complex_pairs,
 )
 from .spectrum import closed_form_spectrum, eig_hermitian
 from .tolerances import TOL
@@ -156,14 +162,13 @@ def _verify_blocks(directions: np.ndarray) -> list[np.ndarray]:
     """The ``_VERIFY_FIELDS`` numbers of an (N, 4, 3) stack, one table per SWEEP_BLOCK scenarios.
 
     Each block is one four-term Bell build, one Hermitian eigensolve and one
-    SVD reduction.
+    SVD for s and t.
     """
     blocks = []
     for start in range(0, len(directions), SWEEP_BLOCK):
         block = directions[start : start + SWEEP_BLOCK]
         norms = eig_hermitian(bell_operator(block)).operator_norm
-        reduction = canonical_reduction(correlation_matrices(block))
-        s, t = reduction.s, reduction.t
+        s, t = canonical_parameters(correlation_matrices(block))
         # Python's float power, whose last bit numpy's square does not always match
         residuals = [abs(x**2 + y**2 - 4.0) for x, y in zip(s.tolist(), t.tolist())]
         index = np.arange(start, start + len(block))
@@ -186,14 +191,19 @@ def cmd_verify(args) -> int:
     if state is not None:
         value = expectation(state, bell_operator(directions[0]))
         blocks, fields = [np.append(blocks[0], [[value]], axis=1)], fields + (("expectation", 0),)
-    rows = Table(fields, blocks, () if args.csv is None else _VERIFY_CSV_KEYS)
+    # raises on a non-finite number before the CSV file exists
+    rows = Table(fields, blocks)
     # written so that a NaN deviation fails the band too
     within = not np.any(~(deviation <= TOL.norm_band))
     report.update(count=len(directions), scenarios=rows, max_band_deviation=float(deviation.max()))
     report["all_within_band"] = within
-    text = json_dumps(report)
-    if args.csv is not None:
-        write_csv(args.csv, ["index", *DIRECTION_COLUMNS, "s", "t", "norm"], rows.csv_lines)
+    if args.csv is None:
+        text = json_dumps(report)
+    else:
+        # rendering the rows writes their CSV lines as it goes
+        with open_csv(args.csv, ["index", *DIRECTION_COLUMNS, "s", "t", "norm"]) as handle:
+            rows.csv = (_VERIFY_CSV_KEYS, handle)
+            text = json_dumps(report)
     print(text)
     return EXIT_OK if within else EXIT_BAND
 
@@ -209,8 +219,7 @@ def cmd_spectrum(args) -> int:
 
     if args.scenario is not None:
         sc, _ = load_scenario_file(args.scenario)
-        reduction = canonical_reduction(correlation_matrices(sc))
-        s, t = reduction.s, reduction.t
+        s, t = canonical_parameters(correlation_matrices(sc))
         source = "scenario-file"
     else:
         s, t = args.s, args.t
@@ -248,7 +257,8 @@ def _spectrum_grid(args) -> int:
             columns = (np.full(len(values), s), values, numeric.eigenvalues, numeric.operator_norm)
             yield format_rows(np.column_stack(columns))
 
-    write_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"], lines())
+    with open_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]) as handle:
+        handle.writelines(lines())
     return EXIT_OK
 
 

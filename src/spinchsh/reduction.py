@@ -7,6 +7,11 @@ which lets us force both determinants to +1, and a fixed permutation then
 moves the zero into the middle slot. The rotations double as certificates:
 conjugating the coupling operator by their spin representations maps it to
 the two-parameter canonical form.
+
+There are two entry points. ``canonical_reduction`` returns the rotations
+with s and t, as a certificate needs; ``canonical_parameters`` returns s
+and t alone, from the same SVD call under the same rules, for callers that
+report only those. Both take one matrix or an (..., 3, 3) stack.
 """
 
 from __future__ import annotations
@@ -78,6 +83,19 @@ class CanonicalReduction:
         }
 
 
+def _svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd of a 3x3 matrix or an (..., 3, 3) stack, under svd3's input rules."""
+    M = np.asarray(M, dtype=float)
+    if M.shape[-2:] != (3, 3):
+        raise InputError(f"expected a 3x3 matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonFiniteError("expected finite matrix entries")
+    U, sigma, Vt = np.linalg.svd(M)
+    if not np.isfinite(sigma).all():
+        raise NonFiniteError("expected finite singular values, got an overflow")
+    return U, sigma, Vt
+
+
 def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition of a real 3x3 matrix as O1 M O2^T = diag(sigma).
 
@@ -89,19 +107,37 @@ def svd3(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     NonFiniteError: LAPACK's SVD does not return on an infinite one. So do
     finite entries whose singular values overflow.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape[-2:] != (3, 3):
-        raise InputError(f"expected a 3x3 matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise NonFiniteError("expected finite matrix entries")
-    U, sigma, Vt = np.linalg.svd(M)
-    if not np.isfinite(sigma).all():
-        raise NonFiniteError("expected finite singular values, got an overflow")
+    U, sigma, Vt = _svd(M)
     # row of the largest-magnitude entry in each column of U (first one on ties)
     lead = np.argmax(np.abs(U), axis=-2)
     flip = np.take_along_axis(U, lead[..., None, :], axis=-2)[..., 0, :] < 0.0
     sign = np.where(flip, -1.0, 1.0)
     return np.swapaxes(U * sign[..., None, :], -1, -2), Vt * sign[..., :, None], sigma
+
+
+def _parameters(sigma: np.ndarray) -> tuple:
+    """(s, t) of singular values sorted descending, under the rank gate and the t cut."""
+    rank3 = sigma[..., 2] > TOL.rank * sigma[..., 0] / 2.0
+    if np.any(rank3):
+        raise RankDeficiencyError(float(sigma[..., 2][rank3][0]))
+    s, t = sigma[..., 0], sigma[..., 1]
+    # below the SVD's backward error, so numerically zero; left in place,
+    # tiny values (around 1e-150) derail LAPACK's Hermitian eigensolver
+    # on the canonical operator
+    t = np.where(t <= _EPS * s, 0.0, t)
+    if sigma.ndim == 1:
+        return float(s), float(t)
+    return s, t
+
+
+def canonical_parameters(M) -> tuple:
+    """The (s, t) of ``canonical_reduction(M)``, without its rotations.
+
+    The same singular values from the same SVD call, under the same rules:
+    svd3's input rules, the rank gate and the cut of t to 0. A 3x3 matrix
+    gives two floats, an (..., 3, 3) stack two (...) arrays.
+    """
+    return _parameters(_svd(M)[1])
 
 
 def canonical_reduction(M) -> CanonicalReduction:
@@ -113,20 +149,11 @@ def canonical_reduction(M) -> CanonicalReduction:
     is relative, so a matrix and its multiples get the same verdict; half
     the first is at most 1 for a scenario's M, whose Frobenius norm is 2.
     A second singular value at most machine epsilon times the first is
-    returned as t = 0.
+    returned as t = 0. ``canonical_parameters`` gives the same s and t
+    alone, for callers that do not need R and Q.
     """
-    M = np.asarray(M, dtype=float)
     O1, O2, sigma = svd3(M)
-    rank3 = sigma[..., 2] > TOL.rank * sigma[..., 0] / 2.0
-    if np.any(rank3):
-        raise RankDeficiencyError(float(sigma[..., 2][rank3][0]))
-    s, t = sigma[..., 0], sigma[..., 1]
-    # below the SVD's backward error, so numerically zero; left in place,
-    # tiny values (around 1e-150) derail LAPACK's Hermitian eigensolver
-    # on the canonical operator
-    t = np.where(t <= _EPS * s, 0.0, t)
+    s, t = _parameters(sigma)
     O1 = np.where(np.linalg.det(O1)[..., None, None] < 0.0, _J @ O1, O1)
     O2 = np.where(np.linalg.det(O2)[..., None, None] < 0.0, _J @ O2, O2)
-    if M.ndim == 2:
-        s, t = float(s), float(t)
     return CanonicalReduction(R=_P @ O1, Q=_P @ O2, s=s, t=t)

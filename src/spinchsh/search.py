@@ -29,7 +29,7 @@ from .bell import (
     coupling_tensor,
 )
 from .errors import CertificationError, HermiticityError, InputError, MonotonicityError, StateError
-from .serialize import DIRECTION_COLUMNS, format_rows, write_csv
+from .serialize import DIRECTION_COLUMNS, format_rows, open_csv
 from .spectrum import _check_hermitian, _eigvalsh
 from .spin import check_unit_vectors, spin_generators
 from .tolerances import TOL
@@ -407,7 +407,8 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
         columns = (np.arange(n), directions.reshape(n, 12), norms)
         blocks = (slice(k, k + SWEEP_BLOCK) for k in range(0, n, SWEEP_BLOCK))
         rows = (np.column_stack([column[b] for column in columns]) for b in blocks)
-        write_csv(csv_path, ["index", *DIRECTION_COLUMNS, "norm"], map(format_rows, rows))
+        with open_csv(csv_path, ["index", *DIRECTION_COLUMNS, "norm"]) as handle:
+            handle.writelines(map(format_rows, rows))
     # written so that a NaN norm fails too
     off_band = ~(np.abs(norms - 2.0) <= TOL.norm_band)
     if np.any(off_band):

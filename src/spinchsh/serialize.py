@@ -9,17 +9,20 @@ type. A table of numbers, such as the rows of a ``verify`` report, is
 declared instead: a ``Table`` holds blocks of numbers and the layout of one
 row. ``render_table`` formats a few rows at a time by one ``%`` into the
 texts of their numbers, and ``%s`` templates place those texts into the
-rows, with their padding and quoted keys, and into their CSV lines; so
-every number is formatted once, and only a few rows' texts are held.
-``format_rows`` is the one ``%.17g`` formatter of tables and CSV lines, and
-``write_csv`` the one CSV writer. Every container is one ``"".join`` over a
-flat list of its parts, so a large report's text is held about twice at most.
+rows, with their padding and quoted keys, and into their CSV lines, which
+go to the table's CSV file as they are made; so every number is formatted
+once, and only a few rows' texts are held. ``format_rows`` is the one
+``%.17g`` formatter of tables and CSV lines, and ``open_csv`` the one CSV
+writer. Every container is one ``"".join`` over a flat list of its parts,
+so a large report's text is held about twice at most.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -63,15 +66,21 @@ class Table:
 
     ``fields`` lays out a row as (key, width) pairs that take its numbers in
     order: width 0 for one number, n for a list of n. Each of ``blocks`` is
-    a 2-D float array, one row per report row. With ``csv_keys``, rendering
-    also appends the rows' CSV lines, the numbers of those keys, to
-    ``csv_lines``. A plain class: a dataclass would cost every import a
-    millisecond.
+    a 2-D float array, one row per report row. Every number must be finite:
+    the constructor raises NonFiniteError, naming the first non-finite
+    number in row order, so a caller can check a table before it opens any
+    output. When ``csv`` is set to (keys, file), rendering also writes the
+    rows' CSV lines, the numbers of those keys, to that open text file. A
+    plain class: a dataclass would cost every import a millisecond.
     """
 
-    def __init__(self, fields: tuple[tuple[str, int], ...], blocks: list, csv_keys: tuple = ()):
-        self.fields, self.blocks, self.csv_keys = fields, blocks, csv_keys
-        self.csv_lines: list[str] = []
+    def __init__(self, fields: tuple[tuple[str, int], ...], blocks: list):
+        for block in blocks:
+            bad = block[~np.isfinite(block)]
+            if bad.size:
+                raise NonFiniteError(f"cannot serialize non-finite float {float(bad[0])!r}")
+        self.fields, self.blocks = fields, blocks
+        self.csv = None
 
 
 def render_table(table: Table, level: int) -> str:
@@ -79,19 +88,15 @@ def render_table(table: Table, level: int) -> str:
 
     Every ``_CHUNK`` rows of a block are formatted by one ``%`` into the
     texts of their numbers, which ``%s`` templates then place into the rows
-    and the CSV lines. Raises NonFiniteError, naming the first non-finite
-    number in row order, before it renders any.
+    and, if the table has a ``csv`` setting, into the CSV lines written to its file.
     """
-    for block in table.blocks:
-        bad = block[~np.isfinite(block)]
-        if bad.size:
-            raise NonFiniteError(f"cannot serialize non-finite float {float(bad[0])!r}")
     inner, pad = _PAD * (level + 1), _PAD * (level + 2)
     values = {key: "[%s]" % ", ".join(["%s"] * width) if width else "%s" for key, width in table.fields}
     entries = [f"{pad}{_quote(key).replace('%', '%%')}: {value}" for key, value in values.items()]
     row = inner + "{\n" + ",\n".join(entries) + "\n" + inner + "}"
     keys = [key for key, width in table.fields for _ in range(width or 1)]  # the key of each column
-    csv_columns = [c for csv_key in table.csv_keys for c, key in enumerate(keys) if key == csv_key]
+    csv_keys, csv_file = table.csv or ((), None)
+    csv_columns = [c for csv_key in csv_keys for c, key in enumerate(keys) if key == csv_key]
     line = ",".join(["%s"] * len(csv_columns)) + "\n"
     parts = ["[\n"]
     chunks = (block[i : i + _CHUNK] for block in table.blocks for i in range(0, len(block), _CHUNK))
@@ -101,7 +106,7 @@ def render_table(table: Table, level: int) -> str:
         parts += (",\n".join([row] * len(chunk)) % tuple(cells), ",\n")
         if csv_columns:
             ordered = np.array(cells, dtype=object).reshape(chunk.shape)[:, csv_columns]
-            table.csv_lines.append(line * len(chunk) % tuple(ordered.ravel().tolist()))
+            csv_file.write(line * len(chunk) % tuple(ordered.ravel().tolist()))
     if len(parts) == 1:
         return "[]"
     parts[-1] = "\n" + _PAD * level + "]"
@@ -179,16 +184,25 @@ def parse_complex_pairs(data) -> np.ndarray:
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
-def write_csv(path: str | None, header, lines) -> None:
-    """Write ``header``, then each text of ``lines``, to ``path`` (stdout if None).
+@contextlib.contextmanager
+def open_csv(path: str | None, header):
+    """``path`` (stdout if None) opened for CSV text, ``header`` written; closed on exit.
 
-    Each text holds whole CSV lines, as ``format_rows`` gives them.
-    ``lines`` may be a generator; it is consumed as the texts are written.
+    The caller writes whole CSV lines to it, as ``format_rows`` gives them,
+    as soon as it has them. If the caller raises, a regular file at ``path``
+    is removed, so a failed command leaves no partial CSV; a symlink or a
+    device, such as /dev/stdout, is left alone.
     """
-    handle = sys.stdout if path is None else open(path, "w", newline="")
-    try:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(lines)
-    finally:
-        if handle is not sys.stdout:
+    if path is None:
+        sys.stdout.write(",".join(header) + "\n")
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as handle:
+        try:
+            handle.write(",".join(header) + "\n")
+            yield handle
+        except BaseException:
             handle.close()
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+            raise

@@ -9,6 +9,10 @@ same way R rotates directions.
 The same generators in the Cartesian basis x, y, z are -i eps_k, built from
 the Levi-Civita symbol. There a rotation acts by R itself, and a product of
 two observables is real, which the Monte Carlo certificate uses.
+
+A stack of directions gives a stack of observables, computed with the
+stack's axes innermost: ``spin_along`` returns a view of that array with
+the 3x3 axes last.
 """
 
 from __future__ import annotations
@@ -74,10 +78,17 @@ def spin_along(u) -> np.ndarray:
     Hermitian, traceless, spectrum {-1, 0, 1}. Rejects inputs whose norm
     deviates from 1 beyond the rejection tolerance. An (..., 3) stack of
     directions gives the (..., 3, 3) stack of their observables.
+
+    The result is a view: the observables are computed as a (3, 3, ...)
+    array, the stack's axes innermost, so that each numpy product runs
+    along the stack rather than over a row of 3 entries;
+    ``np.moveaxis(spin_along(u), (-2, -1), (0, 1))`` is that array again.
     """
     u = check_unit_vectors(u)
-    x, y, z = u[..., 0, None, None], u[..., 1, None, None], u[..., 2, None, None]
-    return x * _S_X + y * _S_Y + z * _S_Z
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    trailing = (1,) * x.ndim
+    S_X, S_Y, S_Z = (S.reshape((3, 3) + trailing) for S in (_S_X, _S_Y, _S_Z))
+    return np.moveaxis(x * S_X + y * S_Y + z * S_Z, (0, 1), (-2, -1))
 
 
 def check_rotation(R) -> np.ndarray:

@@ -36,7 +36,7 @@ from spinchsh import (
 )
 from spinchsh import cli, search, serialize
 from spinchsh.bell import SPIN1_REAL_TENSOR
-from spinchsh.serialize import Table, complex_pairs, format_rows, json_dumps, write_csv
+from spinchsh.serialize import Table, complex_pairs, format_rows, json_dumps, open_csv
 
 # a 4e-144 component leaves a rounding-noise second singular value (see
 # test_reduction.py::TestReducedBell::test_rank_one_with_rounding_noise)
@@ -182,24 +182,58 @@ class TestVerifyRows:
         assert row["expectation"] == expectation(loaded, bell_operator(sc))
 
 
+def kron_bell(quad) -> np.ndarray:
+    """One scenario's Bell operator as the four-term sum of np.kron of per-vector observables."""
+    sa, sap, sb, sbp = (spin_along(u) for u in quad)
+    return np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
+
+
+def signed_zero_directions() -> np.ndarray:
+    """edge_directions() with every zero component made -0.0."""
+    edges = edge_directions()
+    return np.where(edges == 0.0, -0.0, edges)
+
+
 class TestBellStack:
+    """The stack build bit for bit (tobytes, so -0.0 is not 0.0) against per-scenario builds."""
+
     def test_stack_matches_kron_per_scenario(self):
         directions = np.concatenate(
-            [random_directions(np.random.default_rng(8), (50, 4)), edge_directions()]
+            [
+                random_directions(np.random.default_rng(8), (50, 4)),
+                edge_directions(),
+                signed_zero_directions(),
+            ]
         )
+        assert np.signbit(directions[directions == 0.0]).any()
         stack = bell_operator(directions)
         assert stack.shape == (len(directions), 9, 9)
         for quad, B in zip(directions, stack):
-            sa, sap, sb, sbp = (spin_along(u) for u in quad)
-            kron = np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
-            assert np.array_equal(B, kron)
-            assert np.array_equal(B, bell_operator(MeasurementScenario(*quad)))
+            assert bits_equal(B, kron_bell(quad))
+            assert bits_equal(B, bell_operator(MeasurementScenario(*quad)))
 
     def test_leading_axes_are_kept(self):
-        directions = random_directions(np.random.default_rng(9), (2, 3, 4))
-        stack = bell_operator(directions)
-        assert stack.shape == (2, 3, 9, 9)
-        assert np.array_equal(stack[1, 2], bell_operator(directions[1, 2]))
+        rng = np.random.default_rng(9)
+        for shape in [(), (1,), (2, 3), (1025,)]:
+            directions = random_directions(rng, shape + (4,))
+            stack = bell_operator(directions)
+            assert stack.shape == shape + (9, 9) and stack.flags.c_contiguous
+            for index in np.ndindex(shape):
+                assert bits_equal(stack[index], kron_bell(directions[index])), (shape, index)
+                assert bits_equal(stack[index], bell_operator(directions[index])), (shape, index)
+
+    def test_spin_along_stack_matches_each_vector(self):
+        vectors = np.concatenate(
+            [
+                random_directions(np.random.default_rng(24), (60,)),
+                edge_directions().reshape(-1, 3),
+                signed_zero_directions().reshape(-1, 3),
+            ]
+        ).reshape(-1, 2, 3)
+        stack = spin_along(vectors)
+        assert stack.shape == vectors.shape[:-1] + (3, 3)
+        for index in np.ndindex(vectors.shape[:-1]):
+            assert bits_equal(stack[index], spin_along(vectors[index])), index
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.01])
     def test_stack_rejects_non_unit_direction(self, bad):
@@ -389,7 +423,8 @@ class TestWriteCsv:
     )
     def test_matches_csv_writer(self, tmp_path, rows):
         path = tmp_path / "rows.csv"
-        write_csv(str(path), self.HEADER, [format_rows(rows)])
+        with open_csv(str(path), self.HEADER) as handle:
+            handle.write(format_rows(rows))
         assert path.read_bytes() == csv_writer_text(self.HEADER, rows).encode()
 
     def test_consumes_a_generator_lazily(self, monkeypatch):
@@ -402,7 +437,25 @@ class TestWriteCsv:
                 assert out.getvalue().count("\n") == 1 + k
                 yield (k, k / 2.0, -k)
 
-        write_csv(None, self.HEADER, (format_rows([row]) for row in rows()))
+        with open_csv(None, self.HEADER) as handle:
+            handle.writelines(format_rows([row]) for row in rows())
         assert out.getvalue() == csv_writer_text(
             self.HEADER, [(k, k / 2.0, -k) for k in range(5)]
         )
+
+    def test_failure_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("an earlier file\n")
+        with pytest.raises(MemoryError):
+            with open_csv(str(path), self.HEADER) as handle:
+                handle.write(format_rows([[0, 1.0, 2.0]]))
+                raise MemoryError
+        assert not path.exists()
+
+    def test_failure_keeps_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        with pytest.raises(MemoryError):
+            with open_csv(str(link), self.HEADER):
+                raise MemoryError
+        assert link.is_symlink() and target.read_text() == "index,x,y\n"

@@ -23,7 +23,7 @@ from spinchsh import (
     correlation_matrices,
     eig_hermitian,
 )
-from spinchsh import cli, search
+from spinchsh import cli, search, serialize
 from spinchsh.cli import main
 
 # a numpy warning on the way to a report or a rejection is a defect of its own
@@ -319,6 +319,19 @@ class TestVerify:
         # no number is printed, and a non-finite one is never written
         assert (code, out) == (1, "")
         assert err == f"error: cannot serialize non-finite float {value!r}\n"
+        assert not path.exists()
+
+    def test_failed_render_leaves_no_partial_csv(self, capsys, tmp_path, monkeypatch):
+        # the CSV is written while the report renders, so a failure there removes it
+        def render(table, level):
+            table.csv[1].write("a partial line\n")
+            raise MemoryError
+
+        monkeypatch.setattr(serialize, "render_table", render)
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "verify", "--random", "10", "--seed", "2", "--csv", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not path.exists()
 
 

@@ -19,6 +19,7 @@ from spinchsh import (
     QuantumState,
     RotationError,
     StateError,
+    canonical_parameters,
     canonical_reduction,
     eig_hermitian,
     spin_representation,
@@ -89,6 +90,12 @@ def test_svd3(M):
 def test_canonical_reduction(M):
     with pytest.raises(NonFiniteError):
         canonical_reduction(M)
+
+
+@given(matrices_3x3)
+def test_canonical_parameters(M):
+    with pytest.raises(NonFiniteError):
+        canonical_parameters(M)
 
 
 @given(real_with_non_finite((3,)))

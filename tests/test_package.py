@@ -42,3 +42,10 @@ def test_test_only_code_left_the_library(module, name):
     assert not hasattr(module, name)
     with pytest.raises(ImportError):
         exec(f"from spinchsh import {name}", {})
+
+
+def test_reduction_entry_points_are_exported():
+    """Both entry points of the rank gate and the t cut, and svd3 beside them."""
+    for name in ("CanonicalReduction", "canonical_reduction", "canonical_parameters", "svd3"):
+        assert name in spinchsh.__all__
+        assert getattr(spinchsh, name) is getattr(reduction, name)

@@ -18,9 +18,11 @@ from spinchsh import (
     SpinChshError,
     bell_operator,
     canonical_operator,
+    canonical_parameters,
     canonical_reduction,
     correlation_matrices,
     coupling_operator,
+    random_directions,
     spin_generators,
     spin_representation,
     svd3,
@@ -32,6 +34,16 @@ RANK2 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
 RANK3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
 # finite entries whose two largest singular values, sqrt(2) * 1.7e308, overflow
 OVERFLOWING = np.array([[1.7e308, 1.7e308, 0.0], [-1.7e308, 1.7e308, 0.0], [0.0, 0.0, 1.7e308]])
+
+
+def reduction_parameters(M):
+    """canonical_reduction's (s, t)."""
+    reduction = canonical_reduction(M)
+    return reduction.s, reduction.t
+
+
+# the two entry points of svd3's input rules, the rank gate and the t cut, each giving (s, t)
+PARAMETERS = (canonical_parameters, reduction_parameters)
 
 
 def random_rank2(rng):
@@ -63,13 +75,15 @@ class TestSvd3:
 
     def test_overflow_is_not_reduced(self):
         # an infinite first singular value would pass the rank gate and give s = inf, t = 0
-        with pytest.raises(NonFiniteError, match="finite"):
-            canonical_reduction(OVERFLOWING)
+        for parameters in PARAMETERS:
+            with pytest.raises(NonFiniteError, match="expected finite singular values"):
+                parameters(OVERFLOWING)
 
     def test_wrong_shape_is_a_library_error(self):
         # main prints a library error as one line; any other exception is a traceback
-        with pytest.raises(SpinChshError, match=r"got shape \(2, 2\)"):
-            canonical_reduction(np.eye(2))
+        for parameters in PARAMETERS:
+            with pytest.raises(SpinChshError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
+                parameters(np.eye(2))
 
     def test_certificate_is_of_one_matrix(self):
         stack = np.stack([np.diag([2.0, 0.0, 0.0])] * 2)
@@ -110,9 +124,9 @@ class TestSvd3:
         # a child process: a regression then fails on the timeout, not by hanging
         program = (
             "import numpy as np\n"
-            "from spinchsh import canonical_reduction, svd3\n"
+            "from spinchsh import canonical_parameters, canonical_reduction, svd3\n"
             f"M = np.diag([float('{bad}'), 1.0, 0.0])\n"
-            "for call in (svd3, canonical_reduction):\n"
+            "for call in (svd3, canonical_reduction, canonical_parameters):\n"
             "    try:\n"
             "        call(M)\n"
             "    except ValueError as exc:\n"
@@ -131,13 +145,15 @@ class TestSvd3:
         assert result.stdout.splitlines() == [
             "svd3 rejected: expected finite matrix entries",
             "canonical_reduction rejected: expected finite matrix entries",
+            "canonical_parameters rejected: expected finite matrix entries",
         ]
 
     def test_rejects_non_finite_in_a_stack(self):
         M = np.zeros((4, 3, 3))
         M[2, 1, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            svd3(M)
+        for call in (svd3, *PARAMETERS):
+            with pytest.raises(NonFiniteError, match="expected finite matrix entries"):
+                call(M)
 
 
 class TestCanonicalReduction:
@@ -178,15 +194,17 @@ class TestCanonicalReduction:
         assert np.max(det) < 1e-10
 
     def test_rank3_rejected_naming_sigma3(self):
-        with pytest.raises(RankDeficiencyError) as excinfo:
-            canonical_reduction(np.eye(3))
-        assert abs(excinfo.value.sigma3 - 1.0) < 1e-12
-        assert "1.000e+00" in str(excinfo.value)
+        for parameters in PARAMETERS:
+            with pytest.raises(RankDeficiencyError) as excinfo:
+                parameters(np.eye(3))
+            assert abs(excinfo.value.sigma3 - 1.0) < 1e-12
+            assert "1.000e+00" in str(excinfo.value)
 
     def test_rank_tolerance_boundary(self):
-        canonical_reduction(np.diag([1.0, 1.0, 5e-9]))
-        with pytest.raises(RankDeficiencyError):
-            canonical_reduction(np.diag([1.0, 1.0, 2e-8]))
+        for parameters in PARAMETERS:
+            parameters(np.diag([1.0, 1.0, 5e-9]))
+            with pytest.raises(RankDeficiencyError):
+                parameters(np.diag([1.0, 1.0, 2e-8]))
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
     def test_rank_verdict_does_not_depend_on_scale(self, scale):
@@ -194,20 +212,23 @@ class TestCanonicalReduction:
         M = scale * RANK2
         red = canonical_reduction(M)
         assert np.linalg.norm(red.R @ M @ red.Q.T - red.diagonal_form()) < 1e-14 * red.s
+        assert canonical_parameters(M) == (red.s, red.t)
         for M in (scale * RANK3, scale * np.eye(3)):
-            with pytest.raises(RankDeficiencyError) as excinfo:
-                canonical_reduction(M)
-            assert excinfo.value.sigma3 == svd3(M)[2][2]
+            for parameters in PARAMETERS:
+                with pytest.raises(RankDeficiencyError) as excinfo:
+                    parameters(M)
+                assert excinfo.value.sigma3 == svd3(M)[2][2]
 
     def test_stack_names_the_first_offending_sigma3(self):
         stack = np.stack((1e9 * RANK2, 1e-9 * RANK3, 1e-9 * np.eye(3)))
-        with pytest.raises(RankDeficiencyError) as excinfo:
-            canonical_reduction(stack)
-        assert excinfo.value.sigma3 == svd3(stack[1])[2][2]
-        with pytest.raises(RankDeficiencyError) as excinfo:
-            canonical_reduction(stack[[0, 2, 1]])
-        assert excinfo.value.sigma3 == 1e-9
-        assert "1.000e-09" in str(excinfo.value)
+        for parameters in PARAMETERS:
+            with pytest.raises(RankDeficiencyError) as excinfo:
+                parameters(stack)
+            assert excinfo.value.sigma3 == svd3(stack[1])[2][2]
+            with pytest.raises(RankDeficiencyError) as excinfo:
+                parameters(stack[[0, 2, 1]])
+            assert excinfo.value.sigma3 == 1e-9
+            assert "1.000e-09" in str(excinfo.value)
 
     def test_certificate_dict(self, tight_scenario):
         M = correlation_matrices(tight_scenario)
@@ -229,10 +250,38 @@ class TestCanonicalReduction:
         O1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         O2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         M = O1 @ np.diag([1.0, 1e-12, 0.0]) @ O2.T
-        reduction = canonical_reduction(M)
-        assert reduction.s == pytest.approx(1.0, rel=1e-14)
-        # relative only: pytest.approx would also accept t = 0 within its 1e-12 default
-        assert abs(reduction.t / 1e-12 - 1.0) < 1e-3
+        for parameters in PARAMETERS:
+            s, t = parameters(M)
+            assert s == pytest.approx(1.0, rel=1e-14)
+            # relative only: pytest.approx would also accept t = 0 within its 1e-12 default
+            assert abs(t / 1e-12 - 1.0) < 1e-3
+
+    def test_second_singular_value_at_most_eps_times_the_first_is_cut(self):
+        eps = np.finfo(float).eps
+        for parameters in PARAMETERS:
+            assert parameters(np.diag([1.0, eps, 0.0])) == (1.0, 0.0)
+            assert parameters(np.diag([4.0, 1e-17, 0.0])) == (4.0, 0.0)
+            # just above the cut, t is kept as the SVD gives it
+            assert parameters(np.diag([1.0, 2.0 * eps, 0.0])) == (1.0, 2.0 * eps)
+            s, t = parameters(np.stack([np.diag([1.0, eps, 0.0]), np.diag([1.0, 2.0 * eps, 0.0])]))
+            assert s.tolist() == [1.0, 1.0] and t.tolist() == [0.0, 2.0 * eps]
+
+    def test_parameters_are_the_reduction_s_and_t(self):
+        rng = np.random.default_rng(102)
+        M = np.concatenate(
+            [
+                np.stack([random_rank2(rng) for _ in range(1000)]),
+                correlation_matrices(random_directions(rng, (1000, 4))),
+            ]
+        )
+        red = canonical_reduction(M)
+        s, t = canonical_parameters(M)
+        # bit for bit, and as floats for one matrix
+        assert s.tobytes() == red.s.tobytes() and t.tobytes() == red.t.tobytes()
+        for k in range(0, len(M), 97):
+            single = canonical_parameters(M[k])
+            assert single == (float(s[k]), float(t[k]))
+            assert all(type(x) is float for x in single)
 
     @pytest.mark.parametrize("diagonal", [(1e200, 0.0, 1.0), (1e154, 1e154, 0.0)])
     def test_certificate_rejects_an_overflowing_sum_of_squares(self, diagonal):

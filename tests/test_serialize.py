@@ -5,10 +5,11 @@ ints, bools, strs and None, lists, str-keyed dicts, float64 arrays and
 ``Table``s) and rejects every other type. ``reference_render`` below is a
 renderer with one isinstance chain, kept in the test: on every accepted input
 the two must give the same text, and the same error for every non-finite
-float. A ``Table`` must render as its rows would as dicts, and its CSV lines
-as each number formatted by itself.
+float. A ``Table`` must render as its rows would as dicts, and the CSV lines
+it writes as each number formatted by itself.
 """
 
+import io
 import json
 import math
 import re
@@ -279,8 +280,8 @@ def test_non_finite_raises_as_the_reference(document):
 
 
 @st.composite
-def tables(draw, non_finite=False):
-    """A Table of up to three blocks under keys with %, quotes and non-ASCII, and its CSV keys.
+def table_parts(draw, non_finite=False):
+    """(fields, blocks, csv_keys) of a Table: up to three blocks, keys with %, quotes and non-ASCII.
 
     Each key takes one number or a list of 1 to 3. With ``non_finite``, one
     or two nan or inf values are planted at random cells.
@@ -294,51 +295,60 @@ def tables(draw, non_finite=False):
         block = draw(st.sampled_from(blocks))
         block[draw(st.integers(0, len(block) - 1)), draw(st.integers(0, columns - 1))] = draw(_non_finite)
     csv_keys = draw(st.lists(st.sampled_from(keys), unique=True))
-    return Table(tuple(zip(keys, widths)), blocks, tuple(csv_keys))
+    return tuple(zip(keys, widths)), blocks, tuple(csv_keys)
 
 
-def table_rows(table: Table) -> list[dict]:
+def table_rows(fields, blocks) -> list[dict]:
     """A table's rows as dicts of Python floats and float lists."""
     rows = []
-    for block in table.blocks:
+    for block in blocks:
         for numbers in map(iter, block.tolist()):
             rows.append(
                 {
                     key: [next(numbers) for _ in range(width)] if width else next(numbers)
-                    for key, width in table.fields
+                    for key, width in fields
                 }
             )
     return rows
 
 
 @settings(max_examples=150)
-@given(table=tables(), nesting=st.sampled_from(["bare", "dict", "list"]), chunk=st.integers(1, 4))
-def test_table_renders_as_its_rows(table, nesting, chunk):
-    """Rows and CSV lines as the reference renders them, at any depth and chunk size."""
-    rows = table_rows(table)
+@given(parts=table_parts(), nesting=st.sampled_from(["bare", "dict", "list"]), chunk=st.integers(1, 4))
+def test_table_renders_as_its_rows(parts, nesting, chunk):
+    """Rows and the CSV lines written as the reference renders them, at any depth and chunk size."""
+    fields, blocks, csv_keys = parts
+    rows = table_rows(fields, blocks)
     wrap = {"bare": lambda x: x, "dict": lambda x: {"scenarios": x}, "list": lambda x: [x, 1]}[nesting]
+    table, written = Table(fields, blocks), io.StringIO()
+    plain = json_dumps(wrap(table))
+    table.csv = (csv_keys, written)
     default, serialize._CHUNK = serialize._CHUNK, chunk
     try:
         text = json_dumps(wrap(table))
     finally:
         serialize._CHUNK = default
-    assert text == reference_render(wrap(rows))
+    # the CSV file changes nothing in the report's text
+    assert text == plain == reference_render(wrap(rows))
     lines = [
-        [x for key in table.csv_keys for x in (row[key] if type(row[key]) is list else [row[key]])]
-        for row in rows if table.csv_keys
+        [x for key in csv_keys for x in (row[key] if type(row[key]) is list else [row[key]])]
+        for row in rows if csv_keys
     ]
-    assert "".join(table.csv_lines) == "".join(",".join(map(_reference_float, line)) + "\n" for line in lines)
+    assert written.getvalue() == "".join(",".join(map(_reference_float, line)) + "\n" for line in lines)
 
 
-@given(table=tables(non_finite=True))
-def test_table_non_finite_raises_as_the_reference(table):
-    """The first non-finite number in row order, named as the reference names it, before any text."""
+@given(parts=table_parts(non_finite=True))
+def test_table_non_finite_raises_as_the_reference(parts):
+    """The first non-finite number in row order, named as the reference names it, by the constructor.
+
+    A Table that exists holds only finite numbers, so no CSV file is opened
+    for one that would not render, and nothing is written to one.
+    """
+    fields, blocks, _ = parts
     with pytest.raises(ValueError) as expected:
-        reference_render(table_rows(table))
+        reference_render(table_rows(fields, blocks))
     with pytest.raises(NonFiniteError) as raised:
-        json_dumps({"scenarios": table})
+        Table(fields, blocks)
     assert str(raised.value) == str(expected.value)
-    assert table.csv_lines == []
 
 
 def reference_verify_rows(directions: np.ndarray) -> list[dict]:
