@@ -279,9 +279,9 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _search_payload(family: ObservableFamily, seed: int, **config) -> dict:
+def _search_payload(family: ObservableFamily, seed: int, restarts: int) -> dict:
     """Run the seesaw on ``family`` and report it against the family's known maximum."""
-    report = maximize_violation(SearchConfig(family=family.name, seed=seed, **config))
+    report = maximize_violation(SearchConfig(family=family.name, restarts=restarts, seed=seed))
     within = abs(report.best_value - family.known_maximum) <= TOL.search_target
     return {
         "command": "search",
@@ -304,9 +304,7 @@ def _search_payload(family: ObservableFamily, seed: int, **config) -> dict:
 
 
 def cmd_search(args) -> int:
-    payload = _search_payload(
-        _FAMILIES[args.family], args.seed, restarts=args.restarts, max_iterations=args.iterations
-    )
+    payload = _search_payload(_FAMILIES[args.family], args.seed, args.restarts)
     print(json_dumps(payload))
     return EXIT_OK if payload["within_tolerance"] else EXIT_BAND
 
@@ -320,9 +318,7 @@ def cmd_certify(args) -> int:
         monte_carlo["offending_norm"] = exc.norm
         monte_carlo["offending_scenario"] = exc.scenario
         monte_carlo["within_band"] = False
-    searches = [
-        _search_payload(family, args.seed, restarts=args.restarts) for family in _FAMILIES.values()
-    ]
+    searches = [_search_payload(family, args.seed, args.restarts) for family in _FAMILIES.values()]
     passed = monte_carlo["within_band"] and all(p["within_tolerance"] for p in searches)
     report = {
         "command": "certify",
@@ -411,9 +407,6 @@ def build_parser() -> _Parser:
         help="measurement family",
     )
     p_search.add_argument("--restarts", type=_count, default=SearchConfig.restarts)
-    p_search.add_argument(
-        "--iterations", type=_count, default=SearchConfig.max_iterations, help="seesaw iteration cap"
-    )
     p_search.add_argument("--seed", type=_seed, default=SearchConfig.seed)
     p_search.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_search.set_defaults(handler=cmd_search)

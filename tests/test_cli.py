@@ -690,6 +690,13 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--restarts", "0")
         assert code == 1
 
+    def test_no_iteration_option(self, capsys):
+        # the seesaw's cap is search.MAX_ITERATIONS, not an option
+        code, out, err = run(capsys, "search", "--iterations", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: unrecognized arguments: --iterations 5\n"
+
     def test_report_is_deterministic(self, capsys):
         args = ("search", "--family", "qubit-pauli", "--restarts", "8", "--seed", "5")
         _, first, _ = run(capsys, *args)

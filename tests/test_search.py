@@ -68,6 +68,9 @@ class TestQuantumState:
     def test_pure_rejects_bad_norm(self):
         with pytest.raises(StateError):
             QuantumState.pure(np.ones(9))
+        # ten times past the default TOL.state_norm
+        with pytest.raises(StateError, match="deviates from 1 by 1.000e-11"):
+            QuantumState.pure([1.0 + 1e-11] + [0.0] * 8)
 
     @pytest.mark.parametrize(
         "data",
@@ -82,6 +85,8 @@ class TestQuantumState:
     def test_mixed_validation(self):
         with pytest.raises(StateError):
             QuantumState.mixed(np.eye(9))  # trace 9
+        with pytest.raises(StateError, match="trace deviates from 1 by 1.000e-11"):
+            QuantumState.mixed(np.diag([1.0 + 1e-11] + [0.0] * 8))
         with pytest.raises(StateError):
             QuantumState.mixed(np.triu(np.ones((9, 9))) / 9.0)  # not Hermitian
         bad = np.diag([1.5, -0.5] + [0.0] * 7)
@@ -89,14 +94,16 @@ class TestQuantumState:
             QuantumState.mixed(bad)  # negative eigenvalue
 
     def test_mixed_rejects_a_slightly_negative_eigenvalue(self):
-        # unit trace and Hermitian, but its smallest eigenvalue is -1e-6
+        # unit trace and Hermitian, but its smallest eigenvalue is negative;
+        # -1e-9 is ten times past the default TOL.psd_floor
         rng = np.random.default_rng(8)
         U, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
-        eigenvalues = np.array([-1e-6] + [(1.0 + 1e-6) / 8.0] * 8)
-        rho = (U * eigenvalues) @ U.conj().T
-        rho = (rho + rho.conj().T) / 2.0
-        with pytest.raises(StateError, match="negative eigenvalue -1.000e-06"):
-            QuantumState.mixed(rho)
+        for smallest in (-1e-6, -1e-9):
+            eigenvalues = np.array([smallest] + [(1.0 - smallest) / 8.0] * 8)
+            rho = (U * eigenvalues) @ U.conj().T
+            rho = (rho + rho.conj().T) / 2.0
+            with pytest.raises(StateError, match=f"negative eigenvalue {smallest:.3e}"):
+                QuantumState.mixed(rho)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_pure_rejects_non_finite(self, bad):
@@ -189,6 +196,9 @@ class TestExpectation:
         rho[1, 0] = -0.5j
         with pytest.raises(HermiticityError):
             expectation(QuantumState.mixed(rho), corrupted)
+        # an imaginary part ten times past the default TOL.trace_imag
+        with pytest.raises(HermiticityError, match="imaginary part 1.000e-09"):
+            expectation(ket(0), np.eye(9) * (1.0 + 1e-9j))
 
     @pytest.mark.parametrize(
         "state",
@@ -242,7 +252,7 @@ class TestFamilies:
     def test_lookup(self):
         # maximize_violation looks the family up by name: its state is on two of its systems
         for family in (SPIN1_FAMILY, PAULI_FAMILY):
-            config = SearchConfig(family=family.name, restarts=1, max_iterations=1)
+            config = SearchConfig(family=family.name, restarts=1)
             assert maximize_violation(config).best_state.dim == family.dim**2
         known = "known families: qubit-pauli, qutrit-spin1"
         with pytest.raises(InputError, match=f"unknown measurement family 'qubit-spin1'; {known}"):
@@ -308,7 +318,7 @@ class TestSeesaw:
         assert abs(report.best_value - 2.0) < 1e-6
 
     def test_tight_start_converges_immediately(self, tight_scenario):
-        batch = search._seesaw(SPIN1_FAMILY, tight_scenario.directions()[None], SearchConfig())
+        batch = search._seesaw(SPIN1_FAMILY, tight_scenario.directions()[None])
         assert batch.iterations[0] <= 2
         assert abs(batch.values[0] - 2.0) < 1e-9
 
@@ -337,8 +347,6 @@ class TestSeesaw:
     def test_config_validation(self):
         with pytest.raises(InputError):
             maximize_violation(SearchConfig(restarts=0))
-        with pytest.raises(InputError):
-            maximize_violation(SearchConfig(max_iterations=0))
 
 
 def plant_draw(monkeypatch, scenario):
@@ -459,11 +467,12 @@ def one_shot_random_directions(rng, shape):
 
 
 class PlantedShortDraw:
-    """A seeded generator whose first draw has vectors too short to normalise at ``rows``."""
+    """A seeded generator; its first draw is zero at ``rows[0]``, times ``scale`` at the rest."""
 
-    def __init__(self, seed, rows):
+    def __init__(self, seed, rows, scale=1e-20):
         self.rng = np.random.default_rng(seed)
         self.rows = rows
+        self.scale = scale
         self.calls = 0
 
     def standard_normal(self, shape):
@@ -472,7 +481,7 @@ class PlantedShortDraw:
         if self.calls == 1:
             flat = v.reshape(-1, 3)
             flat[self.rows[0]] = 0.0
-            flat[self.rows[1:]] *= 1e-20
+            flat[self.rows[1:]] *= self.scale
         return v
 
 
@@ -490,6 +499,17 @@ def test_random_directions_match_the_one_shot_draw_bit_for_bit(shape):
     got = random_directions(planted, shape)
     assert planted.calls == 2  # the short vectors were drawn again
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_random_directions_normalise_a_short_draw_above_the_floor():
+    # a draw of norm near 1e-10 is above the default TOL.short_draw: it is
+    # normalised, while the zero draw beside it is drawn again
+    planted = PlantedShortDraw(5, [0, 1], scale=1e-10)
+    got = random_directions(planted, (2,))
+    drawn = np.random.default_rng(5).standard_normal((2, 3))[1]
+    assert 1e-11 < 1e-10 * np.linalg.norm(drawn) < 1e-9
+    assert planted.calls == 2
+    assert np.allclose(got[1], drawn / np.linalg.norm(drawn), rtol=0.0, atol=1e-15)
 
 
 def test_random_scenario_is_normalized():

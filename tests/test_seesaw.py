@@ -43,7 +43,7 @@ def _renormalized(gradient, fallback):
     return fallback if norm < 1e-14 else gradient / norm
 
 
-def reference_restart(family, scenario, config):
+def reference_restart(family, scenario):
     """One restart of the seesaw, one scenario at a time.
 
     Returns (value, scenario, iterations, converged, history).
@@ -51,7 +51,7 @@ def reference_restart(family, scenario, config):
     previous = -np.inf
     history = []
     value, converged, iterations = previous, False, 0
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, search.MAX_ITERATIONS + 1):
         iterations = iteration
         eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(scenario))
         top = float(eigenvalues[-1])
@@ -77,7 +77,7 @@ def reference_restart(family, scenario, config):
 def run_batch(family, config):
     """The batched seesaw on the starts maximize_violation draws for ``config``."""
     starts = search.random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
-    return starts, search._seesaw(family, starts, config)
+    return starts, search._seesaw(family, starts)
 
 
 def assert_matches_reference(family, config):
@@ -85,7 +85,7 @@ def assert_matches_reference(family, config):
     for k, quad in enumerate(starts):
         # restart k starts from row k of the seed's draw, bit for bit
         start = MeasurementScenario(*quad)
-        value, scenario, iterations, converged, history = reference_restart(family, start, config)
+        value, scenario, iterations, converged, history = reference_restart(family, start)
         assert abs(batch.values[k] - value) <= 1e-12, k
         assert batch.iterations[k] == iterations, k
         assert batch.converged[k] == converged, k
@@ -105,8 +105,8 @@ def record_seesaw(monkeypatch, starts, planted=None):
     original = search._seesaw
     calls = []
 
-    def recording_seesaw(family, directions, cfg):
-        batch = original(family, directions, cfg)
+    def recording_seesaw(family, directions):
+        batch = original(family, directions)
         first = int(np.flatnonzero((starts == directions[0]).all(axis=(1, 2)))[0])
         if planted is not None:
             batch.values[:] = planted[first : first + len(batch.values)]
@@ -150,7 +150,8 @@ def test_matches_per_restart_reference(family, seed):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_active_set_with_staggered_convergence(monkeypatch, family):
     monkeypatch.setattr(search, "TOL", dataclasses.replace(search.TOL, seesaw_improvement=1e-15))
-    config = SearchConfig(family=family.name, restarts=60, seed=7, max_iterations=8)
+    monkeypatch.setattr(search, "MAX_ITERATIONS", 8)
+    config = SearchConfig(family=family.name, restarts=60, seed=7)
     batch = assert_matches_reference(family, config)
     assert len(set(batch.iterations.tolist())) > 1
     # a restart's history stops when it leaves the active set
@@ -158,8 +159,35 @@ def test_active_set_with_staggered_convergence(monkeypatch, family):
         assert np.all(np.isnan(batch.history[batch.iterations[k] :, k]))
 
 
+def test_restarts_stop_at_the_first_improvement_below_the_threshold():
+    # random Hermitian generators converge slowly: every restart improves by at
+    # least 1e-9 for a dozen iterations or more and makes a step in [1e-9, 1e-6)
+    # before its first step below 1e-9, the default TOL.seesaw_improvement
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    family = ObservableFamily("random-hermitian", (A + A.conj().swapaxes(-1, -2)) / 2.0, np.nan)
+    batch = search._seesaw(family, search.random_directions(np.random.default_rng(0), (40, 4)))
+    assert len(set(batch.iterations.tolist())) > 1
+    for k in range(40):
+        improvements = np.diff(batch.restart_history(k))
+        assert np.any((improvements >= 1e-9) & (improvements < 1e-6)), k
+        assert np.all(improvements[:-1] >= 1e-9), k
+        assert improvements[-1] < 1e-9 or batch.iterations[k] == search.MAX_ITERATIONS, k
+        assert np.all(np.isnan(batch.history[batch.iterations[k] :, k])), k
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_restart_converges_at_iteration_two(family, seed):
+    """So search.MAX_ITERATIONS never binds."""
+    starts = search.random_directions(np.random.default_rng(seed), (2048, 4))
+    batch = search._seesaw(family, starts)
+    assert np.all(batch.iterations == 2)
+    assert np.all(batch.converged)
+
+
 def test_state_step_failure_names_first_offending_restart(monkeypatch):
-    config = SearchConfig(restarts=10, seed=3, max_iterations=2)
+    config = SearchConfig(restarts=10, seed=3)
     _, clean = run_batch(SPIN1_FAMILY, config)
     # every restart is active in iteration 2: no restart converges from -inf
     original = np.linalg.eigh
@@ -282,6 +310,14 @@ def test_stack_kernels_match_single_items_bit_for_bit(family):
             assert np.array_equal(unit[k, j], single_a[j] / np.linalg.norm(single_a[j]))
 
 
+def test_only_a_gradient_below_the_floor_keeps_its_fallback():
+    fallback = np.array([[0.0, 0.0, 1.0]])
+    assert np.array_equal(search._renormalized(np.zeros((1, 3)), fallback), fallback)
+    # 1e-12 is above the default TOL.zero_gradient: it is normalised, not replaced
+    short = search._renormalized(np.array([[1e-12, 0.0, 0.0]]), fallback)
+    assert np.array_equal(short, [[1.0, 0.0, 0.0]])
+
+
 def test_gradients_match_kron_expectations():
     # T_ij = Re <v| G_i (x) G_j |v> and the CHSH value is sum_ij M_ij T_ij, so
     # the direction steps' products with T are the exact gradients
@@ -299,11 +335,10 @@ def test_gradients_match_kron_expectations():
 
 
 def test_seesaw_only_reads_its_inputs():
-    config = SearchConfig(restarts=12, seed=6)
     starts = search.random_directions(np.random.default_rng(6), (12, 4))
     kept = starts.copy()
     starts.setflags(write=False)
-    batch = search._seesaw(SPIN1_FAMILY, starts, config)
+    batch = search._seesaw(SPIN1_FAMILY, starts)
     assert np.array_equal(starts, kept)
     assert not np.array_equal(batch.directions, starts)
 

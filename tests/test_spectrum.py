@@ -101,10 +101,14 @@ class TestEigHermitian:
             eig_hermitian(np.diag([np.inf, 1.0]))
 
     def test_rejects_non_hermitian_with_measurement(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(HermiticityError) as excinfo:
-            eig_hermitian(A)
-        assert abs(excinfo.value.asymmetry - np.sqrt(2.0)) < 1e-12
+        # one off-diagonal 1e-9 gives asymmetry sqrt(2) * 1e-9, ten times past the
+        # default TOL.hermiticity
+        slight = np.diag(np.arange(9.0))
+        slight[0, 1] = 1e-9
+        for A in (np.array([[0.0, 1.0], [0.0, 0.0]]), slight):
+            with pytest.raises(HermiticityError) as excinfo:
+                eig_hermitian(A)
+            assert abs(excinfo.value.asymmetry - np.sqrt(2.0) * A[0, 1]) < 1e-12
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):

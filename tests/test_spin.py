@@ -150,7 +150,13 @@ class TestAxisAngle:
 
     @pytest.mark.parametrize(
         "bad",
-        [np.diag([1.0, 1.0, -1.0]), np.diag([2.0, 1.0, 1.0]), np.ones((3, 3))],
+        [
+            np.diag([1.0, 1.0, -1.0]),
+            np.diag([2.0, 1.0, 1.0]),
+            np.ones((3, 3)),
+            # ||R^T R - I|| = 1e-11, ten times the default TOL.rotation
+            np.eye(3) + np.diag([5e-12, 0.0, 0.0]),
+        ],
     )
     def test_rejects_non_rotations(self, bad):
         with pytest.raises(RotationError):
