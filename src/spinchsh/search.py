@@ -16,6 +16,8 @@ serves as a positive control because its known maximum 2*sqrt(2) exceeds 2.
 
 from __future__ import annotations
 
+import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +180,21 @@ def best_state_value(B) -> tuple[float, QuantumState]:
 
 # --------------------------------------------------------------------------
 # random sampling
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, string or other non-integer raises InputError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """The generator of a seed, which must be an integer of at least 0."""
+    if _integer(seed, "seed") < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 # the one block size of every batched loop over a random_directions draw: the
@@ -348,14 +365,14 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     winner is the lowest restart index whose value is within
     TOL.seesaw_monotonicity (relative) of the best value over all restarts.
     """
-    if config.restarts < 1:
+    if _integer(config.restarts, "restarts") < 1:
         raise InputError("need at least one restart")
     family = _FAMILIES.get(config.family)
     if family is None:
         known = ", ".join(sorted(_FAMILIES))
         raise InputError(f"unknown measurement family {config.family!r}; known families: {known}")
 
-    starts = random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
+    starts = random_directions(_seeded_rng(config.seed), (config.restarts, 4))
     values = np.empty(config.restarts)
     for start in range(0, config.restarts, SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
@@ -385,6 +402,38 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
 # Monte Carlo certification
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(solve, starts: range) -> None:
+    """Call ``solve(start)`` for every start, on up to one thread per usable CPU.
+
+    Each call must write only its own block's outputs. numpy's batched
+    eigensolver releases the GIL, so the blocks' solves overlap. An
+    exception reaches the caller as the serial loop's would: the lowest
+    failing start's, once every earlier start has run; the starts not yet
+    begun are cancelled and every worker is joined before it propagates.
+    With one worker the loop runs inline, with no thread.
+    """
+    workers = min(_usable_cpus(), len(starts))
+    if workers <= 1:
+        for start in starts:
+            solve(start)
+        return
+    # imported here: it loads logging, which would lengthen every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        # map yields in start order and cancels what is pending when a call
+        # raises; leaving the pool joins the workers
+        for _ in pool.map(solve, starts):
+            pass
+
+
 def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> float:
     """Sample n random scenarios and certify every Bell operator norm is 2.
 
@@ -394,17 +443,22 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
     norm observed.
 
     Each norm comes from a dense eigensolve of the scenario's Bell operator
-    in the Cartesian basis, where it is real symmetric.
+    in the Cartesian basis, where it is real symmetric. The blocks of
+    SWEEP_BLOCK scenarios are solved on up to one thread per usable CPU
+    (``_run_blocks``); no output depends on how many.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise InputError("empty sample: n must be at least 1")
-    directions = random_directions(np.random.default_rng(seed), (n, 4))
+    directions = random_directions(_seeded_rng(seed), (n, 4))
 
     norms = np.empty(n)
-    for start in range(0, n, SWEEP_BLOCK):
+
+    def solve_block(start: int) -> None:
         block = slice(start, start + SWEEP_BLOCK)
         B = coupling_operator(correlation_matrices(directions[block]), SPIN1_REAL_TENSOR)
         norms[block] = np.max(np.abs(_eigvalsh(B)), axis=1)
+
+    _run_blocks(solve_block, range(0, n, SWEEP_BLOCK))
     if csv_path is not None:
         columns = (np.arange(n), directions.reshape(n, 12), norms)
         blocks = (slice(k, k + SWEEP_BLOCK) for k in range(0, n, SWEEP_BLOCK))

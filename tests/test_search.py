@@ -1,6 +1,11 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from spinchsh import (
     random_directions,
     spin_generators,
 )
+import spinchsh
 from spinchsh import search
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -348,6 +354,23 @@ class TestSeesaw:
         with pytest.raises(InputError):
             maximize_violation(SearchConfig(restarts=0))
 
+    @pytest.mark.parametrize("config", [{"restarts": 2.5}, {"seed": -1}, {"seed": 1.5}])
+    def test_count_and_seed_rules_are_the_library_s(self, config):
+        with pytest.raises(InputError):
+            maximize_violation(SearchConfig(**{"restarts": 2, **config}))
+
+
+def record_threads(monkeypatch) -> set:
+    """The idents of the threads that run the Monte Carlo eigensolves from now on."""
+    threads, solve = set(), search._eigvalsh
+
+    def recording(B):
+        threads.add(threading.get_ident())
+        return solve(B)
+
+    monkeypatch.setattr(search, "_eigvalsh", recording)
+    return threads
+
 
 def plant_draw(monkeypatch, scenario):
     """Make the next ``random_directions`` draw the one planted (4, 3) scenario."""
@@ -381,6 +404,14 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             monte_carlo_certify(0)
 
+    @pytest.mark.parametrize("n, seed", [(2.5, 0), ("10", 0), (10, -1), (10, 1.5), (10, None)])
+    def test_count_and_seed_rules_are_the_library_s(self, n, seed):
+        with pytest.raises(InputError):
+            monte_carlo_certify(n, seed=seed)
+
+    def test_numpy_integers_are_counts_and_seeds(self):
+        assert monte_carlo_certify(np.int64(30), seed=np.uint8(3)) == monte_carlo_certify(30, seed=3)
+
     def test_band_failure_carries_scenario(self, monkeypatch):
         # an impossibly tight band makes honest float noise fail the check
         monkeypatch.setattr(search, "TOL", dataclasses.replace(TOL, norm_band=1e-17))
@@ -403,6 +434,108 @@ class TestMonteCarlo:
         value = monte_carlo_certify(2500, seed=5, csv_path=str(tmp_path / "blocked.csv"))
         assert value == expected
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+    @pytest.mark.parametrize("block, n", [(7, 100), (search.SWEEP_BLOCK, 3 * 1024 + 5)])
+    def test_result_and_csv_do_not_depend_on_the_workers(self, monkeypatch, tmp_path, block, n):
+        monkeypatch.setattr(search, "SWEEP_BLOCK", block)
+        threads, outputs = record_threads(monkeypatch), []
+        for workers in (1, 2, 3):
+            threads.clear()
+            monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+            path = tmp_path / f"{workers}.csv"
+            outputs.append((monte_carlo_certify(n, seed=9, csv_path=str(path)), path.read_bytes()))
+            assert len(threads) <= workers
+            if workers == 1:
+                assert threads == {threading.get_ident()}
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_blocks_overlap_on_two_or_more_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(search, "SWEEP_BLOCK", 7)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+        threads = record_threads(monkeypatch)
+        # the first two solves wait for each other, which only two threads can do
+        meeting, lock, calls, solve = threading.Barrier(2, timeout=10), threading.Lock(), [], search._eigvalsh
+
+        def meeting_solve(B):
+            with lock:
+                calls.append(None)
+                first_two = len(calls) <= 2
+            if first_two:
+                meeting.wait()
+            return solve(B)
+
+        monkeypatch.setattr(search, "_eigvalsh", meeting_solve)
+        monte_carlo_certify(100, seed=9)
+        assert 2 <= len(threads) <= workers
+
+    def test_one_block_runs_inline(self, monkeypatch):
+        threads = record_threads(monkeypatch)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
+        monte_carlo_certify(search.SWEEP_BLOCK, seed=0)
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_off_band_index_is_named_for_any_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(search, "SWEEP_BLOCK", 7)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+        draw = random_directions(np.random.default_rng(0), (100, 4))
+        # directions scaled by c scale the bilinear operator, and its norm, by c**2
+        draw[30] *= 1.1
+        draw[80] *= 1.3
+        monkeypatch.setattr(search, "random_directions", lambda rng, shape: draw)
+        with pytest.raises(CertificationError) as excinfo:
+            monte_carlo_certify(100, seed=0)
+        assert abs(excinfo.value.norm - 2.0 * 1.1**2) < 1e-9
+        assert excinfo.value.scenario == dict(zip(("a", "a_prime", "b", "b_prime"), draw[30].tolist()))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_block_exception_reaches_the_caller(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(search, "SWEEP_BLOCK", 7)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+        draw = random_directions(np.random.default_rng(0), (28, 4))
+        second, fourth = np.linalg.LinAlgError("second block"), np.linalg.LinAlgError("fourth block")
+        # the second and the fourth of four blocks fail, each marked by a first
+        # component that no unit direction has
+        draw[7, 0, 0], draw[21, 0, 0] = 5.0, 6.0
+        monkeypatch.setattr(search, "random_directions", lambda rng, shape: draw)
+        build = search.correlation_matrices
+        main, fourth_raised = threading.get_ident(), threading.Event()
+
+        def failing(directions):
+            if directions[0, 0, 0] == 5.0:
+                if threading.get_ident() != main:
+                    # on a worker the second block raises last, after the fourth has
+                    fourth_raised.wait(timeout=10)
+                    time.sleep(0.05)
+                raise second
+            if directions[0, 0, 0] == 6.0:
+                fourth_raised.set()
+                raise fourth
+            return build(directions)
+
+        monkeypatch.setattr(search, "correlation_matrices", failing)
+        baseline = threading.active_count()
+        path = tmp_path / "norms.csv"
+        with pytest.raises(np.linalg.LinAlgError) as excinfo:
+            monte_carlo_certify(28, seed=0, csv_path=str(path))
+        assert excinfo.value is second
+        assert not path.exists()
+        assert threading.active_count() == baseline
+
+    def test_import_does_not_load_the_thread_pool(self):
+        program = "import sys, spinchsh, spinchsh.cli; print('concurrent.futures' in sys.modules)"
+        package_root = os.path.dirname(os.path.dirname(spinchsh.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_csv_emission(self, tmp_path):
         import csv

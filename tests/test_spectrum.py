@@ -110,6 +110,17 @@ class TestEigHermitian:
                 eig_hermitian(A)
             assert abs(excinfo.value.asymmetry - np.sqrt(2.0) * A[0, 1]) < 1e-12
 
+    def test_nan_and_overflowing_asymmetries_fail_without_warning(self):
+        nan = canonical_operator(1.0, 1.0)
+        nan[2, 5] = np.nan
+        with pytest.raises(HermiticityError) as excinfo:
+            eig_hermitian(nan)
+        assert np.isnan(excinfo.value.asymmetry)
+        # the squares of 1e200 overflow to inf
+        with pytest.raises(HermiticityError) as excinfo:
+            eig_hermitian(np.array([[0.0, 1e200], [0.0, 0.0]]))
+        assert excinfo.value.asymmetry == np.inf
+
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             eig_hermitian(np.zeros((2, 3)))
