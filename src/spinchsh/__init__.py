@@ -34,7 +34,6 @@ from .search import (
     SPIN1_FAMILY,
     ObservableFamily,
     QuantumState,
-    SearchConfig,
     SearchReport,
     best_state_value,
     expectation,

@@ -25,11 +25,11 @@ from .bell import (
 from .errors import CertificationError, InputError, RankDeficiencyError, SpinChshError
 from .reduction import canonical_parameters, canonical_reduction
 from .search import (
-    _FAMILIES,
+    PAULI_FAMILY,
+    SPIN1_FAMILY,
     SWEEP_BLOCK,
     ObservableFamily,
     QuantumState,
-    SearchConfig,
     expectation,
     maximize_violation,
     monte_carlo_certify,
@@ -54,6 +54,11 @@ EXIT_RANK = 3
 
 # the largest count whose every index the CSV's %.17g writes exactly
 MAX_COUNT = 2**53
+
+# the families search --family offers; certify runs each of them
+FAMILIES = {family.name: family for family in (SPIN1_FAMILY, PAULI_FAMILY)}
+# the seesaw restarts per family of search and certify without --restarts
+DEFAULT_RESTARTS = 200
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,13 +286,13 @@ def cmd_reduce(args) -> int:
 
 def _search_payload(family: ObservableFamily, seed: int, restarts: int) -> dict:
     """Run the seesaw on ``family`` and report it against the family's known maximum."""
-    report = maximize_violation(SearchConfig(family=family.name, restarts=restarts, seed=seed))
+    report = maximize_violation(family, restarts, seed)
     within = abs(report.best_value - family.known_maximum) <= TOL.search_target
     return {
         "command": "search",
         "family": family.name,
         "seed": seed,
-        "restarts": report.restarts,
+        "restarts": restarts,
         "expected_value": family.known_maximum,
         "tolerance": TOL.search_target,
         "best_value": report.best_value,
@@ -304,7 +309,7 @@ def _search_payload(family: ObservableFamily, seed: int, restarts: int) -> dict:
 
 
 def cmd_search(args) -> int:
-    payload = _search_payload(_FAMILIES[args.family], args.seed, args.restarts)
+    payload = _search_payload(FAMILIES[args.family], args.seed, args.restarts)
     print(json_dumps(payload))
     return EXIT_OK if payload["within_tolerance"] else EXIT_BAND
 
@@ -318,7 +323,7 @@ def cmd_certify(args) -> int:
         monte_carlo["offending_norm"] = exc.norm
         monte_carlo["offending_scenario"] = exc.scenario
         monte_carlo["within_band"] = False
-    searches = [_search_payload(family, args.seed, args.restarts) for family in _FAMILIES.values()]
+    searches = [_search_payload(family, args.seed, args.restarts) for family in FAMILIES.values()]
     passed = monte_carlo["within_band"] and all(p["within_tolerance"] for p in searches)
     report = {
         "command": "certify",
@@ -402,12 +407,12 @@ def build_parser() -> _Parser:
     p_search = sub.add_parser("search", help="seesaw search for the maximal expectation")
     p_search.add_argument(
         "--family",
-        choices=list(_FAMILIES),  # the families certify runs
-        default=SearchConfig.family,
+        choices=list(FAMILIES),
+        default=SPIN1_FAMILY.name,
         help="measurement family",
     )
-    p_search.add_argument("--restarts", type=_count, default=SearchConfig.restarts)
-    p_search.add_argument("--seed", type=_seed, default=SearchConfig.seed)
+    p_search.add_argument("--restarts", type=_count, default=DEFAULT_RESTARTS)
+    p_search.add_argument("--seed", type=_seed, default=0)
     p_search.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_search.set_defaults(handler=cmd_search)
 
@@ -418,7 +423,7 @@ def build_parser() -> _Parser:
         "--samples", type=_count, default=100_000, help="Monte Carlo sample count"
     )
     p_certify.add_argument(
-        "--restarts", type=_count, default=SearchConfig.restarts, help="seesaw restarts per family"
+        "--restarts", type=_count, default=DEFAULT_RESTARTS, help="seesaw restarts per family"
     )
     p_certify.add_argument("--seed", type=_seed, default=0)
     p_certify.add_argument("--csv", metavar="PATH", help="also write the Monte Carlo norms as CSV")

@@ -9,9 +9,10 @@ T, which the family's coupling tensor gives in one product. Both steps can
 only raise the objective, which the code asserts on every iteration.
 Restarts start from the seed's ``random_directions`` draw, as ``verify`` does.
 
-The same optimizer runs on two measurement families: the spin-1 qutrit
-family the bound-2 certification is about, and a qubit Pauli family that
-serves as a positive control because its known maximum 2*sqrt(2) exceeds 2.
+The same optimizer runs on any ObservableFamily. Two are defined here: the
+spin-1 qutrit family the bound-2 certification is about, and a qubit Pauli
+family that serves as a positive control because its known maximum
+2*sqrt(2) exceeds 2.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ _PAULI = np.stack(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableFamily:
-    """Three Hermitian generators defining the observable u . generators.
+    """Three Hermitian generators defining the observable u . generators; equal only to itself.
 
     ``known_maximum`` is the largest CHSH expectation the family can reach,
     the target a search must hit; ``tensor`` is the family's coupling tensor.
@@ -56,7 +57,7 @@ class ObservableFamily:
     name: str
     generators: np.ndarray
     known_maximum: float
-    tensor: np.ndarray = field(init=False, repr=False, compare=False)
+    tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tensor", coupling_tensor(self.generators))
@@ -80,8 +81,6 @@ class ObservableFamily:
 # spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's
 SPIN1_FAMILY = ObservableFamily("qutrit-spin1", np.stack(spin_generators()), 2.0)
 PAULI_FAMILY = ObservableFamily("qubit-pauli", _PAULI, float(2.0 * np.sqrt(2.0)))
-
-_FAMILIES = {f.name: f for f in (SPIN1_FAMILY, PAULI_FAMILY)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,11 +182,14 @@ def best_state_value(B) -> tuple[float, QuantumState]:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a float, string or other non-integer raises InputError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool, float, string or other non-integer raises InputError."""
+    # operator.index would take a bool as 0 or 1, which as a count or seed is a slip
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -237,19 +239,11 @@ MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    family: str = "qutrit-spin1"
-    restarts: int = 200
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SearchReport:
     best_value: float
     best_scenario: MeasurementScenario
     best_state: QuantumState
     iterations: int
-    restarts: int
     converged: bool
     history: tuple[float, ...] = field(default=(), repr=False)
 
@@ -354,8 +348,8 @@ def _renormalized(gradient: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(zero, fallback, gradient / np.where(zero, 1.0, norm))
 
 
-def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
-    """Run the multi-restart seesaw and report the best expectation found.
+def maximize_violation(family: ObservableFamily, restarts: int, seed: int = 0) -> SearchReport:
+    """Run the multi-restart seesaw on ``family`` and report the best expectation found.
 
     Restarts run as one batch per block of SWEEP_BLOCK, and of earlier blocks
     only each restart's final value is kept; a winner outside the last block
@@ -365,17 +359,16 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     winner is the lowest restart index whose value is within
     TOL.seesaw_monotonicity (relative) of the best value over all restarts.
     """
-    if _integer(config.restarts, "restarts") < 1:
+    if not isinstance(family, ObservableFamily):
+        raise InputError(f"family must be an ObservableFamily, got {family!r}")
+    if _integer(restarts, "restarts") < 1:
         raise InputError("need at least one restart")
-    family = _FAMILIES.get(config.family)
-    if family is None:
-        known = ", ".join(sorted(_FAMILIES))
-        raise InputError(f"unknown measurement family {config.family!r}; known families: {known}")
 
-    starts = random_directions(_seeded_rng(config.seed), (config.restarts, 4))
-    values = np.empty(config.restarts)
-    for start in range(0, config.restarts, SWEEP_BLOCK):
-        block = slice(start, start + SWEEP_BLOCK)
+    starts = random_directions(_seeded_rng(seed), (restarts, 4))
+    values = np.empty(restarts)
+    firsts = range(0, restarts, SWEEP_BLOCK)
+    for first in firsts:
+        block = slice(first, first + SWEEP_BLOCK)
         best = _seesaw(family, starts[block])
         values[block] = best.values
 
@@ -384,15 +377,15 @@ def maximize_violation(config: SearchConfig = SearchConfig()) -> SearchReport:
     top = float(values.max())
     winner = int(np.argmax(values >= top - TOL.seesaw_monotonicity * max(1.0, abs(top))))
     # only the last block's batch is kept, so a winner outside it runs again alone
-    if winner < start:
-        best, start = _seesaw(family, starts[winner : winner + 1]), winner
-    k = winner - start
+    offset = firsts[-1]  # the restart index of best's row 0
+    if winner < offset:
+        best, offset = _seesaw(family, starts[winner : winner + 1]), winner
+    k = winner - offset
     return SearchReport(
         best_value=float(values[winner]),
         best_scenario=MeasurementScenario(*best.directions[k]),
         best_state=QuantumState.pure(best.states[k]),
         iterations=int(best.iterations[k]),
-        restarts=config.restarts,
         converged=bool(best.converged[k]),
         history=best.restart_history(k),
     )

@@ -11,11 +11,11 @@ import numpy as np
 from conftest import gaussian_scenario, qr_rotation
 from reference import verify_invariance
 from spinchsh import (
+    PAULI_FAMILY,
     SPIN1_FAMILY,
     TOL,
     MeasurementScenario,
     QuantumState,
-    SearchConfig,
     bell_operator,
     canonical_operator,
     canonical_reduction,
@@ -127,7 +127,7 @@ def test_criterion_5_tightness():
 def test_criterion_6_optimizer_positive_control():
     """The identical search on the qubit Pauli family attains 2*sqrt(2)."""
     grid_max = planar_qubit_grid_max()
-    seesaw = maximize_violation(SearchConfig(family="qubit-pauli", restarts=200, seed=1))
+    seesaw = maximize_violation(PAULI_FAMILY, 200, seed=1)
     ok = abs(grid_max - TSIRELSON) < 1e-9 and abs(seesaw.best_value - TSIRELSON) < 1e-6
     report(
         "criterion 6 (qubit positive control)",

@@ -675,8 +675,8 @@ class TestSearch:
 
     def test_missing_the_known_maximum_exits_2(self, capsys, monkeypatch):
         # no real seesaw misses its family's optimum, so the report is patched to miss by 1e-4
-        def short_of_the_maximum(config):
-            report = search.maximize_violation(config)
+        def short_of_the_maximum(family, restarts, seed):
+            report = search.maximize_violation(family, restarts, seed)
             return dataclasses.replace(report, best_value=2.0 - 1e-4)
 
         monkeypatch.setattr(cli, "maximize_violation", short_of_the_maximum)

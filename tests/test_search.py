@@ -20,11 +20,11 @@ from spinchsh import (
     MeasurementScenario,
     MonotonicityError,
     NormalizationError,
+    ObservableFamily,
     PAULI_FAMILY,
     QuantumState,
     SPIN1_FAMILY,
     TOL,
-    SearchConfig,
     StateError,
     bell_operator,
     best_state_value,
@@ -255,14 +255,22 @@ class TestBestStateValue:
 
 
 class TestFamilies:
-    def test_lookup(self):
-        # maximize_violation looks the family up by name: its state is on two of its systems
-        for family in (SPIN1_FAMILY, PAULI_FAMILY):
-            config = SearchConfig(family=family.name, restarts=1)
-            assert maximize_violation(config).best_state.dim == family.dim**2
-        known = "known families: qubit-pauli, qutrit-spin1"
-        with pytest.raises(InputError, match=f"unknown measurement family 'qubit-spin1'; {known}"):
-            maximize_violation(SearchConfig(family="qubit-spin1"))
+    def test_search_takes_any_family(self):
+        # a family the CLI does not name searches exactly as the one it copies
+        generators, maximum = PAULI_FAMILY.generators, PAULI_FAMILY.known_maximum
+        copy = ObservableFamily("qubit-pauli-copy", generators, maximum)
+        mine, theirs = (maximize_violation(f, 30, seed=2) for f in (copy, PAULI_FAMILY))
+        assert mine.best_value == theirs.best_value
+        assert np.array_equal(mine.best_scenario.directions(), theirs.best_scenario.directions())
+        assert np.array_equal(mine.best_state.data, theirs.best_state.data)
+        assert (mine.iterations, mine.history) == (theirs.iterations, theirs.history)
+        with pytest.raises(InputError, match="must be an ObservableFamily, got 'qubit-pauli'"):
+            maximize_violation("qubit-pauli", 30)
+
+    def test_families_compare_and_hash_by_identity(self):
+        copy = ObservableFamily("qutrit-spin1", SPIN1_FAMILY.generators.copy(), 2.0)
+        assert copy != SPIN1_FAMILY and SPIN1_FAMILY == SPIN1_FAMILY
+        assert len({SPIN1_FAMILY, PAULI_FAMILY, copy, SPIN1_FAMILY}) == 3
 
     def test_spin1_family_matches_bell_operator(self):
         rng = np.random.default_rng(5)
@@ -312,14 +320,12 @@ class TestSeesaw:
     def test_qubit_control_reaches_tsirelson(self):
         grid_max = planar_qubit_grid_max()
         assert abs(grid_max - TSIRELSON) < 1e-9
-        report = maximize_violation(
-            SearchConfig(family="qubit-pauli", restarts=50, seed=2)
-        )
+        report = maximize_violation(PAULI_FAMILY, 50, seed=2)
         assert report.best_value >= grid_max - 1e-6
         assert abs(report.best_value - TSIRELSON) < 1e-6
 
     def test_qutrit_capped_at_two(self):
-        report = maximize_violation(SearchConfig(restarts=50, seed=3))
+        report = maximize_violation(SPIN1_FAMILY, 50, seed=3)
         assert report.best_value <= 2.0 + 1e-9
         assert abs(report.best_value - 2.0) < 1e-6
 
@@ -331,33 +337,40 @@ class TestSeesaw:
     @settings(max_examples=10)
     @given(st.integers(0, 2**32 - 1))
     def test_history_is_monotone(self, seed):
-        report = maximize_violation(
-            SearchConfig(family="qubit-pauli", restarts=2, seed=seed)
-        )
+        report = maximize_violation(PAULI_FAMILY, 2, seed=seed)
         history = np.asarray(report.history)
         assert np.all(np.diff(history) >= -1e-12)
 
     def test_deterministic_across_runs_and_jobs(self):
-        config = SearchConfig(family="qubit-pauli", restarts=12, seed=9)
-        first = maximize_violation(config)
-        second = maximize_violation(config)
+        first = maximize_violation(PAULI_FAMILY, 12, seed=9)
+        second = maximize_violation(PAULI_FAMILY, 12, seed=9)
         assert first.best_value == second.best_value
         for u, v in zip(first.best_scenario.directions(), second.best_scenario.directions()):
             assert np.array_equal(u, v)
 
     def test_report_value_recomputed_independently(self):
-        report = maximize_violation(SearchConfig(restarts=5, seed=7))
+        report = maximize_violation(SPIN1_FAMILY, 5, seed=7)
         recomputed = expectation(report.best_state, bell_operator(report.best_scenario))
         assert abs(report.best_value - recomputed) < 1e-10
 
     def test_config_validation(self):
         with pytest.raises(InputError):
-            maximize_violation(SearchConfig(restarts=0))
+            maximize_violation(SPIN1_FAMILY, 0)
 
-    @pytest.mark.parametrize("config", [{"restarts": 2.5}, {"seed": -1}, {"seed": 1.5}])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"restarts": 2.5},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"restarts": True},
+            {"seed": True},
+            {"seed": False},
+        ],
+    )
     def test_count_and_seed_rules_are_the_library_s(self, config):
         with pytest.raises(InputError):
-            maximize_violation(SearchConfig(**{"restarts": 2, **config}))
+            maximize_violation(SPIN1_FAMILY, **{"restarts": 2, **config})
 
 
 def record_threads(monkeypatch) -> set:
@@ -404,7 +417,10 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             monte_carlo_certify(0)
 
-    @pytest.mark.parametrize("n, seed", [(2.5, 0), ("10", 0), (10, -1), (10, 1.5), (10, None)])
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(2.5, 0), ("10", 0), (10, -1), (10, 1.5), (10, None), (True, 0), (10, True), (10, False)],
+    )
     def test_count_and_seed_rules_are_the_library_s(self, n, seed):
         with pytest.raises(InputError):
             monte_carlo_certify(n, seed=seed)

@@ -22,7 +22,6 @@ from spinchsh import (
     MonotonicityError,
     ObservableFamily,
     QuantumState,
-    SearchConfig,
     StateError,
     correlation_matrices,
     expectation,
@@ -74,14 +73,14 @@ def reference_restart(family, scenario):
     return value, scenario, iterations, converged, history
 
 
-def run_batch(family, config):
-    """The batched seesaw on the starts maximize_violation draws for ``config``."""
-    starts = search.random_directions(np.random.default_rng(config.seed), (config.restarts, 4))
+def run_batch(family, restarts, seed):
+    """The batched seesaw on the starts maximize_violation draws for ``restarts`` and ``seed``."""
+    starts = search.random_directions(np.random.default_rng(seed), (restarts, 4))
     return starts, search._seesaw(family, starts)
 
 
-def assert_matches_reference(family, config):
-    starts, batch = run_batch(family, config)
+def assert_matches_reference(family, restarts, seed):
+    starts, batch = run_batch(family, restarts, seed)
     for k, quad in enumerate(starts):
         # restart k starts from row k of the seed's draw, bit for bit
         start = MeasurementScenario(*quad)
@@ -144,15 +143,14 @@ def search_stdout(argv):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("seed", [0, 5, 301])
 def test_matches_per_restart_reference(family, seed):
-    assert_matches_reference(family, SearchConfig(family=family.name, restarts=25, seed=seed))
+    assert_matches_reference(family, 25, seed)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_active_set_with_staggered_convergence(monkeypatch, family):
     monkeypatch.setattr(search, "TOL", dataclasses.replace(search.TOL, seesaw_improvement=1e-15))
     monkeypatch.setattr(search, "MAX_ITERATIONS", 8)
-    config = SearchConfig(family=family.name, restarts=60, seed=7)
-    batch = assert_matches_reference(family, config)
+    batch = assert_matches_reference(family, 60, 7)
     assert len(set(batch.iterations.tolist())) > 1
     # a restart's history stops when it leaves the active set
     for k in range(60):
@@ -187,8 +185,7 @@ def test_every_restart_converges_at_iteration_two(family, seed):
 
 
 def test_state_step_failure_names_first_offending_restart(monkeypatch):
-    config = SearchConfig(restarts=10, seed=3)
-    _, clean = run_batch(SPIN1_FAMILY, config)
+    _, clean = run_batch(SPIN1_FAMILY, 10, 3)
     # every restart is active in iteration 2: no restart converges from -inf
     original = np.linalg.eigh
     calls, lowered = [], {}
@@ -204,7 +201,7 @@ def test_state_step_failure_names_first_offending_restart(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", lowering_eigh)
     with pytest.raises(MonotonicityError) as excinfo:
-        maximize_violation(config)
+        maximize_violation(SPIN1_FAMILY, 10, seed=3)
     before = float(clean.history[0, 6])
     assert str(excinfo.value) == (
         f"state step lowered the objective: {before!r} -> {lowered[6]!r}"
@@ -212,7 +209,6 @@ def test_state_step_failure_names_first_offending_restart(monkeypatch):
 
 
 def test_direction_step_failure_names_first_offending_restart(monkeypatch):
-    config = SearchConfig(family="qubit-pauli", restarts=10, seed=4)
     original = ObservableFamily.bell_operator
     built = []
 
@@ -225,7 +221,7 @@ def test_direction_step_failure_names_first_offending_restart(monkeypatch):
 
     monkeypatch.setattr(ObservableFamily, "bell_operator", shrinking_bell_operator)
     with pytest.raises(MonotonicityError) as excinfo:
-        maximize_violation(config)
+        maximize_violation(PAULI_FAMILY, 10, seed=4)
     eigenvalues, eigenvectors = np.linalg.eigh(built[0])
     top = float(eigenvalues[4, -1])
     value = float(search._real_expectations(eigenvectors[:, :, -1], built[1])[4])
@@ -244,7 +240,7 @@ def test_each_operator_is_built_once(monkeypatch, family):
         return original(self, sc)
 
     monkeypatch.setattr(ObservableFamily, "bell_operator", counting_bell_operator)
-    _, batch = run_batch(family, SearchConfig(family=family.name, restarts=20, seed=2))
+    _, batch = run_batch(family, 20, 2)
     assert len(batch.history) > 1
     assert len(built) == 1 + len(batch.history)
     assert built[0] == 20
@@ -252,16 +248,14 @@ def test_each_operator_is_built_once(monkeypatch, family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_small_blocks_match_one_block(monkeypatch, family):
-    config = SearchConfig(family=family.name, restarts=30, seed=11)
-    whole = maximize_violation(config)
+    whole = maximize_violation(family, 30, seed=11)
     monkeypatch.setattr(search, "SWEEP_BLOCK", 7)
-    blocked = maximize_violation(config)
+    blocked = maximize_violation(family, 30, seed=11)
     assert abs(blocked.best_value - whole.best_value) <= 1e-14
     # every restart computes as it would alone, so even the tie break agrees
     assert blocked.best_value == whole.best_value
     assert blocked.history == whole.history
     assert np.array_equal(blocked.best_state.data, whole.best_state.data)
-    assert blocked.restarts == whole.restarts == 30
     # the reported value is the winner's own last seesaw value
     assert whole.best_value == whole.history[-1]
 
@@ -276,7 +270,7 @@ def test_restarts_tied_within_rounding_go_to_the_lowest_index(monkeypatch):
     starts = search.random_directions(np.random.default_rng(19), (12, 4))
     calls = record_seesaw(monkeypatch, starts, planted=values)
     monkeypatch.setattr(search, "SWEEP_BLOCK", 5)
-    report = maximize_violation(SearchConfig(restarts=12, seed=19))
+    report = maximize_violation(SPIN1_FAMILY, 12, seed=19)
     blocks, reported = split_blocks(calls, report, 12, 5)
     assert len(blocks) == 3 and int(np.argmax(values)) == 9
     # restart 6 is row 1 of the second block, so it runs again alone
@@ -349,7 +343,7 @@ def test_restarts_start_from_the_verify_draw(monkeypatch, block):
     draw = search.random_directions(np.random.default_rng(seed), (restarts, 4))
     calls = record_seesaw(monkeypatch, draw)
     monkeypatch.setattr(search, "SWEEP_BLOCK", block)
-    report = maximize_violation(SearchConfig(restarts=restarts, seed=seed))
+    report = maximize_violation(SPIN1_FAMILY, restarts, seed=seed)
     blocks, _ = split_blocks(calls, report, restarts, block)
     assert len(blocks) == -(-restarts // block)
     starts = np.concatenate([directions for _, directions, *_ in blocks])
