@@ -7,7 +7,9 @@ the 3x3 correlation matrix M = a (b + b')^T + a' (b - b')^T. The four-term
 ``bell_operator`` is kept as the independent reference; every other build
 is the coupling operator, one matrix product of M against a precomputed
 tensor of generator products; ``SPIN1_REAL_TENSOR`` gives the same operator
-in the real Cartesian basis. ``bell_operator`` builds a stack of scenarios
+in the real Cartesian basis. The canonical form s S_x S_x + t S_z S_z is
+real in the spin basis itself, so ``canonical_operator`` builds it as
+float64 from its two real Kronecker terms. ``bell_operator`` builds a stack of scenarios
 with the stack's axes innermost, as ``spin_along`` gives the observables,
 and copies the result into the (..., 9, 9) layout once.
 """
@@ -39,6 +41,9 @@ _SPIN1_TENSOR = coupling_tensor(spin_generators())
 # float64, exactly symmetric (C (x) C)^dagger K(M) (C (x) C), same spectrum.
 SPIN1_REAL_TENSOR = -coupling_tensor(cartesian_generators())
 SPIN1_REAL_TENSOR.setflags(write=False)
+# rows 0 and 8 of the spin-1 tensor, S_x (x) S_x and S_z (x) S_z, whose
+# imaginary parts are zero: the real (2, 81) tensor of the canonical form
+_CANONICAL_TENSOR = np.ascontiguousarray(_SPIN1_TENSOR[[0, 8]].real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +148,13 @@ def bell_operator(sc) -> np.ndarray:
 
 
 def canonical_operator(s, t) -> np.ndarray:
-    """The two-parameter canonical form s S_x (x) S_x + t S_z (x) S_z.
+    """The two-parameter canonical form s S_x (x) S_x + t S_z (x) S_z, as float64.
 
     ``s`` and ``t`` are scalars, giving one 9x9 operator, or arrays that
     broadcast together, giving the (..., 9, 9) stack over their common shape.
+    Both terms are real in the |+1>, |0>, |-1> basis, so the operator is real
+    and exactly symmetric; each entry is that of ``coupling_operator`` of
+    diag(s, 0, t), whose imaginary part is zero.
     """
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    M = np.zeros(np.broadcast_shapes(s.shape, t.shape) + (3, 3))
-    M[..., 0, 0] = s
-    M[..., 2, 2] = t
-    return coupling_operator(M)
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    return (np.stack((s, t), axis=-1) @ _CANONICAL_TENSOR).reshape(s.shape + (9, 9))

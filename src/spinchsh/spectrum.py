@@ -11,6 +11,7 @@ therefore sqrt(s^2 + t^2) for all s, t >= 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +67,30 @@ def _eigvalsh(A: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(A) -> np.ndarray:
-    """``A`` as a complex (..., n, n) array, raising HermiticityError unless it is Hermitian.
+    """``A`` as a (..., n, n) array, raising HermiticityError unless it is Hermitian.
 
-    The gate is the Frobenius norm of A - A^dagger over the whole input. It
-    bounds each matrix's own asymmetry, so a stack passes only if every
-    matrix in it would pass alone. A NaN or infinite entry makes the norm
-    NaN or infinite, which fails the gate too, without a warning.
+    A real input (bool, integer or float) comes back as float64 and any other
+    as complex128. The gate is the Frobenius norm of A - A^dagger over the
+    whole input. It bounds each matrix's own asymmetry, so a stack passes
+    only if every matrix in it would pass alone. A NaN or infinite entry
+    makes the norm NaN or infinite, which fails the gate too, without a
+    warning.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = np.asarray(A, dtype=float if A.dtype.kind in "biuf" else complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     # inf - inf gives NaN and a huge difference overflows to inf; either
     # fails the gate below, so numpy's warnings about them are noise
     with np.errstate(invalid="ignore", over="ignore"):
-        asymmetry = float(np.linalg.norm(A - A.swapaxes(-1, -2).conj()))
+        if np.iscomplexobj(A):
+            # the real and imaginary parts of A - A^dagger, with no complex temporary
+            parts = (A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2))
+        else:
+            parts = (A - A.swapaxes(-1, -2),)
+        # einsum sums in numpy's own loop: np.linalg.norm's BLAS dot runs on a
+        # second, spinning thread for a large stack
+        asymmetry = math.sqrt(sum(float(np.einsum("i,i->", p.ravel(), p.ravel())) for p in parts))
     if not asymmetry <= TOL.hermiticity:
         raise HermiticityError(asymmetry)
     return A
@@ -88,7 +99,8 @@ def _check_hermitian(A) -> np.ndarray:
 def eig_hermitian(A) -> SpectrumResult:
     """Eigenvalues and operator norm of a Hermitian matrix, or of an (..., n, n) stack of them.
 
-    After ``_check_hermitian``, one eigenvalue-only solve (``_eigvalsh``) over the whole input.
+    After ``_check_hermitian``, one eigenvalue-only solve (``_eigvalsh``) over the whole input:
+    the real solver for a real input, the complex one otherwise.
     """
     eigenvalues = _eigvalsh(_check_hermitian(A))
     norms = np.abs(eigenvalues).max(axis=-1)

@@ -284,6 +284,16 @@ class TestEigStack:
             assert batched.operator_norm[k] == single.operator_norm
             assert type(single.operator_norm) is float
 
+    def test_real_stack_matches_per_matrix(self):
+        s, t = np.meshgrid(np.linspace(0.0, 2.0, 6), np.append(np.linspace(0.0, 2.0, 6), 1e-160))
+        stack = canonical_operator(s, t)
+        batched = eig_hermitian(stack)
+        assert batched.eigenvalues.dtype == np.float64
+        for index in np.ndindex(stack.shape[:-2]):
+            single = eig_hermitian(stack[index])
+            assert bits_equal(batched.eigenvalues[index], single.eigenvalues)
+            assert batched.operator_norm[index] == single.operator_norm
+
     def test_one_non_hermitian_matrix_fails_the_stack(self):
         stack = bell_operator(random_directions(np.random.default_rng(12), (5, 4)))
         stack[3, 0, 1] += 1e-3
@@ -368,7 +378,7 @@ class TestSpectrumGrid:
         rows = []
         for s in values:
             for t in values:
-                numeric = eig_hermitian(coupling_operator(np.diag([s, 0, t])))
+                numeric = eig_hermitian(canonical_operator(s, t))
                 rows.append([s, t, *numeric.eigenvalues, numeric.operator_norm])
         header = ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]
         # 17 significant digits round-trip every float, so equal text is equal bits
@@ -382,8 +392,12 @@ class TestCanonicalStack:
     def test_scalar_call_is_the_coupling_operator_of_diag(self):
         for s, t in zip(self.S, self.T):
             H = canonical_operator(s, t)
-            assert H.shape == (9, 9)
-            assert bits_equal(H, coupling_operator(np.diag([float(s), 0.0, float(t)])))
+            assert H.shape == (9, 9) and H.dtype == np.float64
+            K = coupling_operator(np.diag([float(s), 0.0, float(t)]))
+            # the real build is the coupling operator's real part, bit for bit,
+            # and that operator's imaginary part is +0.0 everywhere
+            assert bits_equal(H, K.real)
+            assert bits_equal(K.imag, np.zeros((9, 9)))
 
     def test_array_matches_scalar_calls(self):
         stack = canonical_operator(self.S, self.T)
@@ -404,6 +418,15 @@ class TestCanonicalStack:
                 assert bits_equal(grid[i, j], canonical_operator(self.S[i], self.T[j]))
         for j in range(len(self.T)):
             assert bits_equal(row[j], canonical_operator(1.5, self.T[j]))
+
+    def test_float64_and_exactly_symmetric(self):
+        for H in (
+            canonical_operator(0.3, 1.7),
+            canonical_operator(1.5, self.T),
+            canonical_operator(self.S[:, None], self.T[None, :]),
+        ):
+            assert H.dtype == np.float64
+            assert bits_equal(H, H.swapaxes(-1, -2))
 
 
 class TestWriteCsv:

@@ -71,6 +71,7 @@ class TestEigHermitian:
         s, t = np.meshgrid(np.linspace(0.1, 2.0, 40), np.geomspace(1e-165, 1e-138, 50))
         s, t = np.append(s, 1.25), np.append(t, 5.540939184423706e-160)
         A = canonical_operator(s, t)
+        assert A.dtype == np.float64  # the real solver's path
         result = eig_hermitian(A)
         assert np.abs(result.eigenvalues - np.linalg.eigh(A)[0]).max() < TOL.spectrum
         assert np.abs(result.operator_norm - np.hypot(s, t)).max() < TOL.spectrum
@@ -120,6 +121,60 @@ class TestEigHermitian:
         with pytest.raises(HermiticityError) as excinfo:
             eig_hermitian(np.array([[0.0, 1e200], [0.0, 0.0]]))
         assert excinfo.value.asymmetry == np.inf
+
+    def test_solver_sees_real_input_as_float64(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(A):
+            seen.append(A.dtype)
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        sc = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        cases = [
+            (canonical_operator([0.5, 1.0], 2.0), np.float64),
+            (np.eye(3, dtype=np.float32), np.float64),
+            (np.eye(3, dtype=int), np.float64),
+            ([[True, False], [False, True]], np.float64),
+            (bell_operator(np.array(sc)), np.complex128),
+            (np.eye(3, dtype=np.complex64), np.complex128),
+        ]
+        for A, _ in cases:
+            eig_hermitian(A)
+        assert seen == [dtype for _, dtype in cases]
+
+    def test_gate_reads_a_real_matrix_as_its_complex_copy(self):
+        within = np.diag(np.arange(4.0))
+        within[0, 1] = 1e-11
+        slight = within.copy()
+        slight[0, 1] = 1e-9
+        nan = canonical_operator(1.0, 1.0)
+        nan[2, 5] = np.nan
+        huge = np.array([[0.0, 1e200], [0.0, 0.0]])
+        for A in (within, slight, np.array([[0.0, 1.0], [0.0, 0.0]]), nan, huge):
+            verdicts = []
+            for B in (A, A.astype(complex)):
+                try:
+                    eig_hermitian(B)
+                    verdicts.append(None)
+                except HermiticityError as error:
+                    verdicts.append(error.asymmetry)
+            assert verdicts[0] is verdicts[1] is None or np.array_equal(*verdicts, equal_nan=True)
+        assert eig_hermitian(within).operator_norm == 3.0
+
+    def test_asymmetry_is_the_norm_over_the_whole_stack(self):
+        rng = np.random.default_rng(5)
+        for A in (
+            rng.standard_normal((50, 9, 9)),
+            rng.standard_normal((50, 9, 9)) + 1j * rng.standard_normal((50, 9, 9)),
+        ):
+            with pytest.raises(HermiticityError) as excinfo:
+                eig_hermitian(A)
+            reference = np.linalg.norm(A - A.swapaxes(-1, -2).conj())
+            assert abs(excinfo.value.asymmetry - reference) <= 1e-14 * reference
+        # a Hermitian matrix with an imaginary part passes
+        assert eig_hermitian(np.array([[1.0, 2j], [-2j, 1.0]])).operator_norm == 3.0
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
