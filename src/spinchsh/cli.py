@@ -88,7 +88,8 @@ def _json_floats(raw) -> np.ndarray:
         raise ValueError("expected numbers within the float range") from None
 
 
-def _scenario_vector(raw, name: str) -> np.ndarray:
+def _scenario_vector(raw, name: str) -> tuple[np.ndarray, float]:
+    """A scenario file's direction, normalized, and how far its norm was from 1."""
     try:
         v = _json_floats(raw)
     except ValueError:
@@ -105,12 +106,7 @@ def _scenario_vector(raw, name: str) -> np.ndarray:
             f"field {name!r} has norm {norm!r}, further than "
             f"{TOL.unit_norm_input:g} from unit length"
         )
-    if deviation > TOL.unit_norm_reject:
-        print(
-            f"warning: normalizing {name} (norm deviated from 1 by {deviation:.3e})",
-            file=sys.stderr,
-        )
-    return v / norm
+    return v / norm, deviation
 
 
 def _load_state(raw) -> QuantumState:
@@ -144,14 +140,18 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
         raise InputError(f"malformed JSON in {path}: nested too deeply") from None
     if not isinstance(raw, dict):
         raise InputError(f"{path}: top level must be a JSON object")
-    vectors = {}
+    vectors, deviations = {}, {}
     for name in DIRECTION_NAMES:
         if name not in raw:
             raise InputError(f"{path}: missing field {name!r}")
-        vectors[name] = _scenario_vector(raw[name], name)
+        vectors[name], deviations[name] = _scenario_vector(raw[name], name)
     state = _load_state(raw["state"]) if "state" in raw else None
     if state is not None and state.dim != 9:
         raise InputError(f"state dimension {state.dim} is not 9, the dimension of C^3 (x) C^3")
+    # warned once the whole file is accepted, so a rejected file gives its error line alone
+    for name, deviation in deviations.items():
+        if deviation > TOL.unit_norm_reject:
+            print(f"warning: normalizing {name} (norm deviated from 1 by {deviation:.3e})", file=sys.stderr)
     return MeasurementScenario(**vectors), state
 
 
@@ -253,13 +253,22 @@ def cmd_spectrum(args) -> int:
 
 def _spectrum_grid(args) -> int:
     values = np.linspace(0.0, 2.0, args.grid)
+    n = len(values)
+    rows = max(1, SWEEP_BLOCK // n)
 
     def lines():
-        # one build and one eigensolve per grid row of fixed s; a stack of the
-        # whole grid would hold N^2 operators at once
-        for s in values:
-            numeric = eig_hermitian(canonical_operator(s, values))
-            columns = (np.full(len(values), s), values, numeric.eigenvalues, numeric.operator_norm)
+        # one build, one eigensolve and one format_rows per block of grid rows
+        # of fixed s, about SWEEP_BLOCK operators; a stack of the whole grid
+        # would hold N^2 operators at once
+        for start in range(0, n, rows):
+            s = values[start : start + rows]
+            numeric = eig_hermitian(canonical_operator(s[:, None], values))
+            columns = (
+                np.repeat(s, n),
+                np.tile(values, len(s)),
+                numeric.eigenvalues.reshape(-1, 9),
+                numeric.operator_norm.ravel(),
+            )
             yield format_rows(np.column_stack(columns))
 
     with open_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]) as handle:

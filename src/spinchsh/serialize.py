@@ -7,12 +7,14 @@ of the dictionaries we build.
 ``json_dumps`` renders a report value by value, dispatching on its exact
 type. A table of numbers, such as the rows of a ``verify`` report, is
 declared instead: a ``Table`` holds blocks of numbers and the layout of one
-row. ``render_table`` formats a few rows at a time by one ``%`` into the
-texts of their numbers, and ``%s`` templates place those texts into the
+row. ``render_table`` has ``format_rows`` format a few rows at a time into
+the texts of their numbers, and ``%s`` templates place those texts into the
 rows, with their padding and quoted keys, and into their CSV lines, which
 go to the table's CSV file as they are made; so every number is formatted
 once, and only a few rows' texts are held. ``format_rows`` is the one
-``%.17g`` formatter of tables and CSV lines, and ``open_csv`` the one CSV
+``%.17g`` formatter of tables and CSV lines: a numpy kernel that makes the
+bytes of ``%.17g`` without a Python call per number, with ``%.17g`` itself
+for the few numbers the kernel cannot decide. ``open_csv`` is the one CSV
 writer. Every container is one ``"".join`` over a flat list of its parts,
 so a large report's text is held about twice at most.
 """
@@ -20,8 +22,10 @@ so a large report's text is held about twice at most.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -38,10 +42,22 @@ DIRECTION_COLUMNS = (
 _FLOAT = frozenset([float])
 _STR = frozenset([str])
 _PAD = "  "  # indentation per nesting level
-# rows of a table formatted by one %: their texts cost about 2.6 times the
-# JSON they become, so a chunk is a small part of a large report
+# rows formatted in one pass of the kernel, whose temporaries peak at about
+# 400 bytes a number: a small part of a large report, and of a grid block's text
 _CHUNK = 128
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its encoder set-up
+
+# The %.17g kernel scales |x| by 10**(16 - e), e its decimal exponent, to the
+# 17-digit integer that %.17g prints, then lays out that integer's digits.
+# Within [1e-180, 1e180) every number is normal, the power of ten's parts
+# included, so the double-double product carries about 106 bits: its error,
+# under 1e-14 of a unit, decides every rounding that is not this near a tie.
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves (Veltkamp)
+_E_MAX = 180
+_TIE = 2.0**-32
+# a number's text on its canvas row: sign, the "0.000" of 1e-4 <= |x| < 1,
+# 17 digits with their point, the exponent "e+123" and the separator
+_FIELD, _EXPONENT, _END, _CANVAS = 6, 24, 29, 30
 
 
 def _format_float(x: float) -> str:
@@ -50,15 +66,146 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _format_one(x: float) -> str:
+    """%.17g of a number the kernel leaves: NaN, inf, a far exponent or a near-tie."""
+    return format(x, ".17g")
+
+
+def _power_of_ten(p: int) -> tuple[float, float]:
+    """10**p as the double nearest it and the double nearest the rest, from exact integers."""
+    if p >= 0:
+        nearest = float(10**p)
+        return nearest, float(10**p - int(nearest))
+    scale = 10**-p
+    nearest = 1 / scale  # int / int is correctly rounded
+    num, den = nearest.as_integer_ratio()
+    return nearest, (den - num * scale) / (den * scale)
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The kernel's tables, by k = _E_MAX - e for the exponents e from _E_MAX down to -_E_MAX - 1.
+
+    Built on first use, in a few milliseconds: 10**(16 - e) as the two
+    halves of its nearest double and the rest, the ASCII digits and the
+    trailing zeros of every 4-digit group, and per exponent a canvas row,
+    the column of its point and, for each count of significant digits, the
+    columns of the canvas that its text keeps.
+    """
+    e = _E_MAX - np.arange(2 * _E_MAX + 2)
+    nearest, rest = np.array([_power_of_ten(16 - int(x)) for x in e]).T
+    c = _SPLIT * nearest
+    head = c - (c - nearest)
+    group = np.arange(10000)
+    chars = np.stack([group // 10**j % 10 + 48 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8)
+    trailing = sum((group % 10**j == 0).astype(np.intp) for j in (1, 2, 3, 4))
+    # %g's fixed notation for 17 digits; "0.000" leads the smallest
+    fixed, small, mag = (e >= -4) & (e <= 16), (e >= -4) & (e < 0), np.abs(e)
+    canvas = np.zeros((len(e), _CANVAS), np.uint8)
+    canvas[:, :_FIELD] = np.frombuffer(b"-0.000", np.uint8)
+    canvas[:, _EXPONENT] = ord("e")
+    canvas[:, _EXPONENT + 1] = np.where(e < 0, ord("-"), ord("+"))
+    for j, digit in enumerate((mag // 100, mag // 10 % 10, mag % 10)):
+        canvas[:, _EXPONENT + 2 + j] = digit + 48
+    # the point's column in the 18-column digit field: after the units digit,
+    # or none (18) after "0.000"
+    point = np.where(fixed, np.where(small, 18, e + 1), 1)
+    # the digit-field columns kept for nz significant digits: the digits up to
+    # the units digit, then the point and the rest if any are left
+    nz = np.arange(18)
+    width = np.where(nz > point[:, None], nz + 1, point[:, None])
+    width[small] = nz
+    column = np.arange(_CANVAS)
+    lead = (column >= 1) & (column < 2 - e[:, None]) & small[:, None]
+    exponent = (column >= _EXPONENT) & ~fixed[:, None] & ((column != _EXPONENT + 2) | (mag >= 100)[:, None])
+    keep = (column >= _FIELD) & (column < _FIELD + width[..., None]) | (lead | exponent)[:, None]
+    keep[..., _END] = True
+    left = np.arange(17) < np.arange(19)[:, None]  # row d: the columns before d
+    return (
+        head, nearest - head, rest, chars.view(np.uint32).ravel(), trailing,
+        canvas, point, keep.reshape(-1, _CANVAS), left,
+    )
+
+
+def _format_chunk(table: np.ndarray, separator: str) -> str:
+    if table.size == 0:
+        return "\n" * len(table)
+    head_t, tail_t, rest_t, chars_t, trailing_t, canvas_t, point_t, keep_t, left_t = _tables()
+    x = table.ravel()
+    n = len(x)
+    a = np.abs(x)
+    zero = a == 0.0
+    # NaN, inf and the far exponents go to %.17g one at a time; zero is laid
+    # out as 1 is, with its digit replaced
+    scaled = (a >= 1e-180) & (a < 1e180)
+    a = np.where(scaled, a, 1.0)
+    k = _E_MAX - np.floor(np.log10(a)).astype(np.intp)
+    head, tail, rest = head_t.take(k), tail_t.take(k), rest_t.take(k)
+    # a * 10**(16 - e) as the integer-valued double p plus t: Dekker's exact
+    # product of a and head + tail, then a * rest
+    p = a * (head + tail)
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    t = a_tail * tail - (((p - a_head * head) - a_tail * head) - a_head * tail) + a * rest
+    whole = np.floor(t)
+    frac = t - whole
+    q = p.astype(np.int64) + whole.astype(np.int64)
+    # log10 can miss e by one next to a power of ten: then q is out of range
+    exact = (scaled | zero) & (np.abs(frac - 0.5) >= _TIE) & (q >= 10**16)
+    q += frac > 0.5
+    exact &= q < 10**17
+    q[~exact] = 10**16
+    # the 17 digits as five groups of at most four, by uint32 arithmetic
+    groups = np.empty((5, n), np.uint32)
+    high8 = q // 10**8
+    for j, part in ((4, (q - high8 * 10**8).astype(np.uint32)), (2, high8.astype(np.uint32))):
+        div = part // 10000
+        groups[j] = part - div * 10000
+        groups[j - 1] = div
+    div = groups[1] // 10000
+    groups[1] -= div * 10000
+    groups[0] = div
+    digits = chars_t.take(groups.T).view(np.uint8)[:, 3:]
+    zeros = trailing_t.take(groups[4])
+    pending = np.flatnonzero(groups[4] == 0)  # those whose last four digits are all zero
+    for j in (3, 2, 1):
+        last = groups[j].take(pending)
+        zeros[pending] += trailing_t.take(last)
+        pending = pending[last == 0]
+    canvas = canvas_t.take(k, axis=0)
+    field = canvas[:, _FIELD:_EXPONENT]
+    point = point_t.take(k)
+    field[:, 1:] = digits
+    np.copyto(field[:, :17], digits, where=left_t.take(point, axis=0))
+    canvas[np.arange(n), _FIELD + point] = ord(".")  # a point of 18 falls on the "e", rewritten next
+    canvas[:, _EXPONENT] = ord("e")
+    canvas[zero, _FIELD] = ord("0")
+    canvas[:, _END] = ord(separator)
+    canvas[table.shape[1] - 1 :: table.shape[1], _END] = ord("\n")
+    keep = keep_t.take(k * 18 + 17 - zeros, axis=0)
+    keep[:, 0] = np.signbit(x)
+    for i in np.flatnonzero(~exact).tolist():
+        text = _format_one(float(x[i])).encode()
+        canvas[i, : len(text)] = np.frombuffer(text, np.uint8)
+        keep[i, :_END] = np.arange(_END) < len(text)
+    return np.compress(keep.ravel(), canvas.ravel()).tobytes().decode("ascii")
+
+
 def format_rows(table, separator: str = ",") -> str:
-    """The rows of a 2-D array of numbers as lines of text, by one ``%``: CSV lines by default.
+    """The rows of a 2-D array of numbers as lines of text, ``_CHUNK`` rows a pass: CSV lines by default.
 
     Each number is ``%.17g``: floats at 17 significant digits, and integers
-    of magnitude up to 2**53 as their decimal digits, joined by ``separator``.
+    of magnitude up to 2**53 as their decimal digits, joined by
+    ``separator``, one ASCII character. A vectorized kernel makes the bytes
+    of ``%.17g``: it rounds each number to 17 digits by an exact
+    double-double product with a power of ten and lays the digits out by
+    table. It leaves to ``%.17g``, one at a time, NaN, inf, magnitudes
+    outside [1e-180, 1e180) and the numbers within 2**-32 of a unit of a
+    rounding tie or next to a power of ten where ``log10`` misses.
     """
     table = np.asarray(table, dtype=float)
-    template = (separator.join(["%.17g"] * table.shape[-1]) + "\n") * len(table)
-    return template % tuple(table.ravel().tolist())
+    return "".join([_format_chunk(table[i : i + _CHUNK], separator) for i in range(0, len(table), _CHUNK)])
 
 
 class Table:
@@ -86,9 +233,10 @@ class Table:
 def render_table(table: Table, level: int) -> str:
     """``table`` as the JSON list of its rows at nesting ``level``, each number formatted once.
 
-    Every ``_CHUNK`` rows of a block are formatted by one ``%`` into the
-    texts of their numbers, which ``%s`` templates then place into the rows
-    and, if the table has a ``csv`` setting, into the CSV lines written to its file.
+    Every ``_CHUNK`` rows of a block are formatted by one ``format_rows``
+    call into the texts of their numbers, which ``%s`` templates then place
+    into the rows and, if the table has a ``csv`` setting, into the CSV
+    lines written to its file.
     """
     inner, pad = _PAD * (level + 1), _PAD * (level + 2)
     values = {key: "[%s]" % ", ".join(["%s"] * width) if width else "%s" for key, width in table.fields}
@@ -98,6 +246,8 @@ def render_table(table: Table, level: int) -> str:
     csv_keys, csv_file = table.csv or ((), None)
     csv_columns = [c for csv_key in csv_keys for c, key in enumerate(keys) if key == csv_key]
     line = ",".join(["%s"] * len(csv_columns)) + "\n"
+    # the flat positions of the CSV cells among a chunk's texts, in line order
+    positions = [r * len(keys) + c for r in range(_CHUNK) for c in csv_columns]
     parts = ["[\n"]
     chunks = (block[i : i + _CHUNK] for block in table.blocks for i in range(0, len(block), _CHUNK))
     for chunk in chunks:
@@ -105,8 +255,8 @@ def render_table(table: Table, level: int) -> str:
         cells.pop()  # the empty text after the last row's end
         parts += (",\n".join([row] * len(chunk)) % tuple(cells), ",\n")
         if csv_columns:
-            ordered = np.array(cells, dtype=object).reshape(chunk.shape)[:, csv_columns]
-            csv_file.write(line * len(chunk) % tuple(ordered.ravel().tolist()))
+            picked = operator.itemgetter(*positions[: len(chunk) * len(csv_columns)])(cells)
+            csv_file.write(line * len(chunk) % picked)
     if len(parts) == 1:
         return "[]"
     parts[-1] = "\n" + _PAD * level + "]"

@@ -1,10 +1,10 @@
 """Reference helpers that only the tests call.
 
 Axis-angle rotations, random states, the reduced Bell operator of a
-scenario and the invariant-split leakage check. The certifier's own paths
-(closed-form spectrum, rotation reduction, Monte Carlo and seesaw) use none
-of them; the tests use them to build inputs and to check those paths from
-another side.
+scenario, the invariant-split leakage check and the one-``%`` table
+formatter. The certifier's own paths (closed-form spectrum, rotation
+reduction, Monte Carlo and seesaw) use none of them; the tests use them to
+build inputs and to check those paths from another side.
 """
 
 from __future__ import annotations
@@ -87,3 +87,10 @@ def verify_invariance(s: float, t: float) -> InvarianceReport:
         off_block_upper=float(np.linalg.norm(H[np.ix_(v5, v4)])),
         off_block_lower=float(np.linalg.norm(H[np.ix_(v4, v5)])),
     )
+
+
+def format_rows_reference(table, separator: str = ",") -> str:
+    """``serialize.format_rows`` as one ``%``: every number ``%.17g``, each row a line."""
+    table = np.asarray(table, dtype=float)
+    template = (separator.join(["%.17g"] * table.shape[-1]) + "\n") * len(table)
+    return template % tuple(table.ravel().tolist())

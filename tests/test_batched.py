@@ -369,20 +369,44 @@ def csv_writer_text(header, rows) -> str:
     return out.getvalue()
 
 
+def grid_reference_text(n: int) -> str:
+    """``spectrum --grid n``'s CSV as the csv module writes it, one eigensolve per point."""
+    values = np.linspace(0.0, 2.0, n)
+    rows = []
+    for s in values:
+        for t in values:
+            numeric = eig_hermitian(canonical_operator(s, t))
+            rows.append([s, t, *numeric.eigenvalues, numeric.operator_norm])
+    return csv_writer_text(["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"], rows)
+
+
 class TestSpectrumGrid:
     @pytest.mark.parametrize("n", [1, 2, 7, 50])
     def test_csv_matches_per_point_reference(self, tmp_path, n):
         path = tmp_path / "grid.csv"
         assert cli.main(["spectrum", "--grid", str(n), "--csv", str(path)]) == 0
-        values = np.linspace(0.0, 2.0, n)
-        rows = []
-        for s in values:
-            for t in values:
-                numeric = eig_hermitian(canonical_operator(s, t))
-                rows.append([s, t, *numeric.eigenvalues, numeric.operator_norm])
-        header = ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]
         # 17 significant digits round-trip every float, so equal text is equal bits
-        assert path.read_bytes() == csv_writer_text(header, rows).encode()
+        assert path.read_bytes() == grid_reference_text(n).encode()
+
+    @pytest.mark.parametrize(
+        "block, solves",
+        [(21, [21, 21, 7]), (5, [7] * 7)],
+        ids=["rows-do-not-divide-n", "n-exceeds-the-block"],
+    )
+    def test_blocks_of_rows_match_per_point_reference(self, tmp_path, monkeypatch, block, solves):
+        """max(1, SWEEP_BLOCK // N) grid rows a block, one eigensolve each, the same bytes."""
+        sizes = []
+
+        def solve(stack):
+            sizes.append(stack.size // 81)  # operators in the solve
+            return eig_hermitian(stack)
+
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        monkeypatch.setattr(cli, "eig_hermitian", solve)
+        path = tmp_path / "grid.csv"
+        assert cli.main(["spectrum", "--grid", "7", "--csv", str(path)]) == 0
+        assert sizes == solves
+        assert path.read_bytes() == grid_reference_text(7).encode()
 
 
 class TestCanonicalStack:

@@ -146,6 +146,14 @@ class TestVerify:
         assert "normalizing" in err
         assert json.loads(out)["scenarios"][0]["operator_norm"] == 2.0
 
+    def test_rejected_file_gives_no_warning(self, capsys, tmp_path):
+        # a normalized field before a rejected one: the error line alone
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({**TIGHT, "a": [0.0, 1.0, 6.103515625e-05], "a_prime": [0, 0, 0]}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: field 'a_prime' has norm 0.0, further than 1e-06 from unit length\n"
+
     def test_far_from_unit_rejected(self, capsys, tmp_path):
         path = tmp_path / "far.json"
         path.write_text(json.dumps({**TIGHT, "a": [0.0, 0.0, 1.01]}))

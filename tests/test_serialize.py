@@ -12,14 +12,19 @@ it writes as each number formatted by itself.
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from reference import format_rows_reference
 from spinchsh import (
     TOL,
     NonFiniteError,
@@ -33,7 +38,8 @@ from spinchsh import (
     random_directions,
     serialize,
 )
-from spinchsh.serialize import Table, json_dumps
+from spinchsh.cli import MAX_COUNT
+from spinchsh.serialize import Table, format_rows, json_dumps
 
 _INTEGERS = (int, np.integer)
 
@@ -461,3 +467,103 @@ def test_parse_complex_pairs_keeps_each_pair_as_it_is():
     # and turn a -0.0 real part into 0.0
     pairs = [[-0.0, 1.0], [0.0, float("inf")], [1.0, float("-inf")]]
     assert repr(serialize.complex_pairs(serialize.parse_complex_pairs(pairs))) == repr(pairs)
+
+
+_table_shapes = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
+# any float64 bit pattern (NaN payloads, infinities, subnormals, -0.0), and
+# Hypothesis's own floats, which favour round and boundary values
+_tables = arrays(np.uint64, _table_shapes).map(lambda bits: bits.view(np.float64)) | arrays(
+    np.float64, _table_shapes, elements=st.floats()
+)
+
+
+@settings(max_examples=300)
+@given(table=_tables, separator=st.sampled_from([",", "\n"]), chunk=st.sampled_from([1, 3, 128]))
+def test_format_rows_matches_the_one_percent_reference(table, separator, chunk):
+    default, serialize._CHUNK = serialize._CHUNK, chunk
+    try:
+        text = format_rows(table, separator)
+    finally:
+        serialize._CHUNK = default
+    assert text == format_rows_reference(table, separator)
+
+
+def _ulps_around(values, ulps: int) -> np.ndarray:
+    """Each positive value and the ``ulps`` doubles on either side of it, in both signs."""
+    bits = np.asarray(values, dtype=float).view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)
+    near = np.maximum(bits, 0).view(np.float64).ravel()
+    return np.concatenate([near, -near])
+
+
+# 18 significant digits ending in 5: %.17g rounds them half to even
+_TIES = [
+    (2**53 - 1) / 4,
+    (2**53 - 3) / 4,
+    (2**50 - 1) / 8,
+    (2**50 - 3) / 8,
+    2.0**-25,
+    3 * 2.0**-25,
+    7 * 2.0**-24,
+    9 * 2.0**-23,
+    # every odd m / 4 in [2**50, 2**51): sixteen digits, then .25 or .75
+    *(np.arange(2**52 + 1, 2**52 + 2001, 2) / 4).tolist(),
+]
+_CASES = {
+    # the first kernel printed the double nearest 1e-160 as 1e-160: log10 of a
+    # number just below a power of ten can round up to that power
+    "powers-of-ten": _ulps_around([float(f"1e{p}") for p in range(-323, 309)], 40),
+    "ties": np.array(_TIES + [-x for x in _TIES]),
+    "counts": np.array([2**53 - 1, 2**53, 2**53 + 2, MAX_COUNT, 0.0, -0.0, 1.0, 7.0, 1024.0, 1e15 + 1]),
+    # where %g turns from 0.000ddd to d.ddde-05, and from 17 digits to d.ddde+17
+    "layout-edges": _ulps_around([1e-5, 1e-4, 1.2345678901234567e-5, 1.2345678901234567e-4, 1e16, 1e17,
+                                  12345678901234567.0, 123456789012345678.0, 0.1, 1.0, 10.0], 3),
+    "three-digit-exponents": _ulps_around([1e100, 1.5e-100, 1e-150, 9.87e179, 1e180, 1e200, 1e-200,
+                                           1.7976931348623157e308, 2.2250738585072014e-308, 5e-324], 2),
+}
+
+
+@pytest.mark.parametrize("values", _CASES.values(), ids=_CASES.keys())
+def test_format_rows_fixed_cases(values):
+    for columns in (1, 7):
+        table = np.resize(values, (-(-len(values) // columns), columns))
+        for separator in (",", "\n"):
+            assert format_rows(table, separator) == format_rows_reference(table, separator)
+
+
+def test_ties_are_ties():
+    for x in _TIES:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+
+
+def test_kernel_formats_normal_draws_alone(monkeypatch):
+    """No normal draw, nor zero, reaches the per-number %.17g: the vectorized path does the work."""
+
+    def refuse(x):
+        raise AssertionError(f"{x!r} went to the per-number fallback")
+
+    table = np.random.default_rng(29).standard_normal((300, 19)) * np.logspace(-170, 170, 19)
+    table[::7, 3] = 0.0
+    expected = format_rows_reference(table)
+    monkeypatch.setattr(serialize, "_format_one", refuse)
+    assert format_rows(table) == expected
+
+
+def test_import_builds_no_formatter_tables():
+    """A fresh import loads neither fractions nor decimal, and leaves the kernel's tables unbuilt."""
+    program = (
+        "import sys, spinchsh, spinchsh.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)), "
+        "spinchsh.serialize._tables.cache_info().currsize)"
+    )
+    package_root = os.path.dirname(os.path.dirname(serialize.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[] 0\n"
