@@ -148,10 +148,14 @@ def load_scenario_file(path: str) -> tuple[MeasurementScenario, QuantumState | N
     state = _load_state(raw["state"]) if "state" in raw else None
     if state is not None and state.dim != 9:
         raise InputError(f"state dimension {state.dim} is not 9, the dimension of C^3 (x) C^3")
-    # warned once the whole file is accepted, so a rejected file gives its error line alone
-    for name, deviation in deviations.items():
-        if deviation > TOL.unit_norm_reject:
-            print(f"warning: normalizing {name} (norm deviated from 1 by {deviation:.3e})", file=sys.stderr)
+    # one line, once the whole file is accepted, so a rejected file gives its error line alone
+    normalized = [
+        f"{name} (norm deviated from 1 by {deviation:.3e})"
+        for name, deviation in deviations.items()
+        if deviation > TOL.unit_norm_reject
+    ]
+    if normalized:
+        print("warning: normalizing " + ", ".join(normalized), file=sys.stderr)
     return MeasurementScenario(**vectors), state
 
 
@@ -163,13 +167,13 @@ _VERIFY_FIELDS = (("index", 0), *((name, 3) for name in DIRECTION_NAMES)) + tupl
 _VERIFY_CSV_KEYS = ("index", *DIRECTION_NAMES, "s", "t", "operator_norm")
 
 
-def _verify_blocks(directions: np.ndarray) -> list[np.ndarray]:
-    """The ``_VERIFY_FIELDS`` numbers of an (N, 4, 3) stack, one table per SWEEP_BLOCK scenarios.
+def _verify_rows(directions: np.ndarray) -> np.ndarray:
+    """The ``_VERIFY_FIELDS`` numbers of an (N, 4, 3) stack as one (N, 18) table.
 
-    Each block is one four-term Bell build, one Hermitian eigensolve and one
-    SVD for s and t.
+    The table is filled SWEEP_BLOCK scenarios at a time, each block by one
+    four-term Bell build, one Hermitian eigensolve and one SVD for s and t.
     """
-    blocks = []
+    rows = np.empty((len(directions), sum(width or 1 for _, width in _VERIFY_FIELDS)))
     for start in range(0, len(directions), SWEEP_BLOCK):
         block = directions[start : start + SWEEP_BLOCK]
         norms = eig_hermitian(bell_operator(block)).operator_norm
@@ -178,8 +182,8 @@ def _verify_blocks(directions: np.ndarray) -> list[np.ndarray]:
         residuals = [abs(x**2 + y**2 - 4.0) for x, y in zip(s.tolist(), t.tolist())]
         index = np.arange(start, start + len(block))
         columns = (index, block.reshape(-1, 12), norms, s, t, residuals, np.abs(norms - 2.0))
-        blocks.append(np.column_stack(columns))
-    return blocks
+        rows[start : start + len(block)] = np.column_stack(columns)
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -191,13 +195,13 @@ def cmd_verify(args) -> int:
     else:
         sc, state = load_scenario_file(args.scenario)
         directions = np.asarray(sc)[None]
-    blocks, fields = _verify_blocks(directions), _VERIFY_FIELDS
-    deviation = np.concatenate([block[:, -1] for block in blocks])
+    numbers, fields = _verify_rows(directions), _VERIFY_FIELDS
+    deviation = numbers[:, -1]
     if state is not None:
         value = expectation(state, bell_operator(directions[0]))
-        blocks, fields = [np.append(blocks[0], [[value]], axis=1)], fields + (("expectation", 0),)
+        numbers, fields = np.append(numbers, [[value]], axis=1), fields + (("expectation", 0),)
     # raises on a non-finite number before the CSV file exists
-    rows = Table(fields, blocks)
+    rows = Table(fields, numbers)
     # written so that a NaN deviation fails the band too
     within = not np.any(~(deviation <= TOL.norm_band))
     report.update(count=len(directions), scenarios=rows, max_band_deviation=float(deviation.max()))

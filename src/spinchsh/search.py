@@ -93,8 +93,8 @@ class QuantumState:
     @classmethod
     def pure(cls, vector) -> "QuantumState":
         vector = np.array(vector, dtype=complex)
-        if vector.ndim != 1:
-            raise StateError(f"pure state must be a vector, got shape {vector.shape}")
+        if vector.ndim != 1 or vector.size == 0:
+            raise StateError(f"pure state must be a nonempty vector, got shape {vector.shape}")
         _check_state_norms(vector)
         vector.setflags(write=False)
         return cls(kind="pure", data=vector)

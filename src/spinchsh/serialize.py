@@ -6,10 +6,10 @@ of the dictionaries we build.
 
 ``json_dumps`` renders a report value by value, dispatching on its exact
 type. A table of numbers, such as the rows of a ``verify`` report, is
-declared instead: a ``Table`` holds blocks of numbers and the layout of one
-row. ``render_table`` has ``format_rows`` format a few rows at a time into
-the texts of their numbers, and ``%s`` templates place those texts into the
-rows, with their padding and quoted keys, and into their CSV lines, which
+declared instead: a ``Table`` holds one 2-D array of numbers and the layout
+of one row. ``render_table`` has ``format_rows`` format a few rows at a time
+into the texts of their numbers, and ``%s`` templates place those texts into
+the rows, with their padding and quoted keys, and into their CSV lines, which
 go to the table's CSV file as they are made; so every number is formatted
 once, and only a few rows' texts are held. ``format_rows`` is the one
 ``%.17g`` formatter of tables and CSV lines: a numpy kernel that makes the
@@ -209,11 +209,11 @@ def format_rows(table, separator: str = ",") -> str:
 
 
 class Table:
-    """Report rows declared as blocks of numbers, which ``json_dumps`` renders as a list of dicts.
+    """Report rows declared as a 2-D array of numbers, which ``json_dumps`` renders as a list of dicts.
 
     ``fields`` lays out a row as (key, width) pairs that take its numbers in
-    order: width 0 for one number, n for a list of n. Each of ``blocks`` is
-    a 2-D float array, one row per report row. Every number must be finite:
+    order: width 0 for one number, n for a list of n. ``rows`` is a 2-D
+    float array, one row per report row. Every number must be finite:
     the constructor raises NonFiniteError, naming the first non-finite
     number in row order, so a caller can check a table before it opens any
     output. When ``csv`` is set to (keys, file), rendering also writes the
@@ -221,19 +221,18 @@ class Table:
     plain class: a dataclass would cost every import a millisecond.
     """
 
-    def __init__(self, fields: tuple[tuple[str, int], ...], blocks: list):
-        for block in blocks:
-            bad = block[~np.isfinite(block)]
-            if bad.size:
-                raise NonFiniteError(f"cannot serialize non-finite float {float(bad[0])!r}")
-        self.fields, self.blocks = fields, blocks
+    def __init__(self, fields: tuple[tuple[str, int], ...], rows: np.ndarray):
+        bad = rows[~np.isfinite(rows)]
+        if bad.size:
+            raise NonFiniteError(f"cannot serialize non-finite float {float(bad[0])!r}")
+        self.fields, self.rows = fields, rows
         self.csv = None
 
 
 def render_table(table: Table, level: int) -> str:
     """``table`` as the JSON list of its rows at nesting ``level``, each number formatted once.
 
-    Every ``_CHUNK`` rows of a block are formatted by one ``format_rows``
+    Every ``_CHUNK`` rows are formatted by one ``format_rows``
     call into the texts of their numbers, which ``%s`` templates then place
     into the rows and, if the table has a ``csv`` setting, into the CSV
     lines written to its file.
@@ -249,8 +248,8 @@ def render_table(table: Table, level: int) -> str:
     # the flat positions of the CSV cells among a chunk's texts, in line order
     positions = [r * len(keys) + c for r in range(_CHUNK) for c in csv_columns]
     parts = ["[\n"]
-    chunks = (block[i : i + _CHUNK] for block in table.blocks for i in range(0, len(block), _CHUNK))
-    for chunk in chunks:
+    for i in range(0, len(table.rows), _CHUNK):
+        chunk = table.rows[i : i + _CHUNK]
         cells = format_rows(chunk, "\n").split("\n")
         cells.pop()  # the empty text after the last row's end
         parts += (",\n".join([row] * len(chunk)) % tuple(cells), ",\n")

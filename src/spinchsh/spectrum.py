@@ -67,7 +67,7 @@ def _eigvalsh(A: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(A) -> np.ndarray:
-    """``A`` as a (..., n, n) array, raising HermiticityError unless it is Hermitian.
+    """``A`` as a (..., n, n) array with n >= 1, raising HermiticityError unless it is Hermitian.
 
     A real input (bool, integer or float) comes back as float64 and any other
     as complex128. The gate is the Frobenius norm of A - A^dagger over the
@@ -78,8 +78,8 @@ def _check_hermitian(A) -> np.ndarray:
     """
     A = np.asarray(A)
     A = np.asarray(A, dtype=float if A.dtype.kind in "biuf" else complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise InputError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
+        raise InputError(f"expected a nonempty square matrix, got shape {A.shape}")
     # inf - inf gives NaN and a huge difference overflows to inf; either
     # fails the gate below, so numpy's warnings about them are noise
     with np.errstate(invalid="ignore", over="ignore"):

@@ -117,11 +117,11 @@ _COLUMN_KEYS = [key for key, width in cli._VERIFY_FIELDS for _ in range(width or
 
 def verify_rows(directions: np.ndarray) -> Table:
     """The verify rows of a direction stack, as cmd_verify declares them."""
-    return Table(cli._VERIFY_FIELDS, cli._verify_blocks(directions))
+    return Table(cli._VERIFY_FIELDS, cli._verify_rows(directions))
 
 
 def column(rows: Table, key: str) -> list:
-    return np.concatenate(rows.blocks)[:, _COLUMN_KEYS.index(key)].tolist()
+    return rows.rows[:, _COLUMN_KEYS.index(key)].tolist()
 
 
 def assert_rows_match_reference(directions: np.ndarray) -> None:

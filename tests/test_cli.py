@@ -50,6 +50,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_in_child(*argv, prelude=""):
+    """``main(argv)`` in a fresh interpreter that runs ``prelude`` first: (exit code, stdout, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    program = f"import sys\n{prelude}\nfrom spinchsh.cli import main\nsys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", program, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestVerify:
     def test_tight_file(self, capsys, tight_file):
         code, out, _ = run(capsys, "verify", tight_file)
@@ -145,6 +157,17 @@ class TestVerify:
         assert code == 0
         assert "normalizing" in err
         assert json.loads(out)["scenarios"][0]["operator_norm"] == 2.0
+
+    def test_normalized_fields_share_one_warning_line(self, capsys, tmp_path):
+        tilted = [0.0, 1.0, 6.103515625e-05]
+        path = tmp_path / "tilted.json"
+        path.write_text(json.dumps({**TIGHT, "a": tilted, "a_prime": tilted}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["all_within_band"] is True
+        assert err == (
+            "warning: normalizing a (norm deviated from 1 by 1.863e-09), "
+            "a_prime (norm deviated from 1 by 1.863e-09)\n"
+        )
 
     def test_rejected_file_gives_no_warning(self, capsys, tmp_path):
         # a normalized field before a rejected one: the error line alone
@@ -442,8 +465,25 @@ class TestSpectrum:
         for row in rows[1:]:
             s, t = float(row[0]), float(row[1])
             numeric = np.array([float(x) for x in row[2:11]])
-            expected = closed_form_spectrum(s, t).eigenvalues
-            assert np.max(np.abs(numeric - expected)) < 1e-10
+            expected = closed_form_spectrum(s, t)
+            assert np.max(np.abs(numeric - expected.eigenvalues)) < 1e-10
+            # spectrum --grid gates nothing itself: its norm against the closed form too
+            assert abs(float(row[11]) - expected.operator_norm) <= TOL.spectrum
+            # every field is its own %.17g text
+            assert all(field == format(float(field), ".17g") for field in row)
+
+    def test_file_with_a_state_gives_reduce_s_and_t(self, capsys, tmp_path):
+        # the tight scenario with the pure state |+1,+1>: spectrum takes s and t
+        # without the rotations, reduce with them, and both give the same two numbers
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps({**TIGHT, "state": {"kind": "pure", "data": _TIGHT_PURE}}))
+        reports = {}
+        for command in ("verify", "spectrum", "reduce"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, err) == (0, "")
+            reports[command] = json.loads(out)
+        spectrum, reduce = reports["spectrum"], reports["reduce"]
+        assert (spectrum["s"], spectrum["t"]) == (reduce["s"], reduce["t"]) == (2.0, 0.0)
 
 
 # each gives two inputs a subcommand takes only one of, or one it does not take alone;
@@ -643,6 +683,13 @@ class TestReduce:
         assert out == ""
         assert err.count("\n") == 1 and "finite" in err
 
+    def test_overflowing_singular_values_are_one_error_line(self, capsys):
+        # svd3's error, not an infinite s passed on to the certificate
+        matrix = "[[1.7e308,1.7e308,0],[-1.7e308,1.7e308,0],[0,0,1.7e308]]"
+        code, out, err = run(capsys, "reduce", "--matrix", matrix)
+        assert (code, out) == (1, "")
+        assert err == "error: expected finite singular values, got an overflow\n"
+
     def test_huge_representable_matrix_accepted(self, capsys):
         code, out, _ = run(capsys, "reduce", "--matrix", "[[9e153,0,0],[0,9e153,0],[0,0,0]]")
         assert code == 0
@@ -754,6 +801,30 @@ class TestCertify:
     def test_rejects_zero_counts(self, capsys, flag):
         assert run(capsys, "certify", flag, "0")[0] == 1
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_gives_the_same_bytes(self, capsys, tmp_path):
+        # the Monte Carlo blocks run on every usable CPU; pinned to one, the bytes are the same
+        argv = ("certify", "--samples", "5000", "--restarts", "20", "--seed", "3", "--csv")
+        everywhere = run(capsys, *argv, str(tmp_path / "all.csv"))
+        pin = f"import os; os.sched_setaffinity(0, [{min(os.sched_getaffinity(0))}])"
+        pinned = run_in_child(*argv, str(tmp_path / "one.csv"), prelude=pin)
+        assert pinned == everywhere and everywhere[0] == 0
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "defaults, explicit",
+    [
+        (("search", "--seed", "0"), ("--family", "qutrit-spin1", "--restarts", "200")),
+        (("certify", "--samples", "2000", "--seed", "0"), ("--restarts", "200")),
+    ],
+    ids=["search", "certify"],
+)
+def test_defaults_are_their_explicit_values(capsys, defaults, explicit):
+    # the CLI owns its defaults: search runs qutrit-spin1 with 200 restarts, certify 200 restarts
+    default = run(capsys, *defaults)
+    assert default == run(capsys, *defaults, *explicit) and default[0] == 0
+
 
 # the subcommands that draw from a seed, at a small size
 SEEDED = [
@@ -794,6 +865,8 @@ _huge_finite = st.floats(min_value=-1.79e308, max_value=1.79e308)
 )
 # singular values inf, inf, 1.7e308: svd3 rejects the overflow before the rank gate
 @example(command="reduce", values=[1.7e308, 1.7e308, 0, -1.7e308, 1.7e308, 0, 0, 0, 1.7e308, 0, 0, 0])
+# two directions normalized: one warning line names both
+@example(command="verify", values=[0.0, 1.0, 6.103515625e-05] * 2 + [0.0, 0.0, 1.0] * 2)
 def test_finite_inputs_end_in_a_documented_exit(tmp_path_factory, command, values):
     """Any finite --matrix entries, --s/--t or scenario-file directions: an exit code, never a trace.
 
@@ -910,34 +983,27 @@ class TestRepeatedCalls:
         assert built == []
 
     def test_nothing_carries_over_between_calls(self, capsys, tight_file):
-        searches = [
-            ("search", "--family", family, "--restarts", "20", "--seed", "3")
-            for family in ("qutrit-spin1", "qubit-pauli")
+        repeated = [
+            *(
+                ("search", "--family", family, "--restarts", "20", "--seed", "3")
+                for family in ("qutrit-spin1", "qubit-pauli")
+            ),
+            ("certify", "--samples", "2000", "--restarts", "50", "--seed", "0"),
+            ("spectrum", "--grid", "8"),
         ]
         calls = [
-            *searches,
+            *repeated,
             ("verify", tight_file, "--random", "5"),
             ("search", "--restarts", "0"),
             ("verify", "--random", "5", "--seed", "2"),
-            *searches,
+            *repeated,
         ]
 
         in_process = [run(capsys, *argv) for argv in calls]
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        alone = {}
-        for argv in calls:
-            if argv in alone:
-                continue
-            proc = subprocess.run(
-                [sys.executable, "-m", "spinchsh", *argv], capture_output=True, text=True, env=env
-            )
-            alone[argv] = (proc.returncode, proc.stdout, proc.stderr)
+        alone = {argv: run_in_child(*argv) for argv in dict.fromkeys(calls)}
 
         for call, result in zip(calls, in_process):
             assert result == alone[call], call
-        assert in_process[-2:] == in_process[:2]
-        assert [code for code, _, _ in in_process] == [0, 0, 1, 1, 0, 0, 0]
-        assert json.loads(in_process[4][1])["seed"] == 2
+        assert in_process[-4:] == in_process[:4]
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0]
+        assert json.loads(in_process[6][1])["seed"] == 2

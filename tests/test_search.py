@@ -80,8 +80,8 @@ class TestQuantumState:
 
     @pytest.mark.parametrize(
         "data",
-        [np.eye(3) / np.sqrt(3.0), np.ones((1, 9)) / 3.0, np.array(1.0)],
-        ids=["3x3", "1x9", "scalar"],
+        [np.eye(3) / np.sqrt(3.0), np.ones((1, 9)) / 3.0, np.array(1.0), np.zeros(0)],
+        ids=["3x3", "1x9", "scalar", "empty"],
     )
     def test_pure_rejects_a_non_vector(self, data):
         # a unit-norm matrix used to be flattened into a state vector
@@ -232,6 +232,11 @@ class TestBestStateValue:
         value, state = best_state_value(np.diag([-3.0, 1.0, 2.0]))
         assert value == 3.0
         assert abs(expectation(state, np.diag([-3.0, 1.0, 2.0])) + 3.0) < 1e-12
+
+    def test_empty_matrix_rejected(self):
+        # the gate of eig_hermitian rejects it before eigh
+        with pytest.raises(InputError, match="nonempty"):
+            best_state_value(np.zeros((0, 0)))
 
     def test_non_hermitian_rejected(self):
         # eigh reads only the lower triangle, here the identity; the gate reads the whole matrix

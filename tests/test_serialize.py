@@ -287,7 +287,7 @@ def test_non_finite_raises_as_the_reference(document):
 
 @st.composite
 def table_parts(draw, non_finite=False):
-    """(fields, blocks, csv_keys) of a Table: up to three blocks, keys with %, quotes and non-ASCII.
+    """(fields, rows, csv_keys) of a Table: rows drawn as up to three blocks, keys with %, quotes and non-ASCII.
 
     Each key takes one number or a list of 1 to 3. With ``non_finite``, one
     or two nan or inf values are planted at random cells.
@@ -301,31 +301,25 @@ def table_parts(draw, non_finite=False):
         block = draw(st.sampled_from(blocks))
         block[draw(st.integers(0, len(block) - 1)), draw(st.integers(0, columns - 1))] = draw(_non_finite)
     csv_keys = draw(st.lists(st.sampled_from(keys), unique=True))
-    return tuple(zip(keys, widths)), blocks, tuple(csv_keys)
+    return tuple(zip(keys, widths)), np.concatenate([np.empty((0, columns)), *blocks]), tuple(csv_keys)
 
 
-def table_rows(fields, blocks) -> list[dict]:
+def table_rows(fields, numbers) -> list[dict]:
     """A table's rows as dicts of Python floats and float lists."""
-    rows = []
-    for block in blocks:
-        for numbers in map(iter, block.tolist()):
-            rows.append(
-                {
-                    key: [next(numbers) for _ in range(width)] if width else next(numbers)
-                    for key, width in fields
-                }
-            )
-    return rows
+    return [
+        {key: [next(row) for _ in range(width)] if width else next(row) for key, width in fields}
+        for row in map(iter, numbers.tolist())
+    ]
 
 
 @settings(max_examples=150)
 @given(parts=table_parts(), nesting=st.sampled_from(["bare", "dict", "list"]), chunk=st.integers(1, 4))
 def test_table_renders_as_its_rows(parts, nesting, chunk):
     """Rows and the CSV lines written as the reference renders them, at any depth and chunk size."""
-    fields, blocks, csv_keys = parts
-    rows = table_rows(fields, blocks)
+    fields, numbers, csv_keys = parts
+    rows = table_rows(fields, numbers)
     wrap = {"bare": lambda x: x, "dict": lambda x: {"scenarios": x}, "list": lambda x: [x, 1]}[nesting]
-    table, written = Table(fields, blocks), io.StringIO()
+    table, written = Table(fields, numbers), io.StringIO()
     plain = json_dumps(wrap(table))
     table.csv = (csv_keys, written)
     default, serialize._CHUNK = serialize._CHUNK, chunk
@@ -349,11 +343,11 @@ def test_table_non_finite_raises_as_the_reference(parts):
     A Table that exists holds only finite numbers, so no CSV file is opened
     for one that would not render, and nothing is written to one.
     """
-    fields, blocks, _ = parts
+    fields, numbers, _ = parts
     with pytest.raises(ValueError) as expected:
-        reference_render(table_rows(fields, blocks))
+        reference_render(table_rows(fields, numbers))
     with pytest.raises(NonFiniteError) as raised:
-        Table(fields, blocks)
+        Table(fields, numbers)
     assert str(raised.value) == str(expected.value)
 
 

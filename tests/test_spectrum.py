@@ -179,6 +179,10 @@ class TestEigHermitian:
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             eig_hermitian(np.zeros((2, 3)))
+        # an empty matrix, or a stack of them, has no norm
+        for shape in [(0, 0), (2, 0, 0)]:
+            with pytest.raises(InputError, match="nonempty"):
+                eig_hermitian(np.zeros(shape))
 
 
 class TestClosedForm:
