@@ -9,7 +9,10 @@ never exceeds 2 on the two-qutrit space.
 from types import ModuleType as _ModuleType
 
 from .bell import (
+    PAULI_FAMILY,
+    SPIN1_FAMILY,
     MeasurementScenario,
+    ObservableFamily,
     bell_operator,
     canonical_operator,
     correlation_matrices,
@@ -30,24 +33,14 @@ from .errors import (
 )
 from .reduction import CanonicalReduction, canonical_parameters, canonical_reduction, svd3
 from .search import (
-    PAULI_FAMILY,
-    SPIN1_FAMILY,
-    ObservableFamily,
     QuantumState,
     SearchReport,
-    best_state_value,
     expectation,
     maximize_violation,
     monte_carlo_certify,
     random_directions,
 )
-from .spectrum import (
-    SpectrumResult,
-    SubspaceBlocks,
-    closed_form_spectrum,
-    eig_hermitian,
-    subspace_blocks,
-)
+from .spectrum import SpectrumResult, closed_form_spectrum, eig_hermitian
 from .spin import (
     CARTESIAN_BASIS,
     cartesian_generators,

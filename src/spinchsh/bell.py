@@ -1,4 +1,4 @@
-"""CHSH Bell operators for two qutrits and their correlation-matrix form.
+"""CHSH Bell operators, their observable families, and their correlation-matrix form.
 
 A measurement scenario is four unit directions (a, a', b, b'). Its Bell
 operator is the four-term CHSH combination of spin observables on the
@@ -6,12 +6,18 @@ operator is the four-term CHSH combination of spin observables on the
 the 3x3 correlation matrix M = a (b + b')^T + a' (b - b')^T. The four-term
 ``bell_operator`` is kept as the independent reference; every other build
 is the coupling operator, one matrix product of M against a precomputed
-tensor of generator products; ``SPIN1_REAL_TENSOR`` gives the same operator
-in the real Cartesian basis. The canonical form s S_x S_x + t S_z S_z is
-real in the spin basis itself, so ``canonical_operator`` builds it as
-float64 from its two real Kronecker terms. ``bell_operator`` builds a stack of scenarios
-with the stack's axes innermost, as ``spin_along`` gives the observables,
-and copies the result into the (..., 9, 9) layout once.
+tensor of generator products.
+
+An ObservableFamily is three Hermitian generators with their coupling
+tensor. ``SPIN1_FAMILY``, the spin-1 qutrit family the bound 2 is about,
+holds the one spin-1 tensor, which ``coupling_operator`` uses by default;
+``PAULI_FAMILY`` is the qubit control, whose known maximum 2*sqrt(2)
+exceeds 2. ``SPIN1_REAL_TENSOR`` gives the spin-1 operator in the real
+Cartesian basis. The canonical form s S_x S_x + t S_z S_z is real in the
+spin basis itself, so ``canonical_operator`` builds it as float64 from the
+real part of two rows of the spin-1 tensor. ``bell_operator`` builds a
+stack of scenarios with the stack's axes innermost, as ``spin_along`` gives
+the observables, and copies the result into the (..., 9, 9) layout once.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NormalizationError
-from .spin import cartesian_generators, check_unit_vectors, spin_along, spin_generators
+from .errors import InputError, NonFiniteError, NormalizationError
+from .spectrum import _check_hermitian
+from .spin import _as_real, cartesian_generators, check_unit_vectors, spin_along, spin_generators
 
 # the four directions in the order of every (..., 4, 3) direction stack
 DIRECTION_NAMES = ("a", "a_prime", "b", "b_prime")
@@ -35,7 +42,63 @@ def coupling_tensor(generators) -> np.ndarray:
     return np.einsum("iab,jcd->ijacbd", generators, generators).reshape(9, d**4)
 
 
-_SPIN1_TENSOR = coupling_tensor(spin_generators())
+@dataclass(frozen=True, eq=False)
+class ObservableFamily:
+    """Three Hermitian generators defining the observable u . generators; equal only to itself.
+
+    The family owns read-only complex copies of ``generators`` and of
+    ``tensor``, their coupling tensor. ``known_maximum`` is the largest
+    CHSH expectation the family can reach, the target a search must hit.
+    A stack of other than (3, d, d) raises InputError, a non-finite entry
+    NonFiniteError, an asymmetry above TOL.hermiticity HermiticityError,
+    and a non-finite ``known_maximum`` InputError.
+    """
+
+    name: str
+    generators: np.ndarray
+    known_maximum: float
+    tensor: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        generators = np.array(self.generators, dtype=complex)  # a copy no caller holds
+        shape = generators.shape
+        if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] == 0:
+            raise InputError(f"expected a (3, d, d) stack of generators, got shape {shape}")
+        if not np.isfinite(generators).all():
+            raise NonFiniteError("generators must be finite")
+        _check_hermitian(generators)
+        maximum = float(_as_real(self.known_maximum, InputError, "known_maximum"))
+        if not math.isfinite(maximum):
+            raise InputError(f"known_maximum must be finite, got {self.known_maximum!r}")
+        tensor = coupling_tensor(generators)
+        generators.setflags(write=False)
+        tensor.setflags(write=False)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "known_maximum", maximum)
+        object.__setattr__(self, "tensor", tensor)
+
+    @property
+    def dim(self) -> int:
+        return self.generators.shape[1]
+
+    def bell_operator(self, sc) -> np.ndarray:
+        """The Bell operator of a MeasurementScenario, or of each quadruple of a (..., 4, 3) stack.
+
+        Every direction is checked for unit norm. Each operator of a stack is
+        built bit for bit as it would be alone, so a seesaw restart follows
+        the same path in any batch.
+        """
+        M = correlation_matrices(check_unit_vectors(sc))
+        # the unit axis makes every build one vector-matrix product, as for a single M
+        return coupling_operator(M[..., None, :, :], self.tensor)[..., 0, :, :]
+
+
+# spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's
+SPIN1_FAMILY = ObservableFamily("qutrit-spin1", spin_generators(), 2.0)
+PAULI_FAMILY = ObservableFamily(
+    "qubit-pauli", [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], 2.0 * math.sqrt(2.0)
+)
+
 # The spin-1 tensor in the Cartesian basis, where S_k = -i eps_k makes every
 # S(u) (x) S(v) = -eps(u) (x) eps(v) real: its coupling operators are the
 # float64, exactly symmetric (C (x) C)^dagger K(M) (C (x) C), same spectrum.
@@ -43,7 +106,7 @@ SPIN1_REAL_TENSOR = -coupling_tensor(cartesian_generators())
 SPIN1_REAL_TENSOR.setflags(write=False)
 # rows 0 and 8 of the spin-1 tensor, S_x (x) S_x and S_z (x) S_z, whose
 # imaginary parts are zero: the real (2, 81) tensor of the canonical form
-_CANONICAL_TENSOR = np.ascontiguousarray(_SPIN1_TENSOR[[0, 8]].real)
+_CANONICAL_TENSOR = np.ascontiguousarray(SPIN1_FAMILY.tensor[[0, 8]].real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +146,7 @@ class MeasurementScenario:
 
 def _direction_stack(directions) -> np.ndarray:
     """``directions`` as a float array, raising InputError unless its shape is (..., 4, 3)."""
-    d = np.asarray(directions, dtype=float)
+    d = _as_real(directions, InputError, "a direction stack")
     if d.shape[-2:] != (4, 3):
         raise InputError(f"expected an (..., 4, 3) direction stack, got shape {d.shape}")
     return d
@@ -104,15 +167,15 @@ def correlation_matrices(directions) -> np.ndarray:
     )
 
 
-def coupling_operator(M, tensor: np.ndarray = _SPIN1_TENSOR) -> np.ndarray:
+def coupling_operator(M, tensor: np.ndarray = SPIN1_FAMILY.tensor) -> np.ndarray:
     """sum_ij M_ij G_i (x) G_j for a real 3x3 M or an (..., 3, 3) stack of them.
 
     ``tensor`` is the ``coupling_tensor`` of the generators G, the spin-1
-    matrices by default. The Kronecker factors are ordered with party A
+    family's by default. The Kronecker factors are ordered with party A
     first, so the composite basis index is d*m + n for A level m and B
     level n.
     """
-    M = np.asarray(M, dtype=float)
+    M = _as_real(M, InputError, "a correlation matrix")
     if M.shape[-2:] != (3, 3):
         raise InputError(f"expected a 3x3 matrix, got shape {M.shape}")
     batch = M.shape[:-2]
@@ -156,5 +219,5 @@ def canonical_operator(s, t) -> np.ndarray:
     and exactly symmetric; each entry is that of ``coupling_operator`` of
     diag(s, 0, t), whose imaginary part is zero.
     """
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    s, t = np.broadcast_arrays(*(_as_real(x, InputError, "canonical parameters") for x in (s, t)))
     return (np.stack((s, t), axis=-1) @ _CANONICAL_TENSOR).reshape(s.shape + (9, 9))

@@ -17,7 +17,10 @@ import numpy as np
 
 from .bell import (
     DIRECTION_NAMES,
+    PAULI_FAMILY,
+    SPIN1_FAMILY,
     MeasurementScenario,
+    ObservableFamily,
     bell_operator,
     canonical_operator,
     correlation_matrices,
@@ -25,10 +28,7 @@ from .bell import (
 from .errors import CertificationError, InputError, RankDeficiencyError, SpinChshError
 from .reduction import canonical_parameters, canonical_reduction
 from .search import (
-    PAULI_FAMILY,
-    SPIN1_FAMILY,
     SWEEP_BLOCK,
-    ObservableFamily,
     QuantumState,
     expectation,
     maximize_violation,

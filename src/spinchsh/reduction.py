@@ -22,7 +22,7 @@ import numpy as np
 
 from .bell import canonical_operator, coupling_operator
 from .errors import InputError, NonFiniteError, RankDeficiencyError
-from .spin import spin_representation
+from .spin import _as_real, spin_representation
 from .tolerances import TOL
 
 # sign flip on the third coordinate; absorbed by a zero third singular value
@@ -56,7 +56,7 @@ class CanonicalReduction:
         ``conjugation_residual`` is the paper's key step: the spin
         representations of R and Q carry K(M) to the canonical form.
         """
-        M = np.asarray(M, dtype=float)
+        M = _as_real(M, InputError, "a correlation matrix")
         if M.shape != (3, 3):
             raise InputError(f"a certificate is of one 3x3 matrix, got shape {M.shape}")
         # the report's s^2 + t^2; Python's ** would raise OverflowError where * gives inf
@@ -85,7 +85,7 @@ class CanonicalReduction:
 
 def _svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.linalg.svd of a 3x3 matrix or an (..., 3, 3) stack, under svd3's input rules."""
-    M = np.asarray(M, dtype=float)
+    M = _as_real(M, InputError, "a correlation matrix")
     if M.shape[-2:] != (3, 3):
         raise InputError(f"expected a 3x3 matrix, got shape {M.shape}")
     if not np.isfinite(M).all():

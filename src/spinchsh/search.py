@@ -9,10 +9,10 @@ T, which the family's coupling tensor gives in one product. Both steps can
 only raise the objective, which the code asserts on every iteration.
 Restarts start from the seed's ``random_directions`` draw, as ``verify`` does.
 
-The same optimizer runs on any ObservableFamily. Two are defined here: the
-spin-1 qutrit family the bound-2 certification is about, and a qubit Pauli
-family that serves as a positive control because its known maximum
-2*sqrt(2) exceeds 2.
+The same optimizer runs on any ObservableFamily of ``bell``: the spin-1
+qutrit family the bound-2 certification is about, the qubit Pauli family
+that serves as a positive control because its known maximum 2*sqrt(2)
+exceeds 2, or one of the caller's own.
 """
 
 from __future__ import annotations
@@ -27,60 +27,14 @@ from .bell import (
     DIRECTION_NAMES,
     SPIN1_REAL_TENSOR,
     MeasurementScenario,
+    ObservableFamily,
     correlation_matrices,
     coupling_operator,
-    coupling_tensor,
 )
 from .errors import CertificationError, HermiticityError, InputError, MonotonicityError, StateError
 from .serialize import DIRECTION_COLUMNS, format_rows, open_csv
-from .spectrum import _check_hermitian, _eigvalsh
-from .spin import check_unit_vectors, spin_generators
+from .spectrum import _eigvalsh
 from .tolerances import TOL
-
-_PAULI = np.stack(
-    [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-)
-
-
-@dataclass(frozen=True, eq=False)
-class ObservableFamily:
-    """Three Hermitian generators defining the observable u . generators; equal only to itself.
-
-    ``known_maximum`` is the largest CHSH expectation the family can reach,
-    the target a search must hit; ``tensor`` is the family's coupling tensor.
-    """
-
-    name: str
-    generators: np.ndarray
-    known_maximum: float
-    tensor: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tensor", coupling_tensor(self.generators))
-
-    @property
-    def dim(self) -> int:
-        return self.generators.shape[1]
-
-    def bell_operator(self, sc) -> np.ndarray:
-        """The Bell operator of a MeasurementScenario, or of each quadruple of a (..., 4, 3) stack.
-
-        Every direction is checked for unit norm. Each operator of a stack is
-        built bit for bit as it would be alone, so a seesaw restart follows
-        the same path in any batch.
-        """
-        M = correlation_matrices(check_unit_vectors(sc))
-        # the unit axis makes every build one vector-matrix product, as for a single M
-        return coupling_operator(M[..., None, :, :], self.tensor)[..., 0, :, :]
-
-
-# spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's
-SPIN1_FAMILY = ObservableFamily("qutrit-spin1", np.stack(spin_generators()), 2.0)
-PAULI_FAMILY = ObservableFamily("qubit-pauli", _PAULI, float(2.0 * np.sqrt(2.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,17 +118,6 @@ def expectation(state: QuantumState, B) -> float:
     if state.kind == "pure":
         return float(_real_expectations(state.data[None], B[None])[0])
     return float(_checked_real(np.asarray(np.trace(state.data @ B))))
-
-
-def best_state_value(B) -> tuple[float, QuantumState]:
-    """The largest |eigenvalue| of B and an extremal eigenvector as a pure state.
-
-    No state can beat this: |tr(rho B)| is bounded by the operator norm. B
-    passes the Hermiticity gate of ``eig_hermitian`` first.
-    """
-    eigenvalues, eigenvectors = np.linalg.eigh(_check_hermitian(B))
-    k = 0 if abs(eigenvalues[0]) > abs(eigenvalues[-1]) else len(eigenvalues) - 1
-    return float(abs(eigenvalues[k])), QuantumState.pure(eigenvectors[:, k])
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HermiticityError, InputError
+from .spin import _as_real
 from .tolerances import TOL
 
 # below this fraction of a matrix's largest entry, LAPACK's eigenvalue-only
@@ -35,21 +36,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     operator_norm: float
-
-
-@dataclass(frozen=True)
-class SubspaceBlocks:
-    """The canonical operator restricted to its invariant subspaces.
-
-    ``v4_block`` acts on (|1,0>, |0,1>, |0,-1>, |-1,0>); ``v5_t_eigenpairs``
-    are the two explicit eigenvectors inside the five-state sector with
-    eigenvalues +t and -t; ``w_block`` acts on the remaining orthonormal
-    triple (|1,1>+|-1,-1>)/sqrt2, (|1,-1>+|-1,1>)/sqrt2, |0,0>.
-    """
-
-    v4_block: np.ndarray
-    v5_t_eigenpairs: tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]
-    w_block: np.ndarray
 
 
 def _eigvalsh(A: np.ndarray) -> np.ndarray:
@@ -111,7 +97,7 @@ def eig_hermitian(A) -> SpectrumResult:
 
 
 def _check_parameters(s: float, t: float) -> tuple[float, float]:
-    s, t = float(s), float(t)
+    s, t = (float(_as_real(x, InputError, "canonical parameters")) for x in (s, t))
     # hypot is NaN or infinite when s or t is, and infinite when it overflows
     with np.errstate(over="ignore"):
         norm = np.hypot(s, t)
@@ -130,38 +116,3 @@ def closed_form_spectrum(s: float, t: float) -> SpectrumResult:
     hypot = float(np.hypot(s, t))
     eigenvalues = np.sort(np.array([0.0, 0.0, 0.0, s, -s, t, -t, hypot, -hypot]))
     return SpectrumResult(eigenvalues=eigenvalues, operator_norm=hypot)
-
-
-def _basis_vector(index: int) -> np.ndarray:
-    e = np.zeros(9)
-    e[index] = 1.0
-    return e
-
-
-def subspace_blocks(s: float, t: float) -> SubspaceBlocks:
-    """Assemble the invariant-subspace blocks of the canonical operator."""
-    s, t = _check_parameters(s, t)
-    half = s / 2.0
-    v4_block = np.array(
-        [
-            [0.0, half, half, 0.0],
-            [half, 0.0, 0.0, half],
-            [half, 0.0, 0.0, half],
-            [0.0, half, half, 0.0],
-        ]
-    )
-    u1 = (_basis_vector(0) - _basis_vector(8)) / np.sqrt(2.0)
-    u2 = (_basis_vector(2) - _basis_vector(6)) / np.sqrt(2.0)
-    over_sqrt2 = s / np.sqrt(2.0)
-    w_block = np.array(
-        [
-            [t, 0.0, over_sqrt2],
-            [0.0, -t, over_sqrt2],
-            [over_sqrt2, over_sqrt2, 0.0],
-        ]
-    )
-    return SubspaceBlocks(
-        v4_block=v4_block,
-        v5_t_eigenpairs=((u1, t), (u2, -t)),
-        w_block=w_block,
-    )

@@ -54,9 +54,17 @@ def cartesian_generators() -> np.ndarray:
     return _EPSILON.copy()
 
 
+def _as_real(values, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as a float array; ``error`` for a complex one, whose imaginary part a cast drops."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise error(f"{what} must be real, got a {values.dtype} array")
+    return np.asarray(values, dtype=float)
+
+
 def check_unit_vectors(directions) -> np.ndarray:
     """Validate every 3-vector along the last axis of a stack to TOL.unit_norm_reject; return it."""
-    directions = np.asarray(directions, dtype=float)
+    directions = _as_real(directions, NormalizationError, "directions")
     if directions.shape[-1:] != (3,):
         raise NormalizationError(f"expected a stack of 3-vectors, got shape {directions.shape}")
     # an overflowed or NaN norm is rejected below, so numpy need not warn about it
@@ -93,7 +101,7 @@ def spin_along(u) -> np.ndarray:
 
 def check_rotation(R) -> np.ndarray:
     """Validate the SO(3) invariants of ``R`` to TOL.rotation and return it as a float array."""
-    R = np.asarray(R, dtype=float)
+    R = _as_real(R, RotationError, "a rotation")
     if R.shape != (3, 3):
         raise RotationError(f"expected a 3x3 matrix, got shape {R.shape}")
     # a NaN or overflowed residual is rejected below, so numpy need not warn about it

@@ -1,8 +1,9 @@
 """Reference helpers that only the tests call.
 
-Axis-angle rotations, random states, the reduced Bell operator of a
-scenario, the invariant-split leakage check and the one-``%`` table
-formatter. The certifier's own paths (closed-form spectrum, rotation
+Axis-angle rotations, random states, the best state of an operator, the
+reduced Bell operator of a scenario, the invariant-subspace blocks of the
+canonical operator, the invariant-split leakage check and the one-``%``
+table formatter. The certifier's own paths (closed-form spectrum, rotation
 reduction, Monte Carlo and seesaw) use none of them; the tests use them to
 build inputs and to check those paths from another side.
 """
@@ -17,7 +18,7 @@ from spinchsh.bell import MeasurementScenario, canonical_operator, correlation_m
 from spinchsh.errors import NormalizationError, RotationError
 from spinchsh.reduction import canonical_reduction
 from spinchsh.search import QuantumState
-from spinchsh.spectrum import _check_parameters
+from spinchsh.spectrum import _check_hermitian, _check_parameters
 from spinchsh.spin import check_unit_vectors
 
 
@@ -50,6 +51,17 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> QuantumState:
     return QuantumState.mixed(rho / np.trace(rho).real)
 
 
+def best_state_value(B) -> tuple[float, QuantumState]:
+    """The largest |eigenvalue| of B and an extremal eigenvector as a pure state.
+
+    No state can beat this: |tr(rho B)| is bounded by the operator norm. B
+    passes the Hermiticity gate of ``eig_hermitian`` first.
+    """
+    eigenvalues, eigenvectors = np.linalg.eigh(_check_hermitian(B))
+    k = 0 if abs(eigenvalues[0]) > abs(eigenvalues[-1]) else len(eigenvalues) - 1
+    return float(abs(eigenvalues[k])), QuantumState.pure(eigenvectors[:, k])
+
+
 def reduced_bell(sc: MeasurementScenario) -> tuple[float, float, np.ndarray]:
     """The canonical parameters of a scenario and its reduced Bell operator.
 
@@ -64,6 +76,51 @@ def reduced_bell(sc: MeasurementScenario) -> tuple[float, float, np.ndarray]:
 # splits the space into the two invariant sectors
 V4_INDICES = (1, 3, 5, 7)
 V5_INDICES = (0, 2, 4, 6, 8)
+
+
+@dataclass(frozen=True)
+class SubspaceBlocks:
+    """The canonical operator restricted to its invariant subspaces.
+
+    ``v4_block`` acts on (|1,0>, |0,1>, |0,-1>, |-1,0>); ``v5_t_eigenpairs``
+    are the two explicit eigenvectors inside the five-state sector with
+    eigenvalues +t and -t; ``w_block`` acts on the remaining orthonormal
+    triple (|1,1>+|-1,-1>)/sqrt2, (|1,-1>+|-1,1>)/sqrt2, |0,0>.
+    """
+
+    v4_block: np.ndarray
+    v5_t_eigenpairs: tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]
+    w_block: np.ndarray
+
+
+def subspace_blocks(s: float, t: float) -> SubspaceBlocks:
+    """Assemble the invariant-subspace blocks of the canonical operator."""
+    s, t = _check_parameters(s, t)
+    half = s / 2.0
+    v4_block = np.array(
+        [
+            [0.0, half, half, 0.0],
+            [half, 0.0, 0.0, half],
+            [half, 0.0, 0.0, half],
+            [0.0, half, half, 0.0],
+        ]
+    )
+    e = np.eye(9)
+    u1 = (e[0] - e[8]) / np.sqrt(2.0)
+    u2 = (e[2] - e[6]) / np.sqrt(2.0)
+    over_sqrt2 = s / np.sqrt(2.0)
+    w_block = np.array(
+        [
+            [t, 0.0, over_sqrt2],
+            [0.0, -t, over_sqrt2],
+            [over_sqrt2, over_sqrt2, 0.0],
+        ]
+    )
+    return SubspaceBlocks(
+        v4_block=v4_block,
+        v5_t_eigenpairs=((u1, t), (u2, -t)),
+        w_block=w_block,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, qr_rotation, scenarios, unit_vectors
 from spinchsh import (
+    HermiticityError,
     InputError,
     MeasurementScenario,
+    NonFiniteError,
     NormalizationError,
+    ObservableFamily,
+    PAULI_FAMILY,
     SPIN1_FAMILY,
     bell_operator,
     canonical_operator,
@@ -282,3 +288,45 @@ def test_scenarios_compare_by_identity():
     assert sc == sc and sc != twin
     assert hash(sc) == hash(sc) and len({sc, twin}) == 2
 
+
+class TestObservableFamily:
+    def test_coupling_operator_defaults_to_the_spin1_family_tensor(self):
+        # one spin-1 tensor in the package, the family's
+        default = inspect.signature(coupling_operator).parameters["tensor"].default
+        assert default is SPIN1_FAMILY.tensor
+
+    @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
+    def test_arrays_are_read_only_complex(self, family):
+        for array in (family.generators, family.tensor):
+            assert array.dtype == complex
+            assert not array.flags.writeable
+
+    def test_keeps_its_own_copy_of_the_generators(self):
+        # a later change to the caller's array must reach neither the generators nor the tensor
+        generators = np.array(PAULI_FAMILY.generators)
+        family = ObservableFamily("copy", generators, PAULI_FAMILY.known_maximum)
+        generators[2] = 0.0
+        assert np.array_equal(family.generators, PAULI_FAMILY.generators)
+        assert np.array_equal(family.tensor, PAULI_FAMILY.tensor)
+
+    def test_non_hermitian_generators_rejected(self):
+        # eigh reads only the lower triangle, so the seesaw would run on these unchecked
+        with pytest.raises(HermiticityError):
+            ObservableFamily("upper", np.triu(np.ones((3, 2, 2))), 2.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (4, 2, 2), (3, 0, 0)], ids=str)
+    def test_generator_stack_shape_checked(self, shape):
+        with pytest.raises(InputError, match=r"expected a \(3, d, d\) stack"):
+            ObservableFamily("bad", np.zeros(shape), 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generators_rejected(self, bad):
+        generators = np.array(PAULI_FAMILY.generators)
+        generators[1, 0, 1] = bad
+        with pytest.raises(NonFiniteError):
+            ObservableFamily("bad", generators, 2.0)
+
+    @pytest.mark.parametrize("maximum", [np.nan, np.inf, -np.inf])
+    def test_non_finite_known_maximum_rejected(self, maximum):
+        with pytest.raises(InputError, match="known_maximum must be finite"):
+            ObservableFamily("bad", PAULI_FAMILY.generators, maximum)

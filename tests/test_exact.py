@@ -1,11 +1,13 @@
 """Exact and high-precision checks behind floating-point facts the package relies on."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
 from spinchsh import TOL, cartesian_generators, monte_carlo_certify, spin_generators
+from spinchsh.bell import SPIN1_REAL_TENSOR
 
 sympy = pytest.importorskip("sympy")
 
@@ -45,19 +47,24 @@ def test_correlation_matrix_frobenius_norm_is_two_for_unit_directions():
     assert remainder == 0
 
 
-def test_rotations_act_on_generators_by_adjoint_covariance():
-    # Q is the rotation of q = (w, x, y, z) scaled by |q|^2, with no square root;
-    # the first two identities make R = Q / |q|^2 a rotation, every rotation is
-    # one, and the third is then R [v] R^T = [R v] for [v] = sum_k v_k eps_k
-    w, x, y, z = sympy.symbols("w x y z", real=True)
-    n = w**2 + x**2 + y**2 + z**2
-    Q = sympy.Matrix(
+def quaternion_rotation(w, x, y, z):
+    """The rotation of the quaternion (w, x, y, z) times its squared norm: no square root."""
+    return sympy.Matrix(
         [
             [w**2 + x**2 - y**2 - z**2, 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), w**2 - x**2 + y**2 - z**2, 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), w**2 - x**2 - y**2 + z**2],
         ]
     )
+
+
+def test_rotations_act_on_generators_by_adjoint_covariance():
+    # Q is the rotation of q = (w, x, y, z) scaled by |q|^2; the first two
+    # identities make R = Q / |q|^2 a rotation, every rotation is one, and the
+    # third is then R [v] R^T = [R v] for [v] = sum_k v_k eps_k
+    w, x, y, z = sympy.symbols("w x y z", real=True)
+    n = w**2 + x**2 + y**2 + z**2
+    Q = quaternion_rotation(w, x, y, z)
     eps = [sympy.Matrix(e.astype(int).tolist()) for e in cartesian_generators()]
 
     def bracket(v):
@@ -67,6 +74,88 @@ def test_rotations_act_on_generators_by_adjoint_covariance():
     assert (Q.T * Q - n**2 * sympy.eye(3)).expand() == sympy.zeros(3, 3)
     assert sympy.expand(Q.det() - n**3) == 0
     assert (Q * bracket(v) * Q.T - n * bracket(Q * v)).expand() == sympy.zeros(3, 3)
+
+
+def test_coupling_operator_is_rotation_covariant_in_the_cartesian_basis():
+    # (R (x) Q) K(M) (R (x) Q)^T = K(R M Q^T) for rotations R, Q and every 3x3 M,
+    # K through SPIN1_REAL_TENSOR. R (x) Q = (R (x) I)(I (x) Q), so it is the
+    # two one-sided identities, proved here for the scaled rotation P of the
+    # quaternion q, |q|^2 times a rotation, which is every rotation
+    # (test_rotations_act_on_generators_by_adjoint_covariance):
+    # (P (x) I) K(M) (P (x) I)^T = |q|^2 K(P M) and
+    # (I (x) P) K(M) (I (x) P)^T = |q|^2 K(M P^T).
+    from sympy.polys.matrices import DomainMatrix
+
+    q = sympy.symbols("w x y z")
+    m = sympy.symbols("m0:9")
+    P, M, I = quaternion_rotation(*q), sympy.Matrix(3, 3, m), sympy.eye(3)
+    tensor = sympy.Matrix(SPIN1_REAL_TENSOR.astype(int).tolist())
+    assert np.array_equal(np.array(tensor.tolist(), dtype=float), SPIN1_REAL_TENSOR)
+    # polynomial matrices over Z[q, m], far faster to multiply than sympy.Matrix
+    ring = sympy.ZZ[(*q, *m)]
+
+    def polynomial(A):
+        return DomainMatrix.from_Matrix(A.expand()).convert_to(ring)
+
+    def coupling(A):
+        return polynomial((sympy.Matrix(1, 9, list(A)) * tensor).reshape(9, 9))
+
+    squared_norm = ring.convert(sum(v**2 for v in q))
+    sides = ((sympy.kronecker_product(P, I), P * M), (sympy.kronecker_product(I, P), M * P.T))
+    for left, carried in sides:
+        W = polynomial(left)
+        assert W * coupling(M) * W.transpose() == coupling(carried) * squared_norm
+
+
+def integer_coupling(M: np.ndarray) -> np.ndarray:
+    """K(M) in the Cartesian basis for an integer 3x3 M, as a 9x9 array of Python integers."""
+    tensor = SPIN1_REAL_TENSOR.astype(int)
+    assert np.array_equal(tensor, SPIN1_REAL_TENSOR)
+    return (M.reshape(9) @ tensor.astype(object)).reshape(9, 9)
+
+
+def minimal_polynomial_residual(M: np.ndarray) -> np.ndarray:
+    """B (B^4 - F B^2 + G)(B^2 - F) for B = K(M), in Python integers.
+
+    F = ||M||_F^2 and G is the sum of the squared 2x2 minors of M.
+    """
+    B = integer_coupling(M)
+    F = sum(x * x for x in M.flat)
+    G = sum(
+        (M[i, k] * M[j, l] - M[i, l] * M[j, k]) ** 2
+        for i, j in itertools.combinations(range(3), 2)
+        for k, l in itertools.combinations(range(3), 2)
+    )
+    identity = np.identity(9, dtype=object)
+    B2 = B @ B
+    return B @ (B2 @ B2 - F * B2 + G * identity) @ (B2 - F * identity)
+
+
+def test_rank_two_coupling_operators_satisfy_the_minimal_polynomial():
+    # P(B) = B (B^4 - F B^2 + G)(B^2 - F) = 0 for M = u p^T + v q^T, checked
+    # exactly at random points with signed 64-bit integer u, p, v, q. Each
+    # entry of P(B) is a polynomial of degree 14 in those 12 integers (M and B
+    # have degree 2, F degree 4, G degree 8). By Schwartz-Zippel a nonzero one
+    # vanishes at a uniform random point of S^12, |S| = 2^64, with probability
+    # at most 14 / 2^64, so each zero residual below leaves a false identity
+    # at most that chance.
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        u, p, v, q = (
+            np.array(row, dtype=object)
+            for row in rng.integers(-(2**63), 2**63, size=(4, 3), dtype=np.int64).tolist()
+        )
+        M = np.outer(u, p) + np.outer(v, q)
+        assert not np.any(minimal_polynomial_residual(M))
+
+
+def test_a_rank_three_matrix_breaks_the_minimal_polynomial():
+    # the control: the identity holds for rank <= 2 only, so a test that
+    # cannot tell would pass this matrix too
+    rng = np.random.default_rng(2026)
+    M = np.array(rng.integers(-1000, 1000, size=(3, 3)).tolist(), dtype=object)
+    assert sympy.Matrix(M.tolist()).det() != 0
+    assert np.any(minimal_polynomial_residual(M))
 
 
 def test_worst_monte_carlo_norm_deviation_is_rounding(tmp_path):

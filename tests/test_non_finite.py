@@ -1,4 +1,4 @@
-"""Non-finite input: every checked entry point raises the library's own error, silently.
+"""Non-finite and complex input: every checked entry point raises the library's own error, silently.
 
 Each example is an array of arbitrary floats (NaN and infinities included)
 with one NaN or infinite entry planted at a drawn position, so every example
@@ -14,14 +14,22 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from reference import check_unit_vector, rotation_about
 from spinchsh import (
     HermiticityError,
+    InputError,
+    MeasurementScenario,
     NonFiniteError,
     NormalizationError,
     QuantumState,
     RotationError,
     StateError,
+    bell_operator,
+    canonical_operator,
     canonical_parameters,
     canonical_reduction,
+    closed_form_spectrum,
+    correlation_matrices,
+    coupling_operator,
     eig_hermitian,
+    spin_along,
     spin_representation,
     svd3,
 )
@@ -133,3 +141,53 @@ def test_rotation_checks(check, R):
 def test_rotation_about_non_finite_angle(angle):
     with pytest.raises(RotationError, match="not finite"):
         rotation_about((0.0, 0.0, 1.0), angle)
+
+
+_TIGHT = np.diag([np.sqrt(2.0), 0.0, np.sqrt(2.0)])
+_Z = np.array([0.0, 0.0, 1.0])
+
+
+# each real-only kernel with a complex input whose real part it would accept: a
+# cast to float drops the imaginary part with only a ComplexWarning, so the kernel
+# raises the error that owns its input rule, with no warning on the way
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: MeasurementScenario([1j, 0, 1], _Z, _Z, _Z), NormalizationError),
+        (lambda: check_unit_vectors([1j, 0, 1]), NormalizationError),
+        (lambda: spin_along(_Z + 1j), NormalizationError),
+        (lambda: correlation_matrices(np.tile(_Z, (4, 1)) + 1j), InputError),
+        (lambda: bell_operator(np.tile(_Z, (4, 1)) + 1j), InputError),
+        (lambda: coupling_operator(_TIGHT + 1j), InputError),
+        (lambda: canonical_operator(1.0 + 1j, 1.0), InputError),
+        (lambda: check_rotation(np.eye(3) + 1j), RotationError),
+        (lambda: spin_representation(np.eye(3) + 1j), RotationError),
+        (lambda: svd3(_TIGHT + 1j), InputError),
+        (lambda: canonical_parameters(_TIGHT + 1j), InputError),
+        (lambda: canonical_reduction(_TIGHT + 1j), InputError),
+        (lambda: canonical_reduction(_TIGHT).certificate(_TIGHT + 1j), InputError),
+        (lambda: closed_form_spectrum(1j, 1), InputError),
+        (lambda: closed_form_spectrum(1.0, np.complex128(1.0)), InputError),
+    ],
+    ids=[
+        "MeasurementScenario",
+        "check_unit_vectors",
+        "spin_along",
+        "correlation_matrices",
+        "bell_operator",
+        "coupling_operator",
+        "canonical_operator",
+        "check_rotation",
+        "spin_representation",
+        "svd3",
+        "canonical_parameters",
+        "canonical_reduction",
+        "certificate",
+        "closed_form_spectrum",
+        "closed_form_spectrum-numpy-scalar",
+    ],
+)
+def test_complex_input_rejected(call, error):
+    with pytest.raises(error, match="must be real"):
+        call()

@@ -10,9 +10,16 @@ from spinchsh import reduction, search, spectrum, spin
 # library code that only the tests call, now in tests/reference.py, by the
 # module that held it
 MOVED = {
-    spectrum: ("verify_invariance", "InvarianceReport", "V4_INDICES", "V5_INDICES"),
+    spectrum: (
+        "verify_invariance",
+        "InvarianceReport",
+        "V4_INDICES",
+        "V5_INDICES",
+        "subspace_blocks",
+        "SubspaceBlocks",
+    ),
     reduction: ("reduced_bell",),
-    search: ("random_pure_state", "random_density_matrix"),
+    search: ("random_pure_state", "random_density_matrix", "best_state_value"),
     spin: ("rotation_about", "check_unit_vector"),
 }
 

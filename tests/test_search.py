@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, scenarios
-from reference import random_density_matrix, random_pure_state
+from reference import best_state_value, random_density_matrix, random_pure_state
 from spinchsh import (
     CertificationError,
     HermiticityError,
@@ -27,7 +27,6 @@ from spinchsh import (
     TOL,
     StateError,
     bell_operator,
-    best_state_value,
     expectation,
     maximize_violation,
     monte_carlo_certify,

@@ -163,7 +163,8 @@ def test_restarts_stop_at_the_first_improvement_below_the_threshold():
     # before its first step below 1e-9, the default TOL.seesaw_improvement
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    family = ObservableFamily("random-hermitian", (A + A.conj().swapaxes(-1, -2)) / 2.0, np.nan)
+    # the seesaw never reads known_maximum: 0.0 stands in for this family's unknown one
+    family = ObservableFamily("random-hermitian", (A + A.conj().swapaxes(-1, -2)) / 2.0, 0.0)
     batch = search._seesaw(family, search.random_directions(np.random.default_rng(0), (40, 4)))
     assert len(set(batch.iterations.tolist())) > 1
     for k in range(40):

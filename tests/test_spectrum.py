@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 
 from conftest import canonical_params, scenarios
-from reference import V4_INDICES, V5_INDICES, verify_invariance
+from reference import V4_INDICES, V5_INDICES, subspace_blocks, verify_invariance
 from spinchsh import (
     TOL,
     HermiticityError,
@@ -14,7 +14,6 @@ from spinchsh import (
     closed_form_spectrum,
     eig_hermitian,
     spin_generators,
-    subspace_blocks,
 )
 
 SQRT2 = np.sqrt(2.0)
