@@ -44,7 +44,6 @@ from .spectrum import SpectrumResult, closed_form_spectrum, eig_hermitian
 from .spin import (
     CARTESIAN_BASIS,
     cartesian_generators,
-    spin_along,
     spin_generators,
     spin_representation,
 )

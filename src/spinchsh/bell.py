@@ -2,22 +2,19 @@
 
 A measurement scenario is four unit directions (a, a', b, b'). Its Bell
 operator is the four-term CHSH combination of spin observables on the
-9-dimensional product space; equivalently it is the coupling operator of
-the 3x3 correlation matrix M = a (b + b')^T + a' (b - b')^T. The four-term
-``bell_operator`` is kept as the independent reference; every other build
-is the coupling operator, one matrix product of M against a precomputed
-tensor of generator products.
+9-dimensional product space, equivalently the coupling operator of the
+correlation matrix M = a (b + b')^T + a' (b - b')^T. ``bell_operator``
+builds the four-term sum, the independent reference, in the Cartesian basis
+where it is real; every other build is the coupling operator, one matrix
+product of M against a precomputed tensor of generator products.
 
 An ObservableFamily is three Hermitian generators with their coupling
 tensor. ``SPIN1_FAMILY``, the spin-1 qutrit family the bound 2 is about,
 holds the one spin-1 tensor, which ``coupling_operator`` uses by default;
 ``PAULI_FAMILY`` is the qubit control, whose known maximum 2*sqrt(2)
-exceeds 2. ``SPIN1_REAL_TENSOR`` gives the spin-1 operator in the real
-Cartesian basis. The canonical form s S_x S_x + t S_z S_z is real in the
-spin basis itself, so ``canonical_operator`` builds it as float64 from the
-real part of two rows of the spin-1 tensor. ``bell_operator`` builds a
-stack of scenarios with the stack's axes innermost, as ``spin_along`` gives
-the observables, and copies the result into the (..., 9, 9) layout once.
+exceeds 2. ``SPIN1_REAL_TENSOR`` is the spin-1 tensor in the Cartesian
+basis, and ``canonical_operator`` builds s S_x S_x + t S_z S_z, real in the
+spin basis itself, from the real part of two rows of the spin-1 tensor.
 """
 
 from __future__ import annotations
@@ -29,17 +26,22 @@ import numpy as np
 
 from .errors import InputError, NonFiniteError, NormalizationError
 from .spectrum import _check_hermitian
-from .spin import _as_real, cartesian_generators, check_unit_vectors, spin_along, spin_generators
+from .spin import _as_real, cartesian_generators, check_unit_vectors, spin_generators
 
 # the four directions in the order of every (..., 4, 3) direction stack
 DIRECTION_NAMES = ("a", "a_prime", "b", "b_prime")
 
 
+def _check_generator_shape(shape: tuple) -> None:
+    if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] == 0:
+        raise InputError(f"expected a (3, d, d) stack of generators, got shape {shape}")
+
+
 def coupling_tensor(generators) -> np.ndarray:
-    """The (9, d^4) matrix whose row 3i + j is G_i (x) G_j flattened, for d x d generators."""
+    """The (9, d^4) matrix whose row 3i + j is G_i (x) G_j flattened, for a (3, d, d) stack, d >= 1."""
     generators = np.asarray(generators)
-    d = generators.shape[-1]
-    return np.einsum("iab,jcd->ijacbd", generators, generators).reshape(9, d**4)
+    _check_generator_shape(generators.shape)
+    return np.einsum("iab,jcd->ijacbd", generators, generators).reshape(9, generators.shape[1] ** 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +63,7 @@ class ObservableFamily:
 
     def __post_init__(self):
         generators = np.array(self.generators, dtype=complex)  # a copy no caller holds
-        shape = generators.shape
-        if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] == 0:
-            raise InputError(f"expected a (3, d, d) stack of generators, got shape {shape}")
+        _check_generator_shape(generators.shape)
         if not np.isfinite(generators).all():
             raise NonFiniteError("generators must be finite")
         _check_hermitian(generators)
@@ -192,21 +192,25 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def bell_operator(sc) -> np.ndarray:
-    """The CHSH Bell operator S(a)S(b) + S(a)S(b') + S(a')S(b) - S(a')S(b').
+    """The CHSH Bell operator S(a)S(b) + S(a)S(b') + S(a')S(b) - S(a')S(b') in the Cartesian basis.
 
     ``sc`` is a MeasurementScenario, giving one 9x9 operator, or an
-    (..., 4, 3) stack of direction quadruples (a, a', b, b'), giving the
-    (..., 9, 9) stack of their operators; every direction is checked for
-    unit norm. The four products and their sum are computed with the stack
-    innermost, as ``spin_along`` computes the observables, and copied into
-    the (..., 9, 9) layout once at the end; each entry is the same sum of
-    the same products as np.kron's, bit for bit.
+    (..., 4, 3) stack of quadruples (a, a', b, b'), giving their (..., 9, 9)
+    stack; every direction is checked for unit norm. There S(u) = -i eps(u),
+    so the operator is the float64, exactly symmetric -sum +-eps(u) (x) eps(v):
+    the spin-basis one conjugated by C (x) C, C = ``CARTESIAN_BASIS``. Each
+    entry is the same sum of the same products as np.kron's, bit for bit.
     """
-    directions = _direction_stack(sc)
-    observables = spin_along(np.moveaxis(directions, -2, 0))
-    sa, sap, sb, sbp = np.moveaxis(observables, (-2, -1), (1, 2))
-    total = _kron(sa, sb) + _kron(sa, sbp) + _kron(sap, sb) - _kron(sap, sbp)
-    operators = total.reshape((9, 9) + directions.shape[:-2])
+    directions = check_unit_vectors(_direction_stack(sc))
+    x, y, z = np.moveaxis(directions, -1, 0)
+    zero = np.zeros_like(x)
+    # eps(u)_ab = eps_kab u_k, the stack's axes innermost
+    ea, eap, eb, ebp = np.moveaxis(np.array([[zero, z, -y], [-z, zero, x], [y, -x, zero]]), -1, 0)
+    total = _kron(ea, eb)
+    total += _kron(ea, ebp)
+    total += _kron(eap, eb)
+    total -= _kron(eap, ebp)
+    operators = np.negative(total, out=total).reshape((9, 9) + directions.shape[:-2])
     return np.ascontiguousarray(np.moveaxis(operators, (0, 1), (-2, -1)))
 
 

@@ -43,8 +43,10 @@ from .serialize import (
     json_dumps,
     open_csv,
     parse_complex_pairs,
+    write_report,
 )
 from .spectrum import closed_form_spectrum, eig_hermitian
+from .spin import CARTESIAN_BASIS
 from .tolerances import TOL
 
 EXIT_OK = 0
@@ -198,22 +200,26 @@ def cmd_verify(args) -> int:
     numbers, fields = _verify_rows(directions), _VERIFY_FIELDS
     deviation = numbers[:, -1]
     if state is not None:
-        value = expectation(state, bell_operator(directions[0]))
+        # W^dagger psi or W^dagger rho W: the state in bell_operator's Cartesian coordinates,
+        # a unitary image of a checked state, so not checked again
+        W = np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
+        carried = W.conj().T @ state.data
+        carried = QuantumState(state.kind, carried if state.kind == "pure" else carried @ W)
+        value = expectation(carried, bell_operator(directions[0]))
         numbers, fields = np.append(numbers, [[value]], axis=1), fields + (("expectation", 0),)
-    # raises on a non-finite number before the CSV file exists
+    # raises on a non-finite number before any output
     rows = Table(fields, numbers)
     # written so that a NaN deviation fails the band too
     within = not np.any(~(deviation <= TOL.norm_band))
     report.update(count=len(directions), scenarios=rows, max_band_deviation=float(deviation.max()))
     report["all_within_band"] = within
     if args.csv is None:
-        text = json_dumps(report)
+        write_report(report, sys.stdout)
     else:
-        # rendering the rows writes their CSV lines as it goes
+        # writing the rows writes their CSV lines as it goes
         with open_csv(args.csv, ["index", *DIRECTION_COLUMNS, "s", "t", "norm"]) as handle:
             rows.csv = (_VERIFY_CSV_KEYS, handle)
-            text = json_dumps(report)
-    print(text)
+            write_report(report, sys.stdout)
     return EXIT_OK if within else EXIT_BAND
 
 

@@ -7,16 +7,17 @@ of the dictionaries we build.
 ``json_dumps`` renders a report value by value, dispatching on its exact
 type. A table of numbers, such as the rows of a ``verify`` report, is
 declared instead: a ``Table`` holds one 2-D array of numbers and the layout
-of one row. ``render_table`` has ``format_rows`` format a few rows at a time
+of one row. ``table_chunks`` has ``format_rows`` format a few rows at a time
 into the texts of their numbers, and ``%s`` templates place those texts into
 the rows, with their padding and quoted keys, and into their CSV lines, which
 go to the table's CSV file as they are made; so every number is formatted
-once, and only a few rows' texts are held. ``format_rows`` is the one
-``%.17g`` formatter of tables and CSV lines: a numpy kernel that makes the
-bytes of ``%.17g`` without a Python call per number, with ``%.17g`` itself
-for the few numbers the kernel cannot decide. ``open_csv`` is the one CSV
-writer. Every container is one ``"".join`` over a flat list of its parts,
-so a large report's text is held about twice at most.
+once, and only a few rows' texts are held, which ``write_report`` writes as
+they come. ``format_rows`` is the one ``%.17g`` formatter of tables and CSV
+lines: a numpy kernel that makes the bytes of ``%.17g`` without a Python
+call per number, with ``%.17g`` itself for the few numbers the kernel
+cannot decide. ``open_csv`` is the one CSV writer. Every container of
+``json_dumps`` is one ``"".join`` over a flat list of its parts, so a large
+report's text is held about twice at most.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _FLOAT = frozenset([float])
 _STR = frozenset([str])
 _PAD = "  "  # indentation per nesting level
 # rows formatted in one pass of the kernel, whose temporaries peak at about
-# 400 bytes a number: a small part of a large report, and of a grid block's text
+# 200 bytes a number: a small part of a large report, and of a grid block's text
 _CHUNK = 128
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its encoder set-up
 
@@ -173,6 +174,8 @@ def _format_chunk(table: np.ndarray, separator: str) -> str:
         last = groups[j].take(pending)
         zeros[pending] += trailing_t.take(last)
         pending = pending[last == 0]
+    # the arithmetic's temporaries go before the layout's arrays are made
+    del a, head, tail, rest, p, c, a_head, a_tail, t, whole, frac, q, high8, part, div
     canvas = canvas_t.take(k, axis=0)
     field = canvas[:, _FIELD:_EXPONENT]
     point = point_t.take(k)
@@ -189,7 +192,9 @@ def _format_chunk(table: np.ndarray, separator: str) -> str:
         text = _format_one(float(x[i])).encode()
         canvas[i, : len(text)] = np.frombuffer(text, np.uint8)
         keep[i, :_END] = np.arange(_END) < len(text)
-    return np.compress(keep.ravel(), canvas.ravel()).tobytes().decode("ascii")
+    # kept bytes are nonzero ASCII: zero the rest and drop them, with no np.compress index array
+    np.multiply(canvas, keep, out=canvas)
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def format_rows(table, separator: str = ",") -> str:
@@ -197,7 +202,7 @@ def format_rows(table, separator: str = ",") -> str:
 
     Each number is ``%.17g``: floats at 17 significant digits, and integers
     of magnitude up to 2**53 as their decimal digits, joined by
-    ``separator``, one ASCII character. A vectorized kernel makes the bytes
+    ``separator``, one ASCII character other than NUL. A vectorized kernel makes the bytes
     of ``%.17g``: it rounds each number to 17 digits by an exact
     double-double product with a power of ten and lays the digits out by
     table. It leaves to ``%.17g``, one at a time, NaN, inf, magnitudes
@@ -229,13 +234,11 @@ class Table:
         self.csv = None
 
 
-def render_table(table: Table, level: int) -> str:
-    """``table`` as the JSON list of its rows at nesting ``level``, each number formatted once.
+def table_chunks(table: Table, level: int):
+    """``table`` as the JSON list of its rows at nesting ``level``, in pieces, each number formatted once.
 
-    Every ``_CHUNK`` rows are formatted by one ``format_rows``
-    call into the texts of their numbers, which ``%s`` templates then place
-    into the rows and, if the table has a ``csv`` setting, into the CSV
-    lines written to its file.
+    Every ``_CHUNK`` rows are formatted by one ``format_rows`` call, whose texts ``%s`` templates
+    place into the rows, yielded, and into the lines of the ``csv`` setting, written first.
     """
     inner, pad = _PAD * (level + 1), _PAD * (level + 2)
     values = {key: "[%s]" % ", ".join(["%s"] * width) if width else "%s" for key, width in table.fields}
@@ -246,20 +249,19 @@ def render_table(table: Table, level: int) -> str:
     csv_columns = [c for csv_key in csv_keys for c, key in enumerate(keys) if key == csv_key]
     line = ",".join(["%s"] * len(csv_columns)) + "\n"
     # the flat positions of the CSV cells among a chunk's texts, in line order
-    positions = [r * len(keys) + c for r in range(_CHUNK) for c in csv_columns]
-    parts = ["[\n"]
+    positions = [r + c for r in range(0, _CHUNK * len(keys), len(keys)) for c in csv_columns]
+    opening = "[\n"
     for i in range(0, len(table.rows), _CHUNK):
         chunk = table.rows[i : i + _CHUNK]
         cells = format_rows(chunk, "\n").split("\n")
         cells.pop()  # the empty text after the last row's end
-        parts += (",\n".join([row] * len(chunk)) % tuple(cells), ",\n")
         if csv_columns:
             picked = operator.itemgetter(*positions[: len(chunk) * len(csv_columns)])(cells)
             csv_file.write(line * len(chunk) % picked)
-    if len(parts) == 1:
-        return "[]"
-    parts[-1] = "\n" + _PAD * level + "]"
-    return "".join(parts)
+        yield opening
+        yield ",\n".join([row] * len(chunk)) % tuple(cells)
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n" + _PAD * level + "]"
 
 
 def _render(obj, level: int) -> str:
@@ -292,7 +294,7 @@ def _render(obj, level: int) -> str:
         parts[-1] = "\n" + _PAD * level + "}"
         return "".join(parts)
     if kind is Table:
-        return render_table(obj, level)
+        return "".join(table_chunks(obj, level))
     if kind is str:
         return _quote(obj)
     if obj is None:
@@ -310,11 +312,21 @@ def json_dumps(obj) -> str:
 
     ``obj`` is built of Python floats, ints, bools, strs and None, lists,
     dicts with str keys, float64 arrays (as their ``tolist()``) and
-    ``Table``s (by ``render_table``); any other type, a numpy scalar or a
+    ``Table``s (by ``table_chunks``); any other type, a numpy scalar or a
     tuple included, raises TypeError. A non-finite float raises
     NonFiniteError, a ValueError.
     """
     return _render(obj, 0)
+
+
+def write_report(report: dict, file) -> None:
+    """Write ``json_dumps(report)`` and a newline to ``file``, its one top-level Table in pieces."""
+    (key,) = [key for key, value in report.items() if type(value) is Table]
+    # the rest of the report, rendered around a placeholder string
+    head, tail = json_dumps({**report, key: "\x00"}).split(_quote("\x00"))
+    file.write(head)
+    file.writelines(table_chunks(report[key], 1))
+    file.write(tail + "\n")
 
 
 def complex_pairs(values) -> list:

@@ -1,4 +1,4 @@
-"""Spin-1 matrices, directional observables, and the spin-1 action of SO(3).
+"""Spin-1 matrices in the spin and Cartesian bases, and the spin-1 action of SO(3).
 
 The three generators act on a three-level system in the basis ordered
 |+1>, |0>, |-1>, so the z generator is diag(1, 0, -1). A unit direction u
@@ -8,11 +8,8 @@ same way R rotates directions.
 
 The same generators in the Cartesian basis x, y, z are -i eps_k, built from
 the Levi-Civita symbol. There a rotation acts by R itself, and a product of
-two observables is real, which the Monte Carlo certificate uses.
-
-A stack of directions gives a stack of observables, computed with the
-stack's axes innermost: ``spin_along`` returns a view of that array with
-the 3x3 axes last.
+two observables is real, which the Bell operator and the Monte Carlo
+certificate use.
 """
 
 from __future__ import annotations
@@ -55,10 +52,10 @@ def cartesian_generators() -> np.ndarray:
 
 
 def _as_real(values, error: type[Exception], what: str) -> np.ndarray:
-    """``values`` as a float array; ``error`` for a complex one, whose imaginary part a cast drops."""
+    """``values`` as a float array; ``error`` unless they are bools, integers or floats, which a cast keeps."""
     values = np.asarray(values)
-    if values.dtype.kind == "c":
-        raise error(f"{what} must be real, got a {values.dtype} array")
+    if values.dtype.kind not in "biuf":
+        raise error(f"{what} must be real numbers, got a {values.dtype} array")
     return np.asarray(values, dtype=float)
 
 
@@ -78,25 +75,6 @@ def check_unit_vectors(directions) -> np.ndarray:
             f"(tolerance {TOL.unit_norm_reject:.1e})"
         )
     return directions
-
-
-def spin_along(u) -> np.ndarray:
-    """Observable measuring spin along the unit direction ``u``.
-
-    Hermitian, traceless, spectrum {-1, 0, 1}. Rejects inputs whose norm
-    deviates from 1 beyond the rejection tolerance. An (..., 3) stack of
-    directions gives the (..., 3, 3) stack of their observables.
-
-    The result is a view: the observables are computed as a (3, 3, ...)
-    array, the stack's axes innermost, so that each numpy product runs
-    along the stack rather than over a row of 3 entries;
-    ``np.moveaxis(spin_along(u), (-2, -1), (0, 1))`` is that array again.
-    """
-    u = check_unit_vectors(u)
-    x, y, z = u[..., 0], u[..., 1], u[..., 2]
-    trailing = (1,) * x.ndim
-    S_X, S_Y, S_Z = (S.reshape((3, 3) + trailing) for S in (_S_X, _S_Y, _S_Z))
-    return np.moveaxis(x * S_X + y * S_Y + z * S_Z, (0, 1), (-2, -1))
 
 
 def check_rotation(R) -> np.ndarray:

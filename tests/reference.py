@@ -1,9 +1,9 @@
 """Reference helpers that only the tests call.
 
-Axis-angle rotations, random states, the best state of an operator, the
-reduced Bell operator of a scenario, the invariant-subspace blocks of the
-canonical operator, the invariant-split leakage check and the one-``%``
-table formatter. The certifier's own paths (closed-form spectrum, rotation
+Axis-angle rotations, spin observables in the |+1>, |0>, |-1> basis,
+random states, the best state of an operator, the reduced Bell operator of
+a scenario, the invariant-subspace blocks of the canonical operator, the
+invariant-split leakage check and the one-``%`` table formatter. The certifier's own paths (closed-form spectrum, rotation
 reduction, Monte Carlo and seesaw) use none of them; the tests use them to
 build inputs and to check those paths from another side.
 """
@@ -19,7 +19,7 @@ from spinchsh.errors import NormalizationError, RotationError
 from spinchsh.reduction import canonical_reduction
 from spinchsh.search import QuantumState
 from spinchsh.spectrum import _check_hermitian, _check_parameters
-from spinchsh.spin import check_unit_vectors
+from spinchsh.spin import CARTESIAN_BASIS, check_unit_vectors, spin_generators
 
 
 def check_unit_vector(u) -> np.ndarray:
@@ -37,6 +37,45 @@ def rotation_about(axis, angle: float) -> np.ndarray:
         raise RotationError(f"rotation angle {angle} is not finite")
     K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def spin_along(u) -> np.ndarray:
+    """Observable measuring spin along the unit direction ``u``, in the |+1>, |0>, |-1> basis.
+
+    Hermitian, traceless, spectrum {-1, 0, 1}. Rejects inputs whose norm
+    deviates from 1 beyond the rejection tolerance. An (..., 3) stack of
+    directions gives the (..., 3, 3) stack of their observables, computed
+    with the stack's axes innermost and returned as a view with the 3x3
+    axes last.
+    """
+    u = check_unit_vectors(u)
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    trailing = (1,) * x.ndim
+    S_X, S_Y, S_Z = (S.reshape((3, 3) + trailing) for S in spin_generators())
+    return np.moveaxis(x * S_X + y * S_Y + z * S_Z, (0, 1), (-2, -1))
+
+
+# C (x) C: Cartesian coordinates of both parties to |+1>, |0>, |-1> ones, so
+# an operator B of bell_operator is W B W^dagger in the spin basis
+CARTESIAN_PAIR = np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
+
+
+def levi_civita_along(u) -> np.ndarray:
+    """eps(u) = sum_k u_k eps_k of one 3-vector, written out entry by entry: i S(u) in the Cartesian basis."""
+    x, y, z = u
+    return np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
+
+
+def spin_kron_bell(quad) -> np.ndarray:
+    """One scenario's Bell operator in the spin basis: the sum of np.kron of ``spin_along`` observables."""
+    sa, sap, sb, sbp = (spin_along(u) for u in quad)
+    return np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
+
+
+def cartesian_kron_bell(quad) -> np.ndarray:
+    """One scenario's Bell operator in the Cartesian basis, as -sum +-np.kron(eps(u), eps(v))."""
+    ea, eap, eb, ebp = (levi_civita_along(u) for u in quad)
+    return -(np.kron(ea, eb) + np.kron(ea, ebp) + np.kron(eap, eb) - np.kron(eap, ebp))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> QuantumState:

@@ -16,7 +16,6 @@ from spinchsh import (
     TOL,
     MeasurementScenario,
     QuantumState,
-    bell_operator,
     canonical_operator,
     canonical_reduction,
     closed_form_spectrum,
@@ -113,7 +112,7 @@ def test_criterion_5_tightness():
     top = np.zeros(9)
     top[0] = 1.0
     state = QuantumState.pure(top)
-    value = expectation(state, bell_operator(tight))
+    value = expectation(state, SPIN1_FAMILY.bell_operator(tight))
     seesaw = search._seesaw(SPIN1_FAMILY, tight.directions()[None])
     best, iterations = float(seesaw.values[0]), int(seesaw.iterations[0])
     ok = abs(value - 2.0) < 1e-12 and iterations <= 2 and abs(best - 2.0) < 1e-9

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference import CARTESIAN_PAIR, cartesian_kron_bell, spin_along, spin_kron_bell
 from spinchsh import (
     CARTESIAN_BASIS,
     CertificationError,
@@ -31,7 +32,6 @@ from spinchsh import (
     expectation,
     monte_carlo_certify,
     random_directions,
-    spin_along,
     svd3,
 )
 from spinchsh import cli, search, serialize
@@ -73,14 +73,14 @@ def loop_reduction(M):
 
 
 def reference_row(index: int, sc: MeasurementScenario) -> dict:
-    """One verify row computed per scenario: np.kron build, 2-D eigvalsh, per-matrix reduction."""
-    sa, sap, sb, sbp = (spin_along(u) for u in sc.directions())
-    B = np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
-    assert np.array_equal(B, B.conj().T)
-    # entries below sqrt(tiny)/eps of the largest underflow LAPACK's
-    # eigenvalue-only solver; verify zeroes them, _NOISE_A has some at 4e-144
+    """One verify row computed per scenario: Cartesian np.kron build, 2-D eigvalsh, per-matrix reduction."""
+    B = cartesian_kron_bell(sc.directions())
+    assert B.dtype == np.float64 and np.array_equal(B, B.T)
+    # nonzero entries below sqrt(tiny)/eps of the largest underflow LAPACK's
+    # eigenvalue-only solver; verify zeroes them, _NOISE_A has some at 4e-144.
+    # A -0.0 stays: the real solver's result can depend on a zero's sign
     cut = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps * np.abs(B).max()
-    B = np.where(np.abs(B) < cut, 0.0, B)
+    B = np.where((np.abs(B) < cut) & (B != 0.0), 0.0, B)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
     _, _, s, t = loop_reduction(correlation_matrices(sc))
     return {
@@ -179,13 +179,15 @@ class TestVerifyRows:
         # the per-scenario computation on the file as loaded (directions renormalised)
         sc, loaded = cli.load_scenario_file(str(path))
         assert np.array_equal(loaded.data, state.data)
-        assert row["expectation"] == expectation(loaded, bell_operator(sc))
-
-
-def kron_bell(quad) -> np.ndarray:
-    """One scenario's Bell operator as the four-term sum of np.kron of per-vector observables."""
-    sa, sap, sb, sbp = (spin_along(u) for u in quad)
-    return np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
+        # the state carried to the Cartesian basis of the four-term build
+        W = CARTESIAN_PAIR
+        if kind == "pure":
+            carried = QuantumState.pure(W.conj().T @ loaded.data)
+        else:
+            carried = QuantumState.mixed(W.conj().T @ loaded.data @ W)
+        assert row["expectation"] == expectation(carried, cartesian_kron_bell(sc.directions()))
+        # which is the spin-basis value, to within rounding
+        assert abs(row["expectation"] - expectation(loaded, spin_kron_bell(sc.directions()))) <= 1e-15
 
 
 def signed_zero_directions() -> np.ndarray:
@@ -209,7 +211,7 @@ class TestBellStack:
         stack = bell_operator(directions)
         assert stack.shape == (len(directions), 9, 9)
         for quad, B in zip(directions, stack):
-            assert bits_equal(B, kron_bell(quad))
+            assert bits_equal(B, cartesian_kron_bell(quad))
             assert bits_equal(B, bell_operator(MeasurementScenario(*quad)))
 
     def test_leading_axes_are_kept(self):
@@ -219,7 +221,7 @@ class TestBellStack:
             stack = bell_operator(directions)
             assert stack.shape == shape + (9, 9) and stack.flags.c_contiguous
             for index in np.ndindex(shape):
-                assert bits_equal(stack[index], kron_bell(directions[index])), (shape, index)
+                assert bits_equal(stack[index], cartesian_kron_bell(directions[index])), (shape, index)
                 assert bits_equal(stack[index], bell_operator(directions[index])), (shape, index)
 
     def test_spin_along_stack_matches_each_vector(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, qr_rotation, scenarios, unit_vectors
+from reference import CARTESIAN_PAIR, levi_civita_along, spin_kron_bell
 from spinchsh import (
     HermiticityError,
     InputError,
@@ -16,12 +17,14 @@ from spinchsh import (
     SPIN1_FAMILY,
     bell_operator,
     canonical_operator,
+    cartesian_generators,
     correlation_matrices,
     coupling_operator,
-    spin_along,
+    random_directions,
     spin_generators,
     spin_representation,
 )
+from spinchsh.bell import SPIN1_REAL_TENSOR
 
 
 def brute_force_coupling(M):
@@ -110,21 +113,18 @@ class TestCouplingOperator:
 
 
 class TestBellOperator:
+    """The four-term reference, built in the Cartesian basis, against the spin basis and K(M)."""
+
     def test_tight_scenario(self, tight_scenario):
-        _, _, Sz = spin_generators()
-        assert np.array_equal(bell_operator(tight_scenario), 2.0 * np.kron(Sz, Sz))
+        eps_z = cartesian_generators()[2]
+        assert np.array_equal(bell_operator(tight_scenario), -2.0 * np.kron(eps_z, eps_z))
 
     def test_four_term_sum_oracle(self):
         rng = np.random.default_rng(8)
+        W = CARTESIAN_PAIR
         for _ in range(10):
             sc = gaussian_scenario(rng)
-            a, ap, b, bp = sc.directions()
-            direct = (
-                np.kron(spin_along(a), spin_along(b))
-                + np.kron(spin_along(a), spin_along(bp))
-                + np.kron(spin_along(ap), spin_along(b))
-                - np.kron(spin_along(ap), spin_along(bp))
-            )
+            direct = W.conj().T @ spin_kron_bell(sc.directions()) @ W
             assert np.linalg.norm(bell_operator(sc) - direct) < 1e-14
 
     def test_antiparallel_collapses_to_single_term(self):
@@ -135,13 +135,12 @@ class TestBellOperator:
             b = rng.standard_normal(3)
             b /= np.linalg.norm(b)
             sc = MeasurementScenario(a, -a, b, b)
-            assert np.linalg.norm(
-                bell_operator(sc) - 2.0 * np.kron(spin_along(a), spin_along(b))
-            ) < 1e-14
+            single = -np.kron(levi_civita_along(a), levi_civita_along(b))
+            assert np.linalg.norm(bell_operator(sc) - 2.0 * single) < 1e-14
 
     @given(scenarios())
     def test_two_paths_agree(self, sc):
-        diff = bell_operator(sc) - coupling_operator(correlation_matrices(sc))
+        diff = bell_operator(sc) - coupling_operator(correlation_matrices(sc), SPIN1_REAL_TENSOR)
         assert np.linalg.norm(diff) < 1e-12
 
     def test_two_paths_agree_bulk(self):
@@ -171,10 +170,30 @@ class TestBellOperator:
         dirs = rng.standard_normal((20, 4, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         batch = coupling_operator(correlation_matrices(dirs))
+        real = coupling_operator(correlation_matrices(dirs), SPIN1_REAL_TENSOR)
         for k in range(20):
             sc = MeasurementScenario(*dirs[k])
-            assert np.linalg.norm(batch[k] - bell_operator(sc)) < 1e-13
+            assert np.linalg.norm(real[k] - bell_operator(sc)) < 1e-13
             assert np.linalg.norm(batch[k] - SPIN1_FAMILY.bell_operator(sc)) < 1e-13
+
+    def test_float64_and_exactly_symmetric(self):
+        B = bell_operator(random_directions(np.random.default_rng(33), (3000, 4)))
+        assert B.dtype == np.float64 and B.flags.c_contiguous
+        assert np.array_equal(B, np.swapaxes(B, -1, -2))
+
+    def test_is_the_spin_basis_sum_in_cartesian_coordinates(self):
+        """W^dagger (the four-term np.kron sum of spin_along) W, W = C (x) C, to 2e-15 (1.3e-15 seen)."""
+        directions = random_directions(np.random.default_rng(34), (3000, 4))
+        W = CARTESIAN_PAIR
+        spin = np.array([spin_kron_bell(quad) for quad in directions])
+        worst = np.max(np.abs(W.conj().T @ spin @ W - bell_operator(directions)))
+        assert worst <= 2e-15
+
+    def test_matches_the_real_coupling_operator(self):
+        """The paper's cross-check: the four-term sum is K(M) through SPIN1_REAL_TENSOR, to 1e-15 (4.4e-16 seen)."""
+        directions = random_directions(np.random.default_rng(35), (3000, 4))
+        real = coupling_operator(correlation_matrices(directions), SPIN1_REAL_TENSOR)
+        assert np.max(np.abs(real - bell_operator(directions))) <= 1e-15
 
     @given(scenarios())
     def test_hermitian_traceless(self, sc):
@@ -191,7 +210,7 @@ class TestBellOperator:
         M = correlation_matrices(sc)
         assert np.linalg.svd(M, compute_uv=False)[1] < 1e-12  # rank <= 1
         assert abs(np.sum(M * M) - 4.0) < 1e-10
-        assert np.linalg.norm(bell_operator(sc) - coupling_operator(M)) < 1e-12
+        assert np.linalg.norm(bell_operator(sc) - coupling_operator(M, SPIN1_REAL_TENSOR)) < 1e-12
 
 
 class TestRotationalCovariance:

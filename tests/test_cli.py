@@ -353,15 +353,23 @@ class TestVerify:
         assert not path.exists()
 
     def test_failed_render_leaves_no_partial_csv(self, capsys, tmp_path, monkeypatch):
-        # the CSV is written while the report renders, so a failure there removes it
-        def render(table, level):
-            table.csv[1].write("a partial line\n")
+        # the CSV is written while the rows are, so a failure there removes it;
+        # stdout keeps the part of the report streamed before the failure
+        argv = ("verify", "--random", "300", "--seed", "2")
+        _, whole, _ = run(capsys, *argv)
+        chunks = serialize.table_chunks
+
+        def failing(table, level):
+            pieces = chunks(table, level)
+            yield next(pieces)  # the opening bracket
+            yield next(pieces)  # the first chunk's rows, after their CSV lines
             raise MemoryError
 
-        monkeypatch.setattr(serialize, "render_table", render)
+        monkeypatch.setattr(serialize, "table_chunks", failing)
         path = tmp_path / "sweep.csv"
-        code, out, err = run(capsys, "verify", "--random", "10", "--seed", "2", "--csv", str(path))
-        assert (code, out) == (1, "")
+        code, out, err = run(capsys, *argv, "--csv", str(path))
+        assert code == 1 and whole.startswith(out)
+        assert f'"index": {serialize._CHUNK - 1},' in out and f'"index": {serialize._CHUNK},' not in out
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not path.exists()
 

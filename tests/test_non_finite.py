@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from reference import check_unit_vector, rotation_about
+from reference import check_unit_vector, rotation_about, spin_along
 from spinchsh import (
     HermiticityError,
     InputError,
     MeasurementScenario,
     NonFiniteError,
     NormalizationError,
+    ObservableFamily,
+    PAULI_FAMILY,
     QuantumState,
     RotationError,
     StateError,
@@ -28,8 +30,8 @@ from spinchsh import (
     closed_form_spectrum,
     correlation_matrices,
     coupling_operator,
+    coupling_tensor,
     eig_hermitian,
-    spin_along,
     spin_representation,
     svd3,
 )
@@ -190,4 +192,42 @@ _Z = np.array([0.0, 0.0, 1.0])
 )
 def test_complex_input_rejected(call, error):
     with pytest.raises(error, match="must be real"):
+        call()
+
+
+_DIGITS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+# numpy reads a list holding a string as a string array, whose float cast
+# parses digits and raises a builtin ValueError on anything else; a generator
+# stack of the wrong shape used to reach einsum
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: MeasurementScenario(["x", 0, 1], _Z, _Z, _Z), NormalizationError),
+        (lambda: check_unit_vectors(["0", "0", "1"]), NormalizationError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.generators, "x"), InputError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.generators, "2"), InputError),
+        (lambda: coupling_tensor(np.zeros((2, 2))), InputError),
+        (lambda: coupling_tensor(np.zeros((3, 2, 3))), InputError),
+        (lambda: svd3(_DIGITS), InputError),
+        (lambda: coupling_operator(_DIGITS), InputError),
+        (lambda: check_rotation(_DIGITS), RotationError),
+        (lambda: closed_form_spectrum("1", 1), InputError),
+    ],
+    ids=[
+        "MeasurementScenario",
+        "check_unit_vectors",
+        "known_maximum-word",
+        "known_maximum-digits",
+        "coupling_tensor-2d",
+        "coupling_tensor-not-square",
+        "svd3",
+        "coupling_operator",
+        "check_rotation",
+        "closed_form_spectrum",
+    ],
+)
+def test_non_numeric_input_rejected(call, error):
+    with pytest.raises(error):
         call()

@@ -20,7 +20,7 @@ MOVED = {
     ),
     reduction: ("reduced_bell",),
     search: ("random_pure_state", "random_density_matrix", "best_state_value"),
-    spin: ("rotation_about", "check_unit_vector"),
+    spin: ("rotation_about", "check_unit_vector", "spin_along"),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, scenarios
-from reference import best_state_value, random_density_matrix, random_pure_state
+from reference import CARTESIAN_PAIR, best_state_value, random_density_matrix, random_pure_state
 from spinchsh import (
     CertificationError,
     HermiticityError,
@@ -134,7 +134,7 @@ class TestQuantumState:
         v[0] = 1.0
         state = QuantumState.pure(v)
         v[0] = 3.0  # a complex vector used to be kept as a view
-        B = bell_operator(tight_scenario)
+        B = SPIN1_FAMILY.bell_operator(tight_scenario)
         assert expectation(state, B) == 2.0
         with pytest.raises(ValueError):
             state.data[0] = 3.0
@@ -145,7 +145,7 @@ class TestQuantumState:
         rho[0, 0] = 1.0
         state = QuantumState.mixed(rho)
         rho[0, 0] = 3.0
-        B = bell_operator(tight_scenario)
+        B = SPIN1_FAMILY.bell_operator(tight_scenario)
         assert expectation(state, B) == 2.0
         with pytest.raises(ValueError):
             state.data[0, 0] = 3.0
@@ -172,7 +172,7 @@ class TestQuantumState:
 
 class TestExpectation:
     def test_tight_product_state(self, tight_scenario):
-        B = bell_operator(tight_scenario)
+        B = SPIN1_FAMILY.bell_operator(tight_scenario)
         assert abs(expectation(ket(0), B) - 2.0) < 1e-12
 
     def test_maximally_mixed_gives_zero(self, tight_scenario):
@@ -280,7 +280,9 @@ class TestFamilies:
         rng = np.random.default_rng(5)
         for _ in range(20):
             sc = gaussian_scenario(rng)
-            assert np.linalg.norm(SPIN1_FAMILY.bell_operator(sc) - bell_operator(sc)) < 1e-13
+            # the four-term build is in the Cartesian basis: W B W^dagger in the spin basis
+            four_term = CARTESIAN_PAIR @ bell_operator(sc) @ CARTESIAN_PAIR.conj().T
+            assert np.linalg.norm(SPIN1_FAMILY.bell_operator(sc) - four_term) < 1e-13
 
     def test_pauli_observables_square_to_identity(self):
         rng = np.random.default_rng(6)
@@ -354,7 +356,8 @@ class TestSeesaw:
 
     def test_report_value_recomputed_independently(self):
         report = maximize_violation(SPIN1_FAMILY, 5, seed=7)
-        recomputed = expectation(report.best_state, bell_operator(report.best_scenario))
+        W = CARTESIAN_PAIR  # the state is in the spin basis, the four-term build in the Cartesian one
+        recomputed = expectation(report.best_state, W @ bell_operator(report.best_scenario) @ W.conj().T)
         assert abs(report.best_value - recomputed) < 1e-10
 
     def test_config_validation(self):

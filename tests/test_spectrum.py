@@ -5,6 +5,7 @@ from hypothesis import given
 from conftest import canonical_params, scenarios
 from reference import V4_INDICES, V5_INDICES, subspace_blocks, verify_invariance
 from spinchsh import (
+    SPIN1_FAMILY,
     TOL,
     HermiticityError,
     InputError,
@@ -136,7 +137,8 @@ class TestEigHermitian:
             (np.eye(3, dtype=np.float32), np.float64),
             (np.eye(3, dtype=int), np.float64),
             ([[True, False], [False, True]], np.float64),
-            (bell_operator(np.array(sc)), np.complex128),
+            (bell_operator(np.array(sc)), np.float64),
+            (SPIN1_FAMILY.bell_operator(np.array(sc)), np.complex128),
             (np.eye(3, dtype=np.complex64), np.complex128),
         ]
         for A, _ in cases:

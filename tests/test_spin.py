@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qr_rotation, rotations, unit_vectors
-from reference import check_unit_vector, rotation_about
+from reference import check_unit_vector, rotation_about, spin_along
 from spinchsh import (
     CARTESIAN_BASIS,
     TOL,
     NormalizationError,
     RotationError,
     cartesian_generators,
-    spin_along,
     spin_generators,
     spin_representation,
 )
