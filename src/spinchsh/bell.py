@@ -9,12 +9,14 @@ where it is real; every other build is the coupling operator, one matrix
 product of M against a precomputed tensor of generator products.
 
 An ObservableFamily is three Hermitian generators with their coupling
-tensor. ``SPIN1_FAMILY``, the spin-1 qutrit family the bound 2 is about,
-holds the one spin-1 tensor, which ``coupling_operator`` uses by default;
-``PAULI_FAMILY`` is the qubit control, whose known maximum 2*sqrt(2)
-exceeds 2. ``SPIN1_REAL_TENSOR`` is the spin-1 tensor in the Cartesian
-basis, and ``canonical_operator`` builds s S_x S_x + t S_z S_z, real in the
-spin basis itself, from the real part of two rows of the spin-1 tensor.
+tensor, and optionally a basis in which every generator product is real.
+``SPIN1_FAMILY``, the spin-1 qutrit family the bound 2 is about, holds the
+one spin-1 tensor, which ``coupling_operator`` uses by default, and the
+Cartesian basis; ``PAULI_FAMILY`` is the qubit control, whose known maximum
+2*sqrt(2) exceeds 2, with the magic basis. ``SPIN1_REAL_TENSOR`` is the
+spin-1 tensor in the Cartesian basis, with exact entries 0 and +-1, and
+``canonical_operator`` builds s S_x S_x + t S_z S_z, real in the spin basis
+itself, from the real part of two rows of the spin-1 tensor.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ import numpy as np
 
 from .errors import InputError, NonFiniteError, NormalizationError
 from .spectrum import _check_hermitian
-from .spin import _as_real, cartesian_generators, check_unit_vectors, spin_generators
+from .spin import (
+    CARTESIAN_BASIS,
+    _as_real,
+    cartesian_generators,
+    check_unit_vectors,
+    spin_generators,
+)
+from .tolerances import TOL
 
 # the four directions in the order of every (..., 4, 3) direction stack
 DIRECTION_NAMES = ("a", "a_prime", "b", "b_prime")
@@ -51,15 +60,30 @@ class ObservableFamily:
     The family owns read-only complex copies of ``generators`` and of
     ``tensor``, their coupling tensor. ``known_maximum`` is the largest
     CHSH expectation the family can reach, the target a search must hit.
+
+    ``basis``, optional, is a (d^2, d^2) unitary W in which every
+    W^dagger (G_i (x) G_j) W is real. ``solve_tensor`` is the coupling tensor
+    of those products, float64, and ``bell_operator`` builds from it, so its
+    operators are real symmetric and the seesaw solves them in float64. With
+    no basis ``solve_tensor`` is ``tensor`` itself, complex, in generator
+    coordinates. ``tensor`` stays in generator coordinates either way, and
+    the family keeps a read-only complex copy of the basis.
+
     A stack of other than (3, d, d) raises InputError, a non-finite entry
-    NonFiniteError, an asymmetry above TOL.hermiticity HermiticityError,
-    and a non-finite ``known_maximum`` InputError.
+    NonFiniteError, an asymmetry above TOL.hermiticity HermiticityError, and
+    a non-finite ``known_maximum`` InputError. A basis of other than
+    (d^2, d^2) raises InputError, a non-finite basis NonFiniteError, one
+    with ||W^dagger W - I|| above TOL.rotation InputError, and one that
+    leaves the nine W^dagger (G_i (x) G_j) W an imaginary part of Frobenius
+    norm above TOL.hermiticity InputError.
     """
 
     name: str
     generators: np.ndarray
     known_maximum: float
+    basis: np.ndarray | None = None
     tensor: np.ndarray = field(init=False, repr=False)
+    solve_tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         generators = np.array(self.generators, dtype=complex)  # a copy no caller holds
@@ -71,11 +95,19 @@ class ObservableFamily:
         if not math.isfinite(maximum):
             raise InputError(f"known_maximum must be finite, got {self.known_maximum!r}")
         tensor = coupling_tensor(generators)
+        basis, solve_tensor = self.basis, tensor
+        if basis is not None:
+            basis = np.array(basis, dtype=complex)
+            solve_tensor = _real_products(tensor, basis)
+            basis.setflags(write=False)
+            solve_tensor.setflags(write=False)
         generators.setflags(write=False)
         tensor.setflags(write=False)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "known_maximum", maximum)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "solve_tensor", solve_tensor)
 
     @property
     def dim(self) -> int:
@@ -84,19 +116,55 @@ class ObservableFamily:
     def bell_operator(self, sc) -> np.ndarray:
         """The Bell operator of a MeasurementScenario, or of each quadruple of a (..., 4, 3) stack.
 
-        Every direction is checked for unit norm. Each operator of a stack is
-        built bit for bit as it would be alone, so a seesaw restart follows
-        the same path in any batch.
+        It is built from ``solve_tensor``: W^dagger K(M) W, float64, for a
+        family with a basis W, and K(M) in generator coordinates for one
+        without. Every direction is checked for unit norm. Each operator of a
+        stack is built bit for bit as it would be alone, so a seesaw restart
+        follows the same path in any batch.
         """
         M = correlation_matrices(check_unit_vectors(sc))
         # the unit axis makes every build one vector-matrix product, as for a single M
-        return coupling_operator(M[..., None, :, :], self.tensor)[..., 0, :, :]
+        return coupling_operator(M[..., None, :, :], self.solve_tensor)[..., 0, :, :]
 
 
-# spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's
-SPIN1_FAMILY = ObservableFamily("qutrit-spin1", spin_generators(), 2.0)
+def _real_products(tensor: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (9, n^2) float64 tensor of W^dagger (G_i (x) G_j) W for the (n, n) unitary W = ``basis``.
+
+    ``tensor`` is the complex coupling tensor of the G, n = d^2; the basis is
+    checked as ObservableFamily documents.
+    """
+    n = math.isqrt(tensor.shape[1])
+    if basis.shape != (n, n):
+        raise InputError(f"expected a ({n}, {n}) basis, got shape {basis.shape}")
+    if not np.isfinite(basis).all():
+        raise NonFiniteError("basis must be finite")
+    # einsum and sums of squares, not matmul, np.linalg.norm or a complex
+    # np.abs: run at import, their first calls grow every process's resident
+    # set (OpenBLAS's buffers, about 0.4 MB). Both gates are written so that a
+    # NaN residual fails them.
+    excess = np.einsum("ki,kj->ij", basis.conj(), basis) - np.eye(n)
+    residual = math.sqrt(np.sum(excess.real**2 + excess.imag**2))
+    if not residual <= TOL.rotation:
+        raise InputError(f"basis is not unitary: ||W^dagger W - I|| = {residual:.3e}")
+    products = np.einsum("ai,kab,bj->kij", basis.conj(), tensor.reshape(9, n, n), basis)
+    imaginary = math.sqrt(np.sum(products.imag**2))
+    if not imaginary <= TOL.hermiticity:
+        raise InputError(f"basis leaves the generator products an imaginary part {imaginary:.3e}")
+    return np.ascontiguousarray(products.real).reshape(9, n * n)
+
+
+# spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's.
+# Each family's basis makes its generator products real with entries 0 and
+# +-1: the Cartesian one, where S_k = -i eps_k, and for the Pauli matrices
+# the magic basis of Hill and Wootters (PRL 78, 5022 (1997)).
+SPIN1_FAMILY = ObservableFamily(
+    "qutrit-spin1", spin_generators(), 2.0, np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
+)
 PAULI_FAMILY = ObservableFamily(
-    "qubit-pauli", [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], 2.0 * math.sqrt(2.0)
+    "qubit-pauli",
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    2.0 * math.sqrt(2.0),
+    np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / math.sqrt(2.0),
 )
 
 # The spin-1 tensor in the Cartesian basis, where S_k = -i eps_k makes every

@@ -12,7 +12,9 @@ Restarts start from the seed's ``random_directions`` draw, as ``verify`` does.
 The same optimizer runs on any ObservableFamily of ``bell``: the spin-1
 qutrit family the bound-2 certification is about, the qubit Pauli family
 that serves as a positive control because its known maximum 2*sqrt(2)
-exceeds 2, or one of the caller's own.
+exceeds 2, or one of the caller's own. It runs in the family's solve basis:
+in float64 for a family with a real basis, as both built-in ones have, and
+in complex arithmetic in generator coordinates for one without.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ def _check_state_norms(vectors: np.ndarray) -> None:
 
 def _checked_real(value: np.ndarray) -> np.ndarray:
     """The real part of expectation values; a large imaginary part means corrupt inputs."""
+    if not np.iscomplexobj(value):
+        return value
     bad = ~(np.abs(value.imag) <= TOL.trace_imag)
     if np.any(bad):
         first = value.imag[bad][0]
@@ -103,7 +107,7 @@ def _checked_real(value: np.ndarray) -> np.ndarray:
 
 
 def _real_expectations(vectors: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<v|B|v> for each pure state of an (R, n) stack against its (R, n, n) operator."""
+    """<v|B|v> for each pure state of an (R, n) stack against its (R, n, n) operator, real or complex."""
     return _checked_real((vectors.conj()[:, None, :] @ B @ vectors[:, :, None])[:, 0, 0])
 
 
@@ -176,8 +180,9 @@ def random_directions(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
 # seesaw optimization
 
 
-# a fixed cap, not an option: every restart of both families converges at
-# iteration 2 (32768 restarts each, seeds 0-7), so the cap never binds
+# a fixed cap, not an option: every restart of the two built-in families,
+# solved in their real bases, converges at iteration 2 (32768 restarts each,
+# seeds 0-7), so for them the cap never binds; another family may climb longer
 MAX_ITERATIONS = 500
 
 
@@ -197,7 +202,7 @@ class _SeesawBatch:
 
     values: np.ndarray  # (R,) final objective
     directions: np.ndarray  # (R, 4, 3) final a, a', b, b'
-    states: np.ndarray  # (R, d^2) final top eigenvectors
+    states: np.ndarray  # (R, d^2) final top eigenvectors, in the family's solve basis
     iterations: np.ndarray  # (R,) iterations run
     converged: np.ndarray  # (R,) whether the improvement fell below TOL.seesaw_improvement
     history: np.ndarray  # (iterations, R) objective per iteration, NaN once a restart stopped
@@ -224,11 +229,13 @@ def _sum_and_difference(pair: np.ndarray) -> np.ndarray:
 def _correlations(family: ObservableFamily, states: np.ndarray) -> np.ndarray:
     """T_ij = Re <v| G_i (x) G_j |v> for each state v of an (R, d^2) stack, as (R, 3, 3).
 
-    The unit axis makes each T one vector-matrix product against the
-    family's coupling tensor, bit for bit as for a single state.
+    The states are in the family's solve basis W, so G_i (x) G_j is read as
+    W^dagger (G_i (x) G_j) W, the family's ``solve_tensor``. The unit axis
+    makes each T one vector-matrix product against it, bit for bit as for a
+    single state.
     """
     outer = states.conj()[:, :, None] * states[:, None, :]
-    T = outer.reshape(len(states), 1, -1) @ family.tensor.T
+    T = outer.reshape(len(states), 1, -1) @ family.solve_tensor.T
     return T[:, 0].real.reshape(-1, 3, 3)
 
 
@@ -239,13 +246,15 @@ def _seesaw(family: ObservableFamily, directions: np.ndarray) -> _SeesawBatch:
     build of the updated directions over the restarts still active, whose
     operators the next iteration solves; a restart leaves once its
     improvement falls below TOL.seesaw_improvement. The starts are only read.
+    Every step runs in the dtype of the family's Bell operators, float64 for
+    a family with a basis, and the states are in that basis's coordinates.
     """
     count, d = len(directions), family.dim
     # the active restarts' directions, objectives and operators; they shrink together
     current, before, B = directions, np.full(count, -np.inf), family.bell_operator(directions)
     directions = directions.copy()  # the final directions; the caller's starts stay as drawn
     values = np.empty(count)
-    states = np.empty((count, d * d), dtype=complex)
+    states = np.empty((count, d * d), dtype=B.dtype)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     history = []
@@ -301,6 +310,8 @@ def maximize_violation(family: ObservableFamily, restarts: int, seed: int = 0) -
     ``random_directions`` draw, scenario k of ``verify --random``, and the
     winner is the lowest restart index whose value is within
     TOL.seesaw_monotonicity (relative) of the best value over all restarts.
+    Only the winner's state is carried from the family's basis W back to
+    generator coordinates, as W v.
     """
     if not isinstance(family, ObservableFamily):
         raise InputError(f"family must be an ObservableFamily, got {family!r}")
@@ -324,10 +335,13 @@ def maximize_violation(family: ObservableFamily, restarts: int, seed: int = 0) -
     if winner < offset:
         best, offset = _seesaw(family, starts[winner : winner + 1]), winner
     k = winner - offset
+    state = best.states[k]
+    if family.basis is not None:
+        state = family.basis @ state
     return SearchReport(
         best_value=float(values[winner]),
         best_scenario=MeasurementScenario(*best.directions[k]),
-        best_state=QuantumState.pure(best.states[k]),
+        best_state=QuantumState.pure(state),
         iterations=int(best.iterations[k]),
         converged=bool(best.converged[k]),
         history=best.restart_history(k),

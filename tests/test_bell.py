@@ -174,7 +174,9 @@ class TestBellOperator:
         for k in range(20):
             sc = MeasurementScenario(*dirs[k])
             assert np.linalg.norm(real[k] - bell_operator(sc)) < 1e-13
-            assert np.linalg.norm(batch[k] - SPIN1_FAMILY.bell_operator(sc)) < 1e-13
+            assert np.linalg.norm(batch[k] - coupling_operator(correlation_matrices(sc))) < 1e-13
+            # the family builds in its basis, the Cartesian one, from its own real tensor
+            assert np.linalg.norm(real[k] - SPIN1_FAMILY.bell_operator(sc)) < 1e-13
 
     def test_float64_and_exactly_symmetric(self):
         B = bell_operator(random_directions(np.random.default_rng(33), (3000, 4)))
@@ -349,3 +351,51 @@ class TestObservableFamily:
     def test_non_finite_known_maximum_rejected(self, maximum):
         with pytest.raises(InputError, match="known_maximum must be finite"):
             ObservableFamily("bad", PAULI_FAMILY.generators, maximum)
+
+    @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
+    def test_basis_makes_a_read_only_real_solve_tensor(self, family):
+        assert family.basis.dtype == complex and not family.basis.flags.writeable
+        assert family.solve_tensor.dtype == np.float64 and not family.solve_tensor.flags.writeable
+        W, n = family.basis, family.dim**2
+        rotated = W.conj().T @ family.tensor.reshape(9, n, n) @ W
+        assert np.max(np.abs(rotated.imag)) <= 1e-16
+        assert np.max(np.abs(rotated.real.reshape(9, -1) - family.solve_tensor)) <= 1e-15
+        # with no basis the family solves its complex tensor in generator coordinates
+        plain = ObservableFamily("plain", family.generators, family.known_maximum)
+        assert plain.basis is None and plain.solve_tensor is plain.tensor
+
+    def test_spin1_solve_tensor_is_the_cartesian_one(self):
+        # SPIN1_REAL_TENSOR keeps the exact integers; the family's is rounded W^dagger G W
+        assert np.max(np.abs(SPIN1_FAMILY.solve_tensor - SPIN1_REAL_TENSOR)) <= 4.5e-16
+
+    def test_keeps_its_own_copy_of_the_basis(self):
+        basis = np.array(PAULI_FAMILY.basis)
+        family = ObservableFamily("copy", PAULI_FAMILY.generators, 2.0, basis)
+        basis[0] = 0.0
+        assert np.array_equal(family.basis, PAULI_FAMILY.basis)
+        assert np.array_equal(family.solve_tensor, PAULI_FAMILY.solve_tensor)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (4, 5), (9, 9)], ids=str)
+    def test_basis_shape_checked(self, shape):
+        with pytest.raises(InputError, match=r"expected a \(4, 4\) basis"):
+            ObservableFamily("bad", PAULI_FAMILY.generators, 2.0, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = np.array(PAULI_FAMILY.basis)
+        basis[1, 2] = bad
+        with pytest.raises(NonFiniteError, match="basis must be finite"):
+            ObservableFamily("bad", PAULI_FAMILY.generators, 2.0, basis)
+
+    def test_non_unitary_basis_rejected(self):
+        # the gate is TOL.rotation on ||W^dagger W - I||: 2e-10 fails it, a few ulps do not
+        with pytest.raises(InputError, match="basis is not unitary"):
+            ObservableFamily("bad", PAULI_FAMILY.generators, 2.0, PAULI_FAMILY.basis * (1 + 1e-10))
+        ObservableFamily("ok", PAULI_FAMILY.generators, 2.0, PAULI_FAMILY.basis * (1 + 1e-15))
+
+    @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
+    def test_basis_that_leaves_products_complex_rejected(self, family):
+        # S_y and sigma_y are imaginary in their own bases, so the identity is no real basis
+        identity = np.eye(family.dim**2)
+        with pytest.raises(InputError, match="imaginary part"):
+            ObservableFamily("bad", family.generators, family.known_maximum, identity)

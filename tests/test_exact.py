@@ -6,7 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
-from spinchsh import TOL, cartesian_generators, monte_carlo_certify, spin_generators
+from spinchsh import (
+    PAULI_FAMILY,
+    SPIN1_FAMILY,
+    TOL,
+    cartesian_generators,
+    monte_carlo_certify,
+    spin_generators,
+)
 from spinchsh.bell import SPIN1_REAL_TENSOR
 
 sympy = pytest.importorskip("sympy")
@@ -32,19 +39,56 @@ def test_canonical_characteristic_polynomial_factors():
     assert sympy.factor(charpoly) == sympy.factor(expected)
 
 
-def test_correlation_matrix_frobenius_norm_is_two_for_unit_directions():
-    # ||M||_F^2 with M = a (b + b')^T + a' (b - b')^T reduces to 4 modulo |u|^2 = 1
+def bracket(v):
+    """[v] = sum_k v_k eps_k, the Cartesian spin-1 observable of v times i."""
+    eps = [sympy.Matrix(e.astype(int).tolist()) for e in cartesian_generators()]
+    return sum((v[k] * eps[k] for k in range(3)), sympy.zeros(3, 3))
+
+
+def symbolic_coupling(M):
+    """K(M) in the Cartesian basis for a sympy 3x3 M, through SPIN1_REAL_TENSOR's integers."""
+    tensor = sympy.Matrix(SPIN1_REAL_TENSOR.astype(int).tolist())
+    return (sympy.Matrix(1, 9, list(M)) * tensor).reshape(9, 9)
+
+
+def symbolic_scenario():
+    """Four symbolic 3-vectors a, a', b, b' and their correlation matrix M."""
     vectors = [
         sympy.Matrix(sympy.symbols(f"{name}x {name}y {name}z", real=True))
         for name in ("a", "ap", "b", "bp")
     ]
     a, ap, b, bp = vectors
-    M = a * (b + bp).T + ap * (b - bp).T
+    return vectors, a * (b + bp).T + ap * (b - bp).T
+
+
+def test_correlation_matrix_frobenius_norm_is_two_for_unit_directions():
+    # ||M||_F^2 with M = a (b + b')^T + a' (b - b')^T reduces to 4 modulo |u|^2 = 1
+    vectors, M = symbolic_scenario()
     squared_norm = sum(entry**2 for entry in M)
     constraints = [u.dot(u) - 1 for u in vectors]
     gens = [x for u in vectors for x in u]
     _, remainder = sympy.reduced(sympy.expand(squared_norm - 4), constraints, *gens)
     assert remainder == 0
+
+
+def test_correlation_matrix_has_rank_at_most_two():
+    # a sum of two rank-one terms, for any four vectors, unit or not
+    _, M = symbolic_scenario()
+    assert sympy.expand(M.det()) == 0
+
+
+def test_four_term_sum_is_the_coupling_operator():
+    # the paper's cross-check, exactly: in the Cartesian basis S(u) = -i eps(u),
+    # so the four-term sum is -(eps(a) eps(b) + eps(a) eps(b') + eps(a') eps(b)
+    # - eps(a') eps(b')), and it is K(M) through SPIN1_REAL_TENSOR, by bilinearity
+    (a, ap, b, bp), M = symbolic_scenario()
+
+    def kron(x, y):
+        return sympy.kronecker_product(bracket(x), bracket(y))
+
+    four_term = -(kron(a, b) + kron(a, bp) + kron(ap, b) - kron(ap, bp))
+    K = symbolic_coupling(M)
+    assert (four_term - K).expand() == sympy.zeros(9, 9)
 
 
 def quaternion_rotation(w, x, y, z):
@@ -65,11 +109,6 @@ def test_rotations_act_on_generators_by_adjoint_covariance():
     w, x, y, z = sympy.symbols("w x y z", real=True)
     n = w**2 + x**2 + y**2 + z**2
     Q = quaternion_rotation(w, x, y, z)
-    eps = [sympy.Matrix(e.astype(int).tolist()) for e in cartesian_generators()]
-
-    def bracket(v):
-        return sum((v[k] * eps[k] for k in range(3)), sympy.zeros(3, 3))
-
     v = sympy.Matrix(sympy.symbols("v1 v2 v3", real=True))
     assert (Q.T * Q - n**2 * sympy.eye(3)).expand() == sympy.zeros(3, 3)
     assert sympy.expand(Q.det() - n**3) == 0
@@ -105,6 +144,66 @@ def test_coupling_operator_is_rotation_covariant_in_the_cartesian_basis():
     for left, carried in sides:
         W = polynomial(left)
         assert W * coupling(M) * W.transpose() == coupling(carried) * squared_norm
+
+
+def test_rank_two_characteristic_polynomial_factors():
+    # proper rotations carry any rank <= 2 M to one with a zero third row and
+    # column (third rows of R and Q orthogonal to its column and row spaces),
+    # and (R (x) Q) K(M) (R (x) Q)^T = K(R M Q^T) keeps the spectrum, so this
+    # 4-symbol M covers every rank <= 2 correlation matrix: with F = ||M||_F^2
+    # and G = det of its 2x2 block squared, det(lambda I - K(M)) is
+    # lambda^3 (lambda^2 - F)(lambda^4 - F lambda^2 + G), so det(K - lambda I)
+    # is minus that, and |lambda| <= sqrt(F) with equality attained
+    m11, m12, m21, m22 = sympy.symbols("m11 m12 m21 m22", real=True)
+    lam = sympy.Symbol("lambda")
+    M = sympy.Matrix([[m11, m12, 0], [m21, m22, 0], [0, 0, 0]])
+    K = symbolic_coupling(M)
+    F = m11**2 + m12**2 + m21**2 + m22**2
+    G = (m11 * m22 - m12 * m21) ** 2
+    expected = -(lam**3) * (lam**2 - F) * (lam**4 - F * lam**2 + G)
+    charpoly = K.charpoly(lam).as_expr()
+    assert sympy.expand(-charpoly - expected) == 0
+    assert sympy.factor(-charpoly) == sympy.factor(expected)
+
+
+def exact_solve_bases():
+    """The spin-1 family's C (x) C and the Pauli family's magic basis, exactly."""
+    r = 1 / sympy.sqrt(2)
+    C = sympy.Matrix([[-r, sympy.I * r, 0], [0, 0, 1], [r, sympy.I * r, 0]])
+    magic = sympy.Matrix([[1, 0, 0, sympy.I], [0, sympy.I, 1, 0], [0, sympy.I, -1, 0], [1, 0, 0, -sympy.I]])
+    return {SPIN1_FAMILY.name: sympy.kronecker_product(C, C), PAULI_FAMILY.name: magic * r}
+
+
+def exact_generators(family):
+    """A family's generators as exact sympy matrices, checked against its float ones."""
+    I = sympy.I
+    if family is SPIN1_FAMILY:
+        sx, sz = spin1_x_and_z()
+        sy = sympy.Matrix([[0, -I, 0], [I, 0, -I], [0, I, 0]]) / sympy.sqrt(2)
+        generators = [sx, sy, sz]
+    else:
+        generators = [sympy.Matrix(G) for G in ([[0, 1], [1, 0]], [[0, -I], [I, 0]], [[1, 0], [0, -1]])]
+    for G, float_G in zip(generators, family.generators):
+        assert np.max(np.abs(np.array(G.evalf(), dtype=complex) - float_G)) < 1e-15
+    return generators
+
+
+@pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
+def test_solve_bases_are_unitary_and_make_the_generator_products_integers(family):
+    # the seesaw solves W^dagger (G_i (x) G_j) W in float64: exactly, W is unitary
+    # and all nine products are real with entries 0 and +-1
+    W = exact_solve_bases()[family.name]
+    n = W.shape[0]
+    assert np.max(np.abs(np.array(W.evalf(), dtype=complex) - family.basis)) < 1e-15
+    assert (W.H * W).expand() == sympy.eye(n)
+    generators = exact_generators(family)
+    for i, j in itertools.product(range(3), repeat=2):
+        product = (W.H * sympy.kronecker_product(generators[i], generators[j]) * W).expand()
+        assert all(sympy.im(x) == 0 for x in product), (i, j)
+        assert set(product) <= {-1, 0, 1}, (i, j)
+        # and the float64 solve tensor rounds it by at most an ulp
+        solved = family.solve_tensor[3 * i + j].reshape(n, n)
+        assert np.max(np.abs(np.array(product.tolist(), dtype=float) - solved)) <= 4.5e-16
 
 
 def integer_coupling(M: np.ndarray) -> np.ndarray:

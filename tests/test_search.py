@@ -27,6 +27,8 @@ from spinchsh import (
     TOL,
     StateError,
     bell_operator,
+    correlation_matrices,
+    coupling_operator,
     expectation,
     maximize_violation,
     monte_carlo_certify,
@@ -37,6 +39,11 @@ import spinchsh
 from spinchsh import search
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+
+
+def spin_basis_operator(sc):
+    """K(M) of a scenario in the |+1>, |0>, |-1> basis, where ``ket`` states are written."""
+    return coupling_operator(correlation_matrices(sc), SPIN1_FAMILY.tensor)
 
 
 def ket(index: int, dim: int = 9) -> QuantumState:
@@ -134,7 +141,7 @@ class TestQuantumState:
         v[0] = 1.0
         state = QuantumState.pure(v)
         v[0] = 3.0  # a complex vector used to be kept as a view
-        B = SPIN1_FAMILY.bell_operator(tight_scenario)
+        B = spin_basis_operator(tight_scenario)
         assert expectation(state, B) == 2.0
         with pytest.raises(ValueError):
             state.data[0] = 3.0
@@ -145,7 +152,7 @@ class TestQuantumState:
         rho[0, 0] = 1.0
         state = QuantumState.mixed(rho)
         rho[0, 0] = 3.0
-        B = SPIN1_FAMILY.bell_operator(tight_scenario)
+        B = spin_basis_operator(tight_scenario)
         assert expectation(state, B) == 2.0
         with pytest.raises(ValueError):
             state.data[0, 0] = 3.0
@@ -172,7 +179,7 @@ class TestQuantumState:
 
 class TestExpectation:
     def test_tight_product_state(self, tight_scenario):
-        B = SPIN1_FAMILY.bell_operator(tight_scenario)
+        B = spin_basis_operator(tight_scenario)
         assert abs(expectation(ket(0), B) - 2.0) < 1e-12
 
     def test_maximally_mixed_gives_zero(self, tight_scenario):
@@ -262,7 +269,7 @@ class TestFamilies:
     def test_search_takes_any_family(self):
         # a family the CLI does not name searches exactly as the one it copies
         generators, maximum = PAULI_FAMILY.generators, PAULI_FAMILY.known_maximum
-        copy = ObservableFamily("qubit-pauli-copy", generators, maximum)
+        copy = ObservableFamily("qubit-pauli-copy", generators, maximum, PAULI_FAMILY.basis)
         mine, theirs = (maximize_violation(f, 30, seed=2) for f in (copy, PAULI_FAMILY))
         assert mine.best_value == theirs.best_value
         assert np.array_equal(mine.best_scenario.directions(), theirs.best_scenario.directions())
@@ -280,9 +287,12 @@ class TestFamilies:
         rng = np.random.default_rng(5)
         for _ in range(20):
             sc = gaussian_scenario(rng)
-            # the four-term build is in the Cartesian basis: W B W^dagger in the spin basis
+            # the family builds in its basis, the Cartesian one of the four-term build;
+            # its tensor is K(M)'s in the spin basis
+            assert SPIN1_FAMILY.bell_operator(sc).dtype == np.float64
+            assert np.linalg.norm(SPIN1_FAMILY.bell_operator(sc) - bell_operator(sc)) < 1e-13
             four_term = CARTESIAN_PAIR @ bell_operator(sc) @ CARTESIAN_PAIR.conj().T
-            assert np.linalg.norm(SPIN1_FAMILY.bell_operator(sc) - four_term) < 1e-13
+            assert np.linalg.norm(spin_basis_operator(sc) - four_term) < 1e-13
 
     def test_pauli_observables_square_to_identity(self):
         rng = np.random.default_rng(6)
@@ -306,7 +316,11 @@ class TestFamilies:
             sc = gaussian_scenario(rng)
             sa, sap, sb, sbp = (sum(u[i] * pauli[i] for i in range(3)) for u in sc.directions())
             direct = np.kron(sa, sb) + np.kron(sa, sbp) + np.kron(sap, sb) - np.kron(sap, sbp)
-            assert np.linalg.norm(PAULI_FAMILY.bell_operator(sc) - direct) < 1e-13
+            # the family builds in the magic basis W: W B W^dagger in the computational one
+            W = PAULI_FAMILY.basis
+            B = PAULI_FAMILY.bell_operator(sc)
+            assert B.dtype == np.float64
+            assert np.linalg.norm(W @ B @ W.conj().T - direct) < 1e-13
 
     @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
     def test_bell_operator_checks_its_directions(self, family):

@@ -4,7 +4,9 @@
 iteration. ``reference_restart`` below is the per-restart algorithm kept in
 the test: one Bell build, one eigensolve and one direction update per
 iteration for a single restart, each direction pair moved along its product
-with the restart's own T_ij = Re <v| G_i (x) G_j |v>.
+with the restart's own T_ij = Re <v| G_i (x) G_j |v>. Like the seesaw, it
+works in the family's solve basis: float64 for a family with a basis, and
+complex in generator coordinates for one without.
 """
 
 import contextlib
@@ -21,10 +23,9 @@ from spinchsh import (
     MeasurementScenario,
     MonotonicityError,
     ObservableFamily,
-    QuantumState,
     StateError,
     correlation_matrices,
-    expectation,
+    coupling_operator,
     maximize_violation,
 )
 from spinchsh import cli, search
@@ -32,9 +33,17 @@ from spinchsh import cli, search
 FAMILIES = (SPIN1_FAMILY, PAULI_FAMILY)
 
 
+def without_basis(family):
+    """The same generators and maximum with no basis: the complex seesaw in generator coordinates."""
+    return ObservableFamily(f"{family.name}-complex", family.generators, family.known_maximum)
+
+
+COMPLEX_FAMILIES = tuple(without_basis(family) for family in FAMILIES)
+
+
 def _correlations(family, v):
-    """T_ij = Re <v| G_i (x) G_j |v> for one state, from the family's coupling tensor."""
-    return np.real(np.outer(v.conj(), v).reshape(-1) @ family.tensor.T).reshape(3, 3)
+    """T_ij = Re <v| G_i (x) G_j |v> for one state in the solve basis, from the family's solve tensor."""
+    return np.real(np.outer(v.conj(), v).reshape(-1) @ family.solve_tensor.T).reshape(3, 3)
 
 
 def _renormalized(gradient, fallback):
@@ -55,15 +64,17 @@ def reference_restart(family, scenario):
         eigenvalues, eigenvectors = np.linalg.eigh(family.bell_operator(scenario))
         top = float(eigenvalues[-1])
         assert not top < previous - 1e-12 * max(1.0, abs(previous))
-        state = QuantumState.pure(eigenvectors[:, -1])
-        T = _correlations(family, state.data)
+        v = np.ascontiguousarray(eigenvectors[:, -1])  # a product's rounding follows the layout
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        T = _correlations(family, v)
         a, a_prime, b, b_prime = scenario.directions()
         grad_a = np.stack((b + b_prime, b - b_prime)) @ T.T
         a, a_prime = _renormalized(grad_a[0], a), _renormalized(grad_a[1], a_prime)
         grad_b = np.stack((a + a_prime, a - a_prime)) @ T
         b, b_prime = _renormalized(grad_b[0], b), _renormalized(grad_b[1], b_prime)
         scenario = MeasurementScenario(a, a_prime, b, b_prime)
-        value = expectation(state, family.bell_operator(scenario))
+        # expectation's arithmetic for a pure state, in the operator's own dtype
+        value = float(search._real_expectations(v[None], family.bell_operator(scenario)[None])[0])
         assert not value < top - 1e-12 * max(1.0, abs(top))
         history.append(value)
         if value - previous < search.TOL.seesaw_improvement:
@@ -140,10 +151,34 @@ def search_stdout(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("family", FAMILIES + COMPLEX_FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("seed", [0, 5, 301])
 def test_matches_per_restart_reference(family, seed):
     assert_matches_reference(family, 25, seed)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", [0, 5, 301])
+def test_real_seesaw_matches_the_complex_one(family, seed):
+    # the basis changes the arithmetic, not the algorithm: each restart takes
+    # the same steps to the same value as the complex run in generator coordinates
+    starts = search.random_directions(np.random.default_rng(seed), (64, 4))
+    real, complex_ = (search._seesaw(f, starts) for f in (family, without_basis(family)))
+    assert real.states.dtype == np.float64 and complex_.states.dtype == complex
+    assert np.array_equal(real.iterations, complex_.iterations)
+    assert np.array_equal(real.converged, complex_.converged)
+    assert np.max(np.abs(real.values - complex_.values)) <= 1e-12
+    assert np.nanmax(np.abs(real.history - complex_.history)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", [0, 5, 301])
+def test_reported_state_is_a_top_eigenvector_in_generator_coordinates(family, seed):
+    report = maximize_violation(family, 30, seed=seed)
+    B = coupling_operator(correlation_matrices(report.best_scenario), family.tensor)
+    psi = report.best_state.data
+    assert np.linalg.norm(B @ psi - report.best_value * psi) <= 1e-12
+    assert abs(report.best_value - np.linalg.eigvalsh(B)[-1]) <= 1e-12
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -225,7 +260,9 @@ def test_direction_step_failure_names_first_offending_restart(monkeypatch):
         maximize_violation(PAULI_FAMILY, 10, seed=4)
     eigenvalues, eigenvectors = np.linalg.eigh(built[0])
     top = float(eigenvalues[4, -1])
-    value = float(search._real_expectations(eigenvectors[:, :, -1], built[1])[4])
+    # contiguous, as the seesaw takes them: a real product's rounding follows the layout
+    states = np.ascontiguousarray(eigenvectors[:, :, -1])
+    value = float(search._real_expectations(states, built[1])[4])
     assert value < top
     assert str(excinfo.value) == f"direction step lowered the objective: {top!r} -> {value!r}"
 
@@ -277,7 +314,8 @@ def test_restarts_tied_within_rounding_go_to_the_lowest_index(monkeypatch):
     # restart 6 is row 1 of the second block, so it runs again alone
     assert reported == 6 and len(calls) == 4
     winner = blocks[1][-1]
-    assert np.array_equal(report.best_state.data, winner.states[1])
+    # the batch keeps states in the family's basis; only the report carries one back
+    assert np.array_equal(report.best_state.data, SPIN1_FAMILY.basis @ winner.states[1])
     assert np.array_equal(report.best_scenario.directions(), winner.directions[1])
     assert report.history == winner.restart_history(1)
 
@@ -288,7 +326,8 @@ def test_stack_kernels_match_single_items_bit_for_bit(family):
     directions = search.random_directions(rng, (6, 4))
     B = family.bell_operator(directions)
     d = family.dim
-    v = rng.standard_normal((6, d * d)) + 1j * rng.standard_normal((6, d * d))
+    # states in the solve basis, where they are real
+    v = rng.standard_normal((6, d * d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     T = search._correlations(family, v)
     pairs = search._sum_and_difference(directions[:, 2:])
@@ -316,13 +355,17 @@ def test_only_a_gradient_below_the_floor_keeps_its_fallback():
 def test_gradients_match_kron_expectations():
     # T_ij = Re <v| G_i (x) G_j |v> and the CHSH value is sum_ij M_ij T_ij, so
     # the direction steps' products with T are the exact gradients
+    # the state is in the solve basis W, so the kron products act on W v
     rng = np.random.default_rng(29)
-    for family in FAMILIES:
+    for family in FAMILIES + COMPLEX_FAMILIES:
         gens, n = family.generators, family.dim**2
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        if family.basis is None:
+            v = v + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
+        psi = v if family.basis is None else family.basis @ v
         T = search._correlations(family, v[None])[0]
-        expected = [[np.real(v.conj() @ np.kron(Gi, Gj) @ v) for Gj in gens] for Gi in gens]
+        expected = [[np.real(psi.conj() @ np.kron(Gi, Gj) @ psi) for Gj in gens] for Gi in gens]
         assert np.max(np.abs(T - expected)) < 1e-13, family.name
         scenario = MeasurementScenario(*search.random_directions(rng, (4,)))
         value = np.real(v.conj() @ family.bell_operator(scenario) @ v)

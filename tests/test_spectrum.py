@@ -13,6 +13,8 @@ from spinchsh import (
     bell_operator,
     canonical_operator,
     closed_form_spectrum,
+    correlation_matrices,
+    coupling_operator,
     eig_hermitian,
     spin_generators,
 )
@@ -138,7 +140,8 @@ class TestEigHermitian:
             (np.eye(3, dtype=int), np.float64),
             ([[True, False], [False, True]], np.float64),
             (bell_operator(np.array(sc)), np.float64),
-            (SPIN1_FAMILY.bell_operator(np.array(sc)), np.complex128),
+            (SPIN1_FAMILY.bell_operator(np.array(sc)), np.float64),
+            (coupling_operator(correlation_matrices(np.array(sc))), np.complex128),
             (np.eye(3, dtype=np.complex64), np.complex128),
         ]
         for A, _ in cases:
