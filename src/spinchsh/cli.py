@@ -46,7 +46,6 @@ from .serialize import (
     write_report,
 )
 from .spectrum import closed_form_spectrum, eig_hermitian
-from .spin import CARTESIAN_BASIS
 from .tolerances import TOL
 
 EXIT_OK = 0
@@ -202,7 +201,7 @@ def cmd_verify(args) -> int:
     if state is not None:
         # W^dagger psi or W^dagger rho W: the state in bell_operator's Cartesian coordinates,
         # a unitary image of a checked state, so not checked again
-        W = np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
+        W = SPIN1_FAMILY.basis
         carried = W.conj().T @ state.data
         carried = QuantumState(state.kind, carried if state.kind == "pure" else carried @ W)
         value = expectation(carried, bell_operator(directions[0]))
@@ -264,22 +263,16 @@ def cmd_spectrum(args) -> int:
 def _spectrum_grid(args) -> int:
     values = np.linspace(0.0, 2.0, args.grid)
     n = len(values)
-    rows = max(1, SWEEP_BLOCK // n)
 
     def lines():
-        # one build, one eigensolve and one format_rows per block of grid rows
-        # of fixed s, about SWEEP_BLOCK operators; a stack of the whole grid
-        # would hold N^2 operators at once
-        for start in range(0, n, rows):
-            s = values[start : start + rows]
-            numeric = eig_hermitian(canonical_operator(s[:, None], values))
-            columns = (
-                np.repeat(s, n),
-                np.tile(values, len(s)),
-                numeric.eigenvalues.reshape(-1, 9),
-                numeric.operator_norm.ravel(),
-            )
-            yield format_rows(np.column_stack(columns))
+        # one build, one eigensolve and one format_rows per SWEEP_BLOCK grid
+        # points p in row order, at s = values[p // N], t = values[p % N]; a
+        # stack of the whole grid would hold N^2 operators at once
+        for start in range(0, n * n, SWEEP_BLOCK):
+            p = np.arange(start, min(start + SWEEP_BLOCK, n * n))
+            s, t = values[p // n], values[p % n]
+            numeric = eig_hermitian(canonical_operator(s, t))
+            yield format_rows(np.column_stack((s, t, numeric.eigenvalues, numeric.operator_norm)))
 
     with open_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]) as handle:
         handle.writelines(lines())

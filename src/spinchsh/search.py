@@ -146,10 +146,11 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-# the one block size of every batched loop over a random_directions draw: the
-# vectors per norm computation of the draw, the scenarios per Bell build and
-# eigensolve of verify --random and the Monte Carlo certificate, and the
-# restarts per batched seesaw; it bounds the stacks a large run holds at once
+# the one block size of every batched sweep: the vectors per norm computation
+# of a random_directions draw, the scenarios per Bell build and eigensolve of
+# verify --random and the Monte Carlo certificate, the restarts per batched
+# seesaw, and the grid points per canonical build and eigensolve of
+# spectrum --grid; it bounds the stacks a large run holds at once
 SWEEP_BLOCK = 1024
 
 
@@ -410,9 +411,8 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
 
     _run_blocks(solve_block, range(0, n, SWEEP_BLOCK))
     if csv_path is not None:
-        columns = (np.arange(n), directions.reshape(n, 12), norms)
-        blocks = (slice(k, k + SWEEP_BLOCK) for k in range(0, n, SWEEP_BLOCK))
-        rows = (np.column_stack([column[b] for column in columns]) for b in blocks)
+        blocks = (np.arange(k, min(k + SWEEP_BLOCK, n)) for k in range(0, n, SWEEP_BLOCK))
+        rows = (np.column_stack((p, directions[p].reshape(-1, 12), norms[p])) for p in blocks)
         with open_csv(csv_path, ["index", *DIRECTION_COLUMNS, "norm"]) as handle:
             handle.writelines(map(format_rows, rows))
     # written so that a NaN norm fails too

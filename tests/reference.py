@@ -2,8 +2,9 @@
 
 Axis-angle rotations, spin observables in the |+1>, |0>, |-1> basis,
 random states, the best state of an operator, the reduced Bell operator of
-a scenario, the invariant-subspace blocks of the canonical operator, the
-invariant-split leakage check and the one-``%`` table formatter. The certifier's own paths (closed-form spectrum, rotation
+a scenario, a rank-3 corruption of the correlation matrices, the
+invariant-subspace blocks of the canonical operator, the invariant-split
+leakage check and the one-``%`` table formatter. The certifier's own paths (closed-form spectrum, rotation
 reduction, Monte Carlo and seesaw) use none of them; the tests use them to
 build inputs and to check those paths from another side.
 """
@@ -115,6 +116,18 @@ def reduced_bell(sc: MeasurementScenario) -> tuple[float, float, np.ndarray]:
 # splits the space into the two invariant sectors
 V4_INDICES = (1, 3, 5, 7)
 V5_INDICES = (0, 2, 4, 6, 8)
+
+
+def rank_three_correlations(directions) -> np.ndarray:
+    """correlation_matrices plus a third rank-one term (a x a')(b x b')^T, a rank-3 control.
+
+    a x a' is orthogonal to M's column space span(a, a') and b x b' to its row
+    space span(b, b'), so every scenario with a != +-a' and b != +-b' gets a
+    third singular value |a x a'| |b x b'|, and its norm leaves the band.
+    """
+    a, a_prime, b, b_prime = np.moveaxis(np.asarray(directions, dtype=float), -2, 0)
+    third = np.cross(a, a_prime)[..., :, None] * np.cross(b, b_prime)[..., None, :]
+    return correlation_matrices(directions) + third
 
 
 @dataclass(frozen=True)

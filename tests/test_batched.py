@@ -392,11 +392,11 @@ class TestSpectrumGrid:
 
     @pytest.mark.parametrize(
         "block, solves",
-        [(21, [21, 21, 7]), (5, [7] * 7)],
-        ids=["rows-do-not-divide-n", "n-exceeds-the-block"],
+        [(21, [21, 21, 7]), (5, [5] * 9 + [4])],
+        ids=["block-does-not-divide-n-squared", "no-solve-exceeds-the-block"],
     )
     def test_blocks_of_rows_match_per_point_reference(self, tmp_path, monkeypatch, block, solves):
-        """max(1, SWEEP_BLOCK // N) grid rows a block, one eigensolve each, the same bytes."""
+        """SWEEP_BLOCK grid points a block in row order, one eigensolve each, the same bytes."""
         sizes = []
 
         def solve(stack):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import rank_three_correlations
 from spinchsh import (
     TOL,
     InputError,
@@ -795,6 +796,20 @@ class TestCertify:
         assert monte_carlo["within_band"] is False
         assert set(monte_carlo["offending_scenario"]) == {"a", "a_prime", "b", "b_prime"}
         assert abs(monte_carlo["offending_norm"] - 2.0) < 1e-9
+
+    def test_rank_three_correlations_exit_2_with_scenario(self, capsys, monkeypatch):
+        # a third rank-one term in every M takes the norms off 2; the seesaw
+        # searches do not read it and still pass
+        monkeypatch.setattr(search, "correlation_matrices", rank_three_correlations)
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 2
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert all(p["within_tolerance"] for p in report["search"])
+        monte_carlo = report["monte_carlo"]
+        assert monte_carlo["within_band"] is False
+        assert set(monte_carlo["offending_scenario"]) == {"a", "a_prime", "b", "b_prime"}
+        assert abs(monte_carlo["offending_norm"] - 2.0) > 1e3 * TOL.norm_band
 
     def test_csv_row_count(self, capsys, tmp_path):
         path = tmp_path / "norms.csv"

@@ -10,6 +10,7 @@ from spinchsh import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
     TOL,
+    canonical_reduction,
     cartesian_generators,
     monte_carlo_certify,
     spin_generators,
@@ -144,6 +145,45 @@ def test_coupling_operator_is_rotation_covariant_in_the_cartesian_basis():
     for left, carried in sides:
         W = polynomial(left)
         assert W * coupling(M) * W.transpose() == coupling(carried) * squared_norm
+
+
+def test_route_a_rotations_are_exact_on_rational_inputs():
+    # route A: proper rotations R, Q with R M Q^T = diag(s, 0, t), derived as
+    # reduction.py derives them, in exact arithmetic. M = R0^T diag(s, 0, t) Q0
+    # with R0, Q0 the rotations of rational quaternions and s^2 + t^2 = 4, so
+    # M has rank 2 and every eigenvector below is rational
+    s, t = sympy.Rational(8, 5), sympy.Rational(6, 5)
+    R0, Q0 = (quaternion_rotation(*q) / sum(x**2 for x in q) for q in ((1, 2, 3, 4), (2, -1, 1, 3)))
+    M = R0.T * sympy.diag(s, 0, t) * Q0
+
+    def unit_eigenvectors(A):
+        """The unit eigenvectors of a symmetric A with simple eigenvalues, by eigenvalue descending."""
+        pairs = sorted(A.eigenvects(), key=lambda pair: -pair[0])
+        assert [value for value, _, _ in pairs] == [s**2, t**2, 0]
+        return [v / v.norm() for _, _, (v,) in pairs]
+
+    def largest_entry_positive(u):
+        # svd3's sign rule for a left singular vector, the first entry on ties
+        lead = max(range(3), key=lambda k: (abs(u[k]), -k))
+        return u if u[lead] > 0 else -u
+
+    left = [largest_entry_positive(u) for u in unit_eigenvectors(M * M.T)]
+    right = unit_eigenvectors(M.T * M)
+    # each right vector of a nonzero singular value is signed so that u^T M v > 0
+    right[:2] = [v if (u.T * M * v)[0] > 0 else -v for u, v in zip(left[:2], right)]
+    O1, O2 = (sympy.Matrix.vstack(*(u.T for u in vectors)) for vectors in (left, right))
+    assert O1 * M * O2.T == sympy.diag(s, t, 0)
+    # the zero singular value absorbs a sign flip of the third row, which makes
+    # each determinant +1; the rotation P then moves the zero to the middle
+    J, P = sympy.diag(1, 1, -1), sympy.Matrix([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
+    R, Q = (P * (J * O if O.det() < 0 else O) for O in (O1, O2))
+    assert R * M * Q.T == sympy.diag(s, 0, t)
+    assert R.det() == Q.det() == 1
+    assert R * R.T == Q * Q.T == sympy.eye(3)
+    # and the float reduction, under the same rules, rounds these rotations
+    reduction = canonical_reduction(np.array(M, dtype=float))
+    for exact, rounded in ((R, reduction.R), (Q, reduction.Q), (s, reduction.s), (t, reduction.t)):
+        assert np.max(np.abs(np.array(exact, dtype=float) - rounded)) <= 1e-14
 
 
 def test_rank_two_characteristic_polynomial_factors():

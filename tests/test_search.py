@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, scenarios
-from reference import CARTESIAN_PAIR, best_state_value, random_density_matrix, random_pure_state
+from reference import (
+    CARTESIAN_PAIR,
+    best_state_value,
+    random_density_matrix,
+    random_pure_state,
+    rank_three_correlations,
+)
 from spinchsh import (
     CertificationError,
     HermiticityError,
@@ -457,6 +463,16 @@ class TestMonteCarlo:
         payload = excinfo.value.scenario
         assert set(payload) == {"a", "a_prime", "b", "b_prime"}
         assert abs(excinfo.value.norm - 2.0) < 1e-9
+
+    def test_a_rank_three_term_fails_the_band(self, monkeypatch):
+        # the rank-3 control: a third rank-one term in every M moves the norms
+        # off 2, so the first sample fails and is named
+        monkeypatch.setattr(search, "correlation_matrices", rank_three_correlations)
+        with pytest.raises(CertificationError) as excinfo:
+            monte_carlo_certify(50, seed=1)
+        first = random_directions(np.random.default_rng(1), (1, 4))[0]
+        assert excinfo.value.scenario == dict(zip(("a", "a_prime", "b", "b_prime"), first.tolist()))
+        assert abs(excinfo.value.norm - 2.0) > 1e3 * TOL.norm_band
 
     def test_nan_norm_fails_the_band(self, monkeypatch):
         monkeypatch.setattr(search, "_eigvalsh", lambda B: np.full(B.shape[:-1], np.nan))
