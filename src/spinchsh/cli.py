@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage or input error, 2 certification-band failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -30,6 +31,7 @@ from .reduction import canonical_parameters, canonical_reduction
 from .search import (
     SWEEP_BLOCK,
     QuantumState,
+    _map_blocks,
     expectation,
     maximize_violation,
     monte_carlo_certify,
@@ -264,18 +266,21 @@ def _spectrum_grid(args) -> int:
     values = np.linspace(0.0, 2.0, args.grid)
     n = len(values)
 
-    def lines():
-        # one build, one eigensolve and one format_rows per SWEEP_BLOCK grid
-        # points p in row order, at s = values[p // N], t = values[p % N]; a
-        # stack of the whole grid would hold N^2 operators at once
-        for start in range(0, n * n, SWEEP_BLOCK):
-            p = np.arange(start, min(start + SWEEP_BLOCK, n * n))
-            s, t = values[p // n], values[p % n]
-            numeric = eig_hermitian(canonical_operator(s, t))
-            yield format_rows(np.column_stack((s, t, numeric.eigenvalues, numeric.operator_norm)))
+    def solve(start: int) -> np.ndarray:
+        # one build and one eigensolve per SWEEP_BLOCK grid points p in row
+        # order, at s = values[p // N], t = values[p % N]; a stack of the whole
+        # grid would hold N^2 operators at once
+        p = np.arange(start, min(start + SWEEP_BLOCK, n * n))
+        s, t = values[p // n], values[p % n]
+        numeric = eig_hermitian(canonical_operator(s, t))
+        return np.column_stack((s, t, numeric.eigenvalues, numeric.operator_norm))
 
-    with open_csv(args.csv, ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]) as handle:
-        handle.writelines(lines())
+    # this thread formats and writes every block, which keeps one CPU busy,
+    # while the next blocks are solved on the others
+    blocks = _map_blocks(solve, range(0, n * n, SWEEP_BLOCK), keep=1)
+    header = ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]
+    with open_csv(args.csv, header) as handle, contextlib.closing(blocks):
+        handle.writelines(map(format_rows, blocks))
     return EXIT_OK
 
 

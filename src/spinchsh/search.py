@@ -19,6 +19,8 @@ in complex arithmetic in generator coordinates for one without.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import operator
 import os
 from dataclasses import dataclass, field
@@ -360,29 +362,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(solve, starts: range) -> None:
-    """Call ``solve(start)`` for every start, on up to one thread per usable CPU.
+def _map_blocks(solve, starts: range, keep: int):
+    """Yield ``solve(start)`` for every start, in start order, solving ahead on background threads.
 
-    Each call must write only its own block's outputs. numpy's batched
-    eigensolver releases the GIL, so the blocks' solves overlap. An
-    exception reaches the caller as the serial loop's would: the lowest
-    failing start's, once every earlier start has run; the starts not yet
-    begun are cancelled and every worker is joined before it propagates.
-    With one worker the loop runs inline, with no thread.
+    ``keep`` is the number of CPUs the caller's own loop keeps busy between
+    results, so the solves run on ``_usable_cpus() - keep`` threads, never
+    more than there are starts. numpy's batched eigensolver releases the
+    GIL, so the solves overlap each other and the caller. Starts are
+    submitted as results are taken: besides the result the caller waits for
+    or holds, at most one per thread is pending, so a long sweep queues a
+    fixed number of blocks, not all of them. An exception reaches the
+    caller as the serial loop's would: the lowest failing start's, after
+    every earlier result. When it does, or the caller closes the generator
+    early, the starts not yet begun are cancelled and every thread is
+    joined. Close it explicitly (``contextlib.closing``) rather than by
+    dropping it. With one usable CPU or one start the solves run inline,
+    with no thread.
     """
-    workers = min(_usable_cpus(), len(starts))
-    if workers <= 1:
-        for start in starts:
-            solve(start)
+    cpus = _usable_cpus()
+    if cpus <= 1 or len(starts) <= 1:
+        yield from map(solve, starts)
         return
+    workers = min(cpus - keep, len(starts))
     # imported here: it loads logging, which would lengthen every start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        # map yields in start order and cancels what is pending when a call
-        # raises; leaving the pool joins the workers
-        for _ in pool.map(solve, starts):
-            pass
+    pool, pending = ThreadPoolExecutor(workers), collections.deque()
+    try:
+        for start in starts:
+            pending.append(pool.submit(solve, start))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> float:
@@ -396,7 +410,7 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
     Each norm comes from a dense eigensolve of the scenario's Bell operator
     in the Cartesian basis, where it is real symmetric. The blocks of
     SWEEP_BLOCK scenarios are solved on up to one thread per usable CPU
-    (``_run_blocks``); no output depends on how many.
+    (``_map_blocks``); no output depends on how many.
     """
     if _integer(n, "n") < 1:
         raise InputError("empty sample: n must be at least 1")
@@ -404,12 +418,16 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
 
     norms = np.empty(n)
 
-    def solve_block(start: int) -> None:
+    def solve_block(start: int) -> np.ndarray:
         block = slice(start, start + SWEEP_BLOCK)
         B = coupling_operator(correlation_matrices(directions[block]), SPIN1_REAL_TENSOR)
-        norms[block] = np.max(np.abs(_eigvalsh(B)), axis=1)
+        return np.max(np.abs(_eigvalsh(B)), axis=1)
 
-    _run_blocks(solve_block, range(0, n, SWEEP_BLOCK))
+    starts = range(0, n, SWEEP_BLOCK)
+    # this loop only stores norms, so it keeps no CPU from the solves
+    with contextlib.closing(_map_blocks(solve_block, starts, keep=0)) as solved:
+        for start, block_norms in zip(starts, solved):
+            norms[start : start + SWEEP_BLOCK] = block_norms
     if csv_path is not None:
         blocks = (np.arange(k, min(k + SWEEP_BLOCK, n)) for k in range(0, n, SWEEP_BLOCK))
         rows = (np.column_stack((p, directions[p].reshape(-1, 12), norms[p])) for p in blocks)

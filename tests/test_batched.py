@@ -8,7 +8,9 @@ the per-item computation bit for bit.
 import csv
 import io
 import json
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -405,10 +407,90 @@ class TestSpectrumGrid:
 
         monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
         monkeypatch.setattr(cli, "eig_hermitian", solve)
+        # one solver thread, so the sizes come in block order
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
         path = tmp_path / "grid.csv"
         assert cli.main(["spectrum", "--grid", "7", "--csv", str(path)]) == 0
         assert sizes == solves
         assert path.read_bytes() == grid_reference_text(7).encode()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_csv_does_not_depend_on_the_cpus(self, tmp_path, monkeypatch, cpus):
+        """One CPU solves inline; more solve on background threads, one fewer than the CPUs."""
+        threads, solve = set(), cli.eig_hermitian
+
+        def recording(stack):
+            threads.add(threading.get_ident())
+            return solve(stack)
+
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 5)
+        monkeypatch.setattr(cli, "eig_hermitian", recording)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        path = tmp_path / "grid.csv"
+        assert cli.main(["spectrum", "--grid", "7", "--csv", str(path)]) == 0
+        assert path.read_bytes() == grid_reference_text(7).encode()
+        if cpus == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads and len(threads) <= cpus - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_next_block_is_solved_while_this_one_is_written(self, tmp_path, monkeypatch, cpus):
+        # with blocks of 7 each block of --grid 7 is one row; the second row's
+        # build and the first row's format_rows wait for each other, which only
+        # a solve on a background thread can do
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        meeting, second_row = threading.Barrier(2, timeout=10), np.linspace(0.0, 2.0, 7)[1]
+        build, format_block, formatted = cli.canonical_operator, cli.format_rows, []
+
+        def meeting_build(s, t):
+            if s[0] == second_row:
+                meeting.wait()
+            return build(s, t)
+
+        def meeting_format(table):
+            if not formatted:
+                meeting.wait()
+            formatted.append(len(table))
+            return format_block(table)
+
+        monkeypatch.setattr(cli, "canonical_operator", meeting_build)
+        monkeypatch.setattr(cli, "format_rows", meeting_format)
+        path = tmp_path / "grid.csv"
+        assert cli.main(["spectrum", "--grid", "7", "--csv", str(path)]) == 0
+        assert formatted == [7] * 7
+        assert path.read_bytes() == grid_reference_text(7).encode()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_solve_leaves_no_csv_and_no_thread(self, tmp_path, monkeypatch, capsys, cpus):
+        # with blocks of 21 --grid 7 has three, and only the second starts at s = 1
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 21)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        build = cli.canonical_operator
+
+        def failing(s, t):
+            if s[0] == 1.0:
+                raise np.linalg.LinAlgError("second block")
+            return build(s, t)
+
+        monkeypatch.setattr(cli, "canonical_operator", failing)
+        baseline, path = threading.active_count(), tmp_path / "grid.csv"
+        assert cli.main(["spectrum", "--grid", "7", "--csv", str(path)]) == 1
+        assert capsys.readouterr().err == "error: second block\n"
+        assert not path.exists()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_full_device_exits_1_and_leaves_no_thread(self, monkeypatch, capsys, cpus):
+        # --grid 50 has three blocks, so the first write fails while the next is solved
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        baseline = threading.active_count()
+        assert cli.main(["spectrum", "--grid", "50", "--csv", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert threading.active_count() == baseline
 
 
 class TestCanonicalStack:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -601,6 +602,49 @@ class TestMonteCarlo:
         assert len(rows) == 26
         for row in rows[1:]:
             assert abs(float(row[-1]) - 2.0) < 1e-9
+
+
+class TestMapBlocks:
+    """``search._map_blocks``, the one thread helper of the Monte Carlo and grid sweeps."""
+
+    @pytest.mark.parametrize("cpus, keep", [(2, 0), (3, 0), (2, 1), (3, 1)])
+    def test_solves_run_at_most_one_result_per_thread_ahead(self, monkeypatch, cpus, keep):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        # the starts of blocks of 7 over 100 items
+        starts, lock, started, taken = range(0, 100, 7), threading.Lock(), [], []
+
+        def solve(start):
+            with lock:
+                started.append(start)
+            return start * start
+
+        with contextlib.closing(search._map_blocks(solve, starts, keep)) as blocks:
+            for result in blocks:
+                taken.append(result)
+                # a slow caller; a pool that took every start at once would have started them all
+                time.sleep(0.005)
+                with lock:
+                    assert len(started) <= len(taken) + cpus - keep
+        assert taken == [start * start for start in starts]
+        assert sorted(started) == list(starts)
+
+    def test_closing_after_the_first_result_stops_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        starts, lock, solved = range(0, 100, 7), threading.Lock(), []
+
+        def solve(start):
+            time.sleep(0.01)
+            with lock:
+                solved.append(start)
+            return start
+
+        baseline = threading.active_count()
+        blocks = search._map_blocks(solve, starts, keep=0)
+        assert next(blocks) == 0
+        blocks.close()
+        assert threading.active_count() == baseline
+        # the first result and at most one start per thread behind it ran; the rest never start
+        assert len(solved) <= 3 < len(starts)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 301])
