@@ -15,8 +15,8 @@ one spin-1 tensor, which ``coupling_operator`` uses by default, and the
 Cartesian basis; ``PAULI_FAMILY`` is the qubit control, whose known maximum
 2*sqrt(2) exceeds 2, with the magic basis. ``SPIN1_REAL_TENSOR`` is the
 spin-1 tensor in the Cartesian basis, with exact entries 0 and +-1, and
-``canonical_operator`` builds s S_x S_x + t S_z S_z, real in the spin basis
-itself, from the real part of two rows of the spin-1 tensor.
+``canonical_operator`` builds s S_x S_x + t S_z S_z from two of its rows, in
+the Cartesian basis too, so its entries are exactly 0, +-s and +-t.
 """
 
 from __future__ import annotations
@@ -172,9 +172,6 @@ PAULI_FAMILY = ObservableFamily(
 # float64, exactly symmetric (C (x) C)^dagger K(M) (C (x) C), same spectrum.
 SPIN1_REAL_TENSOR = -coupling_tensor(cartesian_generators())
 SPIN1_REAL_TENSOR.setflags(write=False)
-# rows 0 and 8 of the spin-1 tensor, S_x (x) S_x and S_z (x) S_z, whose
-# imaginary parts are zero: the real (2, 81) tensor of the canonical form
-_CANONICAL_TENSOR = np.ascontiguousarray(SPIN1_FAMILY.tensor[[0, 8]].real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +280,13 @@ def bell_operator(sc) -> np.ndarray:
 
 
 def canonical_operator(s, t) -> np.ndarray:
-    """The two-parameter canonical form s S_x (x) S_x + t S_z (x) S_z, as float64.
+    """The canonical form s S_x (x) S_x + t S_z (x) S_z in the Cartesian basis, as float64.
 
     ``s`` and ``t`` are scalars, giving one 9x9 operator, or arrays that
     broadcast together, giving the (..., 9, 9) stack over their common shape.
-    Both terms are real in the |+1>, |0>, |-1> basis, so the operator is real
-    and exactly symmetric; each entry is that of ``coupling_operator`` of
-    diag(s, 0, t), whose imaginary part is zero.
+    Each operator is K(diag(s, 0, t)) = -(s eps_x (x) eps_x + t eps_z (x) eps_z),
+    the spin-basis form conjugated by C (x) C, C = ``CARTESIAN_BASIS``, so it
+    has the same spectrum; its 8 nonzero entries are exactly +-s and +-t.
     """
     s, t = np.broadcast_arrays(*(_as_real(x, InputError, "canonical parameters") for x in (s, t)))
-    return (np.stack((s, t), axis=-1) @ _CANONICAL_TENSOR).reshape(s.shape + (9, 9))
+    return (np.stack((s, t), axis=-1) @ SPIN1_REAL_TENSOR[[0, 8]]).reshape(s.shape + (9, 9))

@@ -5,8 +5,9 @@ rotations. An ordinary SVD delivers orthogonal factors; because the third
 singular value is zero, flipping the sign of their last row costs nothing,
 which lets us force both determinants to +1, and a fixed permutation then
 moves the zero into the middle slot. The rotations double as certificates:
-conjugating the coupling operator by their spin representations maps it to
-the two-parameter canonical form.
+in the Cartesian basis, where the spin-1 image of a rotation is the rotation
+itself, conjugating the coupling operator by R (x) Q maps it to the
+two-parameter canonical form, all in real arithmetic.
 
 There are two entry points. ``canonical_reduction`` returns the rotations
 with s and t, as a certificate needs; ``canonical_parameters`` returns s
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import canonical_operator, coupling_operator
+from .bell import SPIN1_REAL_TENSOR, canonical_operator, coupling_operator
 from .errors import InputError, NonFiniteError, RankDeficiencyError
-from .spin import _as_real, spin_representation
+from .spin import _as_real
 from .tolerances import TOL
 
 # sign flip on the third coordinate; absorbed by a zero third singular value
@@ -54,7 +55,10 @@ class CanonicalReduction:
         """JSON-ready certificate with the residuals a verifier needs.
 
         ``conjugation_residual`` is the paper's key step: the spin
-        representations of R and Q carry K(M) to the canonical form.
+        representations of R and Q carry K(M) to the canonical form. It is
+        measured in the Cartesian basis, where those representations are R
+        and Q themselves, so W = R (x) Q carries the real K(M) to the real
+        ``canonical_operator(s, t)`` with no complex arithmetic.
         """
         M = _as_real(M, InputError, "a correlation matrix")
         if M.shape != (3, 3):
@@ -62,8 +66,8 @@ class CanonicalReduction:
         # the report's s^2 + t^2; Python's ** would raise OverflowError where * gives inf
         if not np.isfinite(self.s * self.s + self.t * self.t):
             raise NonFiniteError(f"s^2 + t^2 must be finite, got s={self.s!r}, t={self.t!r}")
-        W = np.kron(spin_representation(self.R), spin_representation(self.Q))
-        conjugated = W @ coupling_operator(M) @ W.conj().T
+        W = np.kron(self.R, self.Q)
+        conjugated = W @ coupling_operator(M, SPIN1_REAL_TENSOR) @ W.T
         return {
             "R": self.R,
             "Q": self.Q,

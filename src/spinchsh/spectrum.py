@@ -7,6 +7,10 @@ The four-state block contributes eigenvalues {0, 0, +s, -s}; the five-state
 block contributes {+t, -t} on two antisymmetric combinations plus
 {0, +sqrt(s^2+t^2), -sqrt(s^2+t^2)} on the rest. The operator norm is
 therefore sqrt(s^2 + t^2) for all s, t >= 0.
+
+That 4 + 5 split is of the spin-basis form. The library builds and solves
+its conjugate by C (x) C, ``bell.canonical_operator``, in the Cartesian
+basis, where every entry is exactly 0, +-s or +-t; the spectrum is the same.
 """
 
 from __future__ import annotations

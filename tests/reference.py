@@ -2,9 +2,9 @@
 
 Axis-angle rotations, spin observables in the |+1>, |0>, |-1> basis,
 random states, the best state of an operator, the reduced Bell operator of
-a scenario, a rank-3 corruption of the correlation matrices, the
-invariant-subspace blocks of the canonical operator, the invariant-split
-leakage check and the one-``%`` table formatter. The certifier's own paths (closed-form spectrum, rotation
+a scenario, a rank-3 corruption of the correlation matrices, the canonical
+operator in the spin basis with its invariant-subspace blocks, the
+invariant-split leakage check and the one-``%`` table formatter. The certifier's own paths (closed-form spectrum, rotation
 reduction, Monte Carlo and seesaw) use none of them; the tests use them to
 build inputs and to check those paths from another side.
 """
@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinchsh.bell import MeasurementScenario, canonical_operator, correlation_matrices
+from spinchsh.bell import (
+    MeasurementScenario,
+    canonical_operator,
+    correlation_matrices,
+    coupling_operator,
+)
 from spinchsh.errors import NormalizationError, RotationError
 from spinchsh.reduction import canonical_reduction
 from spinchsh.search import QuantumState
@@ -105,11 +110,23 @@ def best_state_value(B) -> tuple[float, QuantumState]:
 def reduced_bell(sc: MeasurementScenario) -> tuple[float, float, np.ndarray]:
     """The canonical parameters of a scenario and its reduced Bell operator.
 
-    The returned operator s S_x (x) S_x + t S_z (x) S_z is unitarily
-    equivalent to the scenario's Bell operator, so their spectra agree.
+    The returned operator s S_x (x) S_x + t S_z (x) S_z, in the Cartesian
+    basis, is unitarily equivalent to the scenario's Bell operator, so their
+    spectra agree.
     """
     reduction = canonical_reduction(correlation_matrices(sc))
     return reduction.s, reduction.t, canonical_operator(reduction.s, reduction.t)
+
+
+def spin_basis_canonical(s: float, t: float) -> np.ndarray:
+    """s S_x (x) S_x + t S_z (x) S_z in the |+1>, |0>, |-1> basis, as float64.
+
+    The real part of the coupling operator of diag(s, 0, t) through the
+    complex spin-1 tensor, whose imaginary part is zero: the form whose
+    invariant split the paper reads off. ``canonical_operator`` is this
+    operator conjugated into the Cartesian basis.
+    """
+    return coupling_operator(np.diag([float(s), 0.0, float(t)])).real
 
 
 # composite index 3*m + n over levels (+1, 0, -1); parity of the level pair
@@ -132,7 +149,7 @@ def rank_three_correlations(directions) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceBlocks:
-    """The canonical operator restricted to its invariant subspaces.
+    """The spin-basis canonical operator restricted to its invariant subspaces.
 
     ``v4_block`` acts on (|1,0>, |0,1>, |0,-1>, |-1,0>); ``v5_t_eigenpairs``
     are the two explicit eigenvectors inside the five-state sector with
@@ -177,7 +194,7 @@ def subspace_blocks(s: float, t: float) -> SubspaceBlocks:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Frobenius norms of the cross-sector blocks of the canonical operator."""
+    """Frobenius norms of the cross-sector blocks of the spin-basis canonical operator."""
 
     off_block_upper: float  # rows in the five-state sector, columns in the four-state one
     off_block_lower: float  # the transpose block
@@ -188,9 +205,9 @@ class InvarianceReport:
 
 
 def verify_invariance(s: float, t: float) -> InvarianceReport:
-    """Measure how much the canonical operator leaks across the invariant split."""
+    """Measure how much the spin-basis canonical operator leaks across the invariant split."""
     s, t = _check_parameters(s, t)
-    H = canonical_operator(s, t)
+    H = spin_basis_canonical(s, t)
     v4, v5 = list(V4_INDICES), list(V5_INDICES)
     return InvarianceReport(
         off_block_upper=float(np.linalg.norm(H[np.ix_(v5, v4)])),

@@ -501,11 +501,11 @@ class TestCanonicalStack:
         for s, t in zip(self.S, self.T):
             H = canonical_operator(s, t)
             assert H.shape == (9, 9) and H.dtype == np.float64
-            K = coupling_operator(np.diag([float(s), 0.0, float(t)]))
-            # the real build is the coupling operator's real part, bit for bit,
-            # and that operator's imaginary part is +0.0 everywhere
-            assert bits_equal(H, K.real)
-            assert bits_equal(K.imag, np.zeros((9, 9)))
+            K = coupling_operator(np.diag([float(s), 0.0, float(t)]), SPIN1_REAL_TENSOR)
+            # the Cartesian coupling operator of diag(s, 0, t), bit for bit
+            assert bits_equal(H, K)
+            # four entries +-s from S_x S_x and four +-t from S_z S_z
+            assert np.count_nonzero(H) == 4 * (s != 0.0) + 4 * (t != 0.0)
 
     def test_array_matches_scalar_calls(self):
         stack = canonical_operator(self.S, self.T)

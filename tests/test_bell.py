@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, qr_rotation, scenarios, unit_vectors
-from reference import CARTESIAN_PAIR, levi_civita_along, spin_kron_bell
+from reference import CARTESIAN_PAIR, levi_civita_along, spin_basis_canonical, spin_kron_bell
 from spinchsh import (
     HermiticityError,
     InputError,
@@ -82,7 +82,14 @@ class TestCouplingOperator:
         s, t = 1.3, 0.4
         expected = s * np.kron(Sx, Sx) + t * np.kron(Sz, Sz)
         assert np.linalg.norm(coupling_operator(np.diag([s, 0.0, t])) - expected) < 1e-15
-        assert np.linalg.norm(canonical_operator(s, t) - expected) < 1e-15
+        assert np.linalg.norm(spin_basis_canonical(s, t) - expected) < 1e-15
+
+    def test_canonical_operator_is_the_cartesian_conjugate(self):
+        # (C (x) C) carries the Cartesian canonical form to the spin-basis one
+        W = SPIN1_FAMILY.basis
+        for s, t in [(1.3, 0.4), (2.0, 0.0)]:
+            rebuilt = W @ canonical_operator(s, t) @ W.conj().T
+            assert np.linalg.norm(rebuilt - spin_basis_canonical(s, t)) < 1e-15
 
     def test_identity_matches_triple_loop(self):
         Sx, Sy, Sz = spin_generators()
@@ -236,6 +243,20 @@ class TestRotationalCovariance:
         W = np.kron(spin_representation(R), spin_representation(Q))
         lhs = W @ coupling_operator(M) @ W.conj().T
         assert np.linalg.norm(lhs - coupling_operator(R @ M @ Q.T)) < 1e-10
+
+    def test_cartesian_seeded_sweep(self):
+        # the certificate's float path: in the Cartesian basis a rotation's
+        # spin-1 image is the rotation itself, so R (x) Q conjugates real K(M)
+        rng = np.random.default_rng(19)
+        worst = 0.0
+        for _ in range(300):
+            M = rng.standard_normal((3, 3))
+            R, Q = qr_rotation(rng), qr_rotation(rng)
+            W = np.kron(R, Q)
+            lhs = W @ coupling_operator(M, SPIN1_REAL_TENSOR) @ W.T
+            rhs = coupling_operator(R @ M @ Q.T, SPIN1_REAL_TENSOR)
+            worst = max(worst, np.linalg.norm(lhs - rhs))
+        assert worst < 1e-10
 
 
 def test_scenario_rejects_non_unit():

@@ -635,6 +635,22 @@ class TestReduce:
         assert (report["s"], report["t"]) == (2.0, 1.0)
 
     @pytest.mark.parametrize(
+        "matrix",
+        [
+            "[[1,0,0],[0,1,0],[0,0,0]]",
+            "[[1,0,0],[0,2,0],[0,0,0]]",
+            "[[0,0.5,0],[0,0,0],[-2,0,0]]",
+            "[[0,0,0],[0,0,0.25],[0,4,0]]",
+        ],
+    )
+    def test_dyadic_rank2_matrix_conjugates_exactly(self, capsys, matrix):
+        # signed-permutation rotations and dyadic s, t: R (x) Q carries the real
+        # Cartesian K(M) to the canonical form with no rounding at all
+        code, out, _ = run(capsys, "reduce", "--matrix", matrix)
+        assert code == 0
+        assert json.loads(out)["conjugation_residual"] == 0.0
+
+    @pytest.mark.parametrize(
         "matrix, expected",
         [
             ("[[1e9,2e9,3e9],[4e9,5e9,6e9],[7e9,8e9,9e9]]", 0),  # rank 2, sigma3 9.5e-7

@@ -10,6 +10,7 @@ from spinchsh import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
     TOL,
+    canonical_operator,
     canonical_reduction,
     cartesian_generators,
     monte_carlo_certify,
@@ -26,18 +27,20 @@ def spin1_x_and_z():
 
 
 def test_canonical_characteristic_polynomial_factors():
-    # the closed-form spectrum {0, 0, 0, +-s, +-t, +-sqrt(s^2 + t^2)}
+    # the closed-form spectrum {0, 0, 0, +-s, +-t, +-sqrt(s^2 + t^2)}, of the
+    # spin-basis form and of the integer-tensor Cartesian one canonical_operator builds
     s, t = sympy.symbols("s t", real=True)
     lam = sympy.Symbol("lambda")
     sx, sz = spin1_x_and_z()
     Sx, _, Sz = spin_generators()
     assert np.allclose(np.array(sx.evalf(), dtype=complex), Sx, atol=1e-15)
     assert np.array_equal(np.array(sz, dtype=complex), Sz)
-    H = s * sympy.kronecker_product(sx, sx) + t * sympy.kronecker_product(sz, sz)
+    spin_basis = s * sympy.kronecker_product(sx, sx) + t * sympy.kronecker_product(sz, sz)
     expected = lam**3 * (lam**2 - s**2) * (lam**2 - t**2) * (lam**2 - s**2 - t**2)
-    charpoly = H.charpoly(lam).as_expr()
-    assert sympy.expand(charpoly - expected) == 0
-    assert sympy.factor(charpoly) == sympy.factor(expected)
+    for H in (spin_basis, symbolic_coupling(sympy.diag(s, 0, t))):
+        charpoly = H.charpoly(lam).as_expr()
+        assert sympy.expand(charpoly - expected) == 0
+        assert sympy.factor(charpoly) == sympy.factor(expected)
 
 
 def bracket(v):
@@ -50,6 +53,20 @@ def symbolic_coupling(M):
     """K(M) in the Cartesian basis for a sympy 3x3 M, through SPIN1_REAL_TENSOR's integers."""
     tensor = sympy.Matrix(SPIN1_REAL_TENSOR.astype(int).tolist())
     return (sympy.Matrix(1, 9, list(M)) * tensor).reshape(9, 9)
+
+
+@pytest.mark.parametrize(
+    "s, t", [(1.5, 0.25), (2.0, 0.0), (0.0, 2.0), (0.375, 1.75), (2.0**-40, 3.0 * 2.0**20)]
+)
+def test_canonical_operator_is_the_integer_tensor_form(s, t):
+    # canonical_operator(s, t) is K(diag(s, 0, t)) through SPIN1_REAL_TENSOR's
+    # integers, bit for bit: for dyadic s and t every entry is exactly 0, +-s or +-t
+    exact = symbolic_coupling(sympy.diag(sympy.Rational(s), 0, sympy.Rational(t)))
+    H = canonical_operator(s, t)
+    assert H.tobytes() == np.array(exact.tolist(), dtype=float).tobytes()
+    # 8 nonzero entries when s and t are both nonzero
+    assert np.count_nonzero(H) == 4 * (s != 0.0) + 4 * (t != 0.0)
+    assert set(np.abs(H[H != 0.0])) == {s, t} - {0.0}
 
 
 def symbolic_scenario():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import spinchsh
 from conftest import gaussian_scenario, scenarios
-from reference import reduced_bell
+from reference import reduced_bell, spin_basis_canonical
 from spinchsh import (
     TOL,
     CanonicalReduction,
@@ -17,9 +17,9 @@ from spinchsh import (
     RankDeficiencyError,
     SpinChshError,
     bell_operator,
-    canonical_operator,
     canonical_parameters,
     canonical_reduction,
+    cartesian_generators,
     correlation_matrices,
     coupling_operator,
     random_directions,
@@ -304,9 +304,12 @@ class TestCanonicalReduction:
 class TestReducedBell:
     def test_tight_scenario(self, tight_scenario):
         Sx, _, Sz = spin_generators()
+        eps_x = cartesian_generators()[0]
         s, t, H = reduced_bell(tight_scenario)
         assert (s, t) == (2.0, 0.0)
-        assert np.linalg.norm(H - 2.0 * np.kron(Sx, Sx)) < 1e-14
+        # 2 S_x S_x, exactly -2 eps_x eps_x in the Cartesian basis
+        assert np.array_equal(H, -2.0 * np.kron(eps_x, eps_x))
+        assert np.linalg.norm(spin_basis_canonical(s, t) - 2.0 * np.kron(Sx, Sx)) < 1e-14
         # two eigensolver runs: the reduced operator and the original one
         eig_h = np.linalg.eigvalsh(H)
         eig_b = np.linalg.eigvalsh(2.0 * np.kron(Sz, Sz))
@@ -344,8 +347,9 @@ class TestReducedBell:
         )
 
     def test_explicit_unitary_chain(self):
-        # the full conjugation chain, end to end: the spin representations of
-        # the certificate rotations map the coupling operator to canonical form
+        # the full conjugation chain, end to end, in the spin basis: the spin
+        # representations of the certificate rotations map the coupling
+        # operator to the spin-basis canonical form
         rng = np.random.default_rng(13)
         worst = 0.0
         for _ in range(100):
@@ -355,6 +359,6 @@ class TestReducedBell:
             W = np.kron(spin_representation(red.R), spin_representation(red.Q))
             conjugated = W @ coupling_operator(M) @ W.conj().T
             worst = max(
-                worst, np.linalg.norm(conjugated - canonical_operator(red.s, red.t))
+                worst, np.linalg.norm(conjugated - spin_basis_canonical(red.s, red.t))
             )
         assert worst < 1e-9

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given
 
 from conftest import canonical_params, scenarios
-from reference import V4_INDICES, V5_INDICES, subspace_blocks, verify_invariance
+from reference import (
+    V4_INDICES,
+    V5_INDICES,
+    spin_basis_canonical,
+    subspace_blocks,
+    verify_invariance,
+)
 from spinchsh import (
     SPIN1_FAMILY,
     TOL,
@@ -272,14 +278,14 @@ class TestSubspaceBlocks:
         blocks = subspace_blocks(0.0, 1.0)
         (u1, lam1), (u2, lam2) = blocks.v5_t_eigenpairs
         assert lam1 == 1.0 and lam2 == -1.0
-        H = canonical_operator(0.0, 1.0)
+        H = spin_basis_canonical(0.0, 1.0)
         assert np.linalg.norm(H @ u1 - lam1 * u1) < 1e-14
         assert np.linalg.norm(H @ u2 - lam2 * u2) < 1e-14
 
     @given(canonical_params())
     def test_pair_eigenvectors_are_eigenvectors(self, params):
         s, t = params
-        H = canonical_operator(s, t)
+        H = spin_basis_canonical(s, t)
         for vector, value in subspace_blocks(s, t).v5_t_eigenpairs:
             assert abs(np.linalg.norm(vector) - 1.0) < 1e-14
             assert np.linalg.norm(H @ vector - value * vector) < 1e-12
@@ -295,7 +301,7 @@ class TestSubspaceBlocks:
     def test_blocks_reassemble_the_operator(self, params):
         s, t = params
         rebuilt = assemble_from_blocks(subspace_blocks(s, t), s, t)
-        assert np.linalg.norm(rebuilt - canonical_operator(s, t)) < 1e-12
+        assert np.linalg.norm(rebuilt - spin_basis_canonical(s, t)) < 1e-12
 
     def test_block_eigenvalues_union_is_closed_form(self):
         s, t = 1.1, 0.9
