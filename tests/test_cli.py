@@ -850,6 +850,17 @@ class TestCertify:
         assert pinned == everywhere and everywhere[0] == 0
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_openblas_threads_give_the_same_bytes(self, capsys, tmp_path, threads):
+        # each Monte Carlo norm solves B @ B, a BLAS product; OpenBLAS reads its
+        # thread count when numpy loads, so the child sets it before any import
+        argv = ("certify", "--samples", "3000", "--restarts", "20", "--seed", "4", "--csv")
+        here = run(capsys, *argv, str(tmp_path / "here.csv"))
+        pin = f"import os; os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'"
+        child = run_in_child(*argv, str(tmp_path / "child.csv"), prelude=pin)
+        assert child == here and here[0] == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
 
 @pytest.mark.parametrize(
     "defaults, explicit",

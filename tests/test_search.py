@@ -475,6 +475,42 @@ class TestMonteCarlo:
         assert excinfo.value.scenario == dict(zip(("a", "a_prime", "b", "b_prime"), first.tolist()))
         assert abs(excinfo.value.norm - 2.0) > 1e3 * TOL.norm_band
 
+    @pytest.mark.parametrize("top, bottom", [(2.0, -(2.0 + 1e-8)), (2.0 + 1e-8, -2.0)])
+    def test_norm_reads_both_ends_of_the_spectrum(self, monkeypatch, top, bottom):
+        # every scenario gets one fixed symmetric operator whose largest |eigenvalue|
+        # is 2 + 1e-8, at the bottom of the spectrum or at the top
+        Q, _ = np.linalg.qr(np.random.default_rng(37).standard_normal((9, 9)))
+        fixed = Q @ np.diag([top, 1.0, 0.5, 0.0, 0.0, 0.0, -0.5, -1.0, bottom]) @ Q.T
+        monkeypatch.setattr(search, "coupling_operator", lambda M, tensor: np.repeat(fixed[None], len(M), 0))
+        with pytest.raises(CertificationError) as excinfo:
+            monte_carlo_certify(10, seed=0)
+        assert abs(excinfo.value.norm - (2.0 + 1e-8)) < 1e-14
+
+    def test_csv_norms_lie_within_six_spacings_of_two(self, tmp_path):
+        path = tmp_path / "norms.csv"
+        monte_carlo_certify(20000, seed=3, csv_path=str(path))
+        norms = np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
+        assert np.max(np.abs(norms - 2.0)) <= 6 * np.spacing(2.0)
+
+    def test_near_degenerate_norms_lie_within_six_spacings_of_two(self, monkeypatch, tmp_path):
+        # a seeded sweep of hard scenarios: a third of the components scaled by
+        # 1e-40 to 1e-165 (never all three of a direction, whose norm would then
+        # underflow), and a' a step of 1e-1 to 1e-12 from a in even rows, b' from b in odd ones
+        n, rng = 5200, np.random.default_rng(23)
+        draw = rng.standard_normal((n, 4, 3))
+        tiny = rng.random((n, 4, 3)) < 0.5
+        tiny[np.arange(n)[:, None], np.arange(4), rng.integers(0, 3, (n, 4))] = False
+        draw[tiny] *= 10.0 ** -rng.integers(40, 166, tiny.sum()).astype(float)
+        rows, first = np.arange(n), 2 * (np.arange(n) % 2)
+        gap = 10.0 ** -rng.uniform(1, 12, (n, 1))
+        draw[rows, first + 1] = draw[rows, first] + gap * rng.standard_normal((n, 3))
+        draw /= np.linalg.norm(draw, axis=-1, keepdims=True)
+        monkeypatch.setattr(search, "random_directions", lambda rng, shape: draw)
+        path = tmp_path / "norms.csv"
+        monte_carlo_certify(n, seed=0, csv_path=str(path))
+        norms = np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
+        assert np.max(np.abs(norms - 2.0)) <= 6 * np.spacing(2.0)
+
     def test_nan_norm_fails_the_band(self, monkeypatch):
         monkeypatch.setattr(search, "_eigvalsh", lambda B: np.full(B.shape[:-1], np.nan))
         with pytest.raises(CertificationError) as excinfo:
