@@ -175,17 +175,26 @@ def _verify_rows(directions: np.ndarray) -> np.ndarray:
 
     The table is filled SWEEP_BLOCK scenarios at a time, each block by one
     four-term Bell build, one Hermitian eigensolve and one SVD for s and t.
+    The two routes of a block are independent: its reduction runs through
+    ``_map_blocks`` on a spare CPU while this thread builds and solves its
+    norms, and is taken only after them, so an error is the serial loop's.
     """
     rows = np.empty((len(directions), sum(width or 1 for _, width in _VERIFY_FIELDS)))
-    for start in range(0, len(directions), SWEEP_BLOCK):
-        block = directions[start : start + SWEEP_BLOCK]
-        norms = eig_hermitian(bell_operator(block)).operator_norm
-        s, t = canonical_parameters(correlation_matrices(block))
-        # Python's float power, whose last bit numpy's square does not always match
-        residuals = [abs(x**2 + y**2 - 4.0) for x, y in zip(s.tolist(), t.tolist())]
-        index = np.arange(start, start + len(block))
-        columns = (index, block.reshape(-1, 12), norms, s, t, residuals, np.abs(norms - 2.0))
-        rows[start : start + len(block)] = np.column_stack(columns)
+    starts = range(0, len(directions), SWEEP_BLOCK)
+
+    def reduce(start: int) -> tuple[np.ndarray, np.ndarray]:
+        return canonical_parameters(correlation_matrices(directions[start : start + SWEEP_BLOCK]))
+
+    with contextlib.closing(_map_blocks(reduce, starts, keep=1)) as reductions:
+        for start in starts:
+            block = directions[start : start + SWEEP_BLOCK]
+            norms = eig_hermitian(bell_operator(block)).operator_norm
+            s, t = next(reductions)
+            # Python's float power, whose last bit numpy's square does not always match
+            residuals = [abs(x**2 + y**2 - 4.0) for x, y in zip(s.tolist(), t.tolist())]
+            index = np.arange(start, start + len(block))
+            columns = (index, block.reshape(-1, 12), norms, s, t, residuals, np.abs(norms - 2.0))
+            rows[start : start + len(block)] = np.column_stack(columns)
     return rows
 
 
@@ -279,7 +288,8 @@ def _spectrum_grid(args) -> int:
     # while the next blocks are solved on the others
     blocks = _map_blocks(solve, range(0, n * n, SWEEP_BLOCK), keep=1)
     header = ["s", "t", *(f"eig{k}" for k in range(1, 10)), "norm"]
-    with open_csv(args.csv, header) as handle, contextlib.closing(blocks):
+    # closed on every exit, also when the CSV cannot be opened: the first blocks are already solving
+    with contextlib.closing(blocks), open_csv(args.csv, header) as handle:
         handle.writelines(map(format_rows, blocks))
     return EXIT_OK
 
@@ -353,7 +363,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK if passed else EXIT_BAND
 
 
-_JOBS_HELP = "accepted for compatibility; must be at least 1, and work always runs serially"
+_JOBS_HELP = (
+    "accepted for compatibility and ignored; must be at least 1 "
+    "(the threaded sweeps size themselves to the usable CPUs)"
+)
 
 
 def _integer(text: str, least: int) -> int:

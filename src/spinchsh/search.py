@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import operator
 import os
 from dataclasses import dataclass, field
@@ -363,40 +364,51 @@ def _usable_cpus() -> int:
 
 
 def _map_blocks(solve, starts: range, keep: int):
-    """Yield ``solve(start)`` for every start, in start order, solving ahead on background threads.
+    """Iterate ``solve(start)`` for every start, in start order, solving ahead on background threads.
 
     ``keep`` is the number of CPUs the caller's own loop keeps busy between
     results, so the solves run on ``_usable_cpus() - keep`` threads, never
-    more than there are starts. numpy's batched eigensolver releases the
-    GIL, so the solves overlap each other and the caller. Starts are
-    submitted as results are taken: besides the result the caller waits for
-    or holds, at most one per thread is pending, so a long sweep queues a
-    fixed number of blocks, not all of them. An exception reaches the
+    more than there are starts. numpy's batched linear algebra releases the
+    GIL, so the solves overlap each other and the caller. The first starts
+    are submitted when ``_map_blocks`` is called, so they run while the
+    caller does its own work before it takes the first result; later starts
+    are submitted as results are taken. Besides the result the caller waits
+    for or holds, at most one per thread is pending, so a long sweep queues
+    a fixed number of blocks, not all of them. An exception reaches the
     caller as the serial loop's would: the lowest failing start's, after
-    every earlier result. When it does, or the caller closes the generator
+    every earlier result. When it does, or the caller closes the iterator
     early, the starts not yet begun are cancelled and every thread is
     joined. Close it explicitly (``contextlib.closing``) rather than by
-    dropping it. With one usable CPU or one start the solves run inline,
-    with no thread.
+    dropping it. The solves run inline, with no thread, with one usable
+    CPU, or with one start and ``keep`` 0, where the caller only waits; with
+    ``keep`` 1 a single start gets a thread, beside the caller's own work.
     """
     cpus = _usable_cpus()
-    if cpus <= 1 or len(starts) <= 1:
-        yield from map(solve, starts)
-        return
+    if cpus <= 1 or len(starts) + keep <= 1:
+        return (solve(start) for start in starts)
     workers = min(cpus - keep, len(starts))
     # imported here: it loads logging, which would lengthen every start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    pool, pending = ThreadPoolExecutor(workers), collections.deque()
-    try:
-        for start in starts:
-            pending.append(pool.submit(solve, start))
-            if len(pending) > workers:
+    def solved_ahead():
+        pool, pending, rest = ThreadPoolExecutor(workers), collections.deque(), iter(starts)
+        try:
+            # the result the caller will take first, and one pending per thread
+            pending.extend(pool.submit(solve, start) for start in itertools.islice(rest, workers + 1))
+            yield
+            for start in rest:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+                pending.append(pool.submit(solve, start))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    # primed: run to the first yield, so the first starts are submitted now
+    # and close() runs the finally clause even before the first result
+    results = solved_ahead()
+    next(results)
+    return results
 
 
 def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> float:

@@ -46,13 +46,19 @@ def _eigvalsh(A: np.ndarray) -> np.ndarray:
     """``eigvalsh`` after zeroing each nonzero entry below ``_UNDERFLOW`` of its matrix's largest.
 
     No eigenvalue of an n x n matrix moves by more than n * _UNDERFLOW times
-    its largest entry (Weyl's bound through the Frobenius norm).
+    its largest entry (Weyl's bound through the Frobenius norm). An entry
+    below that share of its matrix's largest is below it of the stack's
+    largest too, so the per-matrix scan runs only when some nonzero entry is
+    below the stack-wide threshold, or when the stack's largest is NaN or
+    infinite; the matrices solved are the same either way.
     """
     magnitude = np.abs(A)
-    scale = magnitude.max(axis=(-2, -1), keepdims=True)
-    negligible = (magnitude < _UNDERFLOW * scale) & (magnitude > 0.0)
-    if negligible.any():
-        A = np.where(negligible, 0.0, A)
+    largest = magnitude.max(initial=0.0)
+    if not np.isfinite(largest) or ((magnitude < _UNDERFLOW * largest) & (magnitude > 0.0)).any():
+        scale = magnitude.max(axis=(-2, -1), keepdims=True)
+        negligible = (magnitude < _UNDERFLOW * scale) & (magnitude > 0.0)
+        if negligible.any():
+            A = np.where(negligible, 0.0, A)
     return np.linalg.eigvalsh(A)
 
 
@@ -64,7 +70,9 @@ def _check_hermitian(A) -> np.ndarray:
     whole input. It bounds each matrix's own asymmetry, so a stack passes
     only if every matrix in it would pass alone. A NaN or infinite entry
     makes the norm NaN or infinite, which fails the gate too, without a
-    warning.
+    warning. A real input equal to its transpose entry for entry, with a
+    finite sum and so no NaN or infinite entry, has norm 0 and passes
+    without forming the difference.
     """
     A = np.asarray(A)
     A = np.asarray(A, dtype=float if A.dtype.kind in "biuf" else complex)
@@ -76,6 +84,8 @@ def _check_hermitian(A) -> np.ndarray:
         if np.iscomplexobj(A):
             # the real and imaginary parts of A - A^dagger, with no complex temporary
             parts = (A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2))
+        elif (A == A.swapaxes(-1, -2)).all() and math.isfinite(A.sum()):
+            return A
         else:
             parts = (A - A.swapaxes(-1, -2),)
         # einsum sums in numpy's own loop: np.linalg.norm's BLAS dot runs on a

@@ -4,13 +4,15 @@ Axis-angle rotations, spin observables in the |+1>, |0>, |-1> basis,
 random states, the best state of an operator, the reduced Bell operator of
 a scenario, a rank-3 corruption of the correlation matrices, the canonical
 operator in the spin basis with its invariant-subspace blocks, the
-invariant-split leakage check and the one-``%`` table formatter. The certifier's own paths (closed-form spectrum, rotation
+invariant-split leakage check, the one-``%`` table formatter, and the
+per-matrix underflow guard and Hermiticity asymmetry with no short-cut. The certifier's own paths (closed-form spectrum, rotation
 reduction, Monte Carlo and seesaw) use none of them; the tests use them to
 build inputs and to check those paths from another side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ from spinchsh.bell import (
 from spinchsh.errors import NormalizationError, RotationError
 from spinchsh.reduction import canonical_reduction
 from spinchsh.search import QuantumState
-from spinchsh.spectrum import _check_hermitian, _check_parameters
+from spinchsh.spectrum import _UNDERFLOW, _check_hermitian, _check_parameters
 from spinchsh.spin import CARTESIAN_BASIS, check_unit_vectors, spin_generators
 
 
@@ -220,3 +222,30 @@ def format_rows_reference(table, separator: str = ",") -> str:
     table = np.asarray(table, dtype=float)
     template = (separator.join(["%.17g"] * table.shape[-1]) + "\n") * len(table)
     return template % tuple(table.ravel().tolist())
+
+
+def eigvalsh_reference(A: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` after the underflow guard's per-matrix rule, run on every input.
+
+    Each nonzero entry below ``_UNDERFLOW`` of its own matrix's largest
+    is zeroed; ``spectrum._eigvalsh`` must give these eigenvalues bit for bit.
+    """
+    magnitude = np.abs(A)
+    scale = magnitude.max(axis=(-2, -1), keepdims=True)
+    negligible = (magnitude < _UNDERFLOW * scale) & (magnitude > 0.0)
+    return np.linalg.eigvalsh(np.where(negligible, 0.0, A))
+
+
+def hermitian_asymmetry_reference(A: np.ndarray) -> float:
+    """The Frobenius norm of A - A^dagger over a whole float or complex stack, always formed.
+
+    ``spectrum._check_hermitian`` must raise HermiticityError carrying
+    exactly this number when it is above TOL.hermiticity or NaN, and
+    pass otherwise.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.iscomplexobj(A):
+            parts = (A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2))
+        else:
+            parts = (A - A.swapaxes(-1, -2),)
+        return math.sqrt(sum(float(np.einsum("i,i->", p.ravel(), p.ravel())) for p in parts))

@@ -7,6 +7,7 @@ the per-item computation bit for bit.
 
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -190,6 +191,87 @@ class TestVerifyRows:
         assert row["expectation"] == expectation(carried, cartesian_kron_bell(sc.directions()))
         # which is the spin-basis value, to within rounding
         assert abs(row["expectation"] - expectation(loaded, spin_kron_bell(sc.directions()))) <= 1e-15
+
+
+class TestVerifyThreads:
+    """verify's reduction runs on a worker beside the norm solve; no output depends on it."""
+
+    def run(self, capsys, path, argv=("--random", "23", "--seed", "3")):
+        code = cli.main(["verify", *argv, "--csv", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err, path.read_bytes() if path.exists() else None
+
+    def test_output_does_not_depend_on_the_cpus_or_the_block(self, capsys, tmp_path, monkeypatch):
+        expected = self.run(capsys, tmp_path / "default.csv")
+        assert expected[0] == 0 and expected[3]
+        # 23 scenarios are one block by default and five of 5
+        for block, cpus in itertools.product((cli.SWEEP_BLOCK, 5), (1, 2, 3)):
+            monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+            monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+            assert self.run(capsys, tmp_path / f"{block}-{cpus}.csv") == expected
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_reduction_and_norm_solve_meet(self, capsys, tmp_path, monkeypatch, cpus):
+        # the first block's norm solve and its reduction wait for each other,
+        # which they can do only if the reduction runs beside the solve
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        meeting, solvers, reducers = threading.Barrier(2, timeout=10), [], []
+        solve, reduce = cli.eig_hermitian, cli.canonical_parameters
+        first = correlation_matrices(random_directions(np.random.default_rng(3), (23, 4))[:7])
+
+        def meeting_solve(stack):
+            if not solvers:
+                solvers.append(threading.get_ident())
+                meeting.wait()
+            return solve(stack)
+
+        def meeting_reduce(M):
+            if np.array_equal(M, first):
+                reducers.append(threading.get_ident())
+                meeting.wait()
+            return reduce(M)
+
+        expected = self.run(capsys, tmp_path / "serial.csv")
+        monkeypatch.setattr(cli, "eig_hermitian", meeting_solve)
+        monkeypatch.setattr(cli, "canonical_parameters", meeting_reduce)
+        assert self.run(capsys, tmp_path / "overlapped.csv") == expected
+        assert solvers == [threading.get_ident()] and len(reducers) == 1
+        assert reducers != solvers
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "stage, code, message",
+        [
+            ("reduction", cli.EXIT_RANK, str(RankDeficiencyError(1.0))),
+            ("norms", cli.EXIT_USAGE, "second block norms"),
+            ("both", cli.EXIT_USAGE, "second block norms"),
+        ],
+        ids=["reduction", "norms", "both"],
+    )
+    def test_failing_second_block(self, capsys, tmp_path, monkeypatch, cpus, stage, code, message):
+        # the serial loop's error: a block's norm solve fails before its reduction
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        draw = random_directions(np.random.default_rng(3), (23, 4))
+        second = correlation_matrices(draw[7:14])
+        build, reduce = cli.bell_operator, cli.canonical_parameters
+
+        def failing_build(directions):
+            if stage != "reduction" and np.array_equal(directions, draw[7:14]):
+                raise np.linalg.LinAlgError("second block norms")
+            return build(directions)
+
+        def failing_reduce(M):
+            if stage != "norms" and np.array_equal(M, second):
+                raise RankDeficiencyError(1.0)
+            return reduce(M)
+
+        monkeypatch.setattr(cli, "bell_operator", failing_build)
+        monkeypatch.setattr(cli, "canonical_parameters", failing_reduce)
+        baseline = threading.active_count()
+        assert self.run(capsys, tmp_path / "verify.csv") == (code, "", f"error: {message}\n", None)
+        assert threading.active_count() == baseline
 
 
 def signed_zero_directions() -> np.ndarray:
@@ -479,6 +561,20 @@ class TestSpectrumGrid:
         assert cli.main(["spectrum", "--grid", "7", "--csv", str(path)]) == 1
         assert capsys.readouterr().err == "error: second block\n"
         assert not path.exists()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_unwritable_csv_leaves_no_thread(self, tmp_path, monkeypatch, cpus):
+        # the first blocks are submitted before the CSV is opened; the threads
+        # are joined on the way out, not when the traceback, which holds the
+        # block iterator, is dropped
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        baseline, path = threading.active_count(), tmp_path / "missing" / "grid.csv"
+        args = cli.build_parser().parse_args(["spectrum", "--grid", "50", "--csv", str(path)])
+        with pytest.raises(FileNotFoundError) as excinfo:
+            args.handler(args)
+        # excinfo still holds the traceback here
+        assert excinfo.value.filename == str(path)
         assert threading.active_count() == baseline
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

@@ -641,7 +641,7 @@ class TestMonteCarlo:
 
 
 class TestMapBlocks:
-    """``search._map_blocks``, the one thread helper of the Monte Carlo and grid sweeps."""
+    """``search._map_blocks``, the one thread helper of the Monte Carlo, grid and verify sweeps."""
 
     @pytest.mark.parametrize("cpus, keep", [(2, 0), (3, 0), (2, 1), (3, 1)])
     def test_solves_run_at_most_one_result_per_thread_ahead(self, monkeypatch, cpus, keep):
@@ -681,6 +681,40 @@ class TestMapBlocks:
         assert threading.active_count() == baseline
         # the first result and at most one start per thread behind it ran; the rest never start
         assert len(solved) <= 3 < len(starts)
+
+
+    @pytest.mark.parametrize("cpus, keep", [(2, 0), (3, 0), (2, 1), (3, 1)])
+    def test_first_starts_run_before_the_first_result_is_asked_for(self, monkeypatch, cpus, keep):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        started, baseline = threading.Event(), threading.active_count()
+
+        def solve(start):
+            started.set()
+            return start
+
+        blocks = search._map_blocks(solve, range(0, 100, 7), keep)
+        assert started.wait(timeout=10)
+        # closed before any result is taken, it still joins its threads
+        blocks.close()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize(
+        "cpus, keep, on_a_worker", [(1, 0, False), (1, 1, False), (2, 0, False), (2, 1, True), (3, 1, True)]
+    )
+    def test_a_single_start_gets_a_worker_only_beside_the_callers_work(
+        self, monkeypatch, cpus, keep, on_a_worker
+    ):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        baseline = threading.active_count()
+        with contextlib.closing(search._map_blocks(lambda _: threading.get_ident(), range(1), keep)) as blocks:
+            assert (list(blocks) != [threading.get_ident()]) == on_a_worker
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("cpus, keep", [(1, 0), (2, 0), (2, 1), (3, 1)])
+    def test_no_starts_give_nothing(self, monkeypatch, cpus, keep):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+        with contextlib.closing(search._map_blocks(lambda start: start, range(0), keep)) as blocks:
+            assert list(blocks) == []
 
 
 @pytest.mark.parametrize("seed", [0, 7, 301])

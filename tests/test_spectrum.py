@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import canonical_params, scenarios
 from reference import (
     V4_INDICES,
     V5_INDICES,
+    eigvalsh_reference,
+    hermitian_asymmetry_reference,
     spin_basis_canonical,
     subspace_blocks,
     verify_invariance,
@@ -24,6 +26,8 @@ from spinchsh import (
     eig_hermitian,
     spin_generators,
 )
+from spinchsh.search import random_directions
+from spinchsh.spectrum import _UNDERFLOW, _check_hermitian, _eigvalsh
 
 SQRT2 = np.sqrt(2.0)
 
@@ -193,6 +197,108 @@ class TestEigHermitian:
         for shape in [(0, 0), (2, 0, 0)]:
             with pytest.raises(InputError, match="nonempty"):
                 eig_hermitian(np.zeros(shape))
+
+
+def solver_outcome(solve, A):
+    """The bytes of ``solve(A)``, or the type and text of what it raised."""
+    try:
+        return solve(A).tobytes()
+    except np.linalg.LinAlgError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def guard_stacks(draw):
+    """Symmetric (count, n, n) stacks that put the underflow guard's short-cut to the test.
+
+    Each matrix has its own scale, from 1e-300 to 1e300, so one matrix's
+    entries can all lie below the stack-wide threshold and none below its
+    own. Some entries are zero, some are planted below ``_UNDERFLOW`` of
+    their matrix's largest, and one entry may be NaN or infinite.
+    """
+    count, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.lists(st.integers(-300, 300), min_size=count, max_size=count))
+    A = rng.standard_normal((count, n, n)) * 10.0 ** np.array(exponents, dtype=float)[:, None, None]
+    A[rng.random(A.shape) < draw(st.floats(0.0, 0.6))] = 0.0
+    A = np.tril(A) + np.tril(A, -1).swapaxes(-1, -2)
+    index = st.tuples(st.integers(0, count - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        k, i, j = draw(index)
+        share = draw(st.floats(1e-30, 1.0, exclude_max=True))
+        A[k, i, j] = A[k, j, i] = float(np.abs(A[k]).max()) * _UNDERFLOW * share
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        A[draw(index)] = bad
+    return A
+
+
+def hermiticity_gate_cases() -> dict:
+    """Inputs on both sides of the Hermiticity gate and of its exact-symmetry short-cut."""
+    stack = canonical_operator(np.linspace(0.1, 2.0, 5), 1.3)
+    cases = {"symmetric": stack, "integer": np.arange(9).reshape(3, 3) + np.arange(9).reshape(3, 3).T}
+    cases["bell"] = bell_operator(random_directions(np.random.default_rng(8), (20, 4)))
+    for name, offset in (("1e-11-off", 1e-11), ("1e-9-off", 1e-9)):
+        cases[name] = stack.copy()
+        cases[name][2, 0, 1] += offset
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf)):
+        diagonal, pair = stack.copy(), stack.copy()
+        diagonal[3, 4, 4] = bad
+        pair[1, 0, 3] = pair[1, 3, 0] = bad
+        cases[f"{name}-diagonal"], cases[f"{name}-pair"] = diagonal, pair
+    # -0.0 above the diagonal and +0.0 below: equal, though not the same bits
+    upper = np.triu(np.ones((9, 9), dtype=bool), 1)
+    cases["signed-zeros"] = np.where(upper & (stack == 0.0), -0.0, stack)
+    # symmetric with a sum that overflows
+    cases["huge"] = np.full((3, 4, 4), 1e308)
+    hermitian = stack + 1j * (np.triu(stack, 1) - np.triu(stack, 1).swapaxes(-1, -2))
+    cases["complex"] = hermitian
+    cases["complex-1e-9-off"] = hermitian.copy()
+    cases["complex-1e-9-off"][0, 2, 5] += 1e-9j
+    return cases
+
+
+class TestGuardShortCuts:
+    """The exact short-cuts of the underflow guard and the Hermiticity gate change no result."""
+
+    @given(guard_stacks())
+    def test_eigvalsh_matches_the_per_matrix_rule(self, A):
+        assert solver_outcome(_eigvalsh, A) == solver_outcome(eigvalsh_reference, A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_beside_a_tiny_entry(self, bad, monkeypatch):
+        A = np.stack([canonical_operator(1.0, 1e-150), canonical_operator(1.0, 1.0)])
+        A[1, 4, 4] = bad
+        tiny = (A[0] != 0.0) & (np.abs(A[0]) < _UNDERFLOW)
+        assert tiny.any()
+        assert solver_outcome(_eigvalsh, A) == solver_outcome(eigvalsh_reference, A)
+        # the stack's largest is not finite, yet the finite matrix's tiny entries are zeroed
+        solved, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solved.append(M) or eigvalsh(M[:1]))
+        _eigvalsh(A)
+        assert np.array_equal(solved[0][0], np.where(tiny, 0.0, A[0]))
+
+    def test_eigvalsh_of_bell_operators_and_complex_input(self):
+        B = bell_operator(random_directions(np.random.default_rng(3), (50, 4)))
+        H = coupling_operator(correlation_matrices(random_directions(np.random.default_rng(4), (5, 4))))
+        for A in (B, H, np.zeros((2, 9, 9)), np.zeros((0, 9, 9))):
+            assert solver_outcome(_eigvalsh, A) == solver_outcome(eigvalsh_reference, A)
+
+    @pytest.mark.parametrize("name", list(hermiticity_gate_cases()))
+    def test_gate_gives_the_full_asymmetrys_verdict(self, name):
+        A = hermiticity_gate_cases()[name]
+        converted = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+        asymmetry = hermitian_asymmetry_reference(converted)
+        if asymmetry <= TOL.hermiticity:
+            assert _check_hermitian(A).tobytes() == converted.tobytes()
+        else:
+            with pytest.raises(HermiticityError) as excinfo:
+                _check_hermitian(A)
+            assert np.array_equal(excinfo.value.asymmetry, asymmetry, equal_nan=True)
+        expected = {"1e-9-off", "complex-1e-9-off"} | {
+            f"{bad}-{where}" for bad in ("nan", "inf", "minus-inf") for where in ("diagonal", "pair")
+        }
+        assert (not asymmetry <= TOL.hermiticity) == (name in expected)
 
 
 class TestClosedForm:
