@@ -8,15 +8,15 @@ builds the four-term sum, the independent reference, in the Cartesian basis
 where it is real; every other build is the coupling operator, one matrix
 product of M against a precomputed tensor of generator products.
 
-An ObservableFamily is three Hermitian generators with their coupling
-tensor, and optionally a basis in which every generator product is real.
-``SPIN1_FAMILY``, the spin-1 qutrit family the bound 2 is about, holds the
-one spin-1 tensor, which ``coupling_operator`` uses by default, and the
-Cartesian basis; ``PAULI_FAMILY`` is the qubit control, whose known maximum
-2*sqrt(2) exceeds 2, with the magic basis. ``SPIN1_REAL_TENSOR`` is the
-spin-1 tensor in the Cartesian basis, with exact entries 0 and +-1, and
-``canonical_operator`` builds s S_x S_x + t S_z S_z from two of its rows, in
-the Cartesian basis too, so its entries are exactly 0, +-s and +-t.
+An ObservableFamily is the coupling tensor the seesaw solves with, the
+maximum the family reaches, and optionally a basis that carries a winning
+state out of solve coordinates. ``SPIN1_FAMILY``, the spin-1 qutrit family
+the bound 2 is about, holds the one spin-1 tensor, in the Cartesian basis
+where S_k = -i eps_k: -coupling_tensor(eps), with exact entries 0 and +-1.
+It is ``coupling_operator``'s default, and ``canonical_operator`` builds
+s S_x S_x + t S_z S_z from two of its rows, so its entries are exactly 0,
++-s and +-t. ``PAULI_FAMILY`` is the qubit control, whose known maximum
+2*sqrt(2) exceeds 2, in the magic basis.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .spin import (
     _as_real,
     cartesian_generators,
     check_unit_vectors,
-    spin_generators,
 )
 from .tolerances import TOL
 
@@ -41,137 +40,121 @@ from .tolerances import TOL
 DIRECTION_NAMES = ("a", "a_prime", "b", "b_prime")
 
 
-def _check_generator_shape(shape: tuple) -> None:
-    if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] == 0:
-        raise InputError(f"expected a (3, d, d) stack of generators, got shape {shape}")
-
-
 def coupling_tensor(generators) -> np.ndarray:
     """The (9, d^4) matrix whose row 3i + j is G_i (x) G_j flattened, for a (3, d, d) stack, d >= 1."""
     generators = np.asarray(generators)
-    _check_generator_shape(generators.shape)
-    return np.einsum("iab,jcd->ijacbd", generators, generators).reshape(9, generators.shape[1] ** 4)
+    shape = generators.shape
+    if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] == 0:
+        raise InputError(f"expected a (3, d, d) stack of generators, got shape {shape}")
+    return np.einsum("iab,jcd->ijacbd", generators, generators).reshape(9, shape[1] ** 4)
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableFamily:
-    """Three Hermitian generators defining the observable u . generators; equal only to itself.
+    """A coupling tensor to solve with, the CHSH maximum it reaches, and a basis to report in.
 
-    The family owns read-only complex copies of ``generators`` and of
-    ``tensor``, their coupling tensor. ``known_maximum`` is the largest
-    CHSH expectation the family can reach, the target a search must hit.
+    ``tensor`` is the (9, n^2) matrix whose row 3i + j is the n x n product
+    G_i (x) G_j of three Hermitian generators, flattened, in the coordinates
+    the seesaw solves in: ``coupling_tensor`` of the generators, or its
+    conjugate by a basis. The family keeps a read-only float64 copy of
+    a real tensor and a complex128 copy of any other, and builds its Bell
+    operators, and so runs the seesaw, in that dtype. ``known_maximum`` is
+    the largest CHSH expectation the family can reach, the target a search
+    must hit. ``basis``, optional, is an (n, n) unitary W whose only job is
+    to carry a winning state v out of solve coordinates, as W v; the family
+    keeps a read-only complex copy of it. Equal only to itself.
 
-    ``basis``, optional, is a (d^2, d^2) unitary W in which every
-    W^dagger (G_i (x) G_j) W is real. ``solve_tensor`` is the coupling tensor
-    of those products, float64, and ``bell_operator`` builds from it, so its
-    operators are real symmetric and the seesaw solves them in float64. With
-    no basis ``solve_tensor`` is ``tensor`` itself, complex, in generator
-    coordinates. ``tensor`` stays in generator coordinates either way, and
-    the family keeps a read-only complex copy of the basis.
-
-    A stack of other than (3, d, d) raises InputError, a non-finite entry
-    NonFiniteError, an asymmetry above TOL.hermiticity HermiticityError, and
-    a non-finite ``known_maximum`` InputError. A basis of other than
-    (d^2, d^2) raises InputError, a non-finite basis NonFiniteError, one
-    with ||W^dagger W - I|| above TOL.rotation InputError, and one that
-    leaves the nine W^dagger (G_i (x) G_j) W an imaginary part of Frobenius
-    norm above TOL.hermiticity InputError.
+    A tensor of other than real or complex numbers, or of other than
+    (9, n^2) with n >= 1, raises InputError, and a non-finite entry
+    NonFiniteError. A slice whose asymmetry exceeds TOL.hermiticity raises
+    HermiticityError: ``eigh`` reads only one triangle, so the seesaw would
+    solve it unchecked. A ``known_maximum`` other than one finite number
+    raises InputError. A basis of other than (n, n) raises
+    InputError, a non-finite basis NonFiniteError, and one with
+    ||W^dagger W - I|| above TOL.rotation InputError.
     """
 
     name: str
-    generators: np.ndarray
+    tensor: np.ndarray
     known_maximum: float
     basis: np.ndarray | None = None
-    tensor: np.ndarray = field(init=False, repr=False)
-    solve_tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        generators = np.array(self.generators, dtype=complex)  # a copy no caller holds
-        _check_generator_shape(generators.shape)
-        if not np.isfinite(generators).all():
-            raise NonFiniteError("generators must be finite")
-        _check_hermitian(generators)
-        maximum = float(_as_real(self.known_maximum, InputError, "known_maximum"))
-        if not math.isfinite(maximum):
-            raise InputError(f"known_maximum must be finite, got {self.known_maximum!r}")
-        tensor = coupling_tensor(generators)
-        basis, solve_tensor = self.basis, tensor
+        tensor = np.asarray(self.tensor)
+        if tensor.dtype.kind not in "biufc":
+            raise InputError(f"tensor must be real or complex numbers, got a {tensor.dtype} array")
+        n = math.isqrt(tensor.shape[1]) if tensor.ndim == 2 else 0
+        if tensor.shape != (9, n * n) or n == 0:
+            raise InputError(f"expected a (9, n^2) coupling tensor, n >= 1, got shape {tensor.shape}")
+        if not np.isfinite(tensor).all():
+            raise NonFiniteError("tensor must be finite")
+        # float64 or complex128, copied so that no caller holds it
+        tensor = np.array(_check_hermitian(tensor.reshape(9, n, n)).reshape(9, n * n))
+        maximum = _as_real(self.known_maximum, InputError, "known_maximum")
+        if maximum.ndim or not math.isfinite(maximum):
+            raise InputError(f"known_maximum must be finite and scalar, got {self.known_maximum!r}")
+        basis = self.basis
         if basis is not None:
             basis = np.array(basis, dtype=complex)
-            solve_tensor = _real_products(tensor, basis)
+            if basis.shape != (n, n):
+                raise InputError(f"expected a ({n}, {n}) basis, got shape {basis.shape}")
+            if not np.isfinite(basis).all():
+                raise NonFiniteError("basis must be finite")
+            # einsum and sums of squares, not matmul or np.linalg.norm: run at
+            # import, their first calls grow every process's resident set
+            # (OpenBLAS's buffers, about 0.4 MB). Written so that NaN fails.
+            excess = np.einsum("ki,kj->ij", basis.conj(), basis) - np.eye(n)
+            residual = math.sqrt(np.sum(excess.real**2 + excess.imag**2))
+            if not residual <= TOL.rotation:
+                raise InputError(f"basis is not unitary: ||W^dagger W - I|| = {residual:.3e}")
             basis.setflags(write=False)
-            solve_tensor.setflags(write=False)
-        generators.setflags(write=False)
         tensor.setflags(write=False)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "known_maximum", maximum)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "solve_tensor", solve_tensor)
+        object.__setattr__(self, "known_maximum", float(maximum))
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
-        return self.generators.shape[1]
+        """n, the length of the family's states."""
+        return math.isqrt(self.tensor.shape[1])
 
     def bell_operator(self, sc) -> np.ndarray:
         """The Bell operator of a MeasurementScenario, or of each quadruple of a (..., 4, 3) stack.
 
-        It is built from ``solve_tensor``: W^dagger K(M) W, float64, for a
-        family with a basis W, and K(M) in generator coordinates for one
-        without. Every direction is checked for unit norm. Each operator of a
-        stack is built bit for bit as it would be alone, so a seesaw restart
-        follows the same path in any batch.
+        It is K(M) through ``tensor``, in solve coordinates and of the
+        tensor's dtype. Every direction is checked for unit norm. Each
+        operator of a stack is built bit for bit as it would be alone, so a
+        seesaw restart follows the same path in any batch.
         """
         M = correlation_matrices(check_unit_vectors(sc))
         # the unit axis makes every build one vector-matrix product, as for a single M
-        return coupling_operator(M[..., None, :, :], self.solve_tensor)[..., 0, :, :]
-
-
-def _real_products(tensor: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The (9, n^2) float64 tensor of W^dagger (G_i (x) G_j) W for the (n, n) unitary W = ``basis``.
-
-    ``tensor`` is the complex coupling tensor of the G, n = d^2; the basis is
-    checked as ObservableFamily documents.
-    """
-    n = math.isqrt(tensor.shape[1])
-    if basis.shape != (n, n):
-        raise InputError(f"expected a ({n}, {n}) basis, got shape {basis.shape}")
-    if not np.isfinite(basis).all():
-        raise NonFiniteError("basis must be finite")
-    # einsum and sums of squares, not matmul, np.linalg.norm or a complex
-    # np.abs: run at import, their first calls grow every process's resident
-    # set (OpenBLAS's buffers, about 0.4 MB). Both gates are written so that a
-    # NaN residual fails them.
-    excess = np.einsum("ki,kj->ij", basis.conj(), basis) - np.eye(n)
-    residual = math.sqrt(np.sum(excess.real**2 + excess.imag**2))
-    if not residual <= TOL.rotation:
-        raise InputError(f"basis is not unitary: ||W^dagger W - I|| = {residual:.3e}")
-    products = np.einsum("ai,kab,bj->kij", basis.conj(), tensor.reshape(9, n, n), basis)
-    imaginary = math.sqrt(np.sum(products.imag**2))
-    if not imaginary <= TOL.hermiticity:
-        raise InputError(f"basis leaves the generator products an imaginary part {imaginary:.3e}")
-    return np.ascontiguousarray(products.real).reshape(9, n * n)
+        return coupling_operator(M[..., None, :, :], self.tensor)[..., 0, :, :]
 
 
 # spin-1 observables cannot beat the classical bound; qubits reach Tsirelson's.
-# Each family's basis makes its generator products real with entries 0 and
-# +-1: the Cartesian one, where S_k = -i eps_k, and for the Pauli matrices
-# the magic basis of Hill and Wootters (PRL 78, 5022 (1997)).
+# Each family solves in a basis where every generator product is real with
+# entries 0 and +-1. For spin-1 that is the Cartesian one, where S_k = -i eps_k
+# makes every S(u) (x) S(v) = -eps(u) (x) eps(v): the tensor is exact, and its
+# Bell operators are the float64, exactly symmetric (C (x) C)^dagger K(M) (C (x) C).
+# For the Pauli matrices it is the magic basis of Hill and Wootters (PRL 78,
+# 5022 (1997)), whose products are taken from the complex ones by einsum, which
+# at import, unlike matmul, leaves OpenBLAS's buffers unallocated.
 SPIN1_FAMILY = ObservableFamily(
-    "qutrit-spin1", spin_generators(), 2.0, np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
+    "qutrit-spin1",
+    -coupling_tensor(cartesian_generators()),
+    2.0,
+    np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS),
 )
+_MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / math.sqrt(2.0)
+_PAULI_PRODUCTS = coupling_tensor(
+    np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+).reshape(9, 4, 4)
 PAULI_FAMILY = ObservableFamily(
     "qubit-pauli",
-    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    np.einsum("ai,kab,bj->kij", _MAGIC.conj(), _PAULI_PRODUCTS, _MAGIC).real.reshape(9, 16),
     2.0 * math.sqrt(2.0),
-    np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / math.sqrt(2.0),
+    _MAGIC,
 )
-
-# The spin-1 tensor in the Cartesian basis, where S_k = -i eps_k makes every
-# S(u) (x) S(v) = -eps(u) (x) eps(v) real: its coupling operators are the
-# float64, exactly symmetric (C (x) C)^dagger K(M) (C (x) C), same spectrum.
-SPIN1_REAL_TENSOR = -coupling_tensor(cartesian_generators())
-SPIN1_REAL_TENSOR.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,10 +218,11 @@ def correlation_matrices(directions) -> np.ndarray:
 def coupling_operator(M, tensor: np.ndarray = SPIN1_FAMILY.tensor) -> np.ndarray:
     """sum_ij M_ij G_i (x) G_j for a real 3x3 M or an (..., 3, 3) stack of them.
 
-    ``tensor`` is the ``coupling_tensor`` of the generators G, the spin-1
-    family's by default. The Kronecker factors are ordered with party A
-    first, so the composite basis index is d*m + n for A level m and B
-    level n.
+    ``tensor`` is a ``coupling_tensor`` of generators G. The default is the
+    spin-1 family's, in the Cartesian basis, so K(M) is float64 and each of
+    its entries is exactly +-M_ij or 0. The Kronecker factors are ordered
+    with party A first, so the composite basis index is d*m + n for A level
+    m and B level n.
     """
     M = _as_real(M, InputError, "a correlation matrix")
     if M.shape[-2:] != (3, 3):
@@ -289,4 +273,4 @@ def canonical_operator(s, t) -> np.ndarray:
     has the same spectrum; its 8 nonzero entries are exactly +-s and +-t.
     """
     s, t = np.broadcast_arrays(*(_as_real(x, InputError, "canonical parameters") for x in (s, t)))
-    return (np.stack((s, t), axis=-1) @ SPIN1_REAL_TENSOR[[0, 8]]).reshape(s.shape + (9, 9))
+    return (np.stack((s, t), axis=-1) @ SPIN1_FAMILY.tensor[[0, 8]]).reshape(s.shape + (9, 9))

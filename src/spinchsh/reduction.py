@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import SPIN1_REAL_TENSOR, canonical_operator, coupling_operator
+from .bell import canonical_operator, coupling_operator
 from .errors import InputError, NonFiniteError, RankDeficiencyError
 from .spin import _as_real
 from .tolerances import TOL
@@ -67,7 +67,7 @@ class CanonicalReduction:
         if not np.isfinite(self.s * self.s + self.t * self.t):
             raise NonFiniteError(f"s^2 + t^2 must be finite, got s={self.s!r}, t={self.t!r}")
         W = np.kron(self.R, self.Q)
-        conjugated = W @ coupling_operator(M, SPIN1_REAL_TENSOR) @ W.T
+        conjugated = W @ coupling_operator(M) @ W.T
         return {
             "R": self.R,
             "Q": self.Q,

@@ -12,9 +12,9 @@ Restarts start from the seed's ``random_directions`` draw, as ``verify`` does.
 The same optimizer runs on any ObservableFamily of ``bell``: the spin-1
 qutrit family the bound-2 certification is about, the qubit Pauli family
 that serves as a positive control because its known maximum 2*sqrt(2)
-exceeds 2, or one of the caller's own. It runs in the family's solve basis:
-in float64 for a family with a real basis, as both built-in ones have, and
-in complex arithmetic in generator coordinates for one without.
+exceeds 2, or one of the caller's own. It runs in the coordinates of the
+family's tensor, and in its dtype: float64 for a real tensor, as both
+built-in ones are, and complex arithmetic for any other.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .bell import (
     DIRECTION_NAMES,
-    SPIN1_REAL_TENSOR,
     MeasurementScenario,
     ObservableFamily,
     correlation_matrices,
@@ -206,7 +205,7 @@ class _SeesawBatch:
 
     values: np.ndarray  # (R,) final objective
     directions: np.ndarray  # (R, 4, 3) final a, a', b, b'
-    states: np.ndarray  # (R, d^2) final top eigenvectors, in the family's solve basis
+    states: np.ndarray  # (R, n) final top eigenvectors, in the family's solve coordinates
     iterations: np.ndarray  # (R,) iterations run
     converged: np.ndarray  # (R,) whether the improvement fell below TOL.seesaw_improvement
     history: np.ndarray  # (iterations, R) objective per iteration, NaN once a restart stopped
@@ -231,15 +230,14 @@ def _sum_and_difference(pair: np.ndarray) -> np.ndarray:
 
 
 def _correlations(family: ObservableFamily, states: np.ndarray) -> np.ndarray:
-    """T_ij = Re <v| G_i (x) G_j |v> for each state v of an (R, d^2) stack, as (R, 3, 3).
+    """T_ij = Re <v| G_i (x) G_j |v> for each state v of an (R, n) stack, as (R, 3, 3).
 
-    The states are in the family's solve basis W, so G_i (x) G_j is read as
-    W^dagger (G_i (x) G_j) W, the family's ``solve_tensor``. The unit axis
-    makes each T one vector-matrix product against it, bit for bit as for a
-    single state.
+    The states and the products are both in the coordinates of the family's
+    ``tensor``. The unit axis makes each T one vector-matrix product against
+    it, bit for bit as for a single state.
     """
     outer = states.conj()[:, :, None] * states[:, None, :]
-    T = outer.reshape(len(states), 1, -1) @ family.solve_tensor.T
+    T = outer.reshape(len(states), 1, -1) @ family.tensor.T
     return T[:, 0].real.reshape(-1, 3, 3)
 
 
@@ -250,15 +248,15 @@ def _seesaw(family: ObservableFamily, directions: np.ndarray) -> _SeesawBatch:
     build of the updated directions over the restarts still active, whose
     operators the next iteration solves; a restart leaves once its
     improvement falls below TOL.seesaw_improvement. The starts are only read.
-    Every step runs in the dtype of the family's Bell operators, float64 for
-    a family with a basis, and the states are in that basis's coordinates.
+    Every step runs in the dtype of the family's tensor, and the states are
+    in its coordinates.
     """
-    count, d = len(directions), family.dim
+    count = len(directions)
     # the active restarts' directions, objectives and operators; they shrink together
     current, before, B = directions, np.full(count, -np.inf), family.bell_operator(directions)
     directions = directions.copy()  # the final directions; the caller's starts stay as drawn
     values = np.empty(count)
-    states = np.empty((count, d * d), dtype=B.dtype)
+    states = np.empty((count, family.dim), dtype=B.dtype)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     history = []
@@ -314,8 +312,8 @@ def maximize_violation(family: ObservableFamily, restarts: int, seed: int = 0) -
     ``random_directions`` draw, scenario k of ``verify --random``, and the
     winner is the lowest restart index whose value is within
     TOL.seesaw_monotonicity (relative) of the best value over all restarts.
-    Only the winner's state is carried from the family's basis W back to
-    generator coordinates, as W v.
+    Only the winner's state is carried out of solve coordinates, as W v
+    for a family with a basis W.
     """
     if not isinstance(family, ObservableFamily):
         raise InputError(f"family must be an ObservableFamily, got {family!r}")
@@ -439,7 +437,7 @@ def monte_carlo_certify(n: int, seed: int = 0, csv_path: str | None = None) -> f
 
     def solve_block(start: int) -> np.ndarray:
         block = slice(start, start + SWEEP_BLOCK)
-        B = coupling_operator(correlation_matrices(directions[block]), SPIN1_REAL_TENSOR)
+        B = coupling_operator(correlation_matrices(directions[block]))
         return np.sqrt(np.max(np.abs(_eigvalsh(B @ B)), axis=1))
 
     starts = range(0, n, SWEEP_BLOCK)

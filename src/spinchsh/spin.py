@@ -8,8 +8,11 @@ same way R rotates directions.
 
 The same generators in the Cartesian basis x, y, z are -i eps_k, built from
 the Levi-Civita symbol. There a rotation acts by R itself, and a product of
-two observables is real, which the Bell operator and the Monte Carlo
-certificate use.
+two observables is real, so the library does all its spin-1 arithmetic
+there: the four-term Bell operator, and the one spin-1 coupling tensor that
+the Monte Carlo certificate, the canonical form, the reduction certificate
+and the seesaw build from. The spin basis stays at the input and output:
+a scenario file's state and the seesaw's reported state.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests call.
 
-Axis-angle rotations, spin observables in the |+1>, |0>, |-1> basis,
+Axis-angle rotations, spin observables in the |+1>, |0>, |-1> basis, the
+built-in families' generators and the spin-basis coupling tensor,
 random states, the best state of an operator, the reduced Bell operator of
 a scenario, a rank-3 corruption of the correlation matrices, the canonical
 operator in the spin basis with its invariant-subspace blocks, the
@@ -22,6 +23,7 @@ from spinchsh.bell import (
     canonical_operator,
     correlation_matrices,
     coupling_operator,
+    coupling_tensor,
 )
 from spinchsh.errors import NormalizationError, RotationError
 from spinchsh.reduction import canonical_reduction
@@ -66,6 +68,15 @@ def spin_along(u) -> np.ndarray:
 # C (x) C: Cartesian coordinates of both parties to |+1>, |0>, |-1> ones, so
 # an operator B of bell_operator is W B W^dagger in the spin basis
 CARTESIAN_PAIR = np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
+
+# the Pauli matrices, and each built-in family's generators by family name, in
+# the coordinates of its reported states: |+1>, |0>, |-1> and computational
+PAULI_GENERATORS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+GENERATORS = {"qutrit-spin1": np.array(spin_generators()), "qubit-pauli": PAULI_GENERATORS}
+
+# the complex spin-1 coupling tensor in the |+1>, |0>, |-1> basis; the package
+# keeps only its Cartesian conjugate, SPIN1_FAMILY.tensor
+SPIN_BASIS_TENSOR = coupling_tensor(GENERATORS["qutrit-spin1"])
 
 
 def levi_civita_along(u) -> np.ndarray:
@@ -123,12 +134,12 @@ def reduced_bell(sc: MeasurementScenario) -> tuple[float, float, np.ndarray]:
 def spin_basis_canonical(s: float, t: float) -> np.ndarray:
     """s S_x (x) S_x + t S_z (x) S_z in the |+1>, |0>, |-1> basis, as float64.
 
-    The real part of the coupling operator of diag(s, 0, t) through the
-    complex spin-1 tensor, whose imaginary part is zero: the form whose
+    The real part of the coupling operator of diag(s, 0, t) through
+    SPIN_BASIS_TENSOR, whose imaginary part is zero: the form whose
     invariant split the paper reads off. ``canonical_operator`` is this
     operator conjugated into the Cartesian basis.
     """
-    return coupling_operator(np.diag([float(s), 0.0, float(t)])).real
+    return coupling_operator(np.diag([float(s), 0.0, float(t)]), SPIN_BASIS_TENSOR).real
 
 
 # composite index 3*m + n over levels (+1, 0, -1); parity of the level pair

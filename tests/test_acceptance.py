@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from conftest import gaussian_scenario, qr_rotation
-from reference import verify_invariance
+from reference import SPIN_BASIS_TENSOR, verify_invariance
 from spinchsh import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
@@ -77,8 +77,9 @@ def test_criterion_3_rotational_covariance():
         M = rng.standard_normal((3, 3))
         R, Q = qr_rotation(rng), qr_rotation(rng)
         W = np.kron(spin_representation(R), spin_representation(Q))
-        lhs = W @ coupling_operator(M) @ W.conj().T
-        worst = max(worst, float(np.linalg.norm(lhs - coupling_operator(R @ M @ Q.T))))
+        lhs = W @ coupling_operator(M, SPIN_BASIS_TENSOR) @ W.conj().T
+        rhs = coupling_operator(R @ M @ Q.T, SPIN_BASIS_TENSOR)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     report(
         "criterion 3 (rotational covariance, 1e3 samples)",
         worst < TOL.conjugation,
@@ -112,7 +113,7 @@ def test_criterion_5_tightness():
     top = np.zeros(9)
     top[0] = 1.0
     state = QuantumState.pure(top)
-    value = expectation(state, coupling_operator(correlation_matrices(tight), SPIN1_FAMILY.tensor))
+    value = expectation(state, coupling_operator(correlation_matrices(tight), SPIN_BASIS_TENSOR))
     seesaw = search._seesaw(SPIN1_FAMILY, tight.directions()[None])
     best, iterations = float(seesaw.values[0]), int(seesaw.iterations[0])
     ok = abs(value - 2.0) < 1e-12 and iterations <= 2 and abs(best - 2.0) < 1e-9

@@ -16,7 +16,13 @@ import threading
 import numpy as np
 import pytest
 
-from reference import CARTESIAN_PAIR, cartesian_kron_bell, spin_along, spin_kron_bell
+from reference import (
+    CARTESIAN_PAIR,
+    SPIN_BASIS_TENSOR,
+    cartesian_kron_bell,
+    spin_along,
+    spin_kron_bell,
+)
 from spinchsh import (
     CARTESIAN_BASIS,
     CertificationError,
@@ -26,6 +32,7 @@ from spinchsh import (
     NormalizationError,
     QuantumState,
     RankDeficiencyError,
+    SPIN1_FAMILY,
     bell_operator,
     canonical_operator,
     canonical_reduction,
@@ -38,7 +45,6 @@ from spinchsh import (
     svd3,
 )
 from spinchsh import cli, search, serialize
-from spinchsh.bell import SPIN1_REAL_TENSOR
 from spinchsh.serialize import Table, complex_pairs, format_rows, json_dumps, open_csv
 
 # a 4e-144 component leaves a rounding-noise second singular value (see
@@ -339,10 +345,10 @@ class TestRealPath:
     def test_operator_is_the_cartesian_conjugate(self):
         M = np.random.default_rng(21).standard_normal((40, 3, 3))
         W = np.kron(CARTESIAN_BASIS, CARTESIAN_BASIS)
-        real = coupling_operator(M, SPIN1_REAL_TENSOR)
+        real = coupling_operator(M)
         assert real.dtype == np.float64
         assert np.array_equal(real, np.swapaxes(real, -1, -2))
-        conjugated = W.conj().T @ coupling_operator(M) @ W
+        conjugated = W.conj().T @ coupling_operator(M, SPIN_BASIS_TENSOR) @ W
         assert np.max(np.abs(conjugated - real)) < 1e-14
 
     def test_norms_match_four_term_build(self, tmp_path):
@@ -354,7 +360,8 @@ class TestRealPath:
         assert np.max(np.abs(rows[:, -1] - reference)) <= 16 * np.spacing(2.0)
 
     def test_band_gate_reads_the_real_build(self, monkeypatch):
-        monkeypatch.setattr(search, "SPIN1_REAL_TENSOR", SPIN1_REAL_TENSOR * (1.0 + 1e-8))
+        scaled = SPIN1_FAMILY.tensor * (1.0 + 1e-8)
+        monkeypatch.setattr(search, "coupling_operator", lambda M: coupling_operator(M, scaled))
         with pytest.raises(CertificationError):
             monte_carlo_certify(100, seed=23)
 
@@ -597,7 +604,7 @@ class TestCanonicalStack:
         for s, t in zip(self.S, self.T):
             H = canonical_operator(s, t)
             assert H.shape == (9, 9) and H.dtype == np.float64
-            K = coupling_operator(np.diag([float(s), 0.0, float(t)]), SPIN1_REAL_TENSOR)
+            K = coupling_operator(np.diag([float(s), 0.0, float(t)]))
             # the Cartesian coupling operator of diag(s, 0, t), bit for bit
             assert bits_equal(H, K)
             # four entries +-s from S_x S_x and four +-t from S_z S_z

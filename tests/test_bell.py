@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_scenario, qr_rotation, scenarios, unit_vectors
-from reference import CARTESIAN_PAIR, levi_civita_along, spin_basis_canonical, spin_kron_bell
+from reference import (
+    CARTESIAN_PAIR,
+    GENERATORS,
+    SPIN_BASIS_TENSOR,
+    levi_civita_along,
+    spin_basis_canonical,
+    spin_kron_bell,
+)
 from spinchsh import (
     HermiticityError,
     InputError,
@@ -20,15 +27,20 @@ from spinchsh import (
     cartesian_generators,
     correlation_matrices,
     coupling_operator,
+    coupling_tensor,
     random_directions,
     spin_generators,
     spin_representation,
 )
-from spinchsh.bell import SPIN1_REAL_TENSOR
+
+
+def in_spin_basis(K):
+    """An operator of the Cartesian basis, where coupling_operator builds by default, in the spin basis."""
+    return CARTESIAN_PAIR @ K @ CARTESIAN_PAIR.conj().T
 
 
 def brute_force_coupling(M):
-    """Triple-loop oracle for sum_ij M_ij S_i (x) S_j."""
+    """Triple-loop oracle for sum_ij M_ij S_i (x) S_j in the spin basis."""
     S = spin_generators()
     K = np.zeros((9, 9), dtype=complex)
     for i in range(3):
@@ -81,7 +93,7 @@ class TestCouplingOperator:
         Sx, _, Sz = spin_generators()
         s, t = 1.3, 0.4
         expected = s * np.kron(Sx, Sx) + t * np.kron(Sz, Sz)
-        assert np.linalg.norm(coupling_operator(np.diag([s, 0.0, t])) - expected) < 1e-15
+        assert np.linalg.norm(in_spin_basis(coupling_operator(np.diag([s, 0.0, t]))) - expected) < 1e-15
         assert np.linalg.norm(spin_basis_canonical(s, t) - expected) < 1e-15
 
     def test_canonical_operator_is_the_cartesian_conjugate(self):
@@ -93,7 +105,7 @@ class TestCouplingOperator:
 
     def test_identity_matches_triple_loop(self):
         Sx, Sy, Sz = spin_generators()
-        K = coupling_operator(np.eye(3))
+        K = in_spin_basis(coupling_operator(np.eye(3)))
         assert np.linalg.norm(K - brute_force_coupling(np.eye(3))) < 1e-14
         assert np.linalg.norm(K - (np.kron(Sx, Sx) + np.kron(Sy, Sy) + np.kron(Sz, Sz))) < 1e-14
 
@@ -101,7 +113,7 @@ class TestCouplingOperator:
         rng = np.random.default_rng(3)
         for _ in range(20):
             M = rng.standard_normal((3, 3))
-            assert np.linalg.norm(coupling_operator(M) - brute_force_coupling(M)) < 1e-13
+            assert np.linalg.norm(in_spin_basis(coupling_operator(M)) - brute_force_coupling(M)) < 1e-13
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(InputError):
@@ -147,7 +159,7 @@ class TestBellOperator:
 
     @given(scenarios())
     def test_two_paths_agree(self, sc):
-        diff = bell_operator(sc) - coupling_operator(correlation_matrices(sc), SPIN1_REAL_TENSOR)
+        diff = bell_operator(sc) - coupling_operator(correlation_matrices(sc))
         assert np.linalg.norm(diff) < 1e-12
 
     def test_two_paths_agree_bulk(self):
@@ -167,7 +179,7 @@ class TestBellOperator:
                 + np.einsum("nab,ncd->nacbd", sap, sb)
                 - np.einsum("nab,ncd->nacbd", sap, sbp)
             ).reshape(-1, 9, 9)
-            coupled = coupling_operator(correlation_matrices(d))
+            coupled = coupling_operator(correlation_matrices(d), SPIN_BASIS_TENSOR)
             diff = (four_term - coupled).reshape(len(d), -1)
             worst = max(worst, np.max(np.linalg.norm(diff, axis=1)))
         assert worst < 1e-12
@@ -176,14 +188,15 @@ class TestBellOperator:
         rng = np.random.default_rng(23)
         dirs = rng.standard_normal((20, 4, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        batch = coupling_operator(correlation_matrices(dirs))
-        real = coupling_operator(correlation_matrices(dirs), SPIN1_REAL_TENSOR)
+        batch = coupling_operator(correlation_matrices(dirs), SPIN_BASIS_TENSOR)
+        real = coupling_operator(correlation_matrices(dirs))
         for k in range(20):
             sc = MeasurementScenario(*dirs[k])
             assert np.linalg.norm(real[k] - bell_operator(sc)) < 1e-13
-            assert np.linalg.norm(batch[k] - coupling_operator(correlation_matrices(sc))) < 1e-13
-            # the family builds in its basis, the Cartesian one, from its own real tensor
-            assert np.linalg.norm(real[k] - SPIN1_FAMILY.bell_operator(sc)) < 1e-13
+            single = coupling_operator(correlation_matrices(sc), SPIN_BASIS_TENSOR)
+            assert np.linalg.norm(batch[k] - single) < 1e-13
+            # the family builds in the Cartesian basis, from the same tensor
+            assert np.array_equal(real[k], SPIN1_FAMILY.bell_operator(sc))
 
     def test_float64_and_exactly_symmetric(self):
         B = bell_operator(random_directions(np.random.default_rng(33), (3000, 4)))
@@ -199,9 +212,9 @@ class TestBellOperator:
         assert worst <= 2e-15
 
     def test_matches_the_real_coupling_operator(self):
-        """The paper's cross-check: the four-term sum is K(M) through SPIN1_REAL_TENSOR, to 1e-15 (4.4e-16 seen)."""
+        """The paper's cross-check: the four-term sum is K(M) through SPIN1_FAMILY.tensor, to 1e-15 (4.4e-16 seen)."""
         directions = random_directions(np.random.default_rng(35), (3000, 4))
-        real = coupling_operator(correlation_matrices(directions), SPIN1_REAL_TENSOR)
+        real = coupling_operator(correlation_matrices(directions))
         assert np.max(np.abs(real - bell_operator(directions))) <= 1e-15
 
     @given(scenarios())
@@ -219,7 +232,7 @@ class TestBellOperator:
         M = correlation_matrices(sc)
         assert np.linalg.svd(M, compute_uv=False)[1] < 1e-12  # rank <= 1
         assert abs(np.sum(M * M) - 4.0) < 1e-10
-        assert np.linalg.norm(bell_operator(sc) - coupling_operator(M, SPIN1_REAL_TENSOR)) < 1e-12
+        assert np.linalg.norm(bell_operator(sc) - coupling_operator(M)) < 1e-12
 
 
 class TestRotationalCovariance:
@@ -230,8 +243,9 @@ class TestRotationalCovariance:
             M = rng.standard_normal((3, 3))
             R, Q = qr_rotation(rng), qr_rotation(rng)
             W = np.kron(spin_representation(R), spin_representation(Q))
-            lhs = W @ coupling_operator(M) @ W.conj().T
-            worst = max(worst, np.linalg.norm(lhs - coupling_operator(R @ M @ Q.T)))
+            lhs = W @ coupling_operator(M, SPIN_BASIS_TENSOR) @ W.conj().T
+            rhs = coupling_operator(R @ M @ Q.T, SPIN_BASIS_TENSOR)
+            worst = max(worst, np.linalg.norm(lhs - rhs))
         assert worst < 1e-10
 
     @settings(max_examples=30)
@@ -241,8 +255,8 @@ class TestRotationalCovariance:
         M = rng.standard_normal((3, 3))
         R, Q = qr_rotation(rng), qr_rotation(rng)
         W = np.kron(spin_representation(R), spin_representation(Q))
-        lhs = W @ coupling_operator(M) @ W.conj().T
-        assert np.linalg.norm(lhs - coupling_operator(R @ M @ Q.T)) < 1e-10
+        lhs = W @ coupling_operator(M, SPIN_BASIS_TENSOR) @ W.conj().T
+        assert np.linalg.norm(lhs - coupling_operator(R @ M @ Q.T, SPIN_BASIS_TENSOR)) < 1e-10
 
     def test_cartesian_seeded_sweep(self):
         # the certificate's float path: in the Cartesian basis a rotation's
@@ -253,8 +267,8 @@ class TestRotationalCovariance:
             M = rng.standard_normal((3, 3))
             R, Q = qr_rotation(rng), qr_rotation(rng)
             W = np.kron(R, Q)
-            lhs = W @ coupling_operator(M, SPIN1_REAL_TENSOR) @ W.T
-            rhs = coupling_operator(R @ M @ Q.T, SPIN1_REAL_TENSOR)
+            lhs = W @ coupling_operator(M) @ W.T
+            rhs = coupling_operator(R @ M @ Q.T)
             worst = max(worst, np.linalg.norm(lhs - rhs))
         assert worst < 1e-10
 
@@ -337,86 +351,110 @@ class TestObservableFamily:
         default = inspect.signature(coupling_operator).parameters["tensor"].default
         assert default is SPIN1_FAMILY.tensor
 
-    @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
-    def test_arrays_are_read_only_complex(self, family):
-        for array in (family.generators, family.tensor):
-            assert array.dtype == complex
-            assert not array.flags.writeable
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_arrays_are_read_only_complex(self, name):
+        # a tensor in generator coordinates, with no basis: complex128, solved as it is
+        family = ObservableFamily(name, coupling_tensor(GENERATORS[name]), 2.0)
+        assert family.tensor.dtype == np.complex128 and not family.tensor.flags.writeable
+        assert family.basis is None
+        assert family.bell_operator(random_directions(np.random.default_rng(1), (4,))).dtype == complex
 
-    def test_keeps_its_own_copy_of_the_generators(self):
-        # a later change to the caller's array must reach neither the generators nor the tensor
-        generators = np.array(PAULI_FAMILY.generators)
-        family = ObservableFamily("copy", generators, PAULI_FAMILY.known_maximum)
-        generators[2] = 0.0
-        assert np.array_equal(family.generators, PAULI_FAMILY.generators)
+    def test_keeps_its_own_copy_of_the_tensor(self):
+        # a later change to the caller's array must not reach the tensor
+        tensor = np.array(PAULI_FAMILY.tensor)
+        family = ObservableFamily("copy", tensor, PAULI_FAMILY.known_maximum)
+        tensor[2] = 0.0
         assert np.array_equal(family.tensor, PAULI_FAMILY.tensor)
+        assert not np.shares_memory(family.tensor, PAULI_FAMILY.tensor)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float32, np.complex64])
+    def test_tensor_is_kept_as_float64_or_complex128(self, dtype):
+        family = ObservableFamily("cast", SPIN1_FAMILY.tensor.astype(dtype), 2.0)
+        assert family.tensor.dtype == (np.complex128 if dtype == np.complex64 else np.float64)
+        assert np.array_equal(family.tensor, SPIN1_FAMILY.tensor)
 
     def test_non_hermitian_generators_rejected(self):
         # eigh reads only the lower triangle, so the seesaw would run on these unchecked
         with pytest.raises(HermiticityError):
-            ObservableFamily("upper", np.triu(np.ones((3, 2, 2))), 2.0)
+            ObservableFamily("upper", coupling_tensor(np.triu(np.ones((3, 2, 2)))), 2.0)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (4, 2, 2), (3, 0, 0)], ids=str)
     def test_generator_stack_shape_checked(self, shape):
         with pytest.raises(InputError, match=r"expected a \(3, d, d\) stack"):
+            ObservableFamily("bad", coupling_tensor(np.zeros(shape)), 2.0)
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 4, 4), (8, 16), (9, 15), (9, 0), (0, 0)], ids=str)
+    def test_tensor_shape_checked(self, shape):
+        with pytest.raises(InputError, match=r"expected a \(9, n\^2\) coupling tensor"):
             ObservableFamily("bad", np.zeros(shape), 2.0)
+
+    def test_non_numeric_tensor_rejected(self):
+        with pytest.raises(InputError, match="tensor must be real or complex numbers"):
+            ObservableFamily("bad", np.full((9, 4), "1"), 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_generators_rejected(self, bad):
-        generators = np.array(PAULI_FAMILY.generators)
+        generators = np.array(GENERATORS["qubit-pauli"])
         generators[1, 0, 1] = bad
-        with pytest.raises(NonFiniteError):
-            ObservableFamily("bad", generators, 2.0)
+        with pytest.raises(NonFiniteError, match="tensor must be finite"):
+            ObservableFamily("bad", coupling_tensor(generators), 2.0)
 
     @pytest.mark.parametrize("maximum", [np.nan, np.inf, -np.inf])
     def test_non_finite_known_maximum_rejected(self, maximum):
         with pytest.raises(InputError, match="known_maximum must be finite"):
-            ObservableFamily("bad", PAULI_FAMILY.generators, maximum)
+            ObservableFamily("bad", PAULI_FAMILY.tensor, maximum)
+
+    @pytest.mark.parametrize("maximum", [[2.0], np.zeros(2), np.full((1, 1), 2.0)], ids=str)
+    def test_non_scalar_known_maximum_rejected(self, maximum):
+        # numpy used to raise its own TypeError for these, or only warn for [2.0]
+        with pytest.raises(InputError, match="known_maximum must be finite and scalar"):
+            ObservableFamily("bad", PAULI_FAMILY.tensor, maximum)
 
     @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
     def test_basis_makes_a_read_only_real_solve_tensor(self, family):
         assert family.basis.dtype == complex and not family.basis.flags.writeable
-        assert family.solve_tensor.dtype == np.float64 and not family.solve_tensor.flags.writeable
-        W, n = family.basis, family.dim**2
-        rotated = W.conj().T @ family.tensor.reshape(9, n, n) @ W
+        assert family.tensor.dtype == np.float64 and not family.tensor.flags.writeable
+        # the tensor is W^dagger (G_i (x) G_j) W of the generators of the reported states
+        W, n = family.basis, family.dim
+        assert n == GENERATORS[family.name].shape[1] ** 2
+        rotated = W.conj().T @ coupling_tensor(GENERATORS[family.name]).reshape(9, n, n) @ W
         assert np.max(np.abs(rotated.imag)) <= 1e-16
-        assert np.max(np.abs(rotated.real.reshape(9, -1) - family.solve_tensor)) <= 1e-15
-        # with no basis the family solves its complex tensor in generator coordinates
-        plain = ObservableFamily("plain", family.generators, family.known_maximum)
-        assert plain.basis is None and plain.solve_tensor is plain.tensor
+        assert np.max(np.abs(rotated.real.reshape(9, -1) - family.tensor)) <= 1e-15
 
     def test_spin1_solve_tensor_is_the_cartesian_one(self):
-        # SPIN1_REAL_TENSOR keeps the exact integers; the family's is rounded W^dagger G W
-        assert np.max(np.abs(SPIN1_FAMILY.solve_tensor - SPIN1_REAL_TENSOR)) <= 4.5e-16
+        # S_k = -i eps_k in the Cartesian basis, so S_i (x) S_j = -eps_i (x) eps_j exactly
+        assert np.array_equal(SPIN1_FAMILY.tensor, -coupling_tensor(cartesian_generators()))
+
+    def test_spin1_bell_operator_is_the_monte_carlo_build(self):
+        # each column of the tensor has one nonzero, +-1, so every entry of K(M) is
+        # exactly +-M_ij or 0 whatever the summation order: the seesaw's batched
+        # vector-matrix build and the Monte Carlo's one matrix product agree bit for bit
+        assert np.all(np.count_nonzero(SPIN1_FAMILY.tensor, axis=0) <= 1)
+        directions = random_directions(np.random.default_rng(5), (3000, 4))
+        family = SPIN1_FAMILY.bell_operator(directions)
+        assert np.array_equal(family, coupling_operator(correlation_matrices(directions)))
 
     def test_keeps_its_own_copy_of_the_basis(self):
         basis = np.array(PAULI_FAMILY.basis)
-        family = ObservableFamily("copy", PAULI_FAMILY.generators, 2.0, basis)
+        family = ObservableFamily("copy", PAULI_FAMILY.tensor, 2.0, basis)
         basis[0] = 0.0
         assert np.array_equal(family.basis, PAULI_FAMILY.basis)
-        assert np.array_equal(family.solve_tensor, PAULI_FAMILY.solve_tensor)
+        assert np.array_equal(family.tensor, PAULI_FAMILY.tensor)
 
     @pytest.mark.parametrize("shape", [(2, 2), (4,), (4, 5), (9, 9)], ids=str)
     def test_basis_shape_checked(self, shape):
         with pytest.raises(InputError, match=r"expected a \(4, 4\) basis"):
-            ObservableFamily("bad", PAULI_FAMILY.generators, 2.0, np.zeros(shape))
+            ObservableFamily("bad", PAULI_FAMILY.tensor, 2.0, np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_basis_rejected(self, bad):
         basis = np.array(PAULI_FAMILY.basis)
         basis[1, 2] = bad
         with pytest.raises(NonFiniteError, match="basis must be finite"):
-            ObservableFamily("bad", PAULI_FAMILY.generators, 2.0, basis)
+            ObservableFamily("bad", PAULI_FAMILY.tensor, 2.0, basis)
 
     def test_non_unitary_basis_rejected(self):
         # the gate is TOL.rotation on ||W^dagger W - I||: 2e-10 fails it, a few ulps do not
         with pytest.raises(InputError, match="basis is not unitary"):
-            ObservableFamily("bad", PAULI_FAMILY.generators, 2.0, PAULI_FAMILY.basis * (1 + 1e-10))
-        ObservableFamily("ok", PAULI_FAMILY.generators, 2.0, PAULI_FAMILY.basis * (1 + 1e-15))
-
-    @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
-    def test_basis_that_leaves_products_complex_rejected(self, family):
-        # S_y and sigma_y are imaginary in their own bases, so the identity is no real basis
-        identity = np.eye(family.dim**2)
-        with pytest.raises(InputError, match="imaginary part"):
-            ObservableFamily("bad", family.generators, family.known_maximum, identity)
+            ObservableFamily("bad", PAULI_FAMILY.tensor, 2.0, PAULI_FAMILY.basis * (1 + 1e-10))
+        ObservableFamily("ok", PAULI_FAMILY.tensor, 2.0, PAULI_FAMILY.basis * (1 + 1e-15))

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from reference import GENERATORS
 from spinchsh import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
@@ -16,7 +17,6 @@ from spinchsh import (
     monte_carlo_certify,
     spin_generators,
 )
-from spinchsh.bell import SPIN1_REAL_TENSOR
 
 sympy = pytest.importorskip("sympy")
 
@@ -50,8 +50,8 @@ def bracket(v):
 
 
 def symbolic_coupling(M):
-    """K(M) in the Cartesian basis for a sympy 3x3 M, through SPIN1_REAL_TENSOR's integers."""
-    tensor = sympy.Matrix(SPIN1_REAL_TENSOR.astype(int).tolist())
+    """K(M) in the Cartesian basis for a sympy 3x3 M, through SPIN1_FAMILY.tensor's integers."""
+    tensor = sympy.Matrix(SPIN1_FAMILY.tensor.astype(int).tolist())
     return (sympy.Matrix(1, 9, list(M)) * tensor).reshape(9, 9)
 
 
@@ -59,7 +59,7 @@ def symbolic_coupling(M):
     "s, t", [(1.5, 0.25), (2.0, 0.0), (0.0, 2.0), (0.375, 1.75), (2.0**-40, 3.0 * 2.0**20)]
 )
 def test_canonical_operator_is_the_integer_tensor_form(s, t):
-    # canonical_operator(s, t) is K(diag(s, 0, t)) through SPIN1_REAL_TENSOR's
+    # canonical_operator(s, t) is K(diag(s, 0, t)) through SPIN1_FAMILY.tensor's
     # integers, bit for bit: for dyadic s and t every entry is exactly 0, +-s or +-t
     exact = symbolic_coupling(sympy.diag(sympy.Rational(s), 0, sympy.Rational(t)))
     H = canonical_operator(s, t)
@@ -98,7 +98,7 @@ def test_correlation_matrix_has_rank_at_most_two():
 def test_four_term_sum_is_the_coupling_operator():
     # the paper's cross-check, exactly: in the Cartesian basis S(u) = -i eps(u),
     # so the four-term sum is -(eps(a) eps(b) + eps(a) eps(b') + eps(a') eps(b)
-    # - eps(a') eps(b')), and it is K(M) through SPIN1_REAL_TENSOR, by bilinearity
+    # - eps(a') eps(b')), and it is K(M) through SPIN1_FAMILY.tensor, by bilinearity
     (a, ap, b, bp), M = symbolic_scenario()
 
     def kron(x, y):
@@ -135,7 +135,7 @@ def test_rotations_act_on_generators_by_adjoint_covariance():
 
 def test_coupling_operator_is_rotation_covariant_in_the_cartesian_basis():
     # (R (x) Q) K(M) (R (x) Q)^T = K(R M Q^T) for rotations R, Q and every 3x3 M,
-    # K through SPIN1_REAL_TENSOR. R (x) Q = (R (x) I)(I (x) Q), so it is the
+    # K through SPIN1_FAMILY.tensor. R (x) Q = (R (x) I)(I (x) Q), so it is the
     # two one-sided identities, proved here for the scaled rotation P of the
     # quaternion q, |q|^2 times a rotation, which is every rotation
     # (test_rotations_act_on_generators_by_adjoint_covariance):
@@ -146,8 +146,8 @@ def test_coupling_operator_is_rotation_covariant_in_the_cartesian_basis():
     q = sympy.symbols("w x y z")
     m = sympy.symbols("m0:9")
     P, M, I = quaternion_rotation(*q), sympy.Matrix(3, 3, m), sympy.eye(3)
-    tensor = sympy.Matrix(SPIN1_REAL_TENSOR.astype(int).tolist())
-    assert np.array_equal(np.array(tensor.tolist(), dtype=float), SPIN1_REAL_TENSOR)
+    tensor = sympy.Matrix(SPIN1_FAMILY.tensor.astype(int).tolist())
+    assert np.array_equal(np.array(tensor.tolist(), dtype=float), SPIN1_FAMILY.tensor)
     # polynomial matrices over Z[q, m], far faster to multiply than sympy.Matrix
     ring = sympy.ZZ[(*q, *m)]
 
@@ -232,7 +232,7 @@ def exact_solve_bases():
 
 
 def exact_generators(family):
-    """A family's generators as exact sympy matrices, checked against its float ones."""
+    """A family's generators as exact sympy matrices, checked against the float ones of its reported states."""
     I = sympy.I
     if family is SPIN1_FAMILY:
         sx, sz = spin1_x_and_z()
@@ -240,15 +240,15 @@ def exact_generators(family):
         generators = [sx, sy, sz]
     else:
         generators = [sympy.Matrix(G) for G in ([[0, 1], [1, 0]], [[0, -I], [I, 0]], [[1, 0], [0, -1]])]
-    for G, float_G in zip(generators, family.generators):
+    for G, float_G in zip(generators, GENERATORS[family.name]):
         assert np.max(np.abs(np.array(G.evalf(), dtype=complex) - float_G)) < 1e-15
     return generators
 
 
 @pytest.mark.parametrize("family", [SPIN1_FAMILY, PAULI_FAMILY], ids=lambda f: f.name)
 def test_solve_bases_are_unitary_and_make_the_generator_products_integers(family):
-    # the seesaw solves W^dagger (G_i (x) G_j) W in float64: exactly, W is unitary
-    # and all nine products are real with entries 0 and +-1
+    # the seesaw solves the family's tensor, W^dagger (G_i (x) G_j) W, in float64:
+    # exactly, W is unitary and all nine products are real with entries 0 and +-1
     W = exact_solve_bases()[family.name]
     n = W.shape[0]
     assert np.max(np.abs(np.array(W.evalf(), dtype=complex) - family.basis)) < 1e-15
@@ -258,15 +258,20 @@ def test_solve_bases_are_unitary_and_make_the_generator_products_integers(family
         product = (W.H * sympy.kronecker_product(generators[i], generators[j]) * W).expand()
         assert all(sympy.im(x) == 0 for x in product), (i, j)
         assert set(product) <= {-1, 0, 1}, (i, j)
-        # and the float64 solve tensor rounds it by at most an ulp
-        solved = family.solve_tensor[3 * i + j].reshape(n, n)
-        assert np.max(np.abs(np.array(product.tolist(), dtype=float) - solved)) <= 4.5e-16
+        exact = np.array(product.tolist(), dtype=float)
+        solved = family.tensor[3 * i + j].reshape(n, n)
+        if family is SPIN1_FAMILY:
+            # the spin-1 tensor is the Cartesian one, exact
+            assert np.array_equal(exact, solved), (i, j)
+        else:
+            # the Pauli one is rounded through 1/sqrt(2), by at most an ulp
+            assert np.max(np.abs(exact - solved)) <= 4.5e-16, (i, j)
 
 
 def integer_coupling(M: np.ndarray) -> np.ndarray:
     """K(M) in the Cartesian basis for an integer 3x3 M, as a 9x9 array of Python integers."""
-    tensor = SPIN1_REAL_TENSOR.astype(int)
-    assert np.array_equal(tensor, SPIN1_REAL_TENSOR)
+    tensor = SPIN1_FAMILY.tensor.astype(int)
+    assert np.array_equal(tensor, SPIN1_FAMILY.tensor)
     return (M.reshape(9) @ tensor.astype(object)).reshape(9, 9)
 
 

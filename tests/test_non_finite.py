@@ -200,14 +200,17 @@ _DIGITS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 # numpy reads a list holding a string as a string array, whose float cast
 # parses digits and raises a builtin ValueError on anything else; a generator
-# stack of the wrong shape used to reach einsum
+# stack of the wrong shape used to reach einsum, and float() of a non-scalar
+# known_maximum raised numpy's TypeError (or, for [2.0], only warned)
 @pytest.mark.parametrize(
     "call, error",
     [
         (lambda: MeasurementScenario(["x", 0, 1], _Z, _Z, _Z), NormalizationError),
         (lambda: check_unit_vectors(["0", "0", "1"]), NormalizationError),
-        (lambda: ObservableFamily("a", PAULI_FAMILY.generators, "x"), InputError),
-        (lambda: ObservableFamily("a", PAULI_FAMILY.generators, "2"), InputError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, "x"), InputError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, "2"), InputError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, [2.0]), InputError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, np.zeros(2)), InputError),
         (lambda: coupling_tensor(np.zeros((2, 2))), InputError),
         (lambda: coupling_tensor(np.zeros((3, 2, 3))), InputError),
         (lambda: svd3(_DIGITS), InputError),
@@ -220,6 +223,8 @@ _DIGITS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         "check_unit_vectors",
         "known_maximum-word",
         "known_maximum-digits",
+        "known_maximum-list",
+        "known_maximum-array",
         "coupling_tensor-2d",
         "coupling_tensor-not-square",
         "svd3",

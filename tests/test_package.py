@@ -1,11 +1,15 @@
-"""The package's public surface: ``spinchsh.__all__`` names each export once."""
+"""The package's public surface: ``spinchsh.__all__`` names each export once, and the README's library example."""
 
+import math
 import types
+from pathlib import Path
 
 import pytest
 
 import spinchsh
-from spinchsh import reduction, search, spectrum, spin
+from spinchsh import TOL, reduction, search, spectrum, spin
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # library code that only the tests call, now in tests/reference.py, by the
 # module that held it
@@ -56,3 +60,15 @@ def test_reduction_entry_points_are_exported():
     for name in ("CanonicalReduction", "canonical_reduction", "canonical_parameters", "svd3"):
         assert name in spinchsh.__all__
         assert getattr(spinchsh, name) is getattr(reduction, name)
+
+
+def test_readme_library_example_runs(capsys):
+    # the python block under "## Library", run as written, so that a changed
+    # signature cannot leave it stale; its last two lines are the searches
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n") :]
+    block = section[section.index("```python\n") + len("```python\n") :]
+    exec(compile(block[: block.index("```")], "README.md", "exec"), {})
+    *_, spin1, pauli = capsys.readouterr().out.splitlines()
+    assert abs(float(spin1) - 2.0) <= TOL.search_target
+    assert abs(float(pauli) - 2.0 * math.sqrt(2.0)) <= TOL.search_target

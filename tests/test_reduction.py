@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import spinchsh
 from conftest import gaussian_scenario, scenarios
-from reference import reduced_bell, spin_basis_canonical
+from reference import SPIN_BASIS_TENSOR, reduced_bell, spin_basis_canonical
 from spinchsh import (
     TOL,
     CanonicalReduction,
@@ -357,7 +357,7 @@ class TestReducedBell:
             M = correlation_matrices(sc)
             red = canonical_reduction(M)
             W = np.kron(spin_representation(red.R), spin_representation(red.Q))
-            conjugated = W @ coupling_operator(M) @ W.conj().T
+            conjugated = W @ coupling_operator(M, SPIN_BASIS_TENSOR) @ W.conj().T
             worst = max(
                 worst, np.linalg.norm(conjugated - spin_basis_canonical(red.s, red.t))
             )

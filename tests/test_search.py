@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import gaussian_scenario, scenarios
 from reference import (
     CARTESIAN_PAIR,
+    PAULI_GENERATORS,
+    SPIN_BASIS_TENSOR,
     best_state_value,
     random_density_matrix,
     random_pure_state,
@@ -36,6 +38,7 @@ from spinchsh import (
     bell_operator,
     correlation_matrices,
     coupling_operator,
+    coupling_tensor,
     expectation,
     maximize_violation,
     monte_carlo_certify,
@@ -50,7 +53,7 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 
 def spin_basis_operator(sc):
     """K(M) of a scenario in the |+1>, |0>, |-1> basis, where ``ket`` states are written."""
-    return coupling_operator(correlation_matrices(sc), SPIN1_FAMILY.tensor)
+    return coupling_operator(correlation_matrices(sc), SPIN_BASIS_TENSOR)
 
 
 def ket(index: int, dim: int = 9) -> QuantumState:
@@ -275,8 +278,8 @@ class TestBestStateValue:
 class TestFamilies:
     def test_search_takes_any_family(self):
         # a family the CLI does not name searches exactly as the one it copies
-        generators, maximum = PAULI_FAMILY.generators, PAULI_FAMILY.known_maximum
-        copy = ObservableFamily("qubit-pauli-copy", generators, maximum, PAULI_FAMILY.basis)
+        tensor, maximum = PAULI_FAMILY.tensor, PAULI_FAMILY.known_maximum
+        copy = ObservableFamily("qubit-pauli-copy", tensor, maximum, PAULI_FAMILY.basis)
         mine, theirs = (maximize_violation(f, 30, seed=2) for f in (copy, PAULI_FAMILY))
         assert mine.best_value == theirs.best_value
         assert np.array_equal(mine.best_scenario.directions(), theirs.best_scenario.directions())
@@ -286,7 +289,7 @@ class TestFamilies:
             maximize_violation("qubit-pauli", 30)
 
     def test_families_compare_and_hash_by_identity(self):
-        copy = ObservableFamily("qutrit-spin1", SPIN1_FAMILY.generators.copy(), 2.0)
+        copy = ObservableFamily("qutrit-spin1", SPIN1_FAMILY.tensor, 2.0)
         assert copy != SPIN1_FAMILY and SPIN1_FAMILY == SPIN1_FAMILY
         assert len({SPIN1_FAMILY, PAULI_FAMILY, copy, SPIN1_FAMILY}) == 3
 
@@ -294,8 +297,8 @@ class TestFamilies:
         rng = np.random.default_rng(5)
         for _ in range(20):
             sc = gaussian_scenario(rng)
-            # the family builds in its basis, the Cartesian one of the four-term build;
-            # its tensor is K(M)'s in the spin basis
+            # the family builds in the Cartesian basis of the four-term build; the
+            # spin-basis K(M) is its conjugate by C (x) C
             assert SPIN1_FAMILY.bell_operator(sc).dtype == np.float64
             assert np.linalg.norm(SPIN1_FAMILY.bell_operator(sc) - bell_operator(sc)) < 1e-13
             four_term = CARTESIAN_PAIR @ bell_operator(sc) @ CARTESIAN_PAIR.conj().T
@@ -305,12 +308,15 @@ class TestFamilies:
         rng = np.random.default_rng(6)
         for _ in range(20):
             u = random_directions(rng, ())
-            sigma = np.einsum("i,iab->ab", u, PAULI_FAMILY.generators)
+            sigma = np.einsum("i,iab->ab", u, PAULI_GENERATORS)
             assert np.linalg.norm(sigma @ sigma - np.eye(2)) < 1e-12
 
     def test_spin1_generators_match(self):
-        for G, S in zip(SPIN1_FAMILY.generators, spin_generators()):
-            assert np.array_equal(G, S)
+        # the family's basis carries its tensor to the coupling tensor of the spin-1 matrices
+        W = SPIN1_FAMILY.basis
+        carried = W @ SPIN1_FAMILY.tensor.reshape(9, 9, 9) @ W.conj().T
+        spin = coupling_tensor(spin_generators()).reshape(9, 9, 9)
+        assert np.max(np.abs(carried - spin)) <= 1e-15
 
     def test_pauli_family_matches_four_term_kron(self):
         rng = np.random.default_rng(10)
@@ -481,7 +487,7 @@ class TestMonteCarlo:
         # is 2 + 1e-8, at the bottom of the spectrum or at the top
         Q, _ = np.linalg.qr(np.random.default_rng(37).standard_normal((9, 9)))
         fixed = Q @ np.diag([top, 1.0, 0.5, 0.0, 0.0, 0.0, -0.5, -1.0, bottom]) @ Q.T
-        monkeypatch.setattr(search, "coupling_operator", lambda M, tensor: np.repeat(fixed[None], len(M), 0))
+        monkeypatch.setattr(search, "coupling_operator", lambda M: np.repeat(fixed[None], len(M), 0))
         with pytest.raises(CertificationError) as excinfo:
             monte_carlo_certify(10, seed=0)
         assert abs(excinfo.value.norm - (2.0 + 1e-8)) < 1e-14

@@ -5,8 +5,8 @@ iteration. ``reference_restart`` below is the per-restart algorithm kept in
 the test: one Bell build, one eigensolve and one direction update per
 iteration for a single restart, each direction pair moved along its product
 with the restart's own T_ij = Re <v| G_i (x) G_j |v>. Like the seesaw, it
-works in the family's solve basis: float64 for a family with a basis, and
-complex in generator coordinates for one without.
+works in the coordinates and the dtype of the family's tensor: float64 for
+the built-in families, complex for the coupling tensor of their generators.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from reference import GENERATORS
 from spinchsh import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
@@ -26,6 +27,7 @@ from spinchsh import (
     StateError,
     correlation_matrices,
     coupling_operator,
+    coupling_tensor,
     maximize_violation,
 )
 from spinchsh import cli, search
@@ -34,16 +36,17 @@ FAMILIES = (SPIN1_FAMILY, PAULI_FAMILY)
 
 
 def without_basis(family):
-    """The same generators and maximum with no basis: the complex seesaw in generator coordinates."""
-    return ObservableFamily(f"{family.name}-complex", family.generators, family.known_maximum)
+    """The coupling tensor of the family's generators, with no basis: the complex seesaw in generator coordinates."""
+    tensor = coupling_tensor(GENERATORS[family.name])
+    return ObservableFamily(f"{family.name}-complex", tensor, family.known_maximum)
 
 
 COMPLEX_FAMILIES = tuple(without_basis(family) for family in FAMILIES)
 
 
 def _correlations(family, v):
-    """T_ij = Re <v| G_i (x) G_j |v> for one state in the solve basis, from the family's solve tensor."""
-    return np.real(np.outer(v.conj(), v).reshape(-1) @ family.solve_tensor.T).reshape(3, 3)
+    """T_ij = Re <v| G_i (x) G_j |v> for one state in the coordinates of the family's tensor."""
+    return np.real(np.outer(v.conj(), v).reshape(-1) @ family.tensor.T).reshape(3, 3)
 
 
 def _renormalized(gradient, fallback):
@@ -175,7 +178,8 @@ def test_real_seesaw_matches_the_complex_one(family, seed):
 @pytest.mark.parametrize("seed", [0, 5, 301])
 def test_reported_state_is_a_top_eigenvector_in_generator_coordinates(family, seed):
     report = maximize_violation(family, 30, seed=seed)
-    B = coupling_operator(correlation_matrices(report.best_scenario), family.tensor)
+    tensor = coupling_tensor(GENERATORS[family.name])
+    B = coupling_operator(correlation_matrices(report.best_scenario), tensor)
     psi = report.best_state.data
     assert np.linalg.norm(B @ psi - report.best_value * psi) <= 1e-12
     assert abs(report.best_value - np.linalg.eigvalsh(B)[-1]) <= 1e-12
@@ -199,7 +203,8 @@ def test_restarts_stop_at_the_first_improvement_below_the_threshold():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
     # the seesaw never reads known_maximum: 0.0 stands in for this family's unknown one
-    family = ObservableFamily("random-hermitian", (A + A.conj().swapaxes(-1, -2)) / 2.0, 0.0)
+    tensor = coupling_tensor((A + A.conj().swapaxes(-1, -2)) / 2.0)
+    family = ObservableFamily("random-hermitian", tensor, 0.0)
     batch = search._seesaw(family, search.random_directions(np.random.default_rng(0), (40, 4)))
     assert len(set(batch.iterations.tolist())) > 1
     for k in range(40):
@@ -325,9 +330,8 @@ def test_stack_kernels_match_single_items_bit_for_bit(family):
     rng = np.random.default_rng(23)
     directions = search.random_directions(rng, (6, 4))
     B = family.bell_operator(directions)
-    d = family.dim
-    # states in the solve basis, where they are real
-    v = rng.standard_normal((6, d * d))
+    # states in the solve coordinates, where they are real
+    v = rng.standard_normal((6, family.dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     T = search._correlations(family, v)
     pairs = search._sum_and_difference(directions[:, 2:])
@@ -355,10 +359,10 @@ def test_only_a_gradient_below_the_floor_keeps_its_fallback():
 def test_gradients_match_kron_expectations():
     # T_ij = Re <v| G_i (x) G_j |v> and the CHSH value is sum_ij M_ij T_ij, so
     # the direction steps' products with T are the exact gradients
-    # the state is in the solve basis W, so the kron products act on W v
+    # the state is in solve coordinates, so the kron products act on W v
     rng = np.random.default_rng(29)
     for family in FAMILIES + COMPLEX_FAMILIES:
-        gens, n = family.generators, family.dim**2
+        gens, n = GENERATORS[family.name.removesuffix("-complex")], family.dim
         v = rng.standard_normal(n)
         if family.basis is None:
             v = v + 1j * rng.standard_normal(n)

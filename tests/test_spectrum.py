@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import canonical_params, scenarios
 from reference import (
+    SPIN_BASIS_TENSOR,
     V4_INDICES,
     V5_INDICES,
     eigvalsh_reference,
@@ -151,7 +152,7 @@ class TestEigHermitian:
             ([[True, False], [False, True]], np.float64),
             (bell_operator(np.array(sc)), np.float64),
             (SPIN1_FAMILY.bell_operator(np.array(sc)), np.float64),
-            (coupling_operator(correlation_matrices(np.array(sc))), np.complex128),
+            (coupling_operator(correlation_matrices(np.array(sc)), SPIN_BASIS_TENSOR), np.complex128),
             (np.eye(3, dtype=np.complex64), np.complex128),
         ]
         for A, _ in cases:
@@ -280,7 +281,8 @@ class TestGuardShortCuts:
 
     def test_eigvalsh_of_bell_operators_and_complex_input(self):
         B = bell_operator(random_directions(np.random.default_rng(3), (50, 4)))
-        H = coupling_operator(correlation_matrices(random_directions(np.random.default_rng(4), (5, 4))))
+        M = correlation_matrices(random_directions(np.random.default_rng(4), (5, 4)))
+        H = coupling_operator(M, SPIN_BASIS_TENSOR)
         for A in (B, H, np.zeros((2, 9, 9)), np.zeros((0, 9, 9))):
             assert solver_outcome(_eigvalsh, A) == solver_outcome(eigvalsh_reference, A)
 
