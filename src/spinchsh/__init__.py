@@ -27,7 +27,6 @@ from .errors import (
     NonFiniteError,
     NormalizationError,
     RankDeficiencyError,
-    RotationError,
     SpinChshError,
     StateError,
 )
@@ -41,12 +40,7 @@ from .search import (
     random_directions,
 )
 from .spectrum import SpectrumResult, closed_form_spectrum, eig_hermitian
-from .spin import (
-    CARTESIAN_BASIS,
-    cartesian_generators,
-    spin_generators,
-    spin_representation,
-)
+from .spin import CARTESIAN_BASIS, cartesian_generators
 from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"

@@ -68,8 +68,8 @@ class ObservableFamily:
     (9, n^2) with n >= 1, raises InputError, and a non-finite entry
     NonFiniteError. A slice whose asymmetry exceeds TOL.hermiticity raises
     HermiticityError: ``eigh`` reads only one triangle, so the seesaw would
-    solve it unchecked. A ``known_maximum`` other than one finite number
-    raises InputError. A basis of other than (n, n) raises
+    solve it unchecked. A ``known_maximum`` other than one finite number,
+    or a bool, raises InputError. A basis of other than (n, n) raises
     InputError, a non-finite basis NonFiniteError, and one with
     ||W^dagger W - I|| above TOL.rotation InputError.
     """
@@ -90,6 +90,9 @@ class ObservableFamily:
             raise NonFiniteError("tensor must be finite")
         # float64 or complex128, copied so that no caller holds it
         tensor = np.array(_check_hermitian(tensor.reshape(9, n, n)).reshape(9, n * n))
+        # a bool would pass as 0.0 or 1.0, which as a target is a slip
+        if isinstance(self.known_maximum, (bool, np.bool_)):
+            raise InputError(f"known_maximum must be a number, not a bool, got {self.known_maximum!r}")
         maximum = _as_real(self.known_maximum, InputError, "known_maximum")
         if maximum.ndim or not math.isfinite(maximum):
             raise InputError(f"known_maximum must be finite and scalar, got {self.known_maximum!r}")

@@ -17,10 +17,6 @@ class NormalizationError(SpinChshError, ValueError):
     """A direction vector is too far from unit norm."""
 
 
-class RotationError(SpinChshError, ValueError):
-    """A matrix fails the SO(3) invariants (orthogonality, determinant 1)."""
-
-
 class HermiticityError(SpinChshError, ValueError):
     """An operator that must be Hermitian is not; carries the asymmetry."""
 

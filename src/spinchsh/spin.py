@@ -1,32 +1,26 @@
-"""Spin-1 matrices in the spin and Cartesian bases, and the spin-1 action of SO(3).
+"""Spin-1 observables in the Cartesian basis, and the unit-vector check of their directions.
 
-The three generators act on a three-level system in the basis ordered
-|+1>, |0>, |-1>, so the z generator is diag(1, 0, -1). A unit direction u
-gives the observable u_x S_x + u_y S_y + u_z S_z with spectrum {-1, 0, 1},
-and every rotation R acts by a 3x3 unitary that conjugates observables the
-same way R rotates directions.
-
-The same generators in the Cartesian basis x, y, z are -i eps_k, built from
-the Levi-Civita symbol. There a rotation acts by R itself, and a product of
-two observables is real, so the library does all its spin-1 arithmetic
-there: the four-term Bell operator, and the one spin-1 coupling tensor that
-the Monte Carlo certificate, the canonical form, the reduction certificate
-and the seesaw build from. The spin basis stays at the input and output:
-a scenario file's state and the seesaw's reported state.
+The spin-1 generators in the Cartesian basis x, y, z are -i eps_k, built
+from the Levi-Civita symbol; a unit direction u gives the observable
+-i eps(u), eps(u) = u_x eps_x + u_y eps_y + u_z eps_z, with spectrum
+{-1, 0, 1}. There a rotation R acts by R itself, and a product of two
+observables is real, so the library does all its spin-1 arithmetic there:
+the four-term Bell operator, and the one spin-1 coupling tensor that the
+Monte Carlo certificate, the canonical form, the reduction certificate and
+the seesaw build from. ``CARTESIAN_BASIS`` carries these coordinates to the
+spin basis |+1>, |0>, |-1>, where the z generator is diag(1, 0, -1); the
+spin basis stays at the input and output: a scenario file's state and the
+seesaw's reported state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NormalizationError, RotationError
+from .errors import NormalizationError
 from .tolerances import TOL
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
-
-_S_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _SQRT2_INV
-_S_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _SQRT2_INV
-_S_Z = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 
 # The unitary from Cartesian x, y, z coordinates (columns) to |+1>, |0>, |-1>
 # coordinates (rows): C^dagger S_k C = -i eps_k, with (eps_k)_ab the
@@ -39,11 +33,6 @@ CARTESIAN_BASIS.setflags(write=False)
 _EPSILON = np.zeros((3, 3, 3))
 _EPSILON[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
 _EPSILON[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
-
-
-def spin_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return copies of the spin-1 matrices (S_x, S_y, S_z)."""
-    return _S_X.copy(), _S_Y.copy(), _S_Z.copy()
 
 
 def cartesian_generators() -> np.ndarray:
@@ -78,30 +67,3 @@ def check_unit_vectors(directions) -> np.ndarray:
             f"(tolerance {TOL.unit_norm_reject:.1e})"
         )
     return directions
-
-
-def check_rotation(R) -> np.ndarray:
-    """Validate the SO(3) invariants of ``R`` to TOL.rotation and return it as a float array."""
-    R = _as_real(R, RotationError, "a rotation")
-    if R.shape != (3, 3):
-        raise RotationError(f"expected a 3x3 matrix, got shape {R.shape}")
-    # a NaN or overflowed residual is rejected below, so numpy need not warn about it
-    with np.errstate(invalid="ignore", over="ignore"):
-        ortho = np.linalg.norm(R.T @ R - np.eye(3))
-    # both gates are written so that a NaN residual fails them
-    if not ortho <= TOL.rotation:
-        raise RotationError(f"not orthogonal: ||R^T R - I|| = {ortho:.3e}")
-    det = float(np.linalg.det(R))
-    if not abs(det - 1.0) <= TOL.rotation:
-        raise RotationError(f"determinant {det!r} is not 1")
-    return R
-
-
-def spin_representation(R) -> np.ndarray:
-    """The 3x3 unitary that conjugates spin-1 observables the way ``R`` rotates directions.
-
-    In the Cartesian basis the spin-1 representation of ``R`` is ``R``
-    itself, so this is ``R`` carried to |+1>, |0>, |-1> coordinates by
-    ``CARTESIAN_BASIS``. It is a homomorphism, with no phase convention.
-    """
-    return CARTESIAN_BASIS @ check_rotation(R) @ CARTESIAN_BASIS.conj().T

@@ -21,8 +21,8 @@ class Tolerances:
     unit_norm: float = 1e-12          # unit-norm residual of constructed vectors
 
     # rotations
-    rotation: float = 1e-12           # orthogonality and determinant residuals of SO(3) inputs,
-                                      # and ||W^dagger W - I|| of an observable family's basis
+    rotation: float = 1e-12           # ||W^dagger W - I|| of an observable family's basis, the one
+                                      # library use; the tests' SO(3) check gates R^T R and det R by it
 
     # operators
     hermiticity: float = 1e-10        # asymmetry allowed by the Hermitian eigensolver

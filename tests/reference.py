@@ -1,14 +1,19 @@
 """Reference helpers that only the tests call.
 
-Axis-angle rotations, spin observables in the |+1>, |0>, |-1> basis, the
-built-in families' generators and the spin-basis coupling tensor,
-random states, the best state of an operator, the reduced Bell operator of
-a scenario, a rank-3 corruption of the correlation matrices, the canonical
-operator in the spin basis with its invariant-subspace blocks, the
-invariant-split leakage check, the one-``%`` table formatter, and the
-per-matrix underflow guard and Hermiticity asymmetry with no short-cut. The certifier's own paths (closed-form spectrum, rotation
-reduction, Monte Carlo and seesaw) use none of them; the tests use them to
-build inputs and to check those paths from another side.
+The spin-1 matrices in the |+1>, |0>, |-1> basis, the SO(3) check and the
+spin-1 representation of a rotation in that basis, axis-angle rotations,
+spin observables, the built-in families' generators and the spin-basis
+coupling tensor, random states, the best state of an operator, the reduced
+Bell operator of a scenario, a rank-3 corruption of the correlation
+matrices, the canonical operator in the spin basis with its
+invariant-subspace blocks, the invariant-split leakage check, the one-``%``
+table formatter, and the per-matrix underflow guard and Hermiticity
+asymmetry with no short-cut. The certifier's own paths (closed-form
+spectrum, rotation reduction, Monte Carlo and seesaw) use none of them:
+they work in the Cartesian basis, where a rotation acts by itself. The
+tests use them to build inputs and to check those paths from another side.
+Every rejection here raises a library error: ``NormalizationError`` for a
+direction and ``InputError`` for a rotation or an angle.
 """
 
 from __future__ import annotations
@@ -25,11 +30,21 @@ from spinchsh.bell import (
     coupling_operator,
     coupling_tensor,
 )
-from spinchsh.errors import NormalizationError, RotationError
+from spinchsh.errors import InputError, NormalizationError
 from spinchsh.reduction import canonical_reduction
 from spinchsh.search import QuantumState
 from spinchsh.spectrum import _UNDERFLOW, _check_hermitian, _check_parameters
-from spinchsh.spin import CARTESIAN_BASIS, check_unit_vectors, spin_generators
+from spinchsh.spin import _SQRT2_INV, CARTESIAN_BASIS, _as_real, check_unit_vectors
+from spinchsh.tolerances import TOL
+
+_S_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _SQRT2_INV
+_S_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _SQRT2_INV
+_S_Z = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
+
+
+def spin_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return copies of the spin-1 matrices (S_x, S_y, S_z) in the |+1>, |0>, |-1> basis."""
+    return _S_X.copy(), _S_Y.copy(), _S_Z.copy()
 
 
 def check_unit_vector(u) -> np.ndarray:
@@ -44,9 +59,36 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a counterclockwise turn by ``angle`` about ``axis``."""
     n = check_unit_vector(axis)
     if not np.isfinite(angle):
-        raise RotationError(f"rotation angle {angle} is not finite")
+        raise InputError(f"rotation angle {angle} is not finite")
     K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def check_rotation(R) -> np.ndarray:
+    """Validate the SO(3) invariants of ``R`` to TOL.rotation and return it as a float array."""
+    R = _as_real(R, InputError, "a rotation")
+    if R.shape != (3, 3):
+        raise InputError(f"expected a 3x3 matrix, got shape {R.shape}")
+    # a NaN or overflowed residual is rejected below, so numpy need not warn about it
+    with np.errstate(invalid="ignore", over="ignore"):
+        ortho = np.linalg.norm(R.T @ R - np.eye(3))
+    # both gates are written so that a NaN residual fails them
+    if not ortho <= TOL.rotation:
+        raise InputError(f"not orthogonal: ||R^T R - I|| = {ortho:.3e}")
+    det = float(np.linalg.det(R))
+    if not abs(det - 1.0) <= TOL.rotation:
+        raise InputError(f"determinant {det!r} is not 1")
+    return R
+
+
+def spin_representation(R) -> np.ndarray:
+    """The 3x3 unitary that conjugates spin-1 observables the way ``R`` rotates directions.
+
+    In the Cartesian basis the spin-1 representation of ``R`` is ``R``
+    itself, so this is ``R`` carried to |+1>, |0>, |-1> coordinates by
+    ``CARTESIAN_BASIS``. It is a homomorphism, with no phase convention.
+    """
+    return CARTESIAN_BASIS @ check_rotation(R) @ CARTESIAN_BASIS.conj().T
 
 
 def spin_along(u) -> np.ndarray:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from conftest import gaussian_scenario, qr_rotation
-from reference import SPIN_BASIS_TENSOR, verify_invariance
+from reference import SPIN_BASIS_TENSOR, spin_representation, verify_invariance
 from spinchsh import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
@@ -25,7 +25,6 @@ from spinchsh import (
     expectation,
     maximize_violation,
     monte_carlo_certify,
-    spin_representation,
 )
 from spinchsh import search
 from spinchsh.cli import main

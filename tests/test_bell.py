@@ -11,7 +11,9 @@ from reference import (
     SPIN_BASIS_TENSOR,
     levi_civita_along,
     spin_basis_canonical,
+    spin_generators,
     spin_kron_bell,
+    spin_representation,
 )
 from spinchsh import (
     HermiticityError,
@@ -29,8 +31,6 @@ from spinchsh import (
     coupling_operator,
     coupling_tensor,
     random_directions,
-    spin_generators,
-    spin_representation,
 )
 
 

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import GENERATORS
+from reference import GENERATORS, spin_generators
 from spinchsh import (
     PAULI_FAMILY,
     SPIN1_FAMILY,
@@ -15,7 +15,6 @@ from spinchsh import (
     canonical_reduction,
     cartesian_generators,
     monte_carlo_certify,
-    spin_generators,
 )
 
 sympy = pytest.importorskip("sympy")

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from reference import check_unit_vector, rotation_about, spin_along
+from reference import (
+    check_rotation,
+    check_unit_vector,
+    rotation_about,
+    spin_along,
+    spin_representation,
+)
 from spinchsh import (
     HermiticityError,
     InputError,
@@ -21,7 +27,6 @@ from spinchsh import (
     ObservableFamily,
     PAULI_FAMILY,
     QuantumState,
-    RotationError,
     StateError,
     bell_operator,
     canonical_operator,
@@ -32,10 +37,9 @@ from spinchsh import (
     coupling_operator,
     coupling_tensor,
     eig_hermitian,
-    spin_representation,
     svd3,
 )
-from spinchsh.spin import check_rotation, check_unit_vectors
+from spinchsh.spin import check_unit_vectors
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -135,13 +139,13 @@ def test_mixed_state(matrix):
 @pytest.mark.parametrize("check", [check_rotation, spin_representation])
 @given(R=real_with_non_finite((3, 3)))
 def test_rotation_checks(check, R):
-    with pytest.raises(RotationError):
+    with pytest.raises(InputError):
         check(R)
 
 
 @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
 def test_rotation_about_non_finite_angle(angle):
-    with pytest.raises(RotationError, match="not finite"):
+    with pytest.raises(InputError, match="not finite"):
         rotation_about((0.0, 0.0, 1.0), angle)
 
 
@@ -163,8 +167,8 @@ _Z = np.array([0.0, 0.0, 1.0])
         (lambda: bell_operator(np.tile(_Z, (4, 1)) + 1j), InputError),
         (lambda: coupling_operator(_TIGHT + 1j), InputError),
         (lambda: canonical_operator(1.0 + 1j, 1.0), InputError),
-        (lambda: check_rotation(np.eye(3) + 1j), RotationError),
-        (lambda: spin_representation(np.eye(3) + 1j), RotationError),
+        (lambda: check_rotation(np.eye(3) + 1j), InputError),
+        (lambda: spin_representation(np.eye(3) + 1j), InputError),
         (lambda: svd3(_TIGHT + 1j), InputError),
         (lambda: canonical_parameters(_TIGHT + 1j), InputError),
         (lambda: canonical_reduction(_TIGHT + 1j), InputError),
@@ -200,8 +204,9 @@ _DIGITS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 # numpy reads a list holding a string as a string array, whose float cast
 # parses digits and raises a builtin ValueError on anything else; a generator
-# stack of the wrong shape used to reach einsum, and float() of a non-scalar
-# known_maximum raised numpy's TypeError (or, for [2.0], only warned)
+# stack of the wrong shape used to reach einsum, float() of a non-scalar
+# known_maximum raised numpy's TypeError (or, for [2.0], only warned), and a
+# bool known_maximum was taken as a target of 1.0
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -211,11 +216,13 @@ _DIGITS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, "2"), InputError),
         (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, [2.0]), InputError),
         (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, np.zeros(2)), InputError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, True), InputError),
+        (lambda: ObservableFamily("a", PAULI_FAMILY.tensor, np.True_), InputError),
         (lambda: coupling_tensor(np.zeros((2, 2))), InputError),
         (lambda: coupling_tensor(np.zeros((3, 2, 3))), InputError),
         (lambda: svd3(_DIGITS), InputError),
         (lambda: coupling_operator(_DIGITS), InputError),
-        (lambda: check_rotation(_DIGITS), RotationError),
+        (lambda: check_rotation(_DIGITS), InputError),
         (lambda: closed_form_spectrum("1", 1), InputError),
     ],
     ids=[
@@ -225,6 +232,8 @@ _DIGITS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         "known_maximum-digits",
         "known_maximum-list",
         "known_maximum-array",
+        "known_maximum-bool",
+        "known_maximum-numpy-bool",
         "coupling_tensor-2d",
         "coupling_tensor-not-square",
         "svd3",

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import spinchsh
 from conftest import gaussian_scenario, scenarios
-from reference import SPIN_BASIS_TENSOR, reduced_bell, spin_basis_canonical
+from reference import (
+    SPIN_BASIS_TENSOR,
+    reduced_bell,
+    spin_basis_canonical,
+    spin_generators,
+    spin_representation,
+)
 from spinchsh import (
     TOL,
     CanonicalReduction,
@@ -23,8 +29,6 @@ from spinchsh import (
     correlation_matrices,
     coupling_operator,
     random_directions,
-    spin_generators,
-    spin_representation,
     svd3,
 )
 

@@ -21,6 +21,7 @@ from reference import (
     random_density_matrix,
     random_pure_state,
     rank_three_correlations,
+    spin_generators,
 )
 from spinchsh import (
     CertificationError,
@@ -43,7 +44,6 @@ from spinchsh import (
     maximize_violation,
     monte_carlo_certify,
     random_directions,
-    spin_generators,
 )
 import spinchsh
 from spinchsh import search

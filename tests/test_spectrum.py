@@ -10,6 +10,7 @@ from reference import (
     eigvalsh_reference,
     hermitian_asymmetry_reference,
     spin_basis_canonical,
+    spin_generators,
     subspace_blocks,
     verify_invariance,
 )
@@ -25,7 +26,6 @@ from spinchsh import (
     correlation_matrices,
     coupling_operator,
     eig_hermitian,
-    spin_generators,
 )
 from spinchsh.search import random_directions
 from spinchsh.spectrum import _UNDERFLOW, _check_hermitian, _eigvalsh

